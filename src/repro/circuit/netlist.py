@@ -161,10 +161,21 @@ CircuitEdit = (SetConfig, SetTemplate, AddGate, RemoveGate, RewireNet)
 #: ``"structure"`` and invalidate the memoised derived structure.
 StructuralEdit = (AddGate, RemoveGate, RewireNet)
 
+#: Gate fields only :meth:`Circuit.apply_edit` may change after
+#: construction: every cache (statistics, power, timing, the compiled
+#: class codes) keeps them current from the edit notifications alone.
+_EDIT_ONLY_FIELDS = frozenset({"template", "config"})
+
 
 @dataclass
 class GateInstance:
-    """One placed gate: a template, pin-to-net bindings and an ordering."""
+    """One placed gate: a template, pin-to-net bindings and an ordering.
+
+    ``template`` and ``config`` are read-only once constructed: change
+    them through :meth:`Circuit.apply_edit` (or its ``set_config`` /
+    ``set_template`` wrappers), which notifies every attached cache.
+    A direct assignment raises :class:`AttributeError`.
+    """
 
     name: str
     template: GateTemplate
@@ -172,6 +183,14 @@ class GateInstance:
     output: str
     config: Optional[GateConfig] = None
     """``None`` means the template's default (as-mapped) configuration."""
+
+    def __setattr__(self, name, value):
+        if name in _EDIT_ONLY_FIELDS and name in self.__dict__:
+            raise AttributeError(
+                f"gate {self.name}: {name!r} is read-only; change it "
+                f"through Circuit.apply_edit (SetConfig / SetTemplate)"
+            )
+        object.__setattr__(self, name, value)
 
     def __post_init__(self):
         missing = [p for p in self.template.pins if p not in self.pin_nets]
@@ -433,7 +452,7 @@ class Circuit:
         if isinstance(edit, SetConfig):
             gate = self.gate(edit.gate)
             inverse = SetConfig(gate.name, gate.config)
-            gate.config = edit.config
+            object.__setattr__(gate, "config", edit.config)
             self._notify_edit(gate.name, "config")
             return inverse
         if isinstance(edit, SetTemplate):
@@ -450,8 +469,8 @@ class Circuit:
                 new_pin: gate.pin_nets[old_pin]
                 for new_pin, old_pin in zip(template.pins, gate.template.pins)
             }
-            gate.template = template
-            gate.config = edit.config
+            object.__setattr__(gate, "template", template)
+            object.__setattr__(gate, "config", edit.config)
             self._notify_edit(gate.name, "template")
             return inverse
         if isinstance(edit, AddGate):

@@ -33,11 +33,13 @@ for statistics; same template *and* configuration for timing) share
 truth-table selections and delay terms, so one vectorised evaluation
 covers the whole group.
 
-Lowering is memoised per circuit (:func:`get_compiled`): the supported
+Lowering is memoised per circuit (:func:`get_compiled`): the local
 ECO edits never change connectivity, so the structure arrays stay
 valid for the circuit's lifetime, and an edit listener keeps the
-per-gate class codes current.  Structural mutation invalidates the
-memo (see :meth:`Circuit._invalidate_structure`).
+per-gate class codes current — :meth:`Circuit.apply_edit` is the only
+way to change a gate's template or configuration, so no entry point
+re-scans the gates.  Structural mutation invalidates the memo (see
+:meth:`Circuit._invalidate_structure`).
 """
 
 from __future__ import annotations
@@ -272,13 +274,9 @@ class CompiledCircuit:
         self._cap_version = 0
         self._slot_caps_cache: Dict[TechParams, tuple] = {}
         self._loads_cache: Dict[tuple, tuple] = {}
-        #: Last (template, config) object seen per gate — identity
-        #: checks let the batch entry points resynchronise codes for
-        #: gates mutated outside the edit API (see :meth:`_sync_codes`).
-        self._seen_template: List[object] = [None] * num_gates
-        self._seen_config: List[object] = [None] * num_gates
         for gid, gate in enumerate(gates):
-            self._apply_gate_codes(gid, gate)
+            self._set_template_codes(gid, gate)
+            self.timing_code[gid] = self._timing_code_for(gate)
 
         circuit.add_edit_listener(self._on_edit)
         self._subscribed = True
@@ -315,16 +313,12 @@ class CompiledCircuit:
         for j, pin in enumerate(gate.template.pins):
             self.slot_count[start + j] = counts[pin]
 
-    def _apply_gate_codes(self, gid: int, gate: GateInstance) -> None:
-        """(Re)derive one gate's class codes from its current state."""
-        if gate.template is not self._seen_template[gid]:
-            self.stats_code[gid] = self._stats_code_for(gate)
-            self._set_slot_counts(gid, gate)
-            self._cap_version += 1
-            self._stats_plan = None
-            self._seen_template[gid] = gate.template
-        self.timing_code[gid] = self._timing_code_for(gate)
-        self._seen_config[gid] = gate.config
+    def _set_template_codes(self, gid: int, gate: GateInstance) -> None:
+        """(Re)derive the template-dependent state of one gate."""
+        self.stats_code[gid] = self._stats_code_for(gate)
+        self._set_slot_counts(gid, gate)
+        self._cap_version += 1
+        self._stats_plan = None
 
     def _on_edit(self, gate_name: str, kind: str) -> None:
         if kind == "structure":
@@ -339,24 +333,13 @@ class CompiledCircuit:
         gid = self.gate_id.get(gate_name)
         if gid is None:  # pragma: no cover - structure memo is invalidated
             return       # before new gates can be edited
-        self._apply_gate_codes(gid, self.circuit.gate(gate_name))
-
-    def _sync_codes(self) -> None:
-        """Pick up mutations made outside the edit API.
-
-        The incremental caches require edits to flow through
-        :meth:`Circuit.apply_edit` (their own invalidation depends on
-        it), but the batch entry points promise from-scratch semantics
-        — a caller may have assigned ``gate.config`` directly.  Object
-        identity of (template, config) is checked per gate, so a clean
-        pass costs one comparison per gate.
-        """
-        self._check_fresh()
-        for gid, gate in enumerate(self.circuit.gates):
-            if (gate.template is self._seen_template[gid]
-                    and gate.config is self._seen_config[gid]):
-                continue
-            self._apply_gate_codes(gid, gate)
+        # The edit API is the only way to change a gate's template or
+        # configuration (GateInstance refuses direct assignment), so
+        # this listener alone keeps the class codes current.
+        gate = self.circuit.gate(gate_name)
+        if kind == "template":
+            self._set_template_codes(gid, gate)
+        self.timing_code[gid] = self._timing_code_for(gate)
 
     def close(self) -> None:
         """Detach from the circuit's edit notifications (idempotent).
@@ -457,7 +440,7 @@ class CompiledCircuit:
 
     def stats_arrays(self, input_stats: Mapping[str, SignalStats]):
         """From-scratch (P, D) of every net as ``(prob, dens)`` arrays."""
-        self._sync_codes()
+        self._check_fresh()
         prob = np.zeros(len(self.nets))
         dens = np.zeros(len(self.nets))
         for i, net in enumerate(self.circuit.inputs):
@@ -607,7 +590,7 @@ class CompiledCircuit:
         fanin (first pin on exact ties, like
         :func:`~repro.timing.sta.gate_arrival`).
         """
-        self._sync_codes()
+        self._check_fresh()
         arr = np.zeros(len(self.nets))
         if input_arrivals is not None:
             for i, net in enumerate(self.circuit.inputs):

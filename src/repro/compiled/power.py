@@ -246,7 +246,6 @@ class CompiledPowerKernel:
         """
         cc = self.cc
         model = self.model
-        cc._sync_codes()
         loads = cc.net_loads(model.tech, po_load)
         gids = np.fromiter((cc.gate_id[n] for n in names), dtype=np.int64,
                            count=len(names))
@@ -280,7 +279,6 @@ class CompiledPowerKernel:
         """Total power per gate (no report objects), batched by class."""
         cc = self.cc
         model = self.model
-        cc._sync_codes()
         loads = cc.net_loads(model.tech, po_load)
         gids = np.fromiter((cc.gate_id[n] for n in names), dtype=np.int64,
                            count=len(names))

@@ -198,7 +198,7 @@ class SampledKernel:
     def settle_full(self, streams: Mapping[str, np.ndarray]) -> None:
         """Settle every net from per-input streams (from-scratch sweep)."""
         cc = self.cc
-        cc._sync_codes()
+        cc._check_fresh()
         for net in cc.circuit.inputs:
             self.set_input_stream(net, streams[net])
         for cls, ids, fanin in cc._stats_full_plan():

@@ -36,6 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from ..circuit.netlist import Circuit, GateInstance
 from ..gates.capacitance import TechParams
 from ..obs import trace as _trace
@@ -53,6 +55,7 @@ __all__ = [
     "OptimizeResult",
     "optimize_circuit",
     "circuit_power",
+    "fold_power",
     "CircuitPowerReport",
 ]
 
@@ -271,11 +274,9 @@ def optimize_circuit(
                                  model, load)
                 if chosen.config.key() != entry_key:
                     changed_gates.add(gate.name)
-                    # Through the edit API so an attached TimingCache
-                    # hears about it; a plain assignment would not.
+                    # Through the edit API (the only write path) so an
+                    # attached TimingCache hears about it.
                     result_circuit.set_config(gate.name, chosen.config)
-                else:
-                    gate.config = chosen.config
                 decisions_by_gate[gate.name] = GateDecision(
                     gate.name, gate.template.name, len(evaluations),
                     chosen, default_eval.power
@@ -438,7 +439,11 @@ def circuit_power(
     """Total modelled power of ``circuit`` with its current configurations.
 
     ``net_stats`` may be supplied to reuse an existing propagation
-    (statistics do not depend on the chosen orderings).
+    (statistics do not depend on the chosen orderings).  The total is
+    the per-gate totals folded left in topological order by
+    :func:`fold_power` — the same summation
+    :meth:`repro.incremental.StatsCache.total_power` runs, so an
+    incrementally maintained total equals this one exactly.
     """
     from ..stochastic.density import local_stats
 
@@ -446,11 +451,26 @@ def circuit_power(
     if net_stats is None:
         net_stats = local_stats(circuit, input_stats)
     by_gate: Dict[str, GatePowerReport] = {}
-    total = 0.0
     for gate in circuit.gates:
         stats = _pin_stats(gate, net_stats)
         load = circuit.output_load(gate.output, model.tech, po_load)
-        report = model.gate_power(gate.compiled(), stats, load)
-        by_gate[gate.name] = report
-        total += report.total
+        by_gate[gate.name] = model.gate_power(gate.compiled(), stats, load)
+    total = fold_power(np.fromiter(
+        (by_gate[gate.name].total for gate in circuit.topo_gates()),
+        dtype=np.float64, count=len(by_gate),
+    ))
     return CircuitPowerReport(total, by_gate, dict(net_stats))
+
+
+def fold_power(totals) -> float:
+    """Per-gate power totals summed as a strict left fold, in the order given.
+
+    ``totals`` is any buffer of doubles (an ``array("d")`` or a float64
+    ndarray), read without a copy.  ``np.cumsum`` is a sequential
+    partial sum on every Python version, unlike ``sum`` over floats
+    (compensated from Python 3.12), so the incremental cache, the
+    search's batch pricer and :func:`circuit_power` agree bit for bit.
+    """
+    if not len(totals):
+        return 0.0
+    return float(np.cumsum(np.frombuffer(totals, dtype=np.float64))[-1])

@@ -102,12 +102,25 @@ class GateTemplate:
         return Not(sptree.to_expr(self.pdn, "n")).to_truthtable(self.pins)
 
     def default_config(self) -> GateConfig:
-        """The as-mapped configuration: canonical PDN and its dual PUN."""
-        return GateConfig(self.pdn, sptree.dual(self.pdn))
+        """The as-mapped configuration: canonical PDN and its dual PUN.
+
+        Memoised (the template is frozen): every call returns the same
+        object, so its memoised :meth:`GateConfig.key` is derived once.
+        """
+        cached = getattr(self, "_default_config", None)
+        if cached is None:
+            cached = GateConfig(self.pdn, sptree.dual(self.pdn))
+            object.__setattr__(self, "_default_config", cached)
+        return cached
 
     def num_configurations(self) -> int:
-        """Table 2's #C column: distinct orderings of PDN × PUN."""
-        return sptree.num_orderings(self.pdn) * sptree.num_orderings(sptree.dual(self.pdn))
+        """Table 2's #C column: distinct orderings of PDN × PUN (memoised)."""
+        cached = getattr(self, "_num_configurations", None)
+        if cached is None:
+            cached = (sptree.num_orderings(self.pdn)
+                      * sptree.num_orderings(sptree.dual(self.pdn)))
+            object.__setattr__(self, "_num_configurations", cached)
+        return cached
 
     def configurations(self) -> List[GateConfig]:
         """Every distinct transistor ordering (brute-force enumeration)."""

@@ -20,17 +20,22 @@ the configured backend and is called lazily by every read accessor.
 Gate power reports are cached too, with a slightly wider dirty set:
 an edited gate's *fanin drivers* also go power-dirty, because a new
 compiled form can change pin capacitances and hence the load those
-drivers see.
+drivers see.  Each gate's total also sits in a flat array indexed by
+topological slot; a power refresh rewrites only the dirty slots, and
+the circuit total is :func:`~repro.core.optimizer.fold_power` of that
+array — the topological left fold
+:func:`~repro.core.optimizer.circuit_power` runs too, so incremental
+and from-scratch totals are equal, not merely close.
 """
 
 from __future__ import annotations
 
+import warnings
+from array import array
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-import warnings
-
 from ..circuit.netlist import Circuit, CircuitError, StructureEvent
-from ..core.optimizer import CircuitPowerReport
+from ..core.optimizer import CircuitPowerReport, fold_power
 from ..core.power_model import GatePowerModel, GatePowerReport
 from ..gates.capacitance import net_load
 from ..obs import trace as _trace
@@ -99,6 +104,10 @@ class StatsCache:
         self._changed_inputs: set = set()
         self._power: Dict[str, GatePowerReport] = {}
         self._power_dirty: set = {g.name for g in circuit.gates}
+        #: Per-gate power totals by topological slot (``_topo_index``),
+        #: unboxed doubles; ``None`` until the first power refresh and
+        #: after a structural edit renumbers the slots.
+        self._slots: Optional[array] = None
         #: Per-cache work counters (:mod:`repro.obs.metrics`): the one
         #: place :attr:`gates_repropagated` and friends live, so the
         #: artifact fields, the CLI reports and any metrics snapshot
@@ -174,6 +183,7 @@ class StatsCache:
         self._topo_index = {
             g.name: i for i, g in enumerate(self.circuit.topo_gates())
         }
+        self._slots = None
         self._structural.inc()
         tracer = _trace.ACTIVE
         if tracer is not None:
@@ -272,6 +282,15 @@ class StatsCache:
 
     def _refresh_power(self) -> None:
         self.refresh()
+        if self._slots is None:
+            # (Re)number the slots (first use, or a structural edit):
+            # every gate already priced keeps its total; the rest are
+            # power-dirty and get rewritten below.
+            power = self._power
+            self._slots = array("d", (
+                power[name].total if name in power else 0.0
+                for name in self._topo_index
+            ))
         if not self._power_dirty:
             return
         # Sorted iteration: string-set order varies with per-process
@@ -323,18 +342,37 @@ class StatsCache:
                         gate.compiled(), pin_stats,
                         self._output_load(gate.output)
                     )
+        slots = self._slots
+        power = self._power
+        order = self._topo_index
+        for name in names:
+            slots[order[name]] = power[name].total
         self._power_dirty.clear()
 
-    def total_power(self) -> float:
-        """Total modelled power, recomputing only power-dirty gates."""
+    def power_totals(self) -> array:
+        """Per-gate power totals in topological order (treat as read-only).
+
+        The array :meth:`total_power` sums; slot ``i`` belongs to the
+        gate at :attr:`topo_index` position ``i``.
+        """
         self._refresh_power()
-        return sum(self._power[name].total for name in self._topo_index)
+        return self._slots
+
+    def total_power(self) -> float:
+        """Total modelled power, recomputing only power-dirty gates.
+
+        One vectorised left fold over the slot array in topological
+        order (:func:`~repro.core.optimizer.fold_power`), bit-identical
+        for any edit history.
+        """
+        self._refresh_power()
+        return fold_power(self._slots)
 
     def power(self) -> CircuitPowerReport:
         """A full :class:`CircuitPowerReport`, incrementally maintained."""
         self._refresh_power()
-        total = sum(self._power[name].total for name in self._topo_index)
-        return CircuitPowerReport(total, dict(self._power), dict(self._stats))
+        return CircuitPowerReport(fold_power(self._slots), dict(self._power),
+                                  dict(self._stats))
 
     # ------------------------------------------------------------------
     def close(self) -> None:

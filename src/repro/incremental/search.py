@@ -560,7 +560,8 @@ class _BatchPricer:
     compiled analytic backend's (P, D) arrays without ever editing the
     circuit.  Candidate totals rebuild the exact left fold
     :meth:`StatsCache.total_power` runs: the baseline per-gate totals
-    with the repriced rows substituted, folded in topological order via
+    (the cache's topological slot array) with the repriced rows
+    substituted, folded in topological order via
     ``np.cumsum`` (a strictly sequential partial sum, and ``0.0 + x``
     is exact), so scores, accept decisions and the move trace are
     bit-identical to the per-move WhatIf path.  Only the
@@ -586,10 +587,6 @@ class _BatchPricer:
         self.kernel = self.cache.power_kernel()
         self.cc = self.kernel.cc
         self._templates = {t.name: t for t in state.circuit.library}
-        #: Gate names in topological order — the exact iteration order
-        #: of :meth:`StatsCache.total_power`'s summation.
-        self._names = sorted(self.cache.topo_index,
-                             key=self.cache.topo_index.__getitem__)
         #: Candidate-template statistics classes, keyed by template
         #: name (the compiled circuit's own key space) and built
         #: lazily without touching the circuit's class registry.
@@ -603,11 +600,7 @@ class _BatchPricer:
     def _baseline_totals(self) -> np.ndarray:
         totals = self._totals
         if totals is None:
-            power = self.cache._power
-            totals = np.fromiter(
-                (power[name].total for name in self._names),
-                dtype=float, count=len(self._names),
-            )
+            totals = np.array(self.cache.power_totals(), dtype=float)
             self._totals = totals
         return totals
 
@@ -654,7 +647,6 @@ class _BatchPricer:
         gate = self.state.circuit.gate(moves[0].gate)
         template = gate.template
         gid = cc.gate_id[gate.name]
-        cc._sync_codes()
         load = cc.net_loads(kernel.model.tech, cache.po_load)[cc.out_net[gid]]
         loads = np.asarray([load])
         p_in, d_in = kernel._gather([gid], len(template.pins), cache._stats)
@@ -689,7 +681,6 @@ class _BatchPricer:
         gate_name = moves[0].gate
         gate = circuit.gate(gate_name)
         gid = cc.gate_id[gate_name]
-        cc._sync_codes()
         base_loads = cc.net_loads(tech, cache.po_load)
         topo = cache.topo_index
         cone = cache.index.cone_from_gates([gate_name])

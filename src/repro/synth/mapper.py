@@ -113,7 +113,10 @@ _PATTERN_CACHE: Dict[tuple, PatternIndex] = {}
 
 def _pattern_index(library: GateLibrary,
                    gate_names: Optional[Set[str]]) -> PatternIndex:
-    key = (id(library), None if gate_names is None else tuple(sorted(gate_names)))
+    # Keyed by content, not identity: templates are frozen and hashable,
+    # and default_library() builds a fresh (equal) library per call.
+    key = (tuple(library),
+           None if gate_names is None else tuple(sorted(gate_names)))
     index = _PATTERN_CACHE.get(key)
     if index is None:
         index = PatternIndex(library, gate_names)

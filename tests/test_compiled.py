@@ -121,14 +121,27 @@ class TestFromScratch:
             assert loads[compiled.net_id[net]] == circuit.output_load(
                 net, tech, 10.0e-15)
 
-    def test_direct_config_mutation_is_picked_up(self, master):
-        """Batch kernels resync codes for edits outside the edit API."""
-        circuit, stats = master
+    def test_direct_gate_assignment_raises(self, master):
+        """Template and config change only through the edit API."""
+        circuit, _ = master
         work = circuit.copy()
-        get_compiled(work)  # lower before mutating behind its back
         gate = next(g for g in work.gates
                     if g.template.num_configurations() > 1)
-        gate.config = gate.template.configurations()[-1]
+        before = (gate.template, gate.config)
+        with pytest.raises(AttributeError, match="apply_edit"):
+            gate.config = gate.template.configurations()[-1]
+        with pytest.raises(AttributeError, match="apply_edit"):
+            gate.template = work.library["inv"]
+        assert (gate.template, gate.config) == before
+
+    def test_edit_api_keeps_lowering_current(self, master):
+        """The edit listener alone keeps class codes current."""
+        circuit, stats = master
+        work = circuit.copy()
+        get_compiled(work)  # lower before editing
+        gate = next(g for g in work.gates
+                    if g.template.num_configurations() > 1)
+        work.set_config(gate.name, gate.template.configurations()[-1])
         assert_timing_equal(work)
         assert propagate_stats(work, stats, "local", compiled=True) \
             == local_stats(work, stats)

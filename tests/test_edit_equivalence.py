@@ -5,16 +5,23 @@ reorderings, same-arity template swaps, and input-statistics changes —
 through a :class:`repro.incremental.StatsCache` and asserts after
 **every** edit that the incrementally maintained statistics are
 bit-identical (exact float equality) to a from-scratch recomputation of
-the edited circuit, for both backends.
+the edited circuit, for both backends — and, on the analytic backend,
+that the slot-array power total equals a from-scratch
+:func:`~repro.core.optimizer.circuit_power` exactly, inside rolled-back
+WhatIf trials as well as after them.
 """
+
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.suite import get_case
+from repro.circuit.netlist import SetConfig, SetTemplate
+from repro.core.optimizer import circuit_power, fold_power
 from repro.gates.library import default_library
-from repro.incremental import SampledBackend, StatsCache
+from repro.incremental import SampledBackend, StatsCache, WhatIf
 from repro.sim.stimulus import ScenarioA
 from repro.stochastic.density import propagate_stats
 from repro.stochastic.signal import SignalStats
@@ -51,20 +58,26 @@ def edit_specs():
     )
 
 
-def apply_spec(circuit, cache, input_stats, spec):
-    """Resolve and apply one abstract edit; returns the live input map."""
+def apply_spec(circuit, cache, input_stats, spec, apply=None):
+    """Resolve and apply one abstract edit; returns the live input map.
+
+    ``apply`` receives the gate edits (default: the circuit's own
+    ``apply_edit``; pass ``WhatIf.apply`` to run them as a trial).
+    """
+    apply = apply if apply is not None else circuit.apply_edit
     kind, selector, value = spec
     if kind == "reorder":
         gates = [g for g in circuit.gates if g.template.num_configurations() > 1]
         gate = gates[selector % len(gates)]
         configurations = gate.template.configurations()
-        circuit.set_config(gate.name, configurations[value % len(configurations)])
+        apply(SetConfig(gate.name,
+                        configurations[value % len(configurations)]))
     elif kind == "retemplate":
         gates = [g for g in circuit.gates if g.template.pins in _SWAP_GROUPS]
         gate = gates[selector % len(gates)]
         group = _SWAP_GROUPS[gate.template.pins]
         others = [name for name in group if name != gate.template.name]
-        circuit.set_template(gate.name, others[value % len(others)])
+        apply(SetTemplate(gate.name, others[value % len(others)]))
     else:
         net = circuit.inputs[selector % len(circuit.inputs)]
         probability = 0.05 + 0.9 * ((value % 97) / 96.0)
@@ -85,6 +98,35 @@ class TestAnalyticEquivalence:
             for spec in specs:
                 current = apply_spec(circuit, cache, current, spec)
                 assert cache.stats() == propagate_stats(circuit, current, "local")
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.tuples(edit_specs(), st.booleans()),
+                    min_size=1, max_size=8))
+    def test_power_total_matches_scratch_across_trials(self, master, specs):
+        circuit_master, stats = master
+        circuit = circuit_master.copy()
+        current = dict(stats)
+        with StatsCache(circuit, current) as cache:
+            for spec, trial in specs:
+                if trial and spec[0] != "input-stats":
+                    before = cache.total_power()
+                    with WhatIf(cache) as what_if:
+                        apply_spec(circuit, cache, current, spec,
+                                   apply=what_if.apply)
+                        assert cache.total_power() == circuit_power(
+                            circuit, current).total
+                    assert cache.total_power() == before
+                else:
+                    current = apply_spec(circuit, cache, current, spec)
+                assert cache.total_power() == circuit_power(
+                    circuit, current).total
+
+
+def test_fold_power_is_a_plain_left_fold():
+    # A compensated sum (Python 3.12+ ``sum``) would return 1.0 here;
+    # the cache, the batch pricer and circuit_power all fold left.
+    assert fold_power(array("d", [1e16, 1.0, -1e16])) == 0.0
+    assert fold_power(array("d")) == 0.0
 
 
 class TestSampledEquivalence:

@@ -20,7 +20,7 @@ TECH = TechParams()
 
 
 def _delay_with(circuit, config, arrivals):
-    circuit.gate("g0").config = config
+    circuit.set_config("g0", config)
     return analyze_timing(circuit, input_arrivals=arrivals).delay
 
 
@@ -148,7 +148,7 @@ class TestSTA:
         arrivals = {"a": 3e-10, "b": 0.0, "c": 0.0}  # a is critical
         delays = set()
         for config in LIB["nand3"].configurations():
-            c.gate("g0").config = config
+            c.set_config("g0", config)
             report = analyze_timing(c, input_arrivals=arrivals)
             delays.add(round(report.delay, 15))
         assert len(delays) > 1

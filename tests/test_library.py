@@ -94,6 +94,15 @@ class TestGateTemplate:
             sptree.dual(t.pdn)
         )
 
+    def test_per_template_constants_memoised(self, library):
+        t = library["aoi22"]
+        assert t.default_config() is t.default_config()
+        assert t.default_config().key() is t.default_config().key()
+        assert t.num_configurations() == len(t.configurations())
+        # Frozen templates stay equal and hashable after memoisation.
+        fresh = GateTemplate(t.name, t.pdn_expr, t.pins)
+        assert fresh == t and hash(fresh) == hash(t)
+
     def test_compile_config_cached(self, library):
         t = library["nand2"]
         assert t.compile_config() is t.compile_config()

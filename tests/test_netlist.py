@@ -112,7 +112,7 @@ class TestQueries:
     def test_copy_independent(self):
         c = two_level_circuit()
         clone = c.copy()
-        clone.gate("g0").config = LIB["nand2"].configurations()[1]
+        clone.set_config("g0", LIB["nand2"].configurations()[1])
         assert c.gate("g0").config is None
 
     def test_evaluate(self):

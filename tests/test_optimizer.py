@@ -100,11 +100,10 @@ class TestOptimizeCircuit:
             current = report.by_gate[gate.name].total
             # Try every alternative configuration in place.
             for config in gate.template.configurations():
-                saved = gate.config
-                gate.config = config
+                undo = result.circuit.set_config(gate.name, config)
                 alt = circuit_power(result.circuit, stats, MODEL,
                                     net_stats=report.net_stats)
-                gate.config = saved
+                result.circuit.apply_edit(undo)
                 assert alt.by_gate[gate.name].total >= current - 1e-24
 
 

@@ -29,6 +29,8 @@ from repro.circuit.netlist import (
     SetConfig,
     SetTemplate,
 )
+from repro.core.optimizer import circuit_power
+from repro.gates.capacitance import TechParams
 from repro.gates.library import default_library
 from repro.incremental.cache import StatsCache
 from repro.incremental.eco import WhatIf, resolve_edit
@@ -303,21 +305,23 @@ def edit_specs():
     )
 
 
-def apply_spec(circuit, spec, counter):
+def apply_spec(circuit, spec, counter, apply=None):
     """Resolve one abstract edit against the live circuit and apply it.
 
     Structural choices are made safe by construction: added gates feed
     from existing nets, removals pick currently dead gates, rewires
     bind to nets whose drivers sit strictly earlier in topological
-    order (so no cycle can form).
+    order (so no cycle can form).  ``apply`` receives the edit
+    (default: ``circuit.apply_edit``; pass ``WhatIf.apply`` to trial it).
     """
+    apply = apply if apply is not None else circuit.apply_edit
     kind, selector, value = spec
     if kind == "reorder":
         gates = [g for g in circuit.gates
                  if g.template.num_configurations() > 1]
         gate = gates[selector % len(gates)]
         configs = gate.template.configurations()
-        circuit.apply_edit(SetConfig(gate.name, configs[value % len(configs)]))
+        apply(SetConfig(gate.name, configs[value % len(configs)]))
     elif kind == "retemplate":
         groups = {}
         for t in circuit.library:
@@ -327,7 +331,7 @@ def apply_spec(circuit, spec, counter):
         gate = gates[selector % len(gates)]
         others = [n for n in groups[gate.template.pins]
                   if n != gate.template.name]
-        circuit.apply_edit(SetTemplate(gate.name, others[value % len(others)]))
+        apply(SetTemplate(gate.name, others[value % len(others)]))
     elif kind == "add":
         nets = list(circuit.inputs) + [g.output for g in circuit.gates]
         template = ("inv", "nand2")[value % 2]
@@ -338,14 +342,14 @@ def apply_spec(circuit, spec, counter):
         )
         counter[0] += 1
         name = f"hx{counter[0]}"
-        circuit.apply_edit(AddGate(name, template, bindings, f"{name}_n"))
+        apply(AddGate(name, template, bindings, f"{name}_n"))
     elif kind == "remove":
         index = circuit.fanout_index()
         outputs = frozenset(circuit.outputs)
         dead = [g.name for g in circuit.gates
                 if g.output not in outputs and not index.sinks(g.output)]
         if dead:
-            circuit.apply_edit(RemoveGate(dead[selector % len(dead)]))
+            apply(RemoveGate(dead[selector % len(dead)]))
     else:  # rewire
         topo = [g.name for g in circuit.topo_gates()]
         position = {name: i for i, name in enumerate(topo)}
@@ -356,7 +360,7 @@ def apply_spec(circuit, spec, counter):
         ]
         pins = gate.template.pins
         pin = pins[value % len(pins)]
-        circuit.apply_edit(RewireNet(gate.name, pin,
+        apply(RewireNet(gate.name, pin,
                                      safe[value % len(safe)]))
 
 
@@ -382,6 +386,34 @@ class TestInterleavedEquivalence:
             timing.close()
             cache.close()
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.tuples(edit_specs(), st.booleans()),
+                    min_size=1, max_size=8))
+    def test_power_total_matches_scratch_across_trials(self, master, specs):
+        """The slot-array total survives slot renumbering (add, remove,
+        rewire) and WhatIf rollbacks, equal to a from-scratch
+        ``circuit_power`` with ``==``, not a tolerance."""
+        circuit_master, stats = master
+        circuit = circuit_master.copy()
+        counter = [0]
+        cache = StatsCache(circuit, stats)
+        try:
+            for spec, trial in specs:
+                if trial:
+                    before = cache.total_power()
+                    with WhatIf(cache) as what_if:
+                        apply_spec(circuit, spec, counter,
+                                   apply=what_if.apply)
+                        assert cache.total_power() == circuit_power(
+                            circuit, stats).total
+                    assert cache.total_power() == before
+                else:
+                    apply_spec(circuit, spec, counter)
+                assert cache.total_power() == circuit_power(
+                    circuit, stats).total
+        finally:
+            cache.close()
+
 
 # ----------------------------------------------------------------------
 # Compiled lowering: stale guard
@@ -396,10 +428,10 @@ class TestStaleCompiled:
         c.apply_edit(RemoveGate("d2"))
         assert cc.stale
         with pytest.raises(CircuitError, match="stale"):
-            cc._sync_codes()
+            cc.net_loads(TechParams(), 10.0e-15)
         fresh = get_compiled(c)
         assert fresh is not cc and not fresh.stale
-        fresh._sync_codes()
+        fresh.net_loads(TechParams(), 10.0e-15)
 
 
 # ----------------------------------------------------------------------

@@ -180,6 +180,19 @@ class TestPatternIndex:
         match = index.lookup(3, tt.bits)
         assert match is not None and match.template.name == "aoi21"
 
+    def test_cache_keyed_by_library_content(self, monkeypatch):
+        from repro.synth import mapper
+
+        monkeypatch.setattr(mapper, "_PATTERN_CACHE", {})
+        network = ripple_carry_adder(2)
+        names = {"inv", "nand2", "nor2"}
+        first = map_circuit(network, default_library(), gate_names=names)
+        second = map_circuit(network, default_library(), gate_names=names)
+        # Two equal (fresh) libraries share one index entry.
+        assert len(mapper._PATTERN_CACHE) == 1
+        assert [(g.name, g.template.name, g.pin_nets) for g in first.gates] \
+            == [(g.name, g.template.name, g.pin_nets) for g in second.gates]
+
     def test_no_match_for_xor(self):
         index = PatternIndex(LIB)
         from repro.boolean.expr import parse_expr
