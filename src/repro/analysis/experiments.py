@@ -321,7 +321,7 @@ def run_eco(circuit: Circuit,
         delay = (tcache.delay() if tcache is not None
                  else circuit_delay(circuit, model.tech, po_load))
         for index, entry in enumerate(script):
-            edit = resolve_edit(circuit, entry)
+            edit = resolve_edit(circuit, entry, index)
             repropagated = cache.gates_repropagated
             retimed_before = tcache.gates_retimed if tcache is not None else 0
             tracer = _trace.ACTIVE

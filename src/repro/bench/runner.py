@@ -77,7 +77,7 @@ def environment_meta() -> Dict[str, object]:
     """The run-environment block every benchmark artifact carries.
 
     Describes *where* the numbers were produced (interpreter, numpy,
-    core count, kernel routing, host, source revision) — run
+    core count, host, source revision) — run
     descriptors like ``elapsed_s``, so ``meta`` is in
     :data:`TIMING_FIELDS` and :func:`strip_timing` drops it from golden
     byte-comparisons.  ``git_sha`` is best-effort: ``None`` outside a
@@ -87,8 +87,6 @@ def environment_meta() -> Dict[str, object]:
 
     import numpy
 
-    from ..compiled.flags import compiled_default
-
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
@@ -96,7 +94,6 @@ def environment_meta() -> Dict[str, object]:
         "machine": platform.machine(),
         "hostname": platform.node(),
         "cpu_count": os.cpu_count() or 1,
-        "compiled": compiled_default(),
         "git_sha": _git_sha(),
     }
 

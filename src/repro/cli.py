@@ -564,14 +564,16 @@ def _cmd_eco(out, path: str, script_path: str, scenario: str, seed: int,
         rows = run_eco(circuit, stats, script, backend=backend,
                        timing=timing_mode, **backend_kwargs)
     except ValueError as error:
-        # e.g. the sampled backend's frozen dt becoming too coarse for an
-        # input-stats edit; surface the remedy instead of a traceback.
-        # (Other ValueErrors — like input-arrival without --timing —
-        # carry their own remedy; don't steer those users toward --dt.)
+        # A malformed script entry, or e.g. the sampled backend's frozen
+        # dt becoming too coarse for an input-stats edit; surface the
+        # message (and, for the latter, the remedy) instead of a
+        # traceback.  Other ValueErrors — like input-arrival without
+        # --timing — carry their own remedy; don't steer those users
+        # toward --dt.
         remedy = (
             "\n(for --backend sampled, pass an explicit --dt small enough "
             "for every input-stats edit in the script)"
-            if backend == "sampled" else ""
+            if backend == "sampled" and "too coarse" in str(error) else ""
         )
         raise SystemExit(f"eco failed: {error}{remedy}")
 

@@ -474,8 +474,9 @@ class CompiledCircuit:
 
         ``gate_ids`` may arrive in any order; evaluation is batched by
         ascending logic level, so every gate reads settled fanins —
-        exactly the values the object-graph backend's topological walk
-        would read, hence bit-identical updates.
+        exactly the values a topological walk of the per-gate oracle
+        (:func:`~repro.stochastic.density.local_gate_stats`) would read,
+        hence bit-identical updates.
         """
         self._check_fresh()
         if not len(gate_ids):

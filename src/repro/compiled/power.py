@@ -1,9 +1,10 @@
 """Class-shaped vectorized evaluation of the gate power model.
 
-:class:`~repro.incremental.cache.StatsCache`'s power refresh prices
-each dirty gate through the object graph — per node, per pin, one
-:meth:`TruthTable.probability` call each for ``H``, ``G`` and the two
-Boolean differences.  This module lowers that arithmetic the same way
+The per-gate power model (:meth:`GatePowerModel.gate_power`) prices
+a gate per node, per pin — one :meth:`TruthTable.probability` call
+each for ``H``, ``G`` and the two Boolean differences.  This module,
+the engine behind :class:`~repro.incremental.cache.StatsCache`'s power
+refresh, lowers that arithmetic the same way
 :mod:`repro.compiled.circuit` lowers the (P, D) sweep: gates sharing a
 (template, configuration) class share all node tables, so one pass
 computes the per-minterm weight matrix of a whole same-class batch and

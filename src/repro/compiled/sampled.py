@@ -24,13 +24,12 @@ therefore integer-equal to the big-int path, and the derived
 Entry points:
 
 * :class:`SampledKernel` — the raw ``(nets, steps, blocks)`` history
-  with full settling and dirty-cone resettling;
-* :class:`CompiledSampledBackend` — the :class:`StatsCache` backend
-  (``make_backend("sampled", compiled=True)``), a drop-in for
-  :class:`~repro.incremental.backends.SampledBackend`;
+  with full settling and dirty-cone resettling, which
+  :class:`~repro.incremental.backends.SampledBackend` (the
+  :class:`StatsCache` ``"sampled"`` backend) runs on;
 * :func:`compiled_sampled_stats` — the
-  ``propagate_stats(method="sampled", compiled=True)`` engine,
-  bit-identical to :func:`repro.sim.bitsim.sampled_stats`.
+  ``propagate_stats(method="sampled")`` engine, bit-identical to
+  :func:`repro.sim.bitsim.sampled_stats`.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from ..sim.bitsim import (
     BitSimReport,
     _compile_word_function,
     _resolve_rng,
-    stream_rng,
 )
 from ..obs.metrics import REGISTRY as _METRICS
 from ..stochastic.signal import SignalStats
@@ -59,7 +57,6 @@ __all__ = [
     "int_from_blocks",
     "markov_stream_blocks",
     "SampledKernel",
-    "CompiledSampledBackend",
     "compiled_sampled_stats",
 ]
 
@@ -151,8 +148,8 @@ class SampledKernel:
     """The vectorized word-stream state of one compiled circuit.
 
     ``hist[net_id]`` is the net's ``(steps, blocks)`` packed stream —
-    the array twin of :meth:`BitParallelSimulator.settle_streams`'s
-    per-net big-int lists.  Gate evaluation is batched by the compiled
+    the array form of the per-net, per-step big-int words
+    :class:`BitParallelSimulator` settles.  Gate evaluation is batched by the compiled
     circuit's (level, stats-class) plan: every gate of a class shares
     one Shannon word evaluator, which runs elementwise on the whole
     ``(gates, steps, blocks)`` fanin stack at once.
@@ -246,85 +243,6 @@ class SampledKernel:
         """Fold the given nets' streams into a :class:`BitSimReport`."""
         ones, toggles = self.counts(net_ids)
         return BitSimReport(self.lanes, self.steps, dt, ones, toggles)
-
-
-# ----------------------------------------------------------------------
-# The StatsCache backend
-# ----------------------------------------------------------------------
-from ..incremental.backends import SampledBackend  # noqa: E402  (cycle-free:
-# backends does not import this module at top level)
-
-
-class CompiledSampledBackend(SampledBackend):
-    """Monte Carlo measurement on uint64 lane blocks; bit-identical.
-
-    A subclass — not a sibling — of :class:`SampledBackend` for the
-    same reason :class:`~repro.compiled.backend.CompiledAnalyticBackend`
-    subclasses the analytic backend: it computes the same function
-    under the same ``name``, so artifacts and backend checks are
-    unaffected by which engine produced the numbers.  The stream cache
-    holds ``(steps, blocks)`` uint64 arrays instead of big-int lists;
-    substreams, packing and counts match the object path bit for bit.
-    """
-
-    name = "sampled"
-    compiled = True
-
-    def __init__(self, lanes: int = DEFAULT_LANES, steps: int = 64,
-                 dt: Optional[float] = None, seed: int = 0):
-        super().__init__(lanes=lanes, steps=steps, dt=dt, seed=seed)
-        self._kernel: Optional[SampledKernel] = None
-
-    def _input_stream(self, net: str, stats) -> np.ndarray:
-        """The net's packed stream array, drawn once per distinct (P, D).
-
-        Same cache discipline as the big-int backend: regeneration is
-        deterministic (``stream_rng`` rebuilds from ``(seed, net)``),
-        so caching changes nothing bit-wise — it keeps trial rollbacks
-        from redrawing streams the run has already seen.
-        """
-        key = (net, stats.probability, stats.density)
-        stream = self._stream_cache.get(key)
-        if stream is None:
-            stream = markov_stream_blocks(
-                stats, self.lanes, self.steps, self.dt,
-                stream_rng(self.seed, net),
-            )
-            self._stream_cache[key] = stream
-        return stream
-
-    def full(self, circuit, input_stats):
-        self.dt = self._resolve_dt(circuit, input_stats)
-        self._stream_cache.clear()  # dt may have changed; old words are stale
-        circuit.validate()
-        self._kernel = SampledKernel(get_compiled(circuit), self.lanes,
-                                     self.steps)
-        streams = {
-            net: self._input_stream(net, input_stats[net])
-            for net in circuit.inputs
-        }
-        self._kernel.settle_full(streams)
-        report = self._kernel.report(range(len(self._kernel.cc.nets)), self.dt)
-        return report.stats_map()
-
-    def update(self, circuit, dirty_gates, input_stats, changed_inputs,
-               net_stats):
-        kernel = self._kernel
-        if kernel is None:
-            raise RuntimeError("update() before full()")
-        cc = kernel.cc
-        for net in changed_inputs:
-            kernel.set_input_stream(net, self._input_stream(net,
-                                                            input_stats[net]))
-        gate_ids = np.fromiter(
-            (cc.gate_id[g.name] for g in dirty_gates),
-            dtype=np.int64, count=len(dirty_gates),
-        )
-        kernel.resettle(gate_ids)
-        updated = [cc.net_id[net] for net in changed_inputs]
-        updated.extend(int(cc.out_net[gid]) for gid in gate_ids)
-        report = kernel.report(updated, self.dt)
-        return {net: report.measured_stats(net) for net in report.ones}
 
 
 # ----------------------------------------------------------------------

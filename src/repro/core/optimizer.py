@@ -411,9 +411,9 @@ def _delay_feasible(
     load: float,
 ) -> List[ConfigEvaluation]:
     """Configurations whose every pin delay is within the default's."""
-    compiled_default = gate.template.compile_config(default_eval.config)
+    default_compiled = gate.template.compile_config(default_eval.config)
     limits = {
-        pin: gate_pin_delay(compiled_default, default_eval.config, pin, tech, load)
+        pin: gate_pin_delay(default_compiled, default_eval.config, pin, tech, load)
         for pin in gate.template.pins
     }
     feasible = []

@@ -30,38 +30,34 @@ and from-scratch totals are equal, not merely close.
 
 from __future__ import annotations
 
-import warnings
 from array import array
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..circuit.netlist import Circuit, CircuitError, StructureEvent
+from ..compiled.circuit import get_compiled
+from ..compiled.power import CompiledPowerKernel
 from ..core.optimizer import CircuitPowerReport, fold_power
 from ..core.power_model import GatePowerModel, GatePowerReport
 from ..gates.capacitance import net_load
 from ..obs import trace as _trace
-from ..obs.metrics import REGISTRY as _GLOBAL_METRICS
 from ..obs.metrics import MetricsRegistry
-from ..robust import faults as _faults
 from ..stochastic.signal import SignalStats
 from ..timing.sta import DEFAULT_PO_LOAD, timing_context
 from .backends import make_backend
 
 __all__ = ["StatsCache"]
 
-#: Compiled-kernel failures absorbed by the object-path fallback
-#: (process-wide — the graceful-degradation signal CI watches).
-_FALLBACKS = _GLOBAL_METRICS.counter("robust.fallback")
-
 
 class StatsCache:
     """Circuit-wide (P, D) and power, re-propagated only where dirty.
 
-    ``compiled`` routes the statistics backend through the flat-array
-    kernels of :mod:`repro.compiled` (analytic and sampled both have
-    compiled twins) **and** the power refresh through the class-batched
-    :class:`~repro.compiled.power.CompiledPowerKernel`; ``None`` defers
-    to the ``REPRO_COMPILED`` environment flag, and every cached float
-    is bit-identical either way.
+    The statistics backend (:mod:`repro.incremental.backends`) and the
+    power refresh (the class-batched
+    :class:`~repro.compiled.power.CompiledPowerKernel`) both run on the
+    flat-array kernels of :mod:`repro.compiled`; every cached float is
+    bit-identical to the per-gate oracles
+    (:func:`~repro.stochastic.density.local_stats`,
+    :func:`~repro.core.optimizer.circuit_power`).
     """
 
     def __init__(self, circuit: Circuit,
@@ -69,21 +65,14 @@ class StatsCache:
                  backend="analytic",
                  model: Optional[GatePowerModel] = None,
                  po_load: float = DEFAULT_PO_LOAD,
-                 compiled: Optional[bool] = None,
                  **backend_kwargs):
         circuit.validate()
         missing = [n for n in circuit.inputs if n not in input_stats]
         if missing:
             raise KeyError(f"missing input statistics for {missing}")
         self.circuit = circuit
-        self.backend = make_backend(backend, compiled=compiled,
-                                    **backend_kwargs)
-        from ..compiled.flags import use_compiled
-
-        #: Route the power refresh through the compiled kernel under
-        #: the same flag that routes the statistics backend.
-        self._compiled_power = use_compiled(compiled)
-        self._power_kernel_obj = None
+        self.backend = make_backend(backend, **backend_kwargs)
+        self._power_kernel_obj: Optional[CompiledPowerKernel] = None
         self.model = model if model is not None else GatePowerModel()
         _, self.po_load = timing_context(self.model.tech, po_load)
         # Memoised on the circuit: a second cache (or a search run)
@@ -268,11 +257,8 @@ class StatsCache:
         return net_load(self.index.sinks(net), net in self._outputs,
                         self.model.tech, self.po_load)
 
-    def power_kernel(self):
-        """The memoised :class:`CompiledPowerKernel` (compiled mode only)."""
-        from ..compiled.circuit import get_compiled
-        from ..compiled.power import CompiledPowerKernel
-
+    def power_kernel(self) -> CompiledPowerKernel:
+        """The memoised :class:`CompiledPowerKernel` of the current lowering."""
         cc = get_compiled(self.circuit)
         kernel = self._power_kernel_obj
         if kernel is None or kernel.cc is not cc:
@@ -298,50 +284,11 @@ class StatsCache:
         # would make repeated runs differ in the last ulp.
         names = sorted(self._power_dirty, key=self._topo_index.__getitem__)
         tracer = _trace.ACTIVE
-        span = (tracer.span("stats.power_refresh", gates=len(names),
-                            route="kernel" if self._compiled_power
-                            else "object")
+        span = (tracer.span("stats.power_refresh", gates=len(names))
                 if tracer is not None else _trace.NULL_SPAN)
         with span:
-            if self._compiled_power:
-                try:
-                    _faults.fire("kernel.power")
-                    reports = self.power_kernel().reports(
-                        names, self._stats, self.po_load)
-                except Exception as error:
-                    # Graceful degradation: the compiled kernel produces
-                    # bit-identical floats to the object path, so a
-                    # kernel failure costs speed, never correctness.
-                    # Latch the fallback once per cache and keep going —
-                    # unless strict mode (REPRO_ROBUST_STRICT) demands
-                    # the failure surface (CI's kernel-health setting).
-                    if _faults.strict_mode():
-                        raise
-                    self._compiled_power = False
-                    self._power_kernel_obj = None
-                    _FALLBACKS.inc()
-                    if tracer is not None:
-                        span.note(route="fallback")
-                    warnings.warn(
-                        "compiled power kernel failed "
-                        f"({type(error).__name__}: {error}); falling back "
-                        "to the object-model path for this cache",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-                else:
-                    self._power.update(reports)
-            if not self._compiled_power:
-                for name in names:
-                    gate = self.circuit.gate(name)
-                    pin_stats = {
-                        pin: self._stats[gate.pin_nets[pin]]
-                        for pin in gate.template.pins
-                    }
-                    self._power[name] = self.model.gate_power(
-                        gate.compiled(), pin_stats,
-                        self._output_load(gate.output)
-                    )
+            self._power.update(self.power_kernel().reports(
+                names, self._stats, self.po_load))
         slots = self._slots
         power = self._power
         order = self._topo_index

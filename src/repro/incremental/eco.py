@@ -37,10 +37,10 @@ whose external load changed (the added/removed gate's fanin nets; a
 rewired pin's old and new net) go power- and timing-dirty.  Structural
 edits rebuild the circuit's memoised fanout index / topological order,
 and both caches re-read them; only backends with
-``supports_structure`` (the analytic engines — object and compiled)
-accept them, and :meth:`WhatIf.apply` refuses up front for the rest
-(the sampled backends keep per-net lane histories keyed to the old
-structure), before anything mutates.
+``supports_structure`` (the analytic backend) accept them, and
+:meth:`WhatIf.apply` refuses up front for the rest (the sampled
+backend keeps per-net lane histories keyed to the old structure),
+before anything mutates.
 """
 
 from __future__ import annotations
@@ -284,21 +284,54 @@ def _config_from_index(template, index, label):
     return configurations[index]
 
 
-def resolve_edit(circuit: Circuit, entry: Mapping) -> EcoEdit:
-    """Turn one JSON script entry into an :data:`EcoEdit`."""
+#: Entry fields that name a gate, net, cell or pin: JSON strings only.
+_NAME_KEYS = ("gate", "net", "template", "pin", "output")
+
+
+def _check_entry(circuit: Circuit, entry, where: str) -> None:
+    """Reject a malformed script entry before anything resolves it."""
+    if not isinstance(entry, Mapping):
+        raise ValueError(f"{where}: expected a JSON object, got {entry!r}")
     op = entry.get("op")
     allowed = _ENTRY_KEYS.get(op)
     if allowed is None:
         raise ValueError(
-            f"unknown edit op {op!r}; use one of "
+            f"{where}: unknown edit op {op!r}; use one of "
             f"{', '.join(repr(k) for k in _ENTRY_KEYS)}"
         )
     unknown = sorted(set(entry) - allowed)
     if unknown:
         raise ValueError(
-            f"{op} entry has unknown keys {unknown}; allowed: "
+            f"{where}: {op} entry has unknown keys {unknown}; allowed: "
             f"{sorted(allowed)}"
         )
+    # ``config`` is optional except on a reorder, where it is the edit.
+    required = allowed if op == "reorder" else allowed - {"config"}
+    missing = sorted(required - set(entry))
+    if missing:
+        raise ValueError(f"{where}: {op} entry is missing keys {missing}")
+    for key in _NAME_KEYS:
+        if key in entry and not isinstance(entry[key], str):
+            raise ValueError(
+                f"{where}: {op} entry field {key!r} must be a string, "
+                f"got {entry[key]!r}"
+            )
+    if "gate" in entry and op != "add-gate" and entry["gate"] not in circuit:
+        raise ValueError(f"{where}: unknown gate {entry['gate']!r}")
+
+
+def resolve_edit(circuit: Circuit, entry: Mapping,
+                 index: Optional[int] = None) -> EcoEdit:
+    """Turn one JSON script entry into an :data:`EcoEdit`.
+
+    Malformed entries — not a JSON object, an unknown op, unknown or
+    missing keys, a non-string name field, an unknown gate — raise
+    :class:`ValueError` naming the entry (``index``, its position in
+    the script, when given) before anything is resolved.
+    """
+    _check_entry(circuit, entry,
+                 "script entry" if index is None else f"script entry {index}")
+    op = entry["op"]
     if op == "reorder":
         gate = circuit.gate(entry["gate"])
         return SetConfig(
@@ -341,21 +374,21 @@ def resolve_edit(circuit: Circuit, entry: Mapping) -> EcoEdit:
                 f"add-gate {entry['gate']} ({template.name})",
             )
         return AddGate(
-            str(entry["gate"]), template.name,
+            entry["gate"], template.name,
             tuple((pin, str(pins[pin])) for pin in template.pins),
-            str(entry["output"]), config,
+            entry["output"], config,
         )
     if op == "remove-gate":
-        return RemoveGate(circuit.gate(entry["gate"]).name)
+        return RemoveGate(entry["gate"])
     # op == "rewire"
-    gate = circuit.gate(entry["gate"])
-    return RewireNet(gate.name, str(entry["pin"]), str(entry["net"]))
+    return RewireNet(entry["gate"], entry["pin"], entry["net"])
 
 
 def resolve_edit_script(circuit: Circuit,
                         entries: Sequence[Mapping]) -> List[EcoEdit]:
     """Resolve a whole JSON script (a list of entries) against a circuit."""
-    return [resolve_edit(circuit, entry) for entry in entries]
+    return [resolve_edit(circuit, entry, index)
+            for index, entry in enumerate(entries)]
 
 
 def script_edit_label(edit: EcoEdit) -> str:

@@ -7,10 +7,9 @@ those restarts over worker processes — each worker rebuilds the
 circuit from a plain-data spec and runs the ordinary
 :func:`~repro.incremental.search.search_circuit` annealer on its own
 :class:`~repro.incremental.cache.StatsCache` /
-:class:`~repro.incremental.timing.TimingCache` (and, under the
-``REPRO_COMPILED`` flag, its own
-:class:`~repro.compiled.circuit.CompiledCircuit`) — and merges the
-outcomes deterministically.
+:class:`~repro.incremental.timing.TimingCache` and its own
+:class:`~repro.compiled.circuit.CompiledCircuit` lowering — and merges
+the outcomes deterministically.
 
 Determinism is the design constraint, not an afterthought:
 

@@ -10,12 +10,11 @@ then rollback — so scoring a move costs the edited gate's fanout cone,
 not the whole circuit (``benchmarks/bench_eco_search.py`` holds this
 to a >= 10x floor against naive full-circuit rescoring).
 
-In compiled mode (``compiled=`` / the ``REPRO_COMPILED`` flag) the
-greedy pure-power sweep goes one step further: all same-gate
+The greedy pure-power sweep goes one step further: all same-gate
 candidates of a pass are priced in one vectorised kernel invocation
 (:class:`_BatchPricer`) instead of per-move trials — reorders touch
 only the gate's own power row, retemplate cones resettle on scratch
-copies of the compiled backend's arrays — with scores, accept
+copies of the analytic backend's arrays — with scores, accept
 decisions and the move trace bit-identical to the WhatIf path
 (``benchmarks/bench_compiled_sampler.py`` holds the pass-level
 speedup to a >= 5x floor and ``tests/test_batch_pricing.py`` the
@@ -90,7 +89,6 @@ from ..circuit.netlist import (
     SetTemplate,
     lookup_template,
 )
-from ..compiled.flags import use_compiled
 from ..core.power_model import GatePowerModel
 from ..gates.capacitance import pin_terminal_counts
 from ..obs import progress as _progress
@@ -547,7 +545,7 @@ class SearchResult:
 
 
 # ----------------------------------------------------------------------
-# Batched candidate pricing (compiled mode)
+# Batched candidate pricing
 # ----------------------------------------------------------------------
 class _BatchPricer:
     """Vectorised same-gate candidate pricing through the compiled kernels.
@@ -557,7 +555,7 @@ class _BatchPricer:
     net statistics, pin terminal counts and hence every net load are
     untouched, so only the gate's own power row moves — and a
     ``retemplate`` cone can be resettled on scratch copies of the
-    compiled analytic backend's (P, D) arrays without ever editing the
+    analytic backend's (P, D) arrays without ever editing the
     circuit.  Candidate totals rebuild the exact left fold
     :meth:`StatsCache.total_power` runs: the baseline per-gate totals
     (the cache's topological slot array) with the repriced rows
@@ -666,12 +664,12 @@ class _BatchPricer:
 
     def _retemplate_totals(self, moves: Sequence["Move"]
                            ) -> Optional[np.ndarray]:
-        from ..compiled.backend import CompiledAnalyticBackend
         from ..compiled.circuit import _StatsClass
+        from .backends import AnalyticBackend
 
         cache = self.cache
         backend = cache.backend
-        if not isinstance(backend, CompiledAnalyticBackend):
+        if not isinstance(backend, AnalyticBackend):
             return None
         cc = self.cc
         kernel = self.kernel
@@ -787,9 +785,9 @@ def _search_fingerprint(circuit: Circuit,
     — structure, templates, configurations, gate order), the input
     statistics and the search parameters, so a checkpoint from a
     different circuit, stimulus or parameterisation is rejected up
-    front instead of resuming into silent divergence.  ``jobs`` and
-    ``compiled`` are deliberately excluded: both are guaranteed not to
-    change results, so resuming across them is legal.
+    front instead of resuming into silent divergence.  ``jobs`` is
+    deliberately excluded: it is guaranteed not to change results, so
+    resuming across it is legal.
     """
     from .portfolio import circuit_spec
 
@@ -896,7 +894,7 @@ class _Search:
     def __init__(self, cache: StatsCache, timing: TimingCache,
                  objective: Objective,
                  retemplate: bool, max_trials: Optional[int],
-                 max_moves: Optional[int], batch_pricing: bool = False):
+                 max_moves: Optional[int]):
         self.cache = cache
         self.timing = timing
         self.circuit = cache.circuit
@@ -926,7 +924,7 @@ class _Search:
         # must retime every trial state, which requires the edit to be
         # applied for real.
         self._pricer: Optional[_BatchPricer] = None
-        if batch_pricing and not objective.needs_delay:
+        if not objective.needs_delay:
             self._pricer = _BatchPricer(self)
 
     # -- budget -------------------------------------------------------
@@ -958,8 +956,8 @@ class _Search:
         re-propagation per candidate instead of an apply/rollback pair.
         Returns ``(score, power, delay)`` per move.
 
-        In compiled mode with a pure-power objective the whole batch
-        is priced in one vectorised kernel pass instead
+        With a pure-power objective the whole batch is priced in one
+        vectorised kernel pass instead
         (:class:`_BatchPricer`; bit-identical results, no trial
         applies), falling back to the WhatIf loop for the batches the
         pricer declines.
@@ -1432,7 +1430,7 @@ def _portfolio(circuit: Circuit, input_stats: Mapping[str, SignalStats],
                backend, model, po_load, retemplate, max_trials, max_moves,
                max_rounds, initial_temp, cooling, moves_per_temp,
                anneal_trials, polish, structural, structural_nets,
-               compiled, backend_kwargs,
+               backend_kwargs,
                checkpoint_path: Optional[str] = None,
                resume_path: Optional[str] = None,
                deadline_s: Optional[float] = None,
@@ -1478,7 +1476,6 @@ def _portfolio(circuit: Circuit, input_stats: Mapping[str, SignalStats],
         "polish": polish,
         "structural": structural,
         "structural_nets": structural_nets,
-        "compiled": compiled,
         **backend_kwargs,
     }
 
@@ -1638,7 +1635,6 @@ def search_circuit(
     structural_nets: int = 4,
     restarts: Optional[int] = None,
     jobs: int = 1,
-    compiled: Optional[bool] = None,
     checkpoint_path: Optional[str] = None,
     checkpoint_every: Optional[int] = None,
     resume_path: Optional[str] = None,
@@ -1682,12 +1678,11 @@ def search_circuit(
     ``jobs`` value.  Portfolio mode needs ``strategy="anneal"`` and an
     owned circuit (not a live ``cache=``).
 
-    ``compiled`` routes the statistics and timing hot loops through the
-    flat-array kernels of :mod:`repro.compiled` (``None`` defers to the
-    ``REPRO_COMPILED`` environment flag) and additionally prices each
-    greedy pure-power candidate batch in one vectorised kernel pass
-    instead of per-move trials; results — the move trace included —
-    are bit-identical either way.
+    Greedy pure-power candidate batches are priced in one vectorised
+    kernel pass instead of per-move trials (:class:`_BatchPricer`);
+    results — the move trace included — are bit-identical to the
+    per-move :class:`WhatIf` path, and only ``gates_repropagated``
+    (the work the pricer saves) is smaller.
 
     Determinism: for a fixed ``(circuit, input_stats, seed)`` and
     parameters the accepted-move trace — and hence
@@ -1741,8 +1736,8 @@ def search_circuit(
         raise TypeError("checkpoint/resume need an owned circuit "
                         "(circuit/input_stats), not a live cache=")
     # Everything a checkpoint must agree with to be resumable.  ``jobs``
-    # and ``compiled`` are excluded on purpose: both are guaranteed not
-    # to change results, so resuming across them is legal.
+    # is excluded on purpose: it is guaranteed not to change results,
+    # so resuming across it is legal.
     fingerprint_params = {
         "strategy": strategy,
         "objective": [resolved.name, resolved.power_weight,
@@ -1788,7 +1783,7 @@ def search_circuit(
             initial_temp=initial_temp, cooling=cooling,
             moves_per_temp=moves_per_temp, anneal_trials=anneal_trials,
             polish=polish, structural=structural or None,
-            structural_nets=structural_nets, compiled=compiled,
+            structural_nets=structural_nets,
             backend_kwargs=backend_kwargs,
             checkpoint_path=checkpoint_path, resume_path=resume_path,
             deadline_s=deadline_s, worker_retries=worker_retries,
@@ -1845,16 +1840,14 @@ def search_circuit(
             # the backend's per-input sample substreams.
             backend_kwargs.setdefault("seed", seed)
         cache = StatsCache(work, input_stats, backend=backend, model=model,
-                           po_load=po_load, compiled=compiled,
-                           **backend_kwargs)
+                           po_load=po_load, **backend_kwargs)
     else:
         if circuit is not None or input_stats is not None:
             raise TypeError("pass either circuit/input_stats or cache=, not both")
         if (model is not None or backend != "analytic" or backend_kwargs
-                or po_load != DEFAULT_PO_LOAD or compiled is not None):
+                or po_load != DEFAULT_PO_LOAD):
             raise TypeError(
-                "backend/model/po_load/compiled arguments conflict with a "
-                "live cache="
+                "backend/model/po_load arguments conflict with a live cache="
             )
 
     if families and not getattr(cache.backend, "supports_structure", False):
@@ -1872,12 +1865,10 @@ def search_circuit(
     # index and prices every delay read cone-locally (full STA per
     # candidate was the pre-TimingCache behaviour).
     timing = TimingCache(cache.circuit, tech=cache.model.tech,
-                         po_load=cache.po_load, index=cache.index,
-                         compiled=compiled)
+                         po_load=cache.po_load, index=cache.index)
     try:
         state = _Search(cache, timing, resolved, retemplate,
-                        max_trials, max_moves,
-                        batch_pricing=use_compiled(compiled))
+                        max_trials, max_moves)
         if resume_payload is not None:
             # The replayed caches carry the snapshot's values; restore
             # the search bookkeeping the caches don't hold — the trace,

@@ -16,26 +16,27 @@ refresh stops descending a fanout cone as soon as a recomputed arrival
 is bit-identical to the cached one (common — most reorders leave many
 pin capacitances, and therefore most downstream arrivals, untouched).
 
-Both the full initial sweep and the incremental re-propagation price
-gates through the same kernel as the batch analyzer
-(:func:`repro.timing.sta.gate_arrival` / :func:`~repro.timing.sta.net_load`),
-so the cache is bit-identical to a from-scratch
-:func:`~repro.timing.sta.analyze_timing` after any supported edit
+Both the full initial sweep and the incremental re-propagation run
+on the flat-array timing kernels of
+:class:`~repro.compiled.circuit.CompiledCircuit` — the same kernels
+:func:`~repro.timing.sta.analyze_timing` runs, bit-identical to the
+per-gate :func:`~repro.timing.sta.gate_arrival` oracle — so the cache
+is bit-identical to a from-scratch analysis after any supported edit
 sequence — the property ``tests/test_timing_equivalence.py`` locks.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..circuit.netlist import Circuit
 from ..circuit.topology import FanoutIndex
+from ..compiled.circuit import get_compiled
 from ..obs import trace as _trace
 from ..obs.metrics import MetricsRegistry
-from ..timing.sta import TimingReport, gate_arrival, net_load, timing_context
+from ..timing.sta import TimingReport, net_load, timing_context
 
 __all__ = ["TimingCache"]
 
@@ -50,19 +51,16 @@ class TimingCache:
     structural edit both re-read the circuit's freshly rebuilt memoised
     index, so they keep sharing).
 
-    ``compiled`` routes the initial sweep and every refresh through
-    the flat-array kernels of :mod:`repro.compiled` (``None`` defers
-    to the ``REPRO_COMPILED`` environment flag); arrivals, early
-    cut-off decisions and the :attr:`gates_retimed` counter are
-    bit-identical either way.
+    Arrivals live in a persistent flat array over the circuit's
+    :class:`~repro.compiled.circuit.CompiledCircuit` lowering, with a
+    dict view kept in sync for reads.
     """
 
     def __init__(self, circuit: Circuit,
                  tech=None,
                  po_load: Optional[float] = None,
                  input_arrivals: Optional[Mapping[str, float]] = None,
-                 index: Optional[FanoutIndex] = None,
-                 compiled: Optional[bool] = None):
+                 index: Optional[FanoutIndex] = None):
         if index is None:
             circuit.validate()
             index = circuit.fanout_index()
@@ -76,34 +74,17 @@ class TimingCache:
             net: (float(input_arrivals[net]) if input_arrivals else 0.0)
             for net in circuit.inputs
         }
-        from ..compiled.flags import use_compiled
-
-        self._cc = None
-        self._arr = None
-        if use_compiled(compiled):
-            from ..compiled import get_compiled
-
-            self._cc = get_compiled(circuit)
         self._arrivals: Dict[str, float] = dict(self._input_arrivals)
         self._pred: Dict[str, Optional[str]] = {
             net: None for net in circuit.inputs
         }
-        if self._cc is not None:
-            # Flat-array full sweep; the persistent array backs every
-            # later refresh, with the dict view kept in sync for reads.
-            cc = self._cc
-            self._arr, pred_net = cc.arrivals_full(
-                self.tech, self.po_load, self._input_arrivals)
-            for gid, name in enumerate(cc.gate_names):
-                out = cc.num_inputs + gid
-                self._arrivals[cc.nets[out]] = float(self._arr[out])
-                self._pred[cc.nets[out]] = cc.nets[pred_net[gid]]
-        else:
-            for gate in self._topo:
-                arrival, pred = gate_arrival(gate, self._arrivals, self.tech,
-                                             self._load(gate.output))
-                self._arrivals[gate.output] = arrival
-                self._pred[gate.output] = pred
+        cc = self._cc = get_compiled(circuit)
+        self._arr, pred_net = cc.arrivals_full(
+            self.tech, self.po_load, self._input_arrivals)
+        for gid in range(len(cc.gate_names)):
+            out = cc.num_inputs + gid
+            self._arrivals[cc.nets[out]] = float(self._arr[out])
+            self._pred[cc.nets[out]] = cc.nets[pred_net[gid]]
         #: Seed gates awaiting re-propagation (the refresh descends
         #: their cones itself, pruning with early cut-off, so the full
         #: dirty cone is never materialised eagerly).
@@ -154,9 +135,9 @@ class TimingCache:
         NaN never escapes because the gate is in the dirty seeds of the
         very next refresh.  Drivers of the event's ``load_nets`` are
         seeded too — the external load they see changed, and load
-        enters the Elmore delay.  In compiled mode the stale lowering
-        is replaced and the persistent arrival array rebuilt from the
-        (still exact) arrival dict.
+        enters the Elmore delay.  The stale lowering is replaced and
+        the persistent arrival array rebuilt from the (still exact)
+        arrival dict.
         """
         self.index = self.circuit.fanout_index()
         self._topo = self.circuit.topo_gates()
@@ -174,14 +155,11 @@ class TimingCache:
             pred = self.circuit.driver(net)
             if pred is not None:
                 self._dirty.add(pred.name)
-        if self._cc is not None:
-            from ..compiled import get_compiled
-
-            self._cc = get_compiled(self.circuit)
-            arr = np.zeros(len(self._cc.nets))
-            for i, net in enumerate(self._cc.nets):
-                arr[i] = self._arrivals.get(net, np.nan)
-            self._arr = arr
+        self._cc = get_compiled(self.circuit)
+        arr = np.zeros(len(self._cc.nets))
+        for i, net in enumerate(self._cc.nets):
+            arr[i] = self._arrivals.get(net, np.nan)
+        self._arr = arr
         self._required = None
         self._required_clock = None
 
@@ -210,8 +188,7 @@ class TimingCache:
             return old
         self._input_arrivals[net] = arrival
         self._arrivals[net] = arrival
-        if self._arr is not None:
-            self._arr[self._cc.net_id[net]] = arrival
+        self._arr[self._cc.net_id[net]] = arrival
         self._required = None  # the net may have no sinks to refresh through
         for gate, _pin in self.index.sinks(net):
             self._dirty.add(gate.name)
@@ -245,72 +222,22 @@ class TimingCache:
     def refresh(self) -> Tuple[str, ...]:
         """Re-propagate dirty cones; returns the nets whose arrival moved.
 
-        Gates pop off a min-heap in topological order, so every
-        recompute sees up-to-date fanin arrivals.  A gate whose
+        Level-batched on the flat arrays: the seeds are bucketed by
+        logic level and each level is retimed in one kernel call, so
+        every recompute sees up-to-date fanin arrivals.  A gate whose
         recomputed arrival is bit-identical to the cached one does not
         enqueue its sinks — the early cut-off that keeps a wide dirty
         cone from forcing a wide recompute — and is not reported
         either; the total recompute count (changed or not) accumulates
-        in :attr:`gates_retimed`.
+        in :attr:`gates_retimed`.  The changed nets come back in
+        topological order.
         """
         if not self._dirty:
             return ()
-        if self._cc is not None:
-            return self._refresh_compiled()
-        order = self._topo_index
-        tracer = _trace.ACTIVE
-        span = (tracer.span("timing.refresh", seeds=len(self._dirty),
-                            backend="object")
-                if tracer is not None else _trace.NULL_SPAN)
-        with span:
-            heap = [order[name] for name in self._dirty]
-            heapq.heapify(heap)
-            queued = set(self._dirty)
-            self._dirty.clear()
-            recomputed = 0
-            changed: List[str] = []
-            while heap:
-                gate = self._topo[heapq.heappop(heap)]
-                arrival, pred = gate_arrival(gate, self._arrivals, self.tech,
-                                             self._load(gate.output))
-                recomputed += 1
-                if arrival != self._arrivals[gate.output]:
-                    self._arrivals[gate.output] = arrival
-                    self._pred[gate.output] = pred
-                    changed.append(gate.output)
-                    for sink in self.index.gate_sinks(gate.name):
-                        if sink.name not in queued:
-                            queued.add(sink.name)
-                            heapq.heappush(heap, order[sink.name])
-                else:
-                    # Arrival unchanged: downstream inputs are bit-identical,
-                    # so downstream results are too — stop descending.  The
-                    # latest-arriving pin can still have shifted (an exact
-                    # tie), so the predecessor is updated regardless.
-                    self._pred[gate.output] = pred
-            if tracer is not None:
-                # The early-cutoff health metric: recomputed - changed
-                # gates are where descent stopped.
-                span.note(recomputed=recomputed, changed=len(changed))
-        self._retimed.inc(recomputed)
-        self._refreshes.inc()
-        self._required = None
-        return tuple(changed)
-
-    def _refresh_compiled(self) -> Tuple[str, ...]:
-        """The refresh algorithm on flat arrays, batched level by level.
-
-        Same dirty-set semantics and early cut-off as the heap walk —
-        a gate is recomputed iff it was a seed or a predecessor's
-        recomputed arrival changed bit-wise, and both walks settle
-        predecessors before sinks — so the recomputed set, the counter
-        and every arrival are identical; only the batching differs.
-        """
         cc = self._cc
         arr = self._arr
         tracer = _trace.ACTIVE
-        span = (tracer.span("timing.refresh", seeds=len(self._dirty),
-                            backend="compiled")
+        span = (tracer.span("timing.refresh", seeds=len(self._dirty))
                 if tracer is not None else _trace.NULL_SPAN)
         with span:
             loads = cc.net_loads(self.tech, self.po_load)
@@ -351,7 +278,6 @@ class TimingCache:
         self._retimed.inc(recomputed)
         self._refreshes.inc()
         self._required = None
-        # Heap pops report changed nets in topological order; match it.
         changed_gids.sort(key=lambda gid: cc.topo_index[gid])
         return tuple(
             cc.nets[cc.num_inputs + gid] for gid in changed_gids

@@ -28,7 +28,7 @@ This package is the substrate the rest of the system builds on:
 :mod:`~repro.robust.faults`
     The env/flag-driven fault-injection harness (``REPRO_FAULTS``)
     the recovery tests and the CI smoke step drive: kill a worker at
-    restart k, raise inside a kernel, tear a checkpoint at byte n,
+    restart k, crash a task, tear a checkpoint at byte n,
     SIGTERM mid-search.
 
 The hard contract everything here preserves (see ``README.md`` in this
@@ -47,7 +47,7 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .faults import ENV_VAR as FAULTS_ENV_VAR
-from .faults import FaultInjected, fire, strict_mode
+from .faults import FaultInjected, fire
 from .supervise import SupervisedRun, TaskOutcome, run_supervised
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
     "FAULTS_ENV_VAR",
     "FaultInjected",
     "fire",
-    "strict_mode",
     "SupervisedRun",
     "TaskOutcome",
     "run_supervised",

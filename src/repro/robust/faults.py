@@ -1,4 +1,4 @@
-"""Env-driven fault injection: kill workers, raise in kernels, tear writes.
+"""Env-driven fault injection: kill workers, crash tasks, tear writes.
 
 Fault tolerance that is never exercised is fault tolerance that does
 not exist.  This module gives the recovery tests and the CI smoke step
@@ -15,8 +15,6 @@ Arm with ``REPRO_FAULTS``, a ``;``-separated list of fault specs::
     kill-case=NAME        SIGKILL the bench worker running case NAME
     crash-case=NAME       raise FaultInjected inside bench case NAME
     sleep-case=NAME:SECS  stall bench case NAME for SECS seconds
-    raise-kernel=1        raise FaultInjected at the compiled power kernel
-                          call site (drives the compiled->object fallback)
     tear-checkpoint=N     simulate a non-atomic writer dying mid-write:
                           the checkpoint's first N bytes land on the
                           final path, then FaultInjected is raised
@@ -31,9 +29,9 @@ directory, a marker file records the firing atomically
 (``O_CREAT|O_EXCL``), so a supervised retry of the killed worker runs
 clean — the recovery path under test.  Without a state directory the
 fault fires on every matching call (a retried worker dies again —
-the retries-exhausted path under test).  ``raise-kernel`` and
-``tear-checkpoint`` always fire: their consumers (the fallback latch,
-the torn-file reader) are expected to make the *second* attempt moot.
+the retries-exhausted path under test).  ``tear-checkpoint`` always
+fires: its consumer (the torn-file reader) is expected to make the
+*second* attempt moot.
 """
 
 from __future__ import annotations
@@ -46,18 +44,13 @@ from typing import Dict, List, Optional, Tuple
 __all__ = [
     "ENV_VAR",
     "STATE_ENV_VAR",
-    "STRICT_ENV_VAR",
     "FaultInjected",
     "fire",
     "torn_bytes",
-    "strict_mode",
 ]
 
 ENV_VAR = "REPRO_FAULTS"
 STATE_ENV_VAR = "REPRO_FAULTS_STATE"
-STRICT_ENV_VAR = "REPRO_ROBUST_STRICT"
-
-_TRUE = frozenset(("1", "true", "yes", "on"))
 
 
 class FaultInjected(RuntimeError):
@@ -73,7 +66,6 @@ _SPECS = {
     "kill-case": ("bench.case", "kill"),
     "crash-case": ("bench.case", "crash"),
     "sleep-case": ("bench.case", "sleep"),
-    "raise-kernel": ("kernel.power", "crash"),
     "tear-checkpoint": ("checkpoint.write", "tear"),
     "sigterm-search": ("search.step", "sigterm"),
 }
@@ -192,14 +184,3 @@ def torn_bytes(point: str = "checkpoint.write") -> Optional[int]:
         if action == "tear":
             return int(wanted)
     return None
-
-
-def strict_mode() -> bool:
-    """Whether graceful degradation is disabled (``REPRO_ROBUST_STRICT``).
-
-    In strict mode a compiled-kernel failure raises instead of falling
-    back to the object path — the setting CI uses to prove the compiled
-    kernels themselves stay healthy.
-    """
-    value = os.environ.get(STRICT_ENV_VAR)
-    return value is not None and value.strip().lower() in _TRUE

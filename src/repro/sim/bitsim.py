@@ -36,7 +36,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuit.netlist import Circuit, GateInstance
+from ..circuit.netlist import Circuit
 from ..stochastic.signal import SignalStats
 from .stimulus import Stimulus
 
@@ -49,7 +49,6 @@ __all__ = [
     "stimulus_step_vectors",
     "stream_rng",
     "markov_stream_words",
-    "report_from_history",
 ]
 
 #: Default number of sample lanes per word (vectors evaluated per sweep).
@@ -218,26 +217,6 @@ def markov_stream_words(stats: SignalStats, lanes: int, steps: int, dt: float,
             word = word ^ ((word & fall) | (~word & mask & rise))
         words.append(word)
     return words
-
-
-def report_from_history(history: Mapping[str, Sequence[int]], lanes: int,
-                        dt: float) -> BitSimReport:
-    """Fold per-net word streams into a :class:`BitSimReport`.
-
-    ``history[net]`` is the net's packed value at every step
-    (:meth:`BitParallelSimulator.settle_streams`); counting ones and
-    inter-step toggles here matches what :meth:`BitParallelSimulator.run`
-    accumulates on the fly.
-    """
-    steps = len(next(iter(history.values())))
-    ones = {}
-    toggles = {}
-    for net, words in history.items():
-        ones[net] = sum(w.bit_count() for w in words)
-        toggles[net] = sum(
-            (a ^ b).bit_count() for a, b in zip(words, words[1:])
-        )
-    return BitSimReport(lanes, steps, dt, ones, toggles)
 
 
 @dataclass(frozen=True)
@@ -479,63 +458,6 @@ class BitParallelSimulator:
             raise ValueError("stimulus replay needs a single-lane simulator")
         steps, durations = stimulus_step_vectors(stimulus, self.circuit.inputs)
         return self.run_vectors(steps, durations=durations)
-
-
-    # ------------------------------------------------------------------
-    def settle_streams(
-        self, streams: Mapping[str, Sequence[int]]
-    ) -> Dict[str, List[int]]:
-        """Settle every step of per-input word streams, keeping history.
-
-        Returns ``history[net] = [word at step 0, word at step 1, ...]``
-        for every net — the state a later :meth:`resettle` updates in
-        place.  All streams must be equally long and fit the lane count.
-        """
-        lengths = {len(words) for words in streams.values()}
-        if len(lengths) != 1:
-            raise ValueError(f"input streams differ in length: {sorted(lengths)}")
-        (steps,) = lengths
-        history: Dict[str, List[int]] = {}
-        for net in self.circuit.inputs:
-            words = list(streams[net])
-            if any(word >> self.lanes for word in words):
-                raise ValueError(
-                    f"input stream for {net!r} has bits beyond lane {self.lanes - 1}"
-                )
-            history[net] = words
-        mask = self.mask
-        for output, pins, fn in self._program:
-            pin_streams = [history[p] for p in pins]
-            history[output] = [
-                fn([s[k] for s in pin_streams], mask) for k in range(steps)
-            ]
-        return history
-
-    def resettle(self, history: Dict[str, List[int]],
-                 gates: Sequence[GateInstance]) -> Tuple[str, ...]:
-        """Recompute only ``gates`` (given in topological order) in place.
-
-        The incremental path: each gate's word function is recompiled
-        from its *current* template and configuration (so template
-        swaps applied after construction are honoured — unlike
-        :meth:`sweep`, which runs the construction-time program), and
-        its full stream is rebuilt from the fanin streams in
-        ``history``.  Because the gates arrive in dependency order, a
-        dirty gate always reads already-updated fanin streams; clean
-        fanins keep their stored streams.  Returns the updated nets.
-        """
-        mask = self.mask
-        for gate in gates:
-            tt = gate.compiled().output_tt
-            fn = _compile_word_function(tt.nvars, tt.bits)
-            pin_streams = [
-                history[gate.pin_nets[pin]] for pin in gate.template.pins
-            ]
-            history[gate.output] = [
-                fn([s[k] for s in pin_streams], mask)
-                for k in range(len(history[gate.output]))
-            ]
-        return tuple(g.output for g in gates)
 
 
 def sampled_stats(circuit: Circuit, input_stats: Mapping[str, SignalStats],

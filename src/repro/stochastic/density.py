@@ -21,7 +21,7 @@ All return a full net-to-:class:`SignalStats` map; see
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 from ..circuit.netlist import Circuit
 from ..circuit.topology import topological_gates
@@ -93,46 +93,33 @@ def exact_stats(circuit: Circuit,
 def propagate_stats(circuit: Circuit,
                     input_stats: Mapping[str, SignalStats],
                     method: str = "local",
-                    compiled: Optional[bool] = None,
                     **sampling_kwargs) -> Dict[str, SignalStats]:
-    """Dispatch to :func:`local_stats`, :func:`exact_stats` or sampling.
+    """Dispatch to the analytic, exact or sampled engine.
 
-    ``method="sampled"`` forwards ``sampling_kwargs`` (``lanes``,
-    ``steps``, ``dt``, ``seed``) to
-    :func:`repro.sim.bitsim.sampled_stats`; the analytic engines accept
-    no extra arguments.  ``compiled`` routes the ``"local"`` sweep
-    through the flat-array kernel of :mod:`repro.compiled` and the
-    ``"sampled"`` run through its uint64-block twin
-    (:func:`repro.compiled.sampled.compiled_sampled_stats`); ``None``
-    defers to the ``REPRO_COMPILED`` environment flag, and results are
-    bit-identical either way.
+    ``"local"`` runs the flat-array sweep of :mod:`repro.compiled`,
+    bit-identical to the per-gate :func:`local_stats` oracle;
+    ``"exact"`` runs :func:`exact_stats`.  ``method="sampled"``
+    forwards ``sampling_kwargs`` (``lanes``, ``steps``, ``dt``,
+    ``seed``) to the uint64-block kernel
+    (:func:`repro.compiled.sampled.compiled_sampled_stats`),
+    bit-identical to the big-int :func:`repro.sim.bitsim.sampled_stats`;
+    the analytic engines accept no extra arguments.
     """
     missing = [n for n in circuit.inputs if n not in input_stats]
     if missing:
         raise KeyError(f"missing input statistics for {missing}")
     if method == "sampled":
-        from ..compiled.flags import use_compiled
+        from ..compiled.sampled import compiled_sampled_stats
 
-        if use_compiled(compiled):
-            from ..compiled.sampled import compiled_sampled_stats
-
-            return compiled_sampled_stats(circuit, input_stats,
-                                          **sampling_kwargs)
-        from ..sim.bitsim import sampled_stats
-
-        return sampled_stats(circuit, input_stats, **sampling_kwargs)
+        return compiled_sampled_stats(circuit, input_stats, **sampling_kwargs)
     if sampling_kwargs:
         raise TypeError(
             f"method {method!r} takes no sampling arguments: {sorted(sampling_kwargs)}"
         )
     if method == "local":
-        from ..compiled.flags import use_compiled
+        from ..compiled import get_compiled
 
-        if use_compiled(compiled):
-            from ..compiled import get_compiled
-
-            return get_compiled(circuit).local_stats(input_stats)
-        return local_stats(circuit, input_stats)
+        return get_compiled(circuit).local_stats(input_stats)
     if method == "exact":
         return exact_stats(circuit, input_stats)
     raise ValueError(

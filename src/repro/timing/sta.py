@@ -118,17 +118,16 @@ def build_timing_report(arrivals: Dict[str, float],
 def analyze_timing(circuit: Circuit, tech: Optional[TechParams] = None,
                    po_load: float = DEFAULT_PO_LOAD,
                    input_arrivals: Optional[Mapping[str, float]] = None,
-                   compiled: Optional[bool] = None) -> TimingReport:
+                   compiled: bool = True) -> TimingReport:
     """Compute arrival times for every net and extract the critical path.
 
-    ``compiled`` routes the sweep through the flat-array kernels of
-    :mod:`repro.compiled` (``None`` defers to the ``REPRO_COMPILED``
-    environment flag); results are bit-identical either way.
+    Runs on the flat-array kernels of :mod:`repro.compiled`.
+    ``compiled=False`` runs the readable per-gate sweep over
+    :func:`gate_arrival` instead — the reference the kernels are
+    checked against; results are bit-identical either way.
     """
     tech, po_load = timing_context(tech, po_load)
-    from ..compiled.flags import use_compiled
-
-    if use_compiled(compiled):
+    if compiled:
         from ..compiled import get_compiled
 
         return get_compiled(circuit).analyze_timing(tech, po_load,

@@ -1,12 +1,14 @@
 """Batch move pricing: one kernel pass per candidate batch, same answer.
 
-The contract under test: with ``compiled=True`` and a pure-power
-objective, the greedy search prices every same-gate candidate batch in
-one vectorised kernel invocation instead of per-move ``WhatIf``
-trials, and the outcome — move trace, accept decisions, trial counts,
-final power, the whole artifact — is **byte-identical** to the
-object-graph per-trial path.  Only ``gates_repropagated`` (the work
-the batch path exists to avoid) may differ, and it must *shrink*.
+The contract under test: with a pure-power objective, the greedy
+search prices every same-gate candidate batch in one vectorised kernel
+invocation instead of per-move ``WhatIf`` trials, and the outcome —
+move trace, accept decisions, trial counts, final power, the whole
+artifact — is **byte-identical** to the per-trial path.  The reference
+run takes that path by making the pricer decline every batch (its
+``score`` returns ``None``, the signal that routes a batch to
+``WhatIf``).  Only ``gates_repropagated`` (the work the batch path
+exists to avoid) may differ, and it must *shrink*.
 """
 
 import pytest
@@ -14,6 +16,7 @@ import pytest
 from repro.bench.generators import random_logic
 from repro.bench.runner import dumps_artifact, strip_timing
 from repro.incremental import StatsCache, search_circuit
+from repro.incremental.search import _BatchPricer
 from repro.incremental.timing import TimingCache
 from repro.sim.stimulus import ScenarioA
 from repro.synth.mapper import map_circuit
@@ -45,55 +48,63 @@ def canonical(result, *, keep_cone):
     return dumps_artifact(artifact)
 
 
-def run_pair(wide, **kwargs):
+@pytest.fixture
+def run_pair(wide, monkeypatch):
+    """``(per-trial reference, batch-priced)`` runs of one search."""
     circuit, stats = wide
-    plain = search_circuit(circuit, stats, compiled=False, **kwargs)
-    flat = search_circuit(circuit, stats, compiled=True, **kwargs)
-    return plain, flat
+
+    def run(**kwargs):
+        flat = search_circuit(circuit, stats, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(_BatchPricer, "score", lambda self, moves: None)
+            plain = search_circuit(circuit, stats, **kwargs)
+        return plain, flat
+
+    return run
 
 
 # ----------------------------------------------------------------------
 # Greedy pure-power searches: batched pricing engages
 # ----------------------------------------------------------------------
 class TestBatchedGreedy:
-    def test_reorder_search_identical_with_less_work(self, wide):
-        plain, flat = run_pair(wide, objective="power", seed=3)
+    def test_reorder_search_identical_with_less_work(self, run_pair):
+        plain, flat = run_pair(objective="power", seed=3)
         assert canonical(plain, keep_cone=False) \
             == canonical(flat, keep_cone=False)
         assert flat.gates_repropagated < plain.gates_repropagated
         assert flat.trials == plain.trials
         assert len(flat.accepted) == len(plain.accepted)
 
-    def test_retemplate_search_identical_with_less_work(self, wide):
-        plain, flat = run_pair(wide, objective="power", seed=3,
+    def test_retemplate_search_identical_with_less_work(self, run_pair):
+        plain, flat = run_pair(objective="power", seed=3,
                                retemplate=True)
         assert canonical(plain, keep_cone=False) \
             == canonical(flat, keep_cone=False)
         assert flat.gates_repropagated < plain.gates_repropagated
 
-    def test_sampled_backend_prices_reorder_batches(self, wide):
-        plain, flat = run_pair(wide, objective="power", seed=5,
+    def test_sampled_backend_prices_reorder_batches(self, run_pair):
+        plain, flat = run_pair(objective="power", seed=5,
                                backend="sampled", lanes=64, steps=8)
         assert canonical(plain, keep_cone=False) \
             == canonical(flat, keep_cone=False)
         assert flat.gates_repropagated < plain.gates_repropagated
 
-    def test_sampled_retemplate_falls_back_per_move(self, wide):
+    def test_sampled_retemplate_falls_back_per_move(self, run_pair):
         # retemplate candidates on the sampled backend fall back to
         # WhatIf trials (streams are not class-batchable); reorder
         # batches still price vectorised, and the artifact holds.
-        plain, flat = run_pair(wide, objective="power", seed=5,
+        plain, flat = run_pair(objective="power", seed=5,
                                backend="sampled", lanes=64, steps=8,
                                retemplate=True)
         assert canonical(plain, keep_cone=False) \
             == canonical(flat, keep_cone=False)
         assert flat.gates_repropagated < plain.gates_repropagated
 
-    def test_anneal_polish_reuses_batches_after_trials(self, wide):
+    def test_anneal_polish_reuses_batches_after_trials(self, run_pair):
         # annealing samples single moves (never batched); the polish
         # descent afterwards re-engages batch pricing, including the
         # rollback-cone flush the per-trial path does in WhatIf.
-        plain, flat = run_pair(wide, strategy="anneal", objective="power",
+        plain, flat = run_pair(strategy="anneal", objective="power",
                                seed=11, anneal_trials=40, polish=True)
         assert canonical(plain, keep_cone=False) \
             == canonical(flat, keep_cone=False)
@@ -104,10 +115,10 @@ class TestBatchedGreedy:
 # Delay-aware objectives: the pricer stays out entirely
 # ----------------------------------------------------------------------
 class TestDisabledPricer:
-    def test_power_delay_artifacts_fully_identical(self, wide):
-        plain, flat = run_pair(wide, objective="power-delay", seed=3)
+    def test_power_delay_artifacts_fully_identical(self, run_pair):
+        plain, flat = run_pair(objective="power-delay", seed=3)
         # needs_delay disables batching, so even the cone counter
-        # matches: both engines do move-for-move identical work.
+        # matches: both runs do move-for-move identical work.
         assert canonical(plain, keep_cone=True) \
             == canonical(flat, keep_cone=True)
 

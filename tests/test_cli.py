@@ -202,6 +202,21 @@ class TestEco:
         assert code == 0
         assert "1 edits" in text
 
+    @pytest.mark.parametrize("script, message", [
+        (["x"], "script entry 0: expected a JSON object"),
+        ([{"op": "reorder", "gate": 5, "config": 0}],
+         "script entry 0: reorder entry field 'gate' must be a string"),
+    ])
+    def test_eco_malformed_entry_is_a_one_line_error(self, tmp_path, script,
+                                                     message):
+        blif, script_path = self.write_inputs(tmp_path, script)
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("eco", blif, script_path)
+        text = str(exit_info.value.code)
+        assert text.startswith("eco failed: ")
+        assert message in text
+        assert "\n" not in text
+
     def test_eco_timing_prices_delay_incrementally(self, tmp_path):
         import json
 

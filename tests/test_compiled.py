@@ -3,11 +3,13 @@
 The contract under test: every kernel — from-scratch analytic (P, D)
 propagation, net loads, arrival times, and the dirty-cone incremental
 forms behind `StatsCache`/`TimingCache` — produces **bit-identical**
-results (exact float equality) to the object-graph path, over random
-circuits and random reorder/retemplate/input-stats/input-arrival edit
-sequences.  Plus the memoised-structure satellite (FanoutIndex /
-topological order shared across caches with invalidation hooks) and
-the numpy summation-order canary the kernels rely on.
+results (exact float equality) to the readable per-gate oracles
+(`local_stats`, `gate_arrival`, `analyze_timing(compiled=False)`),
+over random circuits and random reorder/retemplate/input-stats/
+input-arrival edit sequences.  Plus the memoised-structure satellite
+(FanoutIndex / topological order shared across caches with
+invalidation hooks) and the numpy summation-order canary the kernels
+rely on.
 """
 
 import numpy as np
@@ -16,19 +18,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.generators import random_logic
+from repro.bench.runner import dumps_artifact, strip_timing
 from repro.bench.suite import get_case
-from repro.compiled import CompiledCircuit, get_compiled, use_compiled
-from repro.compiled.backend import CompiledAnalyticBackend
+from repro.compiled import get_compiled
 from repro.compiled.circuit import _rowwise_selected_sum
 from repro.gates.library import default_library
-from repro.incremental import StatsCache, TimingCache, make_backend, search_circuit
+from repro.incremental import StatsCache, TimingCache
 from repro.incremental.backends import AnalyticBackend
-from repro.bench.runner import dumps_artifact, strip_timing
+from repro.incremental.search import search_circuit
 from repro.sim.stimulus import ScenarioA
 from repro.stochastic.density import local_stats, propagate_stats
 from repro.stochastic.signal import SignalStats
 from repro.synth.mapper import map_circuit
-from repro.timing.sta import analyze_timing
+from repro.timing.sta import analyze_timing, gate_arrival, net_load
 
 _SWAP_GROUPS = {}
 for _template in default_library():
@@ -98,7 +100,7 @@ class TestSummationOrder:
 class TestFromScratch:
     def test_stats_bit_identical(self, master, wide):
         for circuit, stats in (master, wide):
-            assert propagate_stats(circuit, stats, "local", compiled=True) \
+            assert propagate_stats(circuit, stats, "local") \
                 == local_stats(circuit, stats)
 
     def test_timing_bit_identical(self, master, wide):
@@ -143,7 +145,7 @@ class TestFromScratch:
                     if g.template.num_configurations() > 1)
         work.set_config(gate.name, gate.template.configurations()[-1])
         assert_timing_equal(work)
-        assert propagate_stats(work, stats, "local", compiled=True) \
+        assert propagate_stats(work, stats, "local") \
             == local_stats(work, stats)
 
 
@@ -193,14 +195,14 @@ class TestEditEquivalence:
         circuit_master, stats = master
         circuit = circuit_master.copy()
         current = dict(stats)
-        cache = StatsCache(circuit, current, compiled=True)
-        tcache = TimingCache(circuit, index=cache.index, compiled=True)
+        cache = StatsCache(circuit, current)
+        tcache = TimingCache(circuit, index=cache.index)
         try:
-            assert isinstance(cache.backend, CompiledAnalyticBackend)
+            assert isinstance(cache.backend, AnalyticBackend)
+            assert cache.backend.name == "analytic"
             for spec in specs:
                 apply_spec(circuit, cache, tcache, current, spec)
-                assert cache.stats() == propagate_stats(
-                    circuit, current, "local")
+                assert cache.stats() == local_stats(circuit, current)
                 reference = analyze_timing(
                     circuit, input_arrivals=tcache.input_arrivals,
                     compiled=False)
@@ -214,99 +216,78 @@ class TestEditEquivalence:
     @settings(max_examples=10, deadline=None)
     @given(st.lists(edit_specs(), min_size=1, max_size=6))
     def test_compiled_retime_counts_match_object_path(self, master, specs):
-        """Early cut-off must recompute the same set either way."""
+        """Early cut-off must recompute the same set as the oracle walk."""
         circuit_master, stats = master
         circuit = circuit_master.copy()
         current = dict(stats)
-        cache = StatsCache(circuit, current, compiled=False)
-        tcache = TimingCache(circuit, index=cache.index, compiled=True)
-        ref = TimingCache(circuit, index=cache.index, compiled=False)
+        cache = StatsCache(circuit, current)
+        tcache = TimingCache(circuit, index=cache.index)
+        arrivals = dict(analyze_timing(circuit, compiled=False).arrivals)
         try:
             for spec in specs:
-                if spec[0] == "input-arrival":
-                    # keep both caches on identical input arrivals
-                    net = circuit.inputs[spec[1] % len(circuit.inputs)]
-                    ref.set_input_arrival(net, 1.0e-12 * (spec[2] % 503))
                 apply_spec(circuit, cache, tcache, current, spec)
+                seeds = set(tcache._dirty)
+                arrivals.update(tcache.input_arrivals)
+                retimed = tcache.gates_retimed
                 changed = tcache.refresh()
-                assert changed == ref.refresh()
-                assert tcache.gates_retimed == ref.gates_retimed
+                assert (changed, tcache.gates_retimed - retimed) \
+                    == oracle_refresh(circuit, arrivals, seeds, tcache)
+                assert tcache.arrivals() == arrivals
         finally:
-            ref.close()
             tcache.close()
             cache.close()
 
 
+def oracle_refresh(circuit, arrivals, seeds, tcache):
+    """The early cut-off walk on the per-gate :func:`gate_arrival` oracle.
+
+    Recomputes a gate iff it is a seed or a fanin's recomputed arrival
+    changed bit-wise, in topological order; updates ``arrivals`` in
+    place and returns ``(changed nets, recomputed count)``.
+    """
+    index = circuit.fanout_index()
+    outputs = frozenset(circuit.outputs)
+    queued = set(seeds)
+    changed = []
+    recomputed = 0
+    for gate in circuit.topo_gates():
+        if gate.name not in queued:
+            continue
+        load = net_load(index.sinks(gate.output), gate.output in outputs,
+                        tcache.tech, tcache.po_load)
+        arrival, _ = gate_arrival(gate, arrivals, tcache.tech, load)
+        recomputed += 1
+        if arrival != arrivals[gate.output]:
+            arrivals[gate.output] = arrival
+            changed.append(gate.output)
+            queued.update(sink.name for sink in index.gate_sinks(gate.name))
+    return tuple(changed), recomputed
+
+
 # ----------------------------------------------------------------------
-# Integration: the search engine on compiled kernels
+# Integration: the search engine on a caller-owned live cache
 # ----------------------------------------------------------------------
+def assert_in_place_search_identical(circuit, stats, **options):
+    """A search on its own copy and the same search run in place on a
+    caller's `StatsCache` write byte-identical artifacts."""
+    fresh = search_circuit(circuit, stats, **options)
+    with StatsCache(circuit.copy(), stats) as live:
+        in_place = search_circuit(cache=live, **options)
+        assert live.total_power() == in_place.power_after
+    assert dumps_artifact(strip_timing(fresh.to_artifact())) \
+        == dumps_artifact(strip_timing(in_place.to_artifact()))
+
+
 class TestSearchIntegration:
     def test_greedy_search_artifact_identical(self, master):
         circuit, stats = master
-        plain = search_circuit(circuit, stats, objective="power-delay",
-                               seed=3, compiled=False)
-        flat = search_circuit(circuit, stats, objective="power-delay",
-                              seed=3, compiled=True)
-        assert dumps_artifact(strip_timing(plain.to_artifact())) \
-            == dumps_artifact(strip_timing(flat.to_artifact()))
+        assert_in_place_search_identical(circuit, stats,
+                                         objective="power-delay", seed=3)
 
     def test_anneal_search_artifact_identical(self, master):
         circuit, stats = master
-        plain = search_circuit(circuit, stats, strategy="anneal", seed=11,
-                               anneal_trials=60, compiled=False)
-        flat = search_circuit(circuit, stats, strategy="anneal", seed=11,
-                              anneal_trials=60, compiled=True)
-        assert dumps_artifact(strip_timing(plain.to_artifact())) \
-            == dumps_artifact(strip_timing(flat.to_artifact()))
-
-
-# ----------------------------------------------------------------------
-# Feature flag
-# ----------------------------------------------------------------------
-class TestFlag:
-    def test_explicit_overrides(self):
-        assert use_compiled(True) is True
-        assert use_compiled(False) is False
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COMPILED", raising=False)
-        assert use_compiled(None) is False
-        monkeypatch.setenv("REPRO_COMPILED", "1")
-        assert use_compiled(None) is True
-        assert isinstance(make_backend("analytic"), CompiledAnalyticBackend)
-        monkeypatch.setenv("REPRO_COMPILED", "off")
-        assert use_compiled(None) is False
-        backend = make_backend("analytic")
-        assert isinstance(backend, AnalyticBackend)
-        assert not isinstance(backend, CompiledAnalyticBackend)
-
-    def test_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED", "maybe")
-        with pytest.raises(ValueError):
-            use_compiled(None)
-
-    def test_string_arguments_parse_like_the_env(self):
-        # a caller forwarding compiled="0" from its own environment or
-        # argv means *off*; bool("0") would have silently meant *on*.
-        for spelling in ("1", "true", "YES", " on ", "yes"):
-            assert use_compiled(spelling) is True
-        for spelling in ("", "0", "false", "No", " OFF "):
-            assert use_compiled(spelling) is False
-        with pytest.raises(ValueError):
-            use_compiled("maybe")
-
-    def test_compiled_backend_keeps_the_analytic_name(self):
-        assert CompiledAnalyticBackend().name == "analytic"
-
-    def test_sampled_routes_explicit_compiled(self):
-        # the sampled estimator now has a compiled twin; an already-
-        # constructed instance still conflicts with the flag.
-        from repro.compiled.sampled import CompiledSampledBackend
-
-        backend = make_backend("sampled", compiled=True)
-        assert isinstance(backend, CompiledSampledBackend)
-        with pytest.raises(TypeError):
-            make_backend(backend, compiled=True)
+        assert_in_place_search_identical(circuit, stats, strategy="anneal",
+                                         seed=11, anneal_trials=60)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,8 @@ per-minterm weights, steady-state guards, per-pin transition folds,
 node capacitances and gate totals — is **bit-identical** (exact float
 equality, every `NodePowerEntry` field) to the per-gate object path of
 `GatePowerModel`, for all three formulas, under random edit sequences,
-and through the `StatsCache` power refresh it backs in compiled mode.
+and through the `StatsCache` power refresh it backs, against the
+from-scratch `circuit_power` oracle.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from repro.bench.generators import random_logic
 from repro.compiled.circuit import get_compiled
 from repro.compiled.power import CompiledPowerKernel
+from repro.core.optimizer import circuit_power
 from repro.core.power_model import FORMULAS, GatePowerModel
 from repro.gates.capacitance import net_load
 from repro.incremental import StatsCache
@@ -154,47 +156,37 @@ class TestCacheIntegration:
     @pytest.mark.parametrize("formula", FORMULAS)
     def test_cache_power_bit_identical(self, wide, formula):
         circuit, stats = wide
-        ref_circuit, flat_circuit = circuit.copy(), circuit.copy()
+        work = circuit.copy()
         model = GatePowerModel(formula=formula)
-        ref = StatsCache(ref_circuit, stats, model=model, compiled=False)
-        flat = StatsCache(flat_circuit, stats, model=model, compiled=True)
-        try:
-            assert flat._compiled_power and not ref._compiled_power
-            assert flat.total_power() == ref.total_power()
-            report = flat.power()
-            assert_reports_equal(report.by_gate, ref.power().by_gate)
-        finally:
-            flat.close()
-            ref.close()
+        reference = circuit_power(work, stats, model=model)
+        with StatsCache(work, stats, model=model) as cache:
+            assert cache.total_power() == reference.total
+            assert_reports_equal(cache.power().by_gate, reference.by_gate)
 
     @settings(max_examples=10, deadline=None)
     @given(st.lists(edit_specs(), min_size=1, max_size=6))
     def test_cache_power_tracks_random_edits(self, wide, specs):
         circuit_master, stats_master = wide
-        ref_circuit = circuit_master.copy()
-        flat_circuit = circuit_master.copy()
-        ref_stats, flat_stats = dict(stats_master), dict(stats_master)
-        ref = StatsCache(ref_circuit, ref_stats, compiled=False)
-        flat = StatsCache(flat_circuit, flat_stats, compiled=True)
+        circuit = circuit_master.copy()
+        input_stats = dict(stats_master)
+        cache = StatsCache(circuit, input_stats)
         try:
             for spec in specs:
-                apply_spec(ref_circuit, ref_stats, spec)
-                apply_spec(flat_circuit, flat_stats, spec)
+                apply_spec(circuit, input_stats, spec)
                 if spec[0] == "input-stats":
-                    net = ref_circuit.inputs[spec[1] % len(ref_circuit.inputs)]
-                    ref.set_input_stats(net, ref_stats[net])
-                    flat.set_input_stats(net, flat_stats[net])
-                assert flat.total_power() == ref.total_power()
-                assert_reports_equal(flat.power().by_gate,
-                                     ref.power().by_gate)
+                    net = circuit.inputs[spec[1] % len(circuit.inputs)]
+                    cache.set_input_stats(net, input_stats[net])
+                reference = circuit_power(circuit, input_stats)
+                assert cache.total_power() == reference.total
+                assert_reports_equal(cache.power().by_gate,
+                                     reference.by_gate)
         finally:
-            flat.close()
-            ref.close()
+            cache.close()
 
     def test_kernel_is_memoised_per_compiled_circuit(self, wide):
         circuit, stats = wide
         work = circuit.copy()
-        with StatsCache(work, stats, compiled=True) as cache:
+        with StatsCache(work, stats) as cache:
             cache.total_power()
             kernel = cache.power_kernel()
             assert cache.power_kernel() is kernel

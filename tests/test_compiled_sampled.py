@@ -2,12 +2,14 @@
 
 The contract under test: the uint64-blocked lane layout — packing,
 Markov substreams, Shannon word evaluation, ones/toggle counts —
-reproduces the big-int path of `repro.sim.bitsim` **bit for bit**,
-both as the from-scratch `propagate_stats(method="sampled")` engine
-and as the `StatsCache` backend under random edit sequences, for lane
-counts on and off the 64-bit word boundary.  Plus the substream-cache
-regression: a rolled-back what-if trial must never redraw streams the
-run has already seen.
+reproduces the big-int oracle of `repro.sim.bitsim`
+(`markov_stream_words`, `sampled_stats`) **bit for bit** as the
+from-scratch `propagate_stats(method="sampled")` engine, for lane
+counts on and off the 64-bit word boundary; the `StatsCache` sampled
+backend draws the oracle's substreams and stays equal to a
+from-scratch run under random edit sequences.  Plus the
+substream-cache regression: a rolled-back what-if trial must never
+redraw streams the run has already seen.
 """
 
 import numpy as np
@@ -15,10 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.incremental.backends as backends_mod
 from repro.bench.generators import random_logic
-from repro.compiled import sampled as sampled_mod
 from repro.compiled.sampled import (
-    CompiledSampledBackend,
     blocks_from_int,
     compiled_sampled_stats,
     int_from_blocks,
@@ -26,7 +27,8 @@ from repro.compiled.sampled import (
     markov_stream_blocks,
     pack_lane_bools,
 )
-from repro.incremental import StatsCache, make_backend
+from repro.core.optimizer import circuit_power
+from repro.incremental import StatsCache
 from repro.incremental.backends import SampledBackend
 from repro.incremental.eco import InputStatsEdit, WhatIf
 from repro.sim.bitsim import (
@@ -137,10 +139,10 @@ class TestSampledStats:
 
     def test_propagate_stats_routes_through_the_kernel(self, wide):
         circuit, stats = wide
-        via_flag = propagate_stats(circuit, stats, "sampled", compiled=True,
-                                   lanes=37, steps=9, seed=5)
-        assert via_flag == sampled_stats(circuit, stats, lanes=37, steps=9,
-                                         seed=5)
+        routed = propagate_stats(circuit, stats, "sampled", lanes=37,
+                                 steps=9, seed=5)
+        assert routed == sampled_stats(circuit, stats, lanes=37, steps=9,
+                                       seed=5)
 
     def test_validation_matches_bigint_path(self, wide):
         circuit, stats = wide
@@ -156,51 +158,36 @@ class TestSampledStats:
 # The StatsCache backend under edits
 # ----------------------------------------------------------------------
 class TestBackendEquivalence:
-    def test_make_backend_routes_on_the_flag(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COMPILED", raising=False)
-        assert not isinstance(make_backend("sampled"), CompiledSampledBackend)
-        monkeypatch.setenv("REPRO_COMPILED", "1")
-        backend = make_backend("sampled", lanes=32, steps=8)
-        assert isinstance(backend, CompiledSampledBackend)
-        assert backend.name == "sampled"  # artifacts record the estimator
-
     @settings(max_examples=15, deadline=None)
     @given(st.lists(reorder_specs(), min_size=1, max_size=6),
            st.sampled_from(LANE_COUNTS))
     def test_caches_stay_bit_identical_under_edits(self, wide, specs, lanes):
+        """Incremental == from-scratch: after every edit the cache
+        equals a fresh backend run on the edited circuit (same frozen
+        ``dt``), and its power equals the `circuit_power` oracle on
+        those statistics."""
         circuit_master, stats = wide
-        ref_circuit = circuit_master.copy()
-        flat_circuit = circuit_master.copy()
-        ref_stats, flat_stats = dict(stats), dict(stats)
-        ref = StatsCache(ref_circuit, ref_stats, backend="sampled",
-                         compiled=False, lanes=lanes, steps=16, seed=4)
-        flat = StatsCache(flat_circuit, flat_stats, backend="sampled",
-                          compiled=True, lanes=lanes, steps=16, seed=4)
+        circuit = circuit_master.copy()
+        current = dict(stats)
+        cache = StatsCache(circuit, current, backend="sampled", lanes=lanes,
+                           steps=16, seed=4)
         try:
-            assert isinstance(flat.backend, CompiledSampledBackend)
-            assert not isinstance(ref.backend, CompiledSampledBackend)
-            assert flat.stats() == ref.stats()
+            assert cache.backend.name == "sampled"
+            dt = cache.backend.dt
             for spec in specs:
-                apply_spec(ref_circuit, ref, ref_stats, spec)
-                apply_spec(flat_circuit, flat, flat_stats, spec)
-                # Same dirty-cone bookkeeping on both engines...
-                assert flat.dirty_gates == ref.dirty_gates
-                done_ref, done_flat = (ref.gates_repropagated,
-                                       flat.gates_repropagated)
-                # ...and bit-identical streams, stats and power after it.
-                assert flat.stats() == ref.stats()
-                assert flat.total_power() == ref.total_power()
-                assert (flat.gates_repropagated - done_flat
-                        == ref.gates_repropagated - done_ref)
+                apply_spec(circuit, cache, current, spec)
+                fresh = SampledBackend(lanes=lanes, steps=16, dt=dt, seed=4)
+                assert cache.stats() == fresh.full(circuit, current)
+                assert cache.total_power() == circuit_power(
+                    circuit, current, net_stats=cache.stats()).total
         finally:
-            flat.close()
-            ref.close()
+            cache.close()
 
     def test_backend_dt_freezes_at_full_time(self, wide):
         circuit, stats = wide
         work = circuit.copy()
-        with StatsCache(work, stats, backend="sampled", compiled=True,
-                        lanes=64, steps=8, seed=1) as cache:
+        with StatsCache(work, stats, backend="sampled", lanes=64, steps=8,
+                        seed=1) as cache:
             dt = cache.backend.dt
             assert dt is not None
             net = work.inputs[0]
@@ -217,39 +204,32 @@ class TestStreamCacheRollback:
     drawn streams for; the refresh must reuse the cached words — no
     redraw — and land on bit-identical state."""
 
-    @pytest.mark.parametrize("compiled", [False, True])
+    @pytest.mark.parametrize("priced", [False, True])
     def test_trial_rollback_refresh_does_not_redraw(self, wide, monkeypatch,
-                                                    compiled):
+                                                    priced):
+        """A ``priced`` trial refreshes — and draws — before it rolls
+        back; an unpriced one rolls back a still-dirty edit and must
+        draw nothing at all."""
         circuit, stats = wide
         work = circuit.copy()
-        draws = []
-        if compiled:
-            real = markov_stream_blocks
-            monkeypatch.setattr(
-                sampled_mod, "markov_stream_blocks",
-                lambda *a, **k: draws.append(a) or real(*a, **k))
-        else:
-            import repro.incremental.backends as backends_mod
-
-            real = markov_stream_words
-            monkeypatch.setattr(
-                backends_mod, "markov_stream_words",
-                lambda *a, **k: draws.append(a) or real(*a, **k))
-        with StatsCache(work, stats, backend="sampled", compiled=compiled,
-                        lanes=64, steps=16, seed=2) as cache:
+        draws = count_draws(monkeypatch)
+        with StatsCache(work, stats, backend="sampled", lanes=64, steps=16,
+                        seed=2) as cache:
             assert len(draws) == len(work.inputs)
             baseline_stats = dict(cache.stats())
             baseline_power = cache.total_power()
             net = work.inputs[0]
             with WhatIf(cache) as trial:
                 trial.apply(InputStatsEdit(net, SignalStats(0.9, 3.0e5)))
-                trial.power()
-            # one fresh draw for the trial's new (P, D)...
-            assert len(draws) == len(work.inputs) + 1
+                if priced:
+                    trial.power()
+            # one fresh draw for a priced trial's new (P, D)...
+            drawn = len(work.inputs) + int(priced)
+            assert len(draws) == drawn
             # ...and none for the rollback: the original stream is cached.
             assert cache.stats() == baseline_stats
             assert cache.total_power() == baseline_power
-            assert len(draws) == len(work.inputs) + 1
+            assert len(draws) == drawn
             # Re-trialling the same statistics reuses the cache too.
             with WhatIf(cache) as trial:
                 trial.apply(InputStatsEdit(net, SignalStats(0.9, 3.0e5)))
@@ -257,27 +237,13 @@ class TestStreamCacheRollback:
             cache.stats()
             assert len(draws) == len(work.inputs) + 1
 
-    @pytest.mark.parametrize("compiled", [False, True])
     def test_nested_trial_rollback_restores_cached_streams(self, wide,
-                                                           monkeypatch,
-                                                           compiled):
+                                                           monkeypatch):
         circuit, stats = wide
         work = circuit.copy()
-        draws = []
-        if compiled:
-            real = markov_stream_blocks
-            monkeypatch.setattr(
-                sampled_mod, "markov_stream_blocks",
-                lambda *a, **k: draws.append(a) or real(*a, **k))
-        else:
-            import repro.incremental.backends as backends_mod
-
-            real = markov_stream_words
-            monkeypatch.setattr(
-                backends_mod, "markov_stream_words",
-                lambda *a, **k: draws.append(a) or real(*a, **k))
-        with StatsCache(work, stats, backend="sampled", compiled=compiled,
-                        lanes=64, steps=16, seed=2) as cache:
+        draws = count_draws(monkeypatch)
+        with StatsCache(work, stats, backend="sampled", lanes=64, steps=16,
+                        seed=2) as cache:
             baseline_stats = dict(cache.stats())
             net_a, net_b = work.inputs[0], work.inputs[1]
             with WhatIf(cache) as outer:
@@ -294,13 +260,22 @@ class TestStreamCacheRollback:
             assert cache.stats() == baseline_stats
             assert len(draws) == drawn
 
-    def test_object_and_compiled_caches_key_identically(self, wide):
+    def test_cached_streams_equal_big_int_substreams(self, wide):
         circuit, stats = wide
-        ref = SampledBackend(lanes=64, steps=8, seed=0)
-        flat = CompiledSampledBackend(lanes=64, steps=8, seed=0)
-        ref.full(circuit, stats)
-        flat.full(circuit, stats)
-        assert set(ref._stream_cache) == set(flat._stream_cache)
-        for key, words in ref._stream_cache.items():
-            blocked = flat._stream_cache[key]
+        backend = SampledBackend(lanes=64, steps=8, seed=0)
+        backend.full(circuit, stats)
+        assert {key[0] for key in backend._stream_cache} \
+            == set(circuit.inputs)
+        for (net, *_), blocked in backend._stream_cache.items():
+            words = markov_stream_words(stats[net], 64, 8, backend.dt,
+                                        stream_rng(0, net))
             assert [int_from_blocks(row) for row in blocked] == words
+
+
+def count_draws(monkeypatch):
+    """Record every substream the sampled backend draws."""
+    draws = []
+    real = markov_stream_blocks
+    monkeypatch.setattr(backends_mod, "markov_stream_blocks",
+                        lambda *a, **k: draws.append(a) or real(*a, **k))
+    return draws

@@ -23,7 +23,7 @@ from repro.core.optimizer import circuit_power, fold_power
 from repro.gates.library import default_library
 from repro.incremental import SampledBackend, StatsCache, WhatIf
 from repro.sim.stimulus import ScenarioA
-from repro.stochastic.density import propagate_stats
+from repro.stochastic.density import local_stats
 from repro.stochastic.signal import SignalStats
 from repro.synth.mapper import map_circuit
 
@@ -97,7 +97,7 @@ class TestAnalyticEquivalence:
         with StatsCache(circuit, current) as cache:
             for spec in specs:
                 current = apply_spec(circuit, cache, current, spec)
-                assert cache.stats() == propagate_stats(circuit, current, "local")
+                assert cache.stats() == local_stats(circuit, current)
 
     @settings(max_examples=15, deadline=None)
     @given(st.lists(st.tuples(edit_specs(), st.booleans()),

@@ -19,7 +19,7 @@ from repro.incremental import (
 )
 from repro.incremental.eco import InputStatsEdit, resolve_edit, script_edit_label
 from repro.sim.stimulus import ScenarioA
-from repro.stochastic.density import propagate_stats
+from repro.stochastic.density import local_stats
 from repro.stochastic.signal import SignalStats
 from repro.synth.mapper import map_circuit
 
@@ -155,7 +155,7 @@ class TestStatsCacheAnalytic:
     def test_initial_full_propagation(self, adder):
         circuit, stats = adder
         with StatsCache(circuit, stats) as cache:
-            assert cache.stats() == propagate_stats(circuit, stats, method="local")
+            assert cache.stats() == local_stats(circuit, stats)
 
     def test_dirty_set_is_exactly_the_cone(self, adder):
         circuit, stats = adder
@@ -198,16 +198,16 @@ class TestStatsCacheAnalytic:
         with StatsCache(circuit, stats) as cache:
             gate = circuit.gates[1]
             circuit.set_config(gate.name, gate.template.configurations()[-1])
-            assert cache.stats() == propagate_stats(circuit, current, "local")
+            assert cache.stats() == local_stats(circuit, current)
 
             swap = two_pin_gate(circuit, 1)
             circuit.set_template(swap.name, other_two_pin_template(swap))
-            assert cache.stats() == propagate_stats(circuit, current, "local")
+            assert cache.stats() == local_stats(circuit, current)
 
             net = circuit.inputs[1]
             current[net] = SignalStats(0.8, 3.0e5)
             cache.set_input_stats(net, current[net])
-            assert cache.stats() == propagate_stats(circuit, current, "local")
+            assert cache.stats() == local_stats(circuit, current)
 
     def test_power_matches_circuit_power(self, adder):
         circuit, stats = adder
@@ -299,13 +299,13 @@ class TestStatsCacheSampled:
         import repro.incremental.backends as backends_module
 
         calls = []
-        real = backends_module.markov_stream_words
+        real = backends_module.markov_stream_blocks
 
         def counting(stats, lanes, steps, dt, rng):
             calls.append(stats)
             return real(stats, lanes, steps, dt, rng)
 
-        monkeypatch.setattr(backends_module, "markov_stream_words", counting)
+        monkeypatch.setattr(backends_module, "markov_stream_blocks", counting)
         circuit, stats = adder
         dwells = [
             d for s in stats.values()
@@ -380,7 +380,7 @@ class TestWhatIf:
                 trial.apply(SetTemplate(gate.name, target))
                 trial.commit()
             assert gate.template.name == target
-            assert cache.stats() == propagate_stats(circuit, stats, "local")
+            assert cache.stats() == local_stats(circuit, stats)
 
     def test_delta_power_matches_recompute(self, adder):
         circuit, stats = adder
@@ -461,7 +461,7 @@ class TestWhatIf:
                 outer.commit()
             assert outer_gate.effective_config().key() == target_config.key()
             assert inner_gate.template.name == target_template
-            assert cache.stats() == propagate_stats(circuit, stats, "local")
+            assert cache.stats() == local_stats(circuit, stats)
 
     def test_out_of_order_unwinding_rejected(self, adder):
         circuit, stats = adder

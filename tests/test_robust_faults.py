@@ -84,17 +84,3 @@ class TestTornBytes:
     def test_none_when_disarmed(self, monkeypatch):
         monkeypatch.delenv(faults.ENV_VAR, raising=False)
         assert faults.torn_bytes() is None
-
-
-class TestStrictMode:
-    def test_default_off(self, monkeypatch):
-        monkeypatch.delenv(faults.STRICT_ENV_VAR, raising=False)
-        assert not faults.strict_mode()
-
-    @pytest.mark.parametrize("value,expected", [
-        ("1", True), ("true", True), ("ON", True),
-        ("0", False), ("", False), ("off", False),
-    ])
-    def test_truthy_values(self, monkeypatch, value, expected):
-        monkeypatch.setenv(faults.STRICT_ENV_VAR, value)
-        assert faults.strict_mode() is expected

@@ -1,14 +1,12 @@
 """End-to-end recovery: injected faults, supervised retries, partial artifacts."""
 
 import signal
-import warnings
 
 import pytest
 
 from repro.bench.runner import dumps_artifact, run_suite, strip_timing
 from repro.bench.suite import get_case
-from repro.incremental import StatsCache, search_circuit
-from repro.robust import FaultInjected
+from repro.incremental import search_circuit
 from repro.sim.stimulus import ScenarioA
 from repro.synth.mapper import map_circuit
 
@@ -69,36 +67,6 @@ class TestPortfolioRecovery:
         with pytest.raises(RuntimeError, match="no restarts completed"):
             search_circuit(circuit, stats, seed=1, worker_retries=0,
                            **PORTFOLIO)
-
-
-class TestCompiledFallback:
-    def test_kernel_failure_falls_back_to_object_path(self, adder,
-                                                      monkeypatch):
-        circuit, stats = adder
-        reference = StatsCache(circuit, stats, compiled=False).total_power()
-        monkeypatch.setenv("REPRO_FAULTS", "raise-kernel=1")
-        from repro.obs.metrics import REGISTRY
-
-        fallbacks = REGISTRY.counter("robust.fallback")
-        before = fallbacks.value
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cache = StatsCache(circuit, stats, compiled=True)
-            power = cache.total_power()
-        assert power == reference  # bit-identical degradation
-        assert fallbacks.value == before + 1
-        assert any("falling back" in str(w.message) for w in caught)
-        # The fallback latches: later refreshes go straight to the
-        # object path, one warning per cache.
-        cache.total_power()
-        assert fallbacks.value == before + 1
-
-    def test_strict_mode_raises(self, adder, monkeypatch):
-        circuit, stats = adder
-        monkeypatch.setenv("REPRO_FAULTS", "raise-kernel=1")
-        monkeypatch.setenv("REPRO_ROBUST_STRICT", "1")
-        with pytest.raises(FaultInjected):
-            StatsCache(circuit, stats, compiled=True).total_power()
 
 
 class TestBenchRecovery:

@@ -20,7 +20,7 @@ from repro.incremental.backends import SampledBackend
 from repro.incremental.eco import resolve_edit
 from repro.incremental.search import swap_groups
 from repro.sim.stimulus import ScenarioA
-from repro.stochastic.density import propagate_stats
+from repro.stochastic.density import local_stats
 from repro.synth.mapper import map_circuit
 
 
@@ -174,7 +174,7 @@ class TestGreedy:
     def test_net_stats_match_from_scratch(self, adder):
         circuit, stats = adder
         result = search_circuit(circuit, stats)
-        assert result.net_stats == propagate_stats(result.circuit, stats, "local")
+        assert result.net_stats == local_stats(result.circuit, stats)
 
     def test_eco_script_replays_to_the_same_power(self, adder):
         circuit, stats = adder
@@ -216,9 +216,7 @@ class TestGreedy:
         plain = search_circuit(circuit, stats)
         swapped = search_circuit(circuit, stats, retemplate=True)
         assert swapped.power_after <= plain.power_after * (1.0 + 1e-9)
-        assert swapped.net_stats == propagate_stats(
-            swapped.circuit, stats, "local"
-        )
+        assert swapped.net_stats == local_stats(swapped.circuit, stats)
 
     def test_delay_objective_never_runs_uphill_in_delay(self, adder):
         circuit, stats = adder
@@ -318,7 +316,7 @@ class TestSearchArguments:
             result = search_circuit(cache=cache, max_moves=3)
             assert result.circuit is work
             # the cache stays open and consistent for the caller
-            assert cache.stats() == propagate_stats(work, stats, "local")
+            assert cache.stats() == local_stats(work, stats)
             assert [g.effective_config().key() for g in work.gates] != [
                 g.effective_config().key() for g in circuit.gates
             ]

@@ -21,7 +21,7 @@ from repro.bench.suite import get_case
 from repro.circuit.topology import FanoutIndex, levelize, topological_gates
 from repro.incremental import SampledBackend, StatsCache, search_circuit
 from repro.sim.stimulus import ScenarioA
-from repro.stochastic.density import propagate_stats
+from repro.stochastic.density import local_stats
 from repro.synth.mapper import map_circuit
 
 
@@ -75,7 +75,7 @@ class TestAnalyticSearchEquivalence:
                 max_moves=max_moves, retemplate=retemplate,
                 anneal_trials=60,
             )
-            assert cache.stats() == propagate_stats(work, stats, "local")
+            assert cache.stats() == local_stats(work, stats)
             assert result.net_stats == cache.stats()
             assert_structures_consistent(cache, work, circuit_master)
 

@@ -33,12 +33,12 @@ from repro.core.optimizer import circuit_power
 from repro.gates.capacitance import TechParams
 from repro.gates.library import default_library
 from repro.incremental.cache import StatsCache
-from repro.incremental.eco import WhatIf, resolve_edit
+from repro.incremental.eco import WhatIf, resolve_edit, resolve_edit_script
 from repro.incremental.search import Move, search_circuit
 from repro.incremental.timing import TimingCache
 from repro.obs import trace
 from repro.sim.stimulus import ScenarioA
-from repro.stochastic.density import propagate_stats
+from repro.stochastic.density import local_stats
 from repro.stochastic.signal import SignalStats
 from repro.synth.mapper import map_circuit
 from repro.timing.sta import analyze_timing
@@ -197,6 +197,25 @@ class TestEditVocabulary:
             with pytest.raises(ValueError, match="unknown keys"):
                 resolve_edit(c, entry)
 
+    @pytest.mark.parametrize("entry, message", [
+        ("x", "expected a JSON object, got 'x'"),
+        ({"op": "reorder", "gate": 5, "config": 0},
+         "field 'gate' must be a string, got 5"),
+        ({"op": "input-stats", "net": 1, "probability": 0.5,
+          "density": 1.0e4}, "field 'net' must be a string"),
+        ({"op": "retemplate", "gate": "src", "template": 2},
+         "field 'template' must be a string"),
+        ({"op": "reorder", "gate": "src"}, r"missing keys \['config'\]"),
+        ({"op": "remove-gate", "gate": "nope"}, "unknown gate 'nope'"),
+    ])
+    def test_malformed_entries_name_their_index(self, entry, message):
+        c = fanout_circuit()
+        with pytest.raises(ValueError, match=f"script entry 3: .*{message}"):
+            resolve_edit(c, entry, 3)
+        script = [{"op": "reorder", "gate": "src", "config": 0}, entry]
+        with pytest.raises(ValueError, match="script entry 1: "):
+            resolve_edit_script(c, script)
+
     def test_unknown_op_lists_vocabulary(self):
         with pytest.raises(ValueError, match="add-gate.*rewire|rewire.*add-gate"):
             resolve_edit(fanout_circuit(), {"op": "transmogrify"})
@@ -234,12 +253,15 @@ class TestEditVocabulary:
 # WhatIf trial/rollback
 # ----------------------------------------------------------------------
 class TestWhatIfStructural:
-    @pytest.mark.parametrize("compiled", [False, True])
-    def test_rollback_restores_netlist_exactly(self, compiled):
+    @pytest.mark.parametrize("queried", [False, True])
+    def test_rollback_restores_netlist_exactly(self, queried):
+        """A ``queried`` trial refreshes both caches before rolling
+        back; an unqueried one rolls back edits still pending in their
+        dirty sets."""
         c = fanout_circuit()
-        cache = StatsCache(c, FANOUT_STATS, compiled=compiled)
+        cache = StatsCache(c, FANOUT_STATS)
         timing = TimingCache(c, tech=cache.model.tech, po_load=cache.po_load,
-                             index=cache.index, compiled=compiled)
+                             index=cache.index)
         snapshot = netlist_snapshot(c)
         fanout = fanout_snapshot(c)
         stats_before = dict(cache.stats())
@@ -251,7 +273,9 @@ class TestWhatIfStructural:
             trial.apply(RewireNet("s0", "a", "b2_n"))
             trial.apply(RewireNet("s1", "a", "b2_n"))
             trial.apply(RemoveGate("d2"))
-            assert trial.power() != power_before
+            if queried:
+                assert trial.power() != power_before
+                timing.delay()
         assert netlist_snapshot(c) == snapshot
         assert fanout_snapshot(c) == fanout
         assert dict(cache.stats()) == stats_before
@@ -377,10 +401,10 @@ class TestInterleavedEquivalence:
         try:
             for spec in specs:
                 apply_spec(circuit, spec, counter)
-                assert cache.stats() == propagate_stats(circuit, stats,
-                                                        "local")
+                assert cache.stats() == local_stats(circuit, stats)
                 report = analyze_timing(circuit, tech=cache.model.tech,
-                                        po_load=cache.po_load)
+                                        po_load=cache.po_load,
+                                        compiled=False)
                 assert timing.delay() == report.delay
         finally:
             timing.close()
@@ -437,35 +461,37 @@ class TestStaleCompiled:
 # ----------------------------------------------------------------------
 # Search move families
 # ----------------------------------------------------------------------
-def _run_structural_search(compiled):
-    return search_circuit(
-        fanout_circuit(), FANOUT_STATS, strategy="greedy",
-        objective="power-delay", delay_weight=0.7,
-        structural=["buffer", "dup", "sweep"], structural_nets=2,
-        compiled=compiled,
-    )
+STRUCTURAL_SEARCH = dict(strategy="greedy", objective="power-delay",
+                         delay_weight=0.7,
+                         structural=["buffer", "dup", "sweep"],
+                         structural_nets=2)
+
+
+def _run_structural_search():
+    return search_circuit(fanout_circuit(), FANOUT_STATS, **STRUCTURAL_SEARCH)
 
 
 def _portable_artifact(result):
-    artifact = strip_timing(result.to_artifact())
-    # compiled batch pricing legitimately shrinks re-propagation work;
-    # everything else (trace included) must match across routes
-    artifact.pop("gates_repropagated")
-    return dumps_artifact(artifact)
+    return dumps_artifact(strip_timing(result.to_artifact()))
 
 
 class TestStructuralSearch:
-    @pytest.mark.parametrize("compiled", [False, True])
-    def test_script_replays_bit_identically(self, compiled):
-        result = _run_structural_search(compiled)
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_script_replays_bit_identically(self, in_place):
+        """The ECO script replays onto the original netlist, whether the
+        search ran on its own copy or in place on a caller's cache."""
+        if in_place:
+            with StatsCache(fanout_circuit(), FANOUT_STATS) as live:
+                result = search_circuit(cache=live, **STRUCTURAL_SEARCH)
+        else:
+            result = _run_structural_search()
         kinds = {m.kind for m in result.accepted}
         assert "sweep" in kinds  # the dead pair must be swept
         assert kinds & {"buffer", "dup"}  # fanout relief must fire
         work = fanout_circuit()
-        cache = StatsCache(work, FANOUT_STATS, compiled=compiled)
+        cache = StatsCache(work, FANOUT_STATS)
         timing = TimingCache(work, tech=cache.model.tech,
-                             po_load=cache.po_load, index=cache.index,
-                             compiled=compiled)
+                             po_load=cache.po_load, index=cache.index)
         for entry in result.eco_script():
             work.apply_edit(resolve_edit(work, entry))
         assert cache.total_power() == result.power_after
@@ -476,17 +502,20 @@ class TestStructuralSearch:
         cache.close()
 
     def test_artifact_byte_stable_across_runs_and_routes(self):
-        first = _portable_artifact(_run_structural_search(False))
-        again = _portable_artifact(_run_structural_search(False))
-        compiled = _portable_artifact(_run_structural_search(True))
-        assert first == again == compiled
+        first = _portable_artifact(_run_structural_search())
+        again = _portable_artifact(_run_structural_search())
+        # the same search in place on a caller-owned live cache
+        with StatsCache(fanout_circuit(), FANOUT_STATS) as cache:
+            in_place = _portable_artifact(
+                search_circuit(cache=cache, **STRUCTURAL_SEARCH))
+        assert first == again == in_place
 
     def test_traced_run_is_byte_identical_and_emits_spans(self):
-        baseline = _portable_artifact(_run_structural_search(False))
+        baseline = _portable_artifact(_run_structural_search())
         sink = io.StringIO()
         trace.enable(sink)
         try:
-            traced = _portable_artifact(_run_structural_search(False))
+            traced = _portable_artifact(_run_structural_search())
         finally:
             trace.disable()
         assert traced == baseline
@@ -499,7 +528,7 @@ class TestStructuralSearch:
 
         counter = REGISTRY.counter("search.moves_structural")
         before = counter.value
-        result = _run_structural_search(False)
+        result = _run_structural_search()
         structural = [m for m in result.accepted
                       if m.kind in ("buffer", "dup", "sweep")]
         assert structural

@@ -57,7 +57,7 @@ class TestTimingCacheBasics:
     def test_initial_state_matches_batch_sta(self, rca4):
         circuit, _ = rca4
         with TimingCache(circuit) as tcache:
-            report = analyze_timing(circuit)
+            report = analyze_timing(circuit, compiled=False)
             assert tcache.arrivals() == report.arrivals
             assert tcache.delay() == report.delay
             assert tcache.critical_path() == report.critical_path
@@ -91,7 +91,7 @@ class TestTimingCacheBasics:
             for gate in reorderable(work)[:4]:
                 for config in gate.template.configurations():
                     work.set_config(gate.name, config)
-                    report = analyze_timing(work)
+                    report = analyze_timing(work, compiled=False)
                     assert tcache.arrivals() == report.arrivals
                     assert tcache.delay() == report.delay
                     assert tcache.critical_path() == report.critical_path
@@ -121,11 +121,12 @@ class TestTimingCacheBasics:
             net = work.inputs[0]
             old = tcache.set_input_arrival(net, 3.0e-10)
             assert old == 0.0
-            report = analyze_timing(work, input_arrivals=tcache.input_arrivals)
+            report = analyze_timing(work, input_arrivals=tcache.input_arrivals,
+                                    compiled=False)
             assert tcache.delay() == report.delay
             assert tcache.arrivals() == report.arrivals
             assert tcache.set_input_arrival(net, 0.0) == 3.0e-10
-            assert tcache.delay() == analyze_timing(work).delay
+            assert tcache.delay() == analyze_timing(work, compiled=False).delay
             with pytest.raises(KeyError):
                 tcache.set_input_arrival("definitely-not-a-net", 1.0)
 
@@ -133,7 +134,8 @@ class TestTimingCacheBasics:
         circuit, _ = rca4
         arrivals = {net: 1.0e-10 * i for i, net in enumerate(circuit.inputs)}
         with TimingCache(circuit, input_arrivals=arrivals) as tcache:
-            report = analyze_timing(circuit, input_arrivals=arrivals)
+            report = analyze_timing(circuit, input_arrivals=arrivals,
+                                    compiled=False)
             assert tcache.arrivals() == report.arrivals
             assert tcache.delay() == report.delay
 
@@ -192,7 +194,7 @@ class TestWhatIfTiming:
             config = gate.template.configurations()[1]
             with WhatIf(cache, timing=tcache) as trial:
                 trial.apply(SetConfig(gate.name, config))
-                batch = analyze_timing(work).delay
+                batch = analyze_timing(work, compiled=False).delay
                 assert trial.delay() == batch
                 assert trial.delta_delay() == batch - baseline
             assert tcache.delay() == baseline  # rolled back
@@ -219,7 +221,7 @@ class TestWhatIfTiming:
                 trial.commit()
             assert tcache.input_arrival(work.inputs[1]) == 2.0e-10
             report = analyze_timing(
-                work, input_arrivals=tcache.input_arrivals
+                work, input_arrivals=tcache.input_arrivals, compiled=False
             )
             assert tcache.delay() == report.delay
 
@@ -335,7 +337,7 @@ class TestRunEcoIncrementalTiming:
         arrivals = {net: 0.0 for net in work.inputs}
         arrivals["a0"] = 2.0e-10
         assert rows[1].delay_after == analyze_timing(
-            work, input_arrivals=arrivals
+            work, input_arrivals=arrivals, compiled=False
         ).delay
 
     def test_input_arrival_op_needs_incremental_timing(self, rca4):

@@ -70,7 +70,7 @@ def apply_spec(circuit, tcache, spec):
 def assert_bit_identical(tcache, circuit):
     reference = analyze_timing(
         circuit, tcache.tech, tcache.po_load,
-        input_arrivals=tcache.input_arrivals,
+        input_arrivals=tcache.input_arrivals, compiled=False,
     )
     assert tcache.arrivals() == reference.arrivals
     assert tcache.delay() == reference.delay
