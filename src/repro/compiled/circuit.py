@@ -39,7 +39,10 @@ valid for the circuit's lifetime, and an edit listener keeps the
 per-gate class codes current — :meth:`Circuit.apply_edit` is the only
 way to change a gate's template or configuration, so no entry point
 re-scans the gates.  Structural mutation invalidates the memo (see
-:meth:`Circuit._invalidate_structure`).
+:meth:`Circuit._invalidate_structure`); the per-class tables survive
+it, because they live on the content-keyed compiled gates
+(:func:`stats_class`, :func:`timing_class`), so a re-lowering
+rebuilds arrays only.
 """
 
 from __future__ import annotations
@@ -51,14 +54,15 @@ import numpy as np
 from ..boolean.truthtable import TruthTable, _minterm_matrix
 from ..circuit.netlist import Circuit, CircuitError, GateInstance
 from ..gates.capacitance import TechParams, pin_terminal_counts
-from ..gates.network import OUT
+from ..gates.library import GateConfig
+from ..gates.network import OUT, CompiledGate
 from ..obs.metrics import REGISTRY as _METRICS
 from ..stochastic.density import _EPS as _STATS_EPS
 from ..stochastic.signal import SignalStats
 from ..timing.elmore import LN2, gate_pin_delay_terms
 from ..timing.sta import TimingReport, build_timing_report
 
-__all__ = ["CompiledCircuit", "get_compiled"]
+__all__ = ["CompiledCircuit", "get_compiled", "stats_class", "timing_class"]
 
 
 def _tt_selection(tt: TruthTable) -> np.ndarray:
@@ -76,33 +80,34 @@ def _tt_selection(tt: TruthTable) -> np.ndarray:
 
 
 def _pairwise_block(block: np.ndarray, start: int, count: int) -> np.ndarray:
-    """numpy's 1-D pairwise summation, lifted to columns of ``block``.
+    """numpy's 1-D pairwise summation, lifted to the last axis of ``block``.
 
     Mirrors the C ``pairwise_sum`` algorithm (sequential below 8
     elements; eight interleaved partial sums combined as
     ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` up to the 128 blocksize;
-    recursive halving above), with each scalar replaced by a column —
-    so every row's result is the double a 1-D ``.sum()`` of that row
-    would produce.  ``tests/test_compiled.py`` asserts the match for
+    recursive halving above), with each scalar replaced by the slice
+    ``block[..., i]`` — so every entry of the result is the double a
+    1-D ``.sum()`` of that entry's last-axis run would produce, for a
+    block of any rank.  ``tests/test_compiled.py`` asserts the match for
     every length a gate truth table can select.
     """
     if count < 8:
-        result = block[:, start].copy()
+        result = block[..., start].copy()
         for i in range(1, count):
-            result += block[:, start + i]
+            result += block[..., start + i]
         return result
     if count <= 128:
-        partial = [block[:, start + j].copy() for j in range(8)]
+        partial = [block[..., start + j].copy() for j in range(8)]
         i = 8
         while i < count - (count % 8):
             for j in range(8):
-                partial[j] += block[:, start + i + j]
+                partial[j] += block[..., start + i + j]
             i += 8
         result = (
             (partial[0] + partial[1]) + (partial[2] + partial[3])
         ) + ((partial[4] + partial[5]) + (partial[6] + partial[7]))
         while i < count:
-            result += block[:, start + i]
+            result += block[..., start + i]
             i += 1
         return result
     half = (count // 2) - ((count // 2) % 8)
@@ -169,15 +174,18 @@ class _StatsClass:
 class _TimingClass:
     """Per-(template, configuration) data of the arrival kernel."""
 
-    __slots__ = ("arity", "out_terminals", "_compiled", "_config",
-                 "_delay_cache")
+    __slots__ = ("arity", "out_terminals", "pin_counts", "_compiled",
+                 "_config", "_delay_cache")
 
-    def __init__(self, gate: GateInstance):
-        compiled = gate.compiled()
+    def __init__(self, compiled: CompiledGate, config: GateConfig):
         self.arity = len(compiled.inputs)
         self.out_terminals = compiled.terminal_counts[OUT]
+        #: Transistor gate-terminal count per pin, in pin order (the
+        #: fanin slots' pin-capacitance table).
+        counts = pin_terminal_counts(compiled)
+        self.pin_counts = tuple(counts[pin] for pin in compiled.inputs)
         self._compiled = compiled
-        self._config = gate.effective_config()
+        self._config = config
         self._delay_cache: Dict[TechParams, tuple] = {}
 
     def delay_data(self, tech: TechParams) -> tuple:
@@ -199,6 +207,30 @@ class _TimingClass:
             data = (base_cap, tuple(pins))
             self._delay_cache[tech] = data
         return data
+
+
+# Class tables live on the compiled gate they are derived from.  The
+# library's content-keyed compile cache (key: configuration key plus
+# pin order) hands every gate, lowering and library instance with the
+# same configuration the same ``CompiledGate``, so the tables are built
+# once per content key and a re-lowering only rebuilds its arrays.
+def stats_class(compiled: CompiledGate) -> _StatsClass:
+    """The statistics tables of ``compiled``'s function, built once."""
+    cls = getattr(compiled, "_stats_class", None)
+    if cls is None:
+        cls = _StatsClass(compiled.output_tt)
+        compiled._stats_class = cls
+    return cls
+
+
+def timing_class(gate: GateInstance) -> _TimingClass:
+    """The arrival tables of ``gate``'s configuration, built once."""
+    compiled = gate.compiled()
+    cls = getattr(compiled, "_timing_class", None)
+    if cls is None:
+        cls = _TimingClass(compiled, gate.effective_config())
+        compiled._timing_class = cls
+    return cls
 
 
 class CompiledCircuit:
@@ -266,17 +298,22 @@ class CompiledCircuit:
         self._stats_keys: Dict[str, int] = {}
         self._timing_classes: List[_TimingClass] = []
         self._timing_keys: Dict[tuple, int] = {}
-        self.stats_code = np.zeros(num_gates, dtype=np.int64)
-        self.timing_code = np.zeros(num_gates, dtype=np.int64)
-        self.slot_count = np.zeros(len(self.fanin_net), dtype=np.int64)
+        stats_codes: List[int] = []
+        timing_codes: List[int] = []
+        slot_counts: List[int] = []
+        for gate in gates:
+            stats_codes.append(self._stats_code_for(gate))
+            code = self._timing_code_for(gate)
+            timing_codes.append(code)
+            slot_counts.extend(self._timing_classes[code].pin_counts)
+        self.stats_code = np.asarray(stats_codes, dtype=np.int64)
+        self.timing_code = np.asarray(timing_codes, dtype=np.int64)
+        self.slot_count = np.asarray(slot_counts, dtype=np.int64)
         self._stats_plan: Optional[list] = None
         #: Bumped whenever a template swap changes pin capacitances.
         self._cap_version = 0
         self._slot_caps_cache: Dict[TechParams, tuple] = {}
         self._loads_cache: Dict[tuple, tuple] = {}
-        for gid, gate in enumerate(gates):
-            self._set_template_codes(gid, gate)
-            self.timing_code[gid] = self._timing_code_for(gate)
 
         circuit.add_edit_listener(self._on_edit)
         self._subscribed = True
@@ -294,7 +331,7 @@ class CompiledCircuit:
         code = self._stats_keys.get(key)
         if code is None:
             code = len(self._stats_classes)
-            self._stats_classes.append(_StatsClass(gate.compiled().output_tt))
+            self._stats_classes.append(stats_class(gate.compiled()))
             self._stats_keys[key] = code
         return code
 
@@ -303,20 +340,16 @@ class CompiledCircuit:
         code = self._timing_keys.get(key)
         if code is None:
             code = len(self._timing_classes)
-            self._timing_classes.append(_TimingClass(gate))
+            self._timing_classes.append(timing_class(gate))
             self._timing_keys[key] = code
         return code
-
-    def _set_slot_counts(self, gid: int, gate: GateInstance) -> None:
-        counts = pin_terminal_counts(gate.compiled())
-        start = self.fanin_ptr[gid]
-        for j, pin in enumerate(gate.template.pins):
-            self.slot_count[start + j] = counts[pin]
 
     def _set_template_codes(self, gid: int, gate: GateInstance) -> None:
         """(Re)derive the template-dependent state of one gate."""
         self.stats_code[gid] = self._stats_code_for(gate)
-        self._set_slot_counts(gid, gate)
+        start = self.fanin_ptr[gid]
+        self.slot_count[start:start + len(gate.template.pins)] = \
+            timing_class(gate).pin_counts
         self._cap_version += 1
         self._stats_plan = None
 

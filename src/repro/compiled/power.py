@@ -4,45 +4,69 @@ The per-gate power model (:meth:`GatePowerModel.gate_power`) prices
 a gate per node, per pin — one :meth:`TruthTable.probability` call
 each for ``H``, ``G`` and the two Boolean differences.  This module,
 the engine behind :class:`~repro.incremental.cache.StatsCache`'s power
-refresh, lowers that arithmetic the same way
-:mod:`repro.compiled.circuit` lowers the (P, D) sweep: gates sharing a
-(template, configuration) class share all node tables, so one pass
-computes the per-minterm weight matrix of a whole same-class batch and
-reduces every node's probability/transition columns at once.
+refresh and the search's batch pricer, lowers that arithmetic the same
+way :mod:`repro.compiled.circuit` lowers the (P, D) sweep: gates
+sharing a (template, configuration) class share all node tables, so
+one pass computes the per-minterm weight matrix of a whole same-class
+batch and reduces every node table at once.
+
+**The table program.**  A :class:`_PowerClass` lays every node table
+out as a column of a ``(lanes, width)`` node grid — ``H`` and ``G``
+per node, ``dH``/``dG`` per node and pin — with constant tables as
+exact 0.0/1.0 values and the rest grouped by selection length ``L``
+— one group per ``L // 8``, the part of ``L`` that fixes the shape of
+numpy's pairwise sum, each selection zero-padded to its group's
+longest.  :meth:`_PowerClass.evaluate` computes the minterm weights
+once per row, then per group does one gather ``weights[:, sel]`` and
+one pairwise fold over its last axis; the node and pin arithmetic then
+runs on ``(rows, lanes, width)`` blocks.  A single configuration
+is one lane.  :meth:`_PowerClass.stacked` concatenates the programs of
+a gate's candidate configurations into one lane each, padding nodes to
+the widest lane, so one call prices a whole candidate set.
 
 **The equivalence contract.**  Bit-identical to
 :class:`~repro.core.power_model.GatePowerModel` — every float comes
 out of the same operations in the same order:
 
 * per-minterm weights and masked sums follow
-  :meth:`TruthTable.probability` (via ``_rowwise_selected_sum``, the
-  1-D pairwise summation lift);
+  :meth:`TruthTable.probability` (via ``_pairwise_block``, the 1-D
+  pairwise summation lifted to the last axis of an N-d block: each
+  ``(row, table)`` entry gets the adds a 1-D ``.sum()`` of its
+  selection would run, whatever the leading dimensions).  A padding
+  element selects an all-zero weight column and lands among the
+  one-at-a-time trailing adds, so it adds an exact ``+0.0``;
 * the steady-state guard ``ph + pg <= eps -> 0`` and the conditioned
   formula's denominators reproduce
   :meth:`GatePowerModel.node_probability` /
   :meth:`~GatePowerModel._transition_fraction`, with ``np.where``
   substituting the guarded denominators so live lanes divide by the
   identical double;
-* per-pin transition terms accumulate in pin order with the same
-  skip-zero-density fold as :meth:`GatePowerModel.node_transitions`;
+* per-pin transition terms accumulate sequentially in pin order with
+  the same skip-zero-density fold as
+  :meth:`GatePowerModel.node_transitions`;
 * node capacitances follow :func:`repro.gates.capacitance.node_capacitance`
   (class-constant intrinsic terms, per-gate output load added last) and
   node powers ``(factor * cap) * transitions`` keep the Python
-  left-to-right association.
+  left-to-right association;
+* a gate total is a left fold over its nodes in node order.  A padded
+  node has constant-0 tables and zero capacitance, so it prices to an
+  exact 0.0 and adds ``+0.0`` after the lane's own nodes.
 
 Power classes key on (template, configuration) — the exact key space
 of the timing classes — so the kernel reuses the compiled circuit's
-``timing_code`` bookkeeping and the compiled gates its classes already
-hold.
+``timing_code`` bookkeeping.  The tables themselves live on the
+compiled gate (:func:`power_class`), which the library's content-keyed
+compile cache shares, so they are built once per configuration and
+outlive any lowering.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..boolean.truthtable import TruthTable, _minterm_matrix
+from ..boolean.truthtable import _minterm_matrix
 from ..core.power_model import (
     _EPS,
     GatePowerModel,
@@ -51,9 +75,9 @@ from ..core.power_model import (
 )
 from ..gates.network import OUT, CompiledGate
 from ..obs.metrics import REGISTRY as _METRICS
-from .circuit import CompiledCircuit, _rowwise_selected_sum, _tt_selection
+from .circuit import CompiledCircuit, _pairwise_block, _tt_selection
 
-__all__ = ["CompiledPowerKernel"]
+__all__ = ["CompiledPowerKernel", "power_class"]
 
 #: Process-global kernel metrics: power-kernel invocation counts and
 #: batch-size distribution (see :mod:`repro.compiled.circuit` for the
@@ -61,164 +85,247 @@ __all__ = ["CompiledPowerKernel"]
 _POWER_EVAL_CALLS = _METRICS.counter("compiled.power_eval.calls")
 _POWER_EVAL_SIZES = _METRICS.histogram("compiled.power_eval.batch_size")
 
+#: Selection padding: the all-zero weight column :meth:`_PowerClass.evaluate`
+#: appends after the minterm weights.
+_ZERO = -1
 
-def _table(tt: TruthTable) -> tuple:
-    """``(selection, constant)`` form of one node table.
 
-    Mirrors :meth:`TruthTable.probability`'s early-out: constants (and
-    zero-variable tables) evaluate to an exact 0.0/1.0; everything
-    else selects minterm weights.
+def _layout(lanes: int, width: int, arity: int) -> tuple:
+    """Column numbers of a ``lanes x width`` node grid's tables.
+
+    Four consecutive blocks — ``H`` and ``G`` per (lane, node), then
+    ``dH`` and ``dG`` per (lane, node, pin) — each in row-major order,
+    so one gathered row reshapes straight into the node grid.
     """
-    if len(tt.vars) == 0 or tt.is_constant():
-        return None, (1.0 if tt.bits else 0.0)
-    return _tt_selection(tt), None
+    size = lanes * width
+    cols = np.arange(size * (2 + 2 * arity))
+    per_pin = size * arity
+    return (cols[:size].reshape(lanes, width),
+            cols[size:2 * size].reshape(lanes, width),
+            cols[2 * size:2 * size + per_pin].reshape(lanes, width, arity),
+            cols[2 * size + per_pin:].reshape(lanes, width, arity))
+
+
+def _fold_groups(selections) -> tuple:
+    """``(columns, selections)`` groups, one per pairwise-fold shape.
+
+    ``selections`` yields ``(column, selection)`` pairs.  numpy's
+    pairwise sum of ``L`` elements combines the first ``8 * (L // 8)``
+    in a shape fixed by ``L // 8`` and adds the rest one at a time, so
+    selections sharing ``L // 8`` share one fold: each is padded at the
+    end with :data:`_ZERO` to the longest, and every padded element adds
+    an exact ``+0.0`` to a sum of non-negative weights.
+    """
+    buckets: Dict[int, list] = {}
+    for col, sel in selections:
+        buckets.setdefault(len(sel) // 8, []).append((col, sel))
+    groups = []
+    for entries in buckets.values():
+        sels = np.full((len(entries), max(len(sel) for _, sel in entries)),
+                       _ZERO)
+        for row, (_, sel) in enumerate(entries):
+            sels[row, :len(sel)] = sel
+        groups.append((np.asarray([col for col, _ in entries]), sels))
+    return tuple(groups)
 
 
 class _PowerClass:
-    """Per-(template, configuration) data of the power kernel."""
+    """The table program of one gate configuration, or of a stacked set.
 
-    __slots__ = ("arity", "mat", "nodes", "is_out", "intrinsic_cap",
-                 "node_h", "node_g", "node_dh", "node_dg")
+    Every node table (``H`` and ``G`` per node, ``dH``/``dG`` per node
+    and pin) is one column of a ``(lanes, width)`` node grid: one lane
+    for a single configuration, one lane per candidate for a stacked
+    candidate set (:meth:`stacked`).  Constant tables — and a
+    zero-variable table, :meth:`TruthTable.probability`'s early-out —
+    are an exact 0.0/1.0 in :attr:`const`; the rest are grouped by
+    selection length (:func:`_fold_groups`), so :meth:`evaluate` prices
+    the whole grid with one gather and one pairwise fold per group.
+    """
+
+    __slots__ = ("arity", "mat", "nodes", "lanes", "width", "is_out",
+                 "counts", "const", "groups")
 
     def __init__(self, compiled: CompiledGate):
-        self.arity = len(compiled.inputs)
-        self.mat = _minterm_matrix(self.arity) if self.arity else None
-        self.nodes: Tuple[str, ...] = compiled.nodes
-        self.is_out = tuple(node == OUT for node in self.nodes)
-        #: Load-independent node capacitance terms, keyed by tech at
-        #: evaluation time (config-independent transistor counts).
-        self.intrinsic_cap = {
-            node: compiled.terminal_counts[node] for node in self.nodes
-        }
-        self.node_h = [_table(compiled.h[node]) for node in self.nodes]
-        self.node_g = [_table(compiled.g[node]) for node in self.nodes]
-        self.node_dh = [
-            [_table(compiled.dh[(node, pin)]) for pin in compiled.inputs]
-            for node in self.nodes
-        ]
-        self.node_dg = [
-            [_table(compiled.dg[(node, pin)]) for pin in compiled.inputs]
-            for node in self.nodes
-        ]
+        arity = len(compiled.inputs)
+        self.arity = arity
+        self.mat = _minterm_matrix(arity) if arity else None
+        self.nodes: Optional[Tuple[str, ...]] = compiled.nodes
+        self.lanes = 1
+        self.width = len(self.nodes)
+        self.is_out = np.asarray([[node == OUT for node in self.nodes]])
+        #: Load-independent node capacitance terms as terminal counts
+        #: (config-independent); scaled by the tech at evaluation time.
+        self.counts = np.asarray(
+            [[compiled.terminal_counts[node] for node in self.nodes]],
+            dtype=float)
+        tables = [compiled.h[node] for node in self.nodes]
+        tables += [compiled.g[node] for node in self.nodes]
+        for source in (compiled.dh, compiled.dg):
+            tables += [source[(node, pin)] for node in self.nodes
+                       for pin in compiled.inputs]
+        self.const = np.zeros(len(tables))
+        selections = []
+        for col, tt in enumerate(tables):
+            if len(tt.vars) == 0 or tt.is_constant():
+                self.const[col] = 1.0 if tt.bits else 0.0
+            else:
+                selections.append((col, _tt_selection(tt)))
+        self.groups = _fold_groups(selections)
 
-    def _prob(self, weights: Optional[np.ndarray], table: tuple,
-              count: int) -> np.ndarray:
-        sel, const = table
-        if sel is None:
-            return np.full(count, const)
-        return np.minimum(1.0, np.maximum(
-            0.0, _rowwise_selected_sum(weights, sel)))
+    @classmethod
+    def stacked(cls, parts: Sequence["_PowerClass"]) -> "_PowerClass":
+        """One program pricing every configuration in ``parts`` at once.
+
+        ``parts`` are single-lane classes of one arity; lane ``k`` is
+        ``parts[k]``, its nodes padded to the widest part.  A padded
+        node has constant-0 tables and zero capacitance, so it prices
+        to an exact 0.0 and adds ``+0.0`` at the end of its lane's
+        node fold.
+        """
+        arity = parts[0].arity
+        width = max(part.width for part in parts)
+        grid = _layout(len(parts), width, arity)
+        self = cls.__new__(cls)
+        self.arity = arity
+        self.mat = parts[0].mat
+        self.nodes = None
+        self.lanes = len(parts)
+        self.width = width
+        self.is_out = np.zeros((self.lanes, width), dtype=bool)
+        self.counts = np.zeros((self.lanes, width))
+        self.const = np.zeros(self.lanes * width * (2 + 2 * arity))
+        selections = []
+        for k, part in enumerate(parts):
+            n = part.width
+            self.is_out[k, :n] = part.is_out[0]
+            self.counts[k, :n] = part.counts[0]
+            # The part's own column c lands on column remap[c].
+            remap = np.concatenate([grid[0][k, :n], grid[1][k, :n],
+                                    grid[2][k, :n].ravel(),
+                                    grid[3][k, :n].ravel()])
+            self.const[remap] = part.const
+            for cols, sels in part.groups:
+                selections.extend(zip(remap[cols].tolist(), sels))
+        self.groups = _fold_groups(selections)
+        return self
 
     def evaluate(self, model: GatePowerModel, p_in: np.ndarray,
                  d_in: np.ndarray, loads: np.ndarray):
-        """Node-level power of one same-class batch.
+        """Node-level power of ``rows`` gates on every lane of the grid.
 
-        Returns ``(caps, p_node, transitions, power, totals)`` — each a
-        per-node list of per-gate columns (``totals`` a single column),
-        every float bit-identical to :meth:`GatePowerModel.gate_power`.
+        ``p_in``/``d_in`` are ``(rows, arity)`` pin statistics and
+        ``loads`` the ``rows`` output loads.  Returns ``(caps, p_node,
+        transitions, power, totals)``: the first four ``(rows, lanes,
+        width)`` node grids, ``totals`` the ``(rows, lanes)`` per-lane
+        node folds — every float bit-identical to
+        :meth:`GatePowerModel.gate_power` of that lane's configuration.
         """
-        count = len(loads)
+        rows = len(loads)
         _POWER_EVAL_CALLS.inc()
-        _POWER_EVAL_SIZES.observe(count)
+        _POWER_EVAL_SIZES.observe(rows * self.lanes)
         tech = model.tech
         factor = tech.switch_energy_factor
-        if self.mat is not None:
-            weights = np.prod(
+        arity = self.arity
+        vals = np.empty((rows, len(self.const)))
+        vals[:] = self.const
+        if self.groups:
+            # TruthTable.probability: per-minterm weight products (plus
+            # the _ZERO padding column), the 1-D pairwise masked sum,
+            # then the [0, 1] clamp — a no-op on the 0.0/1.0 constants.
+            weights = np.zeros((rows, len(self.mat) + 1))
+            np.prod(
                 np.where(self.mat[None, :, :] == 1,
                          p_in[:, None, :], 1.0 - p_in[:, None, :]),
-                axis=2,
+                axis=2, out=weights[:, :-1],
             )
-        else:  # pragma: no cover - zero-input cells do not occur
-            weights = None
-        caps, probs, trans, powers = [], [], [], []
-        totals = np.zeros(count)
-        for i, node in enumerate(self.nodes):
-            is_out = self.is_out[i]
-            # node_capacitance: intrinsic terms are class constants;
-            # the external load lands last, output node only.
-            base = self.intrinsic_cap[node] * tech.c_diff
-            if is_out:
-                cap = (base + tech.c_wire) + loads
-            else:
-                cap = np.full(count, base)
-            ph = self._prob(weights, self.node_h[i], count)
-            pg = self._prob(weights, self.node_g[i], count)
-            ok = (ph + pg) > _EPS
-            p_node = np.where(ok, ph / np.where(ok, ph + pg, 1.0), 0.0)
-            total = np.zeros(count)
-            for j in range(self.arity):
-                d_col = d_in[:, j]
-                p_dh = self._prob(weights, self.node_dh[i][j], count)
-                if model.formula == "output-only":
-                    frac = p_dh if is_out else 0.0
-                elif model.formula == "independent":
-                    p_dg = self._prob(weights, self.node_dg[i][j], count)
-                    frac = p_dh * (1.0 - p_node) + p_dg * p_node
-                else:  # "conditioned"
-                    p_dg = self._prob(weights, self.node_dg[i][j], count)
-                    okr = (1.0 - ph) > _EPS
-                    rise = np.where(
-                        okr,
-                        (0.5 * p_dh) * np.minimum(
-                            1.0,
-                            (1.0 - p_node) / np.where(okr, 1.0 - ph, 1.0)),
-                        0.0,
-                    )
-                    okf = (1.0 - pg) > _EPS
-                    fall = np.where(
-                        okf,
-                        (0.5 * p_dg) * np.minimum(
-                            1.0, p_node / np.where(okf, 1.0 - pg, 1.0)),
-                        0.0,
-                    )
-                    frac = rise + fall
-                # node_transitions skips zero-density pins; np.where
-                # keeps the fold literally identical.
-                total = np.where(d_col == 0.0, total, total + d_col * frac)
-            transitions = np.where(ok, total, 0.0)
-            power = (factor * cap) * transitions
-            caps.append(cap)
-            probs.append(p_node)
-            trans.append(transitions)
-            powers.append(power)
-            # GatePowerReport.total is a left fold over the entries.
-            totals = totals + power
-        return caps, probs, trans, powers, totals
+            for cols, sels in self.groups:
+                vals[:, cols] = _pairwise_block(weights[:, sels], 0,
+                                                sels.shape[1])
+            np.minimum(1.0, np.maximum(0.0, vals, out=vals), out=vals)
+        grid = (rows, self.lanes, self.width)
+        size = self.lanes * self.width
+        per_pin = size * arity
+        ph = vals[:, :size].reshape(grid)
+        pg = vals[:, size:2 * size].reshape(grid)
+        dh = vals[:, 2 * size:2 * size + per_pin].reshape(grid + (arity,))
+        dg = vals[:, 2 * size + per_pin:].reshape(grid + (arity,))
+        # node_capacitance: intrinsic terms are class constants; the
+        # external load lands last, output node only.
+        base = self.counts * tech.c_diff
+        cap = np.where(self.is_out,
+                       (base + tech.c_wire) + loads[:, None, None], base)
+        ok = (ph + pg) > _EPS
+        p_node = np.where(ok, ph / np.where(ok, ph + pg, 1.0), 0.0)
+        if model.formula == "conditioned":
+            okr = (1.0 - ph) > _EPS
+            rise_scale = np.where(okr, 1.0 - ph, 1.0)
+            okf = (1.0 - pg) > _EPS
+            fall_scale = np.where(okf, 1.0 - pg, 1.0)
+        total = np.zeros(grid)
+        for j in range(arity):
+            d_col = d_in[:, j, None, None]
+            p_dh = dh[..., j]
+            if model.formula == "output-only":
+                frac = np.where(self.is_out, p_dh, 0.0)
+            elif model.formula == "independent":
+                p_dg = dg[..., j]
+                frac = p_dh * (1.0 - p_node) + p_dg * p_node
+            else:  # "conditioned"
+                p_dg = dg[..., j]
+                rise = np.where(
+                    okr,
+                    (0.5 * p_dh) * np.minimum(
+                        1.0, (1.0 - p_node) / rise_scale),
+                    0.0,
+                )
+                fall = np.where(
+                    okf,
+                    (0.5 * p_dg) * np.minimum(1.0, p_node / fall_scale),
+                    0.0,
+                )
+                frac = rise + fall
+            # node_transitions skips zero-density pins; np.where keeps
+            # the pin-order fold literally identical.
+            total = np.where(d_col == 0.0, total, total + d_col * frac)
+        transitions = np.where(ok, total, 0.0)
+        power = (factor * cap) * transitions
+        # GatePowerReport.total is a left fold over the entries.
+        totals = np.zeros(grid[:2])
+        for i in range(self.width):
+            totals = totals + power[:, :, i]
+        return cap, p_node, transitions, power, totals
+
+
+def power_class(compiled: CompiledGate) -> _PowerClass:
+    """The power tables of one configuration, built once.
+
+    Memoised on the compiled gate, like the statistics and timing
+    tables (:func:`~repro.compiled.circuit.stats_class`), so they are
+    keyed by content and outlive any one lowering.
+    """
+    cls = getattr(compiled, "_power_class", None)
+    if cls is None:
+        cls = _PowerClass(compiled)
+        compiled._power_class = cls
+    return cls
 
 
 class CompiledPowerKernel:
     """Batched power pricing over one compiled circuit.
 
-    Owns the (template, configuration) class registry; per-gate class
-    membership rides on the compiled circuit's ``timing_code`` (same
-    key space), so edit listeners keep it current for free.
+    Per-gate class membership rides on the compiled circuit's
+    ``timing_code`` (the same (template, configuration) key space), so
+    edit listeners keep it current for free; the class tables
+    themselves live on the compiled gates (:func:`power_class`).
     """
 
     def __init__(self, cc: CompiledCircuit, model: GatePowerModel):
         self.cc = cc
         self.model = model
-        #: timing code -> _PowerClass, built lazily from the compiled
-        #: gate the timing class already holds.
-        self._classes: Dict[int, _PowerClass] = {}
-        #: (template name, config key) -> _PowerClass, for candidate
-        #: configurations not (yet) present on the circuit.
-        self._by_key: Dict[tuple, _PowerClass] = {}
 
     def class_for_code(self, code: int) -> _PowerClass:
-        cls = self._classes.get(code)
-        if cls is None:
-            timing_cls = self.cc._timing_classes[code]
-            cls = _PowerClass(timing_cls._compiled)
-            self._classes[code] = cls
-        return cls
-
-    def class_for_gate(self, compiled: CompiledGate, key: tuple) -> _PowerClass:
-        """Class of an arbitrary candidate (template, config key)."""
-        cls = self._by_key.get(key)
-        if cls is None:
-            cls = _PowerClass(compiled)
-            self._by_key[key] = cls
-        return cls
+        """The power class of timing class ``code``."""
+        return power_class(self.cc._timing_classes[code]._compiled)
 
     # ------------------------------------------------------------------
     def _gather(self, gids: Sequence[int], arity: int,
@@ -238,7 +345,7 @@ class CompiledPowerKernel:
 
     def reports(self, names: Sequence[str], stats: Mapping,
                 po_load: float) -> Dict[str, GatePowerReport]:
-        """Fresh :class:`GatePowerReport` per gate, batched by class.
+        """Fresh :class:`GatePowerReport` per gate, one kernel call per class.
 
         ``stats`` maps net name to :class:`SignalStats` (the cache's
         current map); ``po_load`` is the resolved primary-output load.
@@ -258,20 +365,13 @@ class CompiledPowerKernel:
             sub = gids[codes == code]
             cls = self.class_for_code(int(code))
             p_in, d_in = self._gather(sub, cls.arity, stats)
-            gate_loads = loads[cc.out_net[sub]]
             caps, probs, trans, powers, _ = cls.evaluate(
-                model, p_in, d_in, gate_loads)
-            for row, gid in enumerate(sub):
-                entries = tuple(
-                    NodePowerEntry(
-                        node,
-                        float(caps[i][row]),
-                        float(probs[i][row]),
-                        float(trans[i][row]),
-                        float(powers[i][row]),
-                    )
-                    for i, node in enumerate(cls.nodes)
-                )
+                model, p_in, d_in, loads[cc.out_net[sub]])
+            columns = zip(caps[:, 0].tolist(), probs[:, 0].tolist(),
+                          trans[:, 0].tolist(), powers[:, 0].tolist())
+            for gid, (cap, prob, tran, power) in zip(sub.tolist(), columns):
+                entries = tuple(map(NodePowerEntry, cls.nodes, cap, prob,
+                                    tran, power))
                 out[cc.gate_names[gid]] = GatePowerReport(entries, model.tech)
         return out
 
@@ -295,5 +395,5 @@ class CompiledPowerKernel:
             p_in, d_in = self._gather(sub, cls.arity, stats)
             *_, batch_totals = cls.evaluate(model, p_in, d_in,
                                             loads[cc.out_net[sub]])
-            totals[positions[where]] = batch_totals
+            totals[positions[where]] = batch_totals[:, 0]
         return totals

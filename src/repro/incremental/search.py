@@ -89,6 +89,8 @@ from ..circuit.netlist import (
     SetTemplate,
     lookup_template,
 )
+from ..compiled.circuit import stats_class
+from ..compiled.power import _PowerClass, power_class
 from ..core.power_model import GatePowerModel
 from ..gates.capacitance import pin_terminal_counts
 from ..obs import progress as _progress
@@ -585,10 +587,9 @@ class _BatchPricer:
         self.kernel = self.cache.power_kernel()
         self.cc = self.kernel.cc
         self._templates = {t.name: t for t in state.circuit.library}
-        #: Candidate-template statistics classes, keyed by template
-        #: name (the compiled circuit's own key space) and built
-        #: lazily without touching the circuit's class registry.
-        self._stats_classes: Dict[str, object] = {}
+        #: Stacked power programs of candidate sets, keyed by the
+        #: candidates' (template name, config key) tuple.
+        self._stacks: Dict[tuple, _PowerClass] = {}
         self._totals: Optional[np.ndarray] = None
 
     def invalidate(self) -> None:
@@ -639,6 +640,13 @@ class _BatchPricer:
         return scored
 
     def _reorder_totals(self, moves: Sequence["Move"]) -> np.ndarray:
+        """One kernel call prices every candidate ordering of the gate.
+
+        A reorder changes nothing but the gate's own power row, and
+        every candidate reads the same pin statistics and output load,
+        so the candidates' programs stack into one lane each of a
+        single evaluation (:meth:`_PowerClass.stacked`).
+        """
         cache = self.cache
         cc = self.cc
         kernel = self.kernel
@@ -646,25 +654,24 @@ class _BatchPricer:
         template = gate.template
         gid = cc.gate_id[gate.name]
         load = cc.net_loads(kernel.model.tech, cache.po_load)[cc.out_net[gid]]
-        loads = np.asarray([load])
         p_in, d_in = kernel._gather([gid], len(template.pins), cache._stats)
+        configs = [template.default_config() if move.edit.config is None
+                   else move.edit.config for move in moves]
+        key = tuple((template.name, config.key()) for config in configs)
+        stack = self._stacks.get(key)
+        if stack is None:
+            stack = _PowerClass.stacked([
+                power_class(template.compile_config(config))
+                for config in configs
+            ])
+            self._stacks[key] = stack
+        *_, totals = stack.evaluate(kernel.model, p_in, d_in,
+                                    np.asarray([load]))
         pos = cache.topo_index[gate.name]
-        replacements = []
-        for move in moves:
-            config = move.edit.config
-            if config is None:
-                config = template.default_config()
-            cls = kernel.class_for_gate(
-                template.compile_config(config),
-                (template.name, config.key()),
-            )
-            *_, totals = cls.evaluate(kernel.model, p_in, d_in, loads)
-            replacements.append({pos: float(totals[0])})
-        return self._fold(replacements)
+        return self._fold([{pos: total} for total in totals[0].tolist()])
 
     def _retemplate_totals(self, moves: Sequence["Move"]
                            ) -> Optional[np.ndarray]:
-        from ..compiled.circuit import _StatsClass
         from .backends import AnalyticBackend
 
         cache = self.cache
@@ -698,6 +705,26 @@ class _BatchPricer:
             net: [int(s) for s in np.flatnonzero(cc.fanin_net == net)]
             for net in sorted({int(n) for n in cc.fanin_net[slot_lo:slot_hi]})
         }
+        # Repriced rows besides the gate itself: its cone (new input
+        # statistics) and its fanin drivers (new loads) — with the gate,
+        # exactly the trial's power-dirty set.  They keep their classes
+        # under every candidate, so they are grouped by class once and
+        # each group is priced in one kernel call per candidate.
+        names = rest + preds
+        ids = np.asarray([cc.gate_id[n] for n in names], dtype=np.int64)
+        codes = cc.timing_code[ids]
+        groups = []
+        for code in np.unique(codes):
+            where = np.flatnonzero(codes == code)
+            sub = ids[where]
+            cls = kernel.class_for_code(int(code))
+            out_nets = cc.out_net[sub]
+            groups.append((
+                cls, cc._fanin_matrix(sub, cls.arity), out_nets,
+                [(row, net) for row, net in enumerate(out_nets.tolist())
+                 if net in net_slots],
+                [topo[names[i]] for i in where],
+            ))
         replacements = []
         for move in moves:
             new_template = self._templates[move.edit.template]
@@ -711,11 +738,8 @@ class _BatchPricer:
             # group sequence a trial resettle of the cone runs.
             prob = backend._prob.copy()
             dens = backend._dens.copy()
-            stats_cls = self._stats_classes.get(new_template.name)
-            if stats_cls is None:
-                stats_cls = _StatsClass(compiled.output_tt)
-                self._stats_classes[new_template.name] = stats_cls
-            p_out, d_out = cc._stats_group(stats_cls, fanin, prob, dens)
+            p_out, d_out = cc._stats_group(stats_class(compiled), fanin,
+                                           prob, dens)
             prob[out] = p_out[0]
             dens[out] = d_out[0]
             cc.resettle_stats(rest_ids, prob, dens)
@@ -735,40 +759,18 @@ class _BatchPricer:
                 if cc.is_output[net]:
                     value = value + cache.po_load
                 cand_loads[net] = value
-
-            def total_of(rid: int, cls) -> float:
-                matrix = cc._fanin_matrix(np.asarray([rid], dtype=np.int64),
-                                          cls.arity)
-                net = int(cc.out_net[rid])
-                load = cand_loads.get(net)
-                if load is None:
-                    load = base_loads[net]
-                *_, totals = cls.evaluate(
-                    model, prob[matrix], dens[matrix],
-                    np.asarray([load], dtype=float),
-                )
-                return float(totals[0])
-
-            # Repriced rows: the gate itself (new class), its cone
-            # (new input statistics) and its fanin drivers (new loads)
-            # — exactly the trial's power-dirty set.
-            repl = {
-                topo[gate_name]: total_of(
-                    gid,
-                    kernel.class_for_gate(
-                        compiled, (new_template.name, config.key())),
-                )
-            }
-            for name, rid in zip(rest, rest_ids):
-                repl[topo[name]] = total_of(
-                    int(rid),
-                    kernel.class_for_code(int(cc.timing_code[rid])),
-                )
-            for name in preds:
-                rid = cc.gate_id[name]
-                repl[topo[name]] = total_of(
-                    rid, kernel.class_for_code(int(cc.timing_code[rid]))
-                )
+            # The gate's output net is not among its fanin nets: its load
+            # is the baseline one.
+            *_, totals = power_class(compiled).evaluate(
+                model, prob[fanin], dens[fanin], base_loads[[out]])
+            repl = {topo[gate_name]: float(totals[0, 0])}
+            for cls, matrix, out_nets, refolded, positions in groups:
+                loads = base_loads[out_nets]
+                for row, net in refolded:
+                    loads[row] = cand_loads[net]
+                *_, totals = cls.evaluate(model, prob[matrix], dens[matrix],
+                                          loads)
+                repl.update(zip(positions, totals[:, 0].tolist()))
             replacements.append(repl)
         return self._fold(replacements)
 

@@ -21,7 +21,7 @@ from repro.bench.generators import random_logic
 from repro.bench.runner import dumps_artifact, strip_timing
 from repro.bench.suite import get_case
 from repro.compiled import get_compiled
-from repro.compiled.circuit import _rowwise_selected_sum
+from repro.compiled.circuit import _pairwise_block, _rowwise_selected_sum
 from repro.gates.library import default_library
 from repro.incremental import StatsCache, TimingCache
 from repro.incremental.backends import AnalyticBackend
@@ -85,6 +85,50 @@ class TestSummationOrder:
             for row in range(len(block)):
                 assert batched[row] == block[row, selection].sum(), \
                     f"order drift at width {width}"
+
+    def test_pairwise_block_nd_matches_1d_sums(self):
+        """The fold over the last axis of an N-d block is per-slice 1-D.
+
+        The power kernel folds ``(rows, tables, L)`` gathers in one
+        call; every ``(row, table)`` entry must be the double the 1-D
+        ``.sum()`` of that slice gives, for every length a library
+        truth table can select.
+        """
+        rng = np.random.default_rng(1)
+        for width in range(1, 65):
+            block = rng.random((3, 4, width))
+            folded = _pairwise_block(block, 0, width)
+            assert folded.shape == (3, 4)
+            for row in range(3):
+                for table in range(4):
+                    assert folded[row, table] == block[row, table].sum(), \
+                        f"order drift at width {width}"
+            # A gathered block (non-contiguous source columns) too.
+            weights = rng.random((3, 2 * width))
+            sels = np.sort(rng.permuted(
+                np.tile(np.arange(2 * width), (4, 1)), axis=1)[:, :width],
+                axis=1)
+            folded = _pairwise_block(weights[:, sels], 0, width)
+            for row in range(3):
+                for table in range(4):
+                    assert folded[row, table] \
+                        == weights[row, sels[table]].sum()
+
+    def test_zero_padding_within_a_fold_shape_is_exact(self):
+        """Trailing zeros up to the next multiple of 8 change no bit.
+
+        The power kernel pads selections sharing ``L // 8`` to one
+        length with a zero weight; numpy's pairwise sum adds those
+        after the first ``8 * (L // 8)`` elements, one at a time.
+        """
+        rng = np.random.default_rng(2)
+        for width in range(1, 65):
+            row = rng.random(width)
+            for padded in range(width, 8 * (width // 8) + 8):
+                block = np.zeros((1, padded))
+                block[0, :width] = row
+                assert _pairwise_block(block, 0, padded)[0] == row.sum(), \
+                    f"padding {width} -> {padded} changed the sum"
 
     def test_empty_selection_sums_to_zero(self):
         block = np.ones((4, 8))

@@ -6,8 +6,14 @@ node capacitances and gate totals — is **bit-identical** (exact float
 equality, every `NodePowerEntry` field) to the per-gate object path of
 `GatePowerModel`, for all three formulas, under random edit sequences,
 and through the `StatsCache` power refresh it backs, against the
-from-scratch `circuit_power` oracle.
+from-scratch `circuit_power` oracle.  Stacked candidate programs (one
+kernel call pricing every configuration of a gate, nodes zero-padded to
+the widest lane) meet the same oracle, and the class tables are keyed
+by content: a re-lowering reuses them instead of rebuilding them.
 """
+
+import gc
+
 
 import numpy as np
 import pytest
@@ -15,11 +21,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.generators import random_logic
-from repro.compiled.circuit import get_compiled
-from repro.compiled.power import CompiledPowerKernel
+from repro.circuit.netlist import AddGate, RewireNet
+from repro.compiled.circuit import (
+    CompiledCircuit,
+    _StatsClass,
+    _TimingClass,
+    get_compiled,
+)
+from repro.compiled.power import CompiledPowerKernel, _PowerClass, power_class
 from repro.core.optimizer import circuit_power
 from repro.core.power_model import FORMULAS, GatePowerModel
 from repro.gates.capacitance import net_load
+from repro.gates.library import default_library
+from repro.gates.network import compile_gate
+from repro.gates.sptree import Leaf, Parallel, Series
 from repro.incremental import StatsCache
 from repro.sim.stimulus import ScenarioA
 from repro.stochastic.signal import SignalStats
@@ -191,3 +206,158 @@ class TestCacheIntegration:
             kernel = cache.power_kernel()
             assert cache.power_kernel() is kernel
             assert kernel.cc is get_compiled(work)
+
+
+# ----------------------------------------------------------------------
+# Stacked candidate programs
+# ----------------------------------------------------------------------
+def pin_stats(arity):
+    """Per-pin (P, D): constants (p in {0, 1}, D = 0), idle and live pins."""
+    stat = st.one_of(
+        st.tuples(st.sampled_from([0.0, 1.0]), st.just(0.0)),
+        st.tuples(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.one_of(st.just(0.0), st.floats(1.0, 1.0e9)),
+        ),
+    )
+    return st.lists(stat, min_size=arity, max_size=arity)
+
+
+def assert_stack_matches_oracle(compileds, model, stats, load):
+    """Every lane of the stacked program equals ``gate_power`` exactly."""
+    stack = _PowerClass.stacked([power_class(c) for c in compileds])
+    p_in = np.asarray([[p for p, _ in stats]])
+    d_in = np.asarray([[d for _, d in stats]])
+    caps, probs, trans, powers, totals = stack.evaluate(
+        model, p_in, d_in, np.asarray([load]))
+    assert totals.shape == (1, len(compileds))
+    for lane, compiled in enumerate(compileds):
+        pins = {pin: SignalStats(p, d)
+                for pin, (p, d) in zip(compiled.inputs, stats)}
+        report = model.gate_power(compiled, pins, load)
+        for i, want in enumerate(report.entries):
+            assert want.node == compiled.nodes[i]
+            assert caps[0, lane, i] == want.capacitance
+            assert probs[0, lane, i] == want.probability
+            assert trans[0, lane, i] == want.transitions
+            assert powers[0, lane, i] == want.power
+        # The kernel total is GatePowerReport.total's left fold over
+        # the node entries (``sum`` on Python 3.11; 3.12's ``sum``
+        # compensates, so fold explicitly).
+        total = 0.0
+        for entry in report.entries:
+            total = total + entry.power
+        assert totals[0, lane] == total
+        # Padded nodes price to exact zeros.
+        width = len(report.entries)
+        for grid in (caps, probs, trans, powers):
+            assert not grid[0, lane, width:].any()
+
+
+class TestStackedCandidates:
+    @pytest.mark.parametrize("formula", FORMULAS)
+    @pytest.mark.parametrize(
+        "template", [t.name for t in default_library()])
+    def test_every_configuration_matches_gate_power(self, template,
+                                                    formula):
+        tmpl = default_library()[template]
+        compileds = [tmpl.compile_config(c) for c in tmpl.configurations()]
+        model = GatePowerModel(formula=formula)
+
+        @settings(max_examples=8, deadline=None)
+        @given(pin_stats(tmpl.num_inputs),
+               st.floats(0.0, 1.0e-13))
+        def check(stats, load):
+            assert_stack_matches_oracle(compileds, model, stats, load)
+
+        check()
+
+    @pytest.mark.parametrize("formula", FORMULAS)
+    @settings(max_examples=25, deadline=None)
+    @given(stats=pin_stats(2), load=st.floats(0.0, 1.0e-13))
+    def test_mixed_node_counts_pad_exactly(self, formula, stats, load):
+        # Two-input gates with 2, 3 and 4 nodes in one stack: the
+        # narrower lanes run on padded nodes.
+        a, b = Leaf("a"), Leaf("b")
+        compileds = [
+            compile_gate(Series((a, b))),
+            compile_gate(Series((a, b, a)), inputs=("a", "b")),
+            compile_gate(Parallel((Series((a, b)), Series((b, a))))),
+            default_library()["nor2"].compile_config(),
+        ]
+        assert len({len(c.nodes) for c in compileds}) == 3
+        assert_stack_matches_oracle(compileds, GatePowerModel(formula=formula),
+                                    stats, load)
+
+
+# ----------------------------------------------------------------------
+# Class tables are keyed by content and outlive a lowering
+# ----------------------------------------------------------------------
+def class_tables(cc):
+    """Every class object of a lowering, keyed by its class key."""
+    power = {key: power_class(cc._timing_classes[code]._compiled)
+             for key, code in cc._timing_keys.items()}
+    return (
+        {key: cc._stats_classes[code] for key, code in cc._stats_keys.items()},
+        {key: cc._timing_classes[code]
+         for key, code in cc._timing_keys.items()},
+        power,
+    )
+
+
+def assert_same_class_objects(old, new):
+    for before, after in zip(class_tables(old), class_tables(new)):
+        assert before
+        for key, cls in before.items():
+            assert after[key] is cls, key
+
+
+def count_class_objects():
+    gc.collect()
+    return sum(isinstance(obj, (_StatsClass, _TimingClass, _PowerClass))
+               for obj in gc.get_objects())
+
+
+class TestClassTablesOutliveLowering:
+    def test_add_gate_relowering_reuses_classes(self, wide):
+        circuit, _ = wide
+        work = circuit.copy()
+        old = get_compiled(work)
+        class_tables(old)
+        work.apply_edit(AddGate("extra", "nand2",
+                                (("a", work.inputs[0]),
+                                 ("b", work.inputs[1])), "extra_n"))
+        new = get_compiled(work)
+        assert new is not old and old.stale
+        assert_same_class_objects(old, new)
+
+    def test_rewire_relowering_reuses_classes(self, wide):
+        circuit, _ = wide
+        work = circuit.copy()
+        old = get_compiled(work)
+        class_tables(old)
+        gate = work.gates[-1]
+        pin = gate.template.pins[0]
+        net = next(n for n in work.inputs if n != gate.pin_nets[pin])
+        work.apply_edit(RewireNet(gate.name, pin, net))
+        new = get_compiled(work)
+        assert new is not old and old.stale
+        assert_same_class_objects(old, new)
+
+    def test_fresh_library_shares_classes(self):
+        network = random_logic(12, 60, seed=9)
+        first = get_compiled(map_circuit(network))
+        second = get_compiled(map_circuit(network, default_library()))
+        assert first.circuit.library is not second.circuit.library
+        assert_same_class_objects(first, second)
+
+    def test_repeated_lowering_adds_no_class_objects(self, wide):
+        circuit, _ = wide
+        work = circuit.copy()
+        class_tables(get_compiled(work))
+        before = count_class_objects()
+        for _ in range(50):
+            cc = CompiledCircuit(work)
+            class_tables(cc)
+            cc.close()
+        assert count_class_objects() == before
