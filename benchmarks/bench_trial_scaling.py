@@ -15,6 +15,11 @@ count, so the copy, lowering and cache construction that every search
 pays up front (and that do scale with the circuit) cancel out.  Each
 search time is the best of ``REPEATS`` runs.
 
+That set-up is held to its own linear bound: ``setup_us_per_gate``,
+the no-trial search time per gate, must stay within 1.5x at ~10k
+gates of its value at ~2.2k gates, so no per-search pass that grows
+faster than the circuit creeps back in.
+
 Run with::
 
     pytest -m bench benchmarks/bench_trial_scaling.py -s
@@ -43,6 +48,7 @@ TRIALS = 60
 REPEATS = 3
 SMALL_COPIES, LARGE_COPIES = 5, 23
 MAX_RATIO = 1.5
+MAX_SETUP_RATIO = 1.5
 
 RESULTS = []
 
@@ -99,6 +105,7 @@ def _per_trial_us(tile, copies: int) -> dict:
         "gates": len(circuit),
         "trials": TRIALS,
         "setup_s": setup_s,
+        "setup_us_per_gate": 1e6 * setup_s / len(circuit),
         "search_s": search_s,
         "trial_us": 1e6 * (search_s - setup_s) / TRIALS,
     }
@@ -108,12 +115,18 @@ def test_trial_cost_stays_cone_sized(tile):
     small = _per_trial_us(tile, SMALL_COPIES)
     large = _per_trial_us(tile, LARGE_COPIES)
     ratio = large["trial_us"] / small["trial_us"]
+    setup_ratio = large["setup_us_per_gate"] / small["setup_us_per_gate"]
     for row in (small, large):
         print(f"\n{row['gates']:6d} gates: {row['trial_us']:10.0f} us/trial "
-              f"(search {row['search_s']:.3f}s - setup {row['setup_s']:.3f}s)")
+              f"(search {row['search_s']:.3f}s - setup {row['setup_s']:.3f}s)"
+              f", setup {row['setup_us_per_gate']:.1f} us/gate")
     print(f"  ratio: {ratio:.2f}x (required <= {MAX_RATIO:.1f}x)")
-    RESULTS.append({"small": small, "large": large, "ratio": ratio})
+    print(f"  setup ratio: {setup_ratio:.2f}x "
+          f"(required <= {MAX_SETUP_RATIO:.1f}x)")
+    RESULTS.append({"small": small, "large": large, "ratio": ratio,
+                    "setup_ratio": setup_ratio})
     assert ratio <= MAX_RATIO
+    assert setup_ratio <= MAX_SETUP_RATIO
 
 
 def test_write_artifact():
@@ -130,10 +143,12 @@ def test_write_artifact():
             "name": "trial_scaling",
             "network": "random_logic(16, 220, 7)",
             "max_ratio": MAX_RATIO,
+            "max_setup_ratio": MAX_SETUP_RATIO,
         },
         "meta": environment_meta(),
         "results": [row["small"], row["large"]],
         "ratio": row["ratio"],
+        "setup_ratio": row["setup_ratio"],
     }
     write_artifact(artifact, out_path)
     print(f"\nwrote JSON artifact to {out_path}")

@@ -221,12 +221,16 @@ class Circuit:
         self.name = name
         self.library = library
         self.inputs: List[str] = []
+        #: ``set(inputs)``, for O(1) membership tests; kept beside
+        #: ``inputs`` by every method that changes it.
+        self._input_set: set = set()
         self.outputs: List[str] = []
         self._gates: Dict[str, GateInstance] = {}
         self._driver: Dict[str, GateInstance] = {}
         self._edit_listeners: List[Callable[[str, str], None]] = []
-        #: Memoised derived structure (fanout index, topological order,
-        #: levels, compiled form); cleared by structural mutation.  See
+        #: Memoised derived structure (the integer structure record,
+        #: fanout index, topological order, levels, compiled form);
+        #: cleared by structural mutation.  See :meth:`structure` /
         #: :meth:`fanout_index` / :meth:`topo_gates` / :meth:`gate_levels`.
         self._structure: Dict[str, object] = {}
         self._structure_event: Optional[StructureEvent] = None
@@ -235,11 +239,12 @@ class Circuit:
     # Construction
     # ------------------------------------------------------------------
     def add_input(self, net: str) -> None:
-        if net in self.inputs:
+        if net in self._input_set:
             raise CircuitError(f"duplicate primary input {net!r}")
         if net in self._driver:
             raise CircuitError(f"net {net!r} already driven by a gate")
         self.inputs.append(net)
+        self._input_set.add(net)
         self._invalidate_structure()
 
     def add_output(self, net: str) -> None:
@@ -256,7 +261,7 @@ class Circuit:
             raise CircuitError(f"duplicate gate name {name!r}")
         if output in self._driver:
             raise CircuitError(f"net {output!r} has multiple drivers")
-        if output in self.inputs:
+        if output in self._input_set:
             raise CircuitError(f"net {output!r} is a primary input")
         template = lookup_template(self.library, template_name)
         gate = GateInstance(name, template, dict(pin_nets), output, config)
@@ -281,12 +286,29 @@ class Circuit:
             compiled.close()
         self._structure.clear()
 
+    def structure(self):
+        """The memoised :class:`~repro.circuit.topology.CircuitStructure`.
+
+        One integer pass over the gates yields net ids, the CSR fanin,
+        the sink CSRs, levels and the topological order; every other
+        structure accessor, the compiled lowering and :meth:`validate`
+        read it.  Invalidated by structural mutation; the supported
+        edits keep it valid.
+        """
+        record = self._structure.get("record")
+        if record is None:
+            from .topology import build_structure
+
+            record = build_structure(self)
+            self._structure["record"] = record
+        return record
+
     def fanout_index(self):
         """The memoised :class:`~repro.circuit.topology.FanoutIndex`.
 
-        Built on first use and shared by every consumer (stats cache,
-        timing cache, searches, load queries), so attaching a second
-        cache does not redo the O(V+E) inversion.  Invalidated by
+        A view of :meth:`structure`, shared by every consumer (stats
+        cache, timing cache, searches, load queries), so attaching a
+        second cache does not redo the inversion.  Invalidated by
         structural mutation; the supported edits keep it valid.
         """
         index = self._structure.get("fanout_index")
@@ -298,27 +320,34 @@ class Circuit:
         return index
 
     def topo_gates(self) -> Tuple[GateInstance, ...]:
-        """Memoised topological order (drivers before sinks)."""
+        """Memoised topological order (drivers before sinks).
+
+        Equal to :func:`~repro.circuit.topology.topological_gates`,
+        read from :meth:`structure`.
+        """
         order = self._structure.get("topo")
         if order is None:
-            from .topology import topological_gates
-
-            order = tuple(topological_gates(self))
+            record = self.structure()
+            record.check_acyclic()
+            gates = record.gates
+            order = tuple([gates[gid] for gid in record.topo.tolist()])
             self._structure["topo"] = order
         return order
 
     def gate_levels(self) -> Mapping[str, int]:
-        """Memoised logic level per gate (treat as read-only)."""
+        """Memoised logic level per gate, in topological order (read-only).
+
+        A gate with only primary-input fanins is level 0; any other is
+        one above its highest-level fanin driver.
+        """
         levels = self._structure.get("levels")
         if levels is None:
-            levels = {}
-            for gate in self.topo_gates():
-                level = 0
-                for net in gate.fanin_nets:
-                    pred = self._driver.get(net)
-                    if pred is not None:
-                        level = max(level, levels[pred.name] + 1)
-                levels[gate.name] = level
+            record = self.structure()
+            record.check_acyclic()
+            names = record.gate_names
+            topo = record.topo
+            levels = dict(zip([names[gid] for gid in topo.tolist()],
+                              record.level[topo].tolist()))
             self._structure["levels"] = levels
         return levels
 
@@ -485,7 +514,7 @@ class Circuit:
         pin_nets = dict(edit.pin_nets)
         undriven = sorted(
             {net for net in pin_nets.values()
-             if net not in self.inputs and net not in self._driver}
+             if net not in self._input_set and net not in self._driver}
         )
         if undriven:
             raise CircuitError(
@@ -541,7 +570,7 @@ class Circuit:
                 f"gate {gate.name} ({gate.template.name}) has no pin "
                 f"{edit.pin!r}; pins: {', '.join(gate.template.pins)}"
             )
-        if edit.net not in self.inputs and edit.net not in self._driver:
+        if edit.net not in self._input_set and edit.net not in self._driver:
             raise CircuitError(
                 f"rewire {gate.name}.{edit.pin}: net {edit.net!r} has no driver"
             )
@@ -585,15 +614,29 @@ class Circuit:
     # Validation / copying
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Check structural sanity; raises :class:`CircuitError` on problems."""
+        """Check structural sanity; raises :class:`CircuitError` on problems.
+
+        The integer :meth:`structure` pass finds undriven pins and
+        cycles; only when it (or the primary-output check) finds a
+        problem do the object walks run, to raise the first error in
+        their order with their message.
+        """
+        record = self.structure()
+        if record.undriven or record.cyclic or any(
+            net not in self._input_set and net not in self._driver
+            for net in self.outputs
+        ):
+            self._validate_walks()
+
+    def _validate_walks(self) -> None:
         for gate in self._gates.values():
             for pin, net in gate.pin_nets.items():
-                if net not in self.inputs and net not in self._driver:
+                if net not in self._input_set and net not in self._driver:
                     raise CircuitError(
                         f"gate {gate.name} pin {pin}: net {net!r} has no driver"
                     )
         for net in self.outputs:
-            if net not in self.inputs and net not in self._driver:
+            if net not in self._input_set and net not in self._driver:
                 raise CircuitError(f"primary output {net!r} has no driver")
         self._check_acyclic()
 
@@ -634,6 +677,7 @@ class Circuit:
         """Deep copy (gate configs included)."""
         clone = Circuit(name or self.name, self.library)
         clone.inputs = list(self.inputs)
+        clone._input_set = set(self.inputs)
         clone.outputs = list(self.outputs)
         for gate in self._gates.values():
             clone.add_gate(gate.name, gate.template.name, dict(gate.pin_nets),

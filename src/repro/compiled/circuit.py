@@ -238,17 +238,22 @@ class CompiledCircuit:
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        gates = circuit.gates  # creation order defines gate ids
+        # The circuit's memoised integer structure record supplies ids,
+        # CSR arrays, levels and the topological order; the lowering
+        # adds only the class codes and capacitance tables.
+        record = circuit.structure()
+        if record.undriven:
+            circuit.validate()  # raises the undriven-net error
+        record.check_acyclic()
+        gates = record.gates  # creation order defines gate ids
         num_gates = len(gates)
-        self.num_inputs = len(circuit.inputs)
+        self.num_inputs = record.num_inputs
         #: Net names: primary inputs then gate outputs, in creation
         #: order — gate ``g``'s output net id is ``num_inputs + g``.
-        self.nets: Tuple[str, ...] = circuit.nets()
-        self.net_id: Dict[str, int] = {n: i for i, n in enumerate(self.nets)}
-        self.gate_names: Tuple[str, ...] = tuple(g.name for g in gates)
-        self.gate_id: Dict[str, int] = {
-            name: i for i, name in enumerate(self.gate_names)
-        }
+        self.nets: Tuple[str, ...] = record.nets
+        self.net_id: Dict[str, int] = record.net_id
+        self.gate_names: Tuple[str, ...] = record.gate_names
+        self.gate_id: Dict[str, int] = record.gate_id
         self.out_net = self.num_inputs + np.arange(num_gates, dtype=np.int64)
         self.is_output = np.zeros(len(self.nets), dtype=bool)
         for net in circuit.outputs:
@@ -257,22 +262,10 @@ class CompiledCircuit:
         # CSR fanin: gate g's pins (template order) occupy slots
         # fanin_ptr[g]:fanin_ptr[g+1].  Slot order is therefore the
         # gate-creation-then-template-pin order net_load sums in.
-        ptr = [0]
-        fanin: List[int] = []
-        for gate in gates:
-            fanin.extend(self.net_id[net] for net in gate.fanin_nets)
-            ptr.append(len(fanin))
-        self.fanin_ptr = np.asarray(ptr, dtype=np.int64)
-        self.fanin_net = np.asarray(fanin, dtype=np.int64)
-
-        topo_names = [g.name for g in circuit.topo_gates()]
-        self.topo_index = np.zeros(num_gates, dtype=np.int64)
-        for position, name in enumerate(topo_names):
-            self.topo_index[self.gate_id[name]] = position
-        levels_by_name = circuit.gate_levels()
-        self.level = np.asarray(
-            [levels_by_name[g.name] for g in gates], dtype=np.int64
-        )
+        self.fanin_ptr = record.fanin_ptr
+        self.fanin_net = record.fanin_net
+        self.topo_index = record.topo_index
+        self.level = record.level
         order = np.argsort(self.level, kind="stable")
         boundaries = np.flatnonzero(np.diff(self.level[order])) + 1
         #: Gate ids grouped by ascending logic level.
@@ -281,15 +274,9 @@ class CompiledCircuit:
         )
 
         # Deduplicated gate->sink-gate adjacency (CSR), for dirty-cone
-        # descent; mirrors FanoutIndex.gate_sinks.
-        index = circuit.fanout_index()
-        gs_ptr = [0]
-        gs_val: List[int] = []
-        for name in self.gate_names:
-            gs_val.extend(self.gate_id[s.name] for s in index.gate_sinks(name))
-            gs_ptr.append(len(gs_val))
-        self._gs_ptr = np.asarray(gs_ptr, dtype=np.int64)
-        self._gs_val = np.asarray(gs_val, dtype=np.int64)
+        # descent; the same lists as FanoutIndex.gate_sinks.
+        self._gs_ptr = record.gs_ptr
+        self._gs_val = record.gs_val
 
         # Class tables.  Statistics classes key on the template alone
         # (output functions are ordering-independent); timing classes

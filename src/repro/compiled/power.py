@@ -332,15 +332,13 @@ class CompiledPowerKernel:
                 stats: Mapping) -> tuple:
         """Pin (P, D) matrices of same-arity gates from a stats map."""
         cc = self.cc
-        count = len(gids)
-        p_in = np.empty((count, arity))
-        d_in = np.empty((count, arity))
-        for row, gid in enumerate(gids):
-            start = cc.fanin_ptr[gid]
-            for j in range(arity):
-                s = stats[cc.nets[cc.fanin_net[start + j]]]
-                p_in[row, j] = s.probability
-                d_in[row, j] = s.density
+        nets = cc.nets
+        fanin = cc._fanin_matrix(np.asarray(gids, dtype=np.int64), arity)
+        pins = [stats[nets[i]] for i in fanin.ravel().tolist()]
+        p_in = np.fromiter((s.probability for s in pins), dtype=np.float64,
+                           count=len(pins)).reshape(fanin.shape)
+        d_in = np.fromiter((s.density for s in pins), dtype=np.float64,
+                           count=len(pins)).reshape(fanin.shape)
         return p_in, d_in
 
     def reports(self, names: Sequence[str], stats: Mapping,

@@ -42,6 +42,14 @@ FORMULAS = ("conditioned", "independent", "output-only")
 _EPS = 1e-12
 
 
+def _left_fold(values) -> float:
+    """``0.0 + v0 + v1 + ...``, added strictly left to right."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass(frozen=True)
 class NodePowerEntry:
     """Per-node results of one gate-power evaluation."""
@@ -63,17 +71,20 @@ class GatePowerReport:
     entries: Tuple[NodePowerEntry, ...]
     tech: TechParams
 
+    # Strict left folds, not ``sum()``: float ``sum`` is compensated
+    # from Python 3.12, and the compiled power kernel, the incremental
+    # cache and the search's batch pricer all fold left.
     @property
     def total(self) -> float:
-        return sum(e.power for e in self.entries)
+        return _left_fold(e.power for e in self.entries)
 
     @property
     def output_power(self) -> float:
-        return sum(e.power for e in self.entries if e.node == OUT)
+        return _left_fold(e.power for e in self.entries if e.node == OUT)
 
     @property
     def internal_power(self) -> float:
-        return sum(e.power for e in self.entries if e.node != OUT)
+        return _left_fold(e.power for e in self.entries if e.node != OUT)
 
     def entry(self, node: str) -> NodePowerEntry:
         for e in self.entries:

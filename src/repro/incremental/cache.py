@@ -17,15 +17,18 @@ under ECO edits.  Invalidation rules (see README.md):
 
 :meth:`refresh` re-propagates the dirty set in topological order via
 the configured backend and is called lazily by every read accessor.
-Gate power reports are cached too, with a slightly wider dirty set:
-an edited gate's *fanin drivers* also go power-dirty, because a new
-compiled form can change pin capacitances and hence the load those
-drivers see.  Each gate's total also sits in a flat array indexed by
-topological slot; a power refresh rewrites only the dirty slots, and
-the circuit total is :func:`~repro.core.optimizer.fold_power` of that
-array — the topological left fold
-:func:`~repro.core.optimizer.circuit_power` runs too, so incremental
-and from-scratch totals are equal, not merely close.
+Gate power is cached too, with a slightly wider dirty set: an edited
+gate's *fanin drivers* also go power-dirty, because a new compiled
+form can change pin capacitances and hence the load those drivers see.
+Each gate's total sits in a flat array indexed by topological slot; a
+power refresh rewrites only the dirty slots with the kernel's per-gate
+totals (no report objects), and the circuit total is
+:func:`~repro.core.optimizer.fold_power` of that array — the
+topological left fold :func:`~repro.core.optimizer.circuit_power` runs
+too, so incremental and from-scratch totals are equal, not merely
+close.  Per-node reports (:class:`~repro.core.power_model.GatePowerReport`)
+are built only when :meth:`StatsCache.power` asks for them, and then
+only for gates whose report is stale.
 """
 
 from __future__ import annotations
@@ -91,12 +94,18 @@ class StatsCache:
         )
         self._dirty: set = set()
         self._changed_inputs: set = set()
-        self._power: Dict[str, GatePowerReport] = {}
         self._power_dirty: set = {g.name for g in circuit.gates}
         #: Per-gate power totals by topological slot (``_topo_index``),
         #: unboxed doubles; ``None`` until the first power refresh and
         #: after a structural edit renumbers the slots.
         self._slots: Optional[array] = None
+        #: ``(topo index, slots)`` of the numbering a structural edit
+        #: retired, until the next power refresh renumbers the slots.
+        self._retired: Optional[Tuple[Mapping[str, int], array]] = None
+        #: Per-gate reports, built on demand by :meth:`power`; the
+        #: names in ``_stale_reports`` are missing or out of date.
+        self._power: Dict[str, GatePowerReport] = {}
+        self._stale_reports: set = set()
         #: Per-cache work counters (:mod:`repro.obs.metrics`): the one
         #: place :attr:`gates_repropagated` and friends live, so the
         #: artifact fields, the CLI reports and any metrics snapshot
@@ -168,11 +177,13 @@ class StatsCache:
                 f"statistics across structural edits "
                 f"(add-gate/remove-gate/rewire); use the analytic backend"
             )
+        if self._slots is not None:
+            self._retired = (self._topo_index, self._slots)
+            self._slots = None
         self.index = self.circuit.fanout_index()
         self._topo_index = {
             g.name: i for i, g in enumerate(self.circuit.topo_gates())
         }
-        self._slots = None
         self._structural.inc()
         tracer = _trace.ACTIVE
         if tracer is not None:
@@ -182,6 +193,7 @@ class StatsCache:
             self._power_dirty.discard(gate_name)
             self._stats.pop(event.output, None)
             self._power.pop(gate_name, None)
+            self._stale_reports.discard(gate_name)
         else:
             cone = self.index.cone_from_gates([gate_name])
             self._dirty |= cone
@@ -272,9 +284,10 @@ class StatsCache:
             # (Re)number the slots (first use, or a structural edit):
             # every gate already priced keeps its total; the rest are
             # power-dirty and get rewritten below.
-            power = self._power
+            old_index, old_slots = self._retired or ({}, ())
+            self._retired = None
             self._slots = array("d", (
-                power[name].total if name in power else 0.0
+                old_slots[old_index[name]] if name in old_index else 0.0
                 for name in self._topo_index
             ))
         if not self._power_dirty:
@@ -287,13 +300,13 @@ class StatsCache:
         span = (tracer.span("stats.power_refresh", gates=len(names))
                 if tracer is not None else _trace.NULL_SPAN)
         with span:
-            self._power.update(self.power_kernel().reports(
-                names, self._stats, self.po_load))
+            totals = self.power_kernel().gate_totals(
+                names, self._stats, self.po_load)
         slots = self._slots
-        power = self._power
         order = self._topo_index
-        for name in names:
-            slots[order[name]] = power[name].total
+        for name, total in zip(names, totals.tolist()):
+            slots[order[name]] = total
+        self._stale_reports.update(names)
         self._power_dirty.clear()
 
     def power_totals(self) -> array:
@@ -316,8 +329,19 @@ class StatsCache:
         return fold_power(self._slots)
 
     def power(self) -> CircuitPowerReport:
-        """A full :class:`CircuitPowerReport`, incrementally maintained."""
+        """A full :class:`CircuitPowerReport`, incrementally maintained.
+
+        Reports are rebuilt only for gates repriced since the last
+        call; their totals equal the slot array's (both are the
+        kernel's left fold over the gate's nodes).
+        """
         self._refresh_power()
+        if self._stale_reports:
+            names = sorted(self._stale_reports,
+                           key=self._topo_index.__getitem__)
+            self._power.update(self.power_kernel().reports(
+                names, self._stats, self.po_load))
+            self._stale_reports.clear()
         return CircuitPowerReport(fold_power(self._slots), dict(self._power),
                                   dict(self._stats))
 

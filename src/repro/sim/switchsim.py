@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..circuit.netlist import Circuit, GateInstance
-from ..circuit.topology import topological_gates
 from ..gates.capacitance import TechParams, node_capacitance
 from ..gates.network import OUT
 from ..stochastic.signal import SignalStats
@@ -109,7 +108,7 @@ class SwitchLevelSimulator:
 
     def _prepare(self) -> None:
         """Precompute per-gate data and the fanout map."""
-        self._gates = list(topological_gates(self.circuit))
+        self._gates = list(self.circuit.topo_gates())
         self._compiled: Dict[str, object] = {}
         self._node_caps: Dict[str, Dict[str, float]] = {}
         self._net_cap: Dict[str, float] = {}

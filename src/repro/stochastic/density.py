@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Dict, Mapping
 
 from ..circuit.netlist import Circuit
-from ..circuit.topology import topological_gates
 from .probability import build_global_bdds
 from .signal import SignalStats
 

@@ -17,7 +17,6 @@ from typing import Dict, Mapping, Tuple
 
 from ..boolean.bdd import BDD, Func
 from ..circuit.netlist import Circuit
-from ..circuit.topology import topological_gates
 
 __all__ = ["local_probabilities", "exact_probabilities", "build_global_bdds"]
 
@@ -31,7 +30,7 @@ def local_probabilities(circuit: Circuit,
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability of {net!r} outside [0, 1]")
         probs[net] = p
-    for gate in topological_gates(circuit):
+    for gate in circuit.topo_gates():
         compiled = gate.compiled()
         pin_probs = {
             pin: probs[gate.pin_nets[pin]] for pin in gate.template.pins
@@ -44,7 +43,7 @@ def build_global_bdds(circuit: Circuit) -> Tuple[BDD, Dict[str, Func]]:
     """Global BDD of every net as a function of the primary inputs."""
     bdd = BDD(circuit.inputs)
     funcs: Dict[str, Func] = {net: bdd.var(net) for net in circuit.inputs}
-    for gate in topological_gates(circuit):
+    for gate in circuit.topo_gates():
         compiled = gate.compiled()
         pins = gate.template.pins
         # Shannon-expand the gate truth table over the fanin functions.
