@@ -47,7 +47,6 @@ __all__ = [
     "run_adder_activity",
     "EcoRow",
     "run_eco",
-    "run_search",
 ]
 
 
@@ -366,28 +365,6 @@ def run_eco(circuit: Circuit,
             tcache.close()
         cache.close()
     return rows
-
-
-# ----------------------------------------------------------------------
-# Delta-driven ECO search — the `repro search` driver
-# ----------------------------------------------------------------------
-def run_search(circuit: Circuit,
-               input_stats: Dict[str, SignalStats],
-               **search_kwargs):
-    """Run the delta-driven local search on an already-mapped circuit.
-
-    Thin experiment-layer wrapper over
-    :func:`repro.incremental.search.search_circuit` (imported lazily,
-    like the other incremental drivers, to keep this module's import
-    graph cycle-free): the input circuit is never mutated, and the
-    returned :class:`~repro.incremental.search.SearchResult` carries
-    the searched copy, the accepted-move trace and the canonical
-    artifact serialisation.  Deterministic for a fixed
-    ``(circuit, input_stats, seed)`` and parameter set.
-    """
-    from ..incremental.search import search_circuit
-
-    return search_circuit(circuit, input_stats, **search_kwargs)
 
 
 # ----------------------------------------------------------------------

@@ -40,13 +40,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .analysis.experiments import (
-    run_adder_activity,
-    run_table1,
-    run_table2,
-    run_table3,
-    run_table3_case,
-)
+from .analysis.experiments import run_adder_activity, run_table1, run_table3
 from .analysis.report import format_percent, format_si, format_table
 from .analysis.stats import mean
 from .core.optimizer import OBJECTIVES
@@ -82,6 +76,34 @@ def _add_obs_args(subparser: argparse.ArgumentParser) -> None:
         help="stream rate-limited live status lines to stderr "
              "(rounds, anneal steps, restarts, bench cases)",
     )
+
+
+def _add_spec_args(subparser: argparse.ArgumentParser) -> None:
+    """One flag per :class:`~repro.incremental.spec.SearchSpec` field
+    that has one, with the field's default, choices and help."""
+    from dataclasses import fields
+    from typing import get_args, get_type_hints
+
+    from .incremental.spec import SearchSpec, flag, render
+
+    hints = get_type_hints(SearchSpec)
+    for spec_field in fields(SearchSpec):
+        option, meta = flag(spec_field.name), spec_field.metadata
+        if option is None:
+            continue
+        kwargs = {"default": spec_field.default,
+                  "help": render(meta["help"], flag)}
+        hint = hints[spec_field.name]
+        if hint is bool:
+            kwargs["action"] = "store_true"
+        elif "choices" in meta:
+            kwargs.update(choices=list(meta["choices"]),
+                          nargs="+" if meta.get("many") else None,
+                          metavar=meta.get("metavar"))
+        else:  # Optional[int] -> int, float -> float, Optional[str] -> str
+            kwargs.update(type=(get_args(hint) or (hint,))[0],
+                          metavar=meta.get("metavar"))
+        subparser.add_argument(option, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,88 +246,17 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the JSON result artifact here")
     _add_obs_args(pe)
 
-    from .incremental.portfolio import DEFAULT_RESTARTS
-
     ps = sub.add_parser(
         "search",
         help="delta-driven ECO local search over the incremental engine",
     )
     ps.add_argument("blif", help="path to a combinational BLIF file")
     ps.add_argument("--scenario", choices=["A", "B"], default="A")
-    ps.add_argument("--seed", type=int, default=0,
-                    help="stimulus seed, also the annealing RNG seed")
-    ps.add_argument("--strategy", choices=["greedy", "anneal"],
-                    default="greedy")
-    ps.add_argument("--objective", choices=["power", "delay", "power-delay"],
-                    default="power")
-    ps.add_argument("--delay-weight", type=float, default=None,
-                    help="delay weight for --objective power-delay "
-                         "(power gets 1 - w; default 0.5)")
-    ps.add_argument("--backend", choices=["analytic", "sampled"],
-                    default="analytic")
-    ps.add_argument("--lanes", type=_positive_int, default=None,
-                    help="sample lanes for --backend sampled")
-    ps.add_argument("--steps", type=_positive_int, default=None,
-                    help="time steps for --backend sampled")
-    ps.add_argument("--retemplate", action="store_true",
-                    help="also search same-pin-tuple cell swaps "
-                         "(changes the logic function)")
-    ps.add_argument("--max-trials", type=_positive_int, default=None,
-                    help="cap on candidate-move evaluations")
-    ps.add_argument("--max-moves", type=_positive_int, default=None,
-                    help="cap on accepted moves")
-    ps.add_argument("--anneal-trials", type=_positive_int, default=None,
-                    help="annealing schedule length "
-                         "(default: 32 x movable gates)")
-    ps.add_argument("--polish", action="store_true",
-                    help="greedy descent after annealing")
-    ps.add_argument("--structural", nargs="+", metavar="FAMILY",
-                    choices=["buffer", "dup", "sweep"],
-                    help="opt-in structural move families run after the "
-                         "main strategy: buffer (insert a buffer on the "
-                         "most-loaded nets), dup (duplicate heavy-fanout "
-                         "drivers), sweep (remove dead gates); needs "
-                         "--backend analytic")
-    ps.add_argument("--structural-nets", type=_positive_int, default=4,
-                    help="top-K loaded nets the buffer/dup families "
-                         "consider (default 4)")
-    ps.add_argument("--restarts", type=_positive_int, default=None,
-                    help="portfolio mode: run this many CRC-seeded "
-                         "annealing restarts and keep the best "
-                         f"(default {DEFAULT_RESTARTS} when --jobs is "
-                         "given; requires --strategy anneal)")
-    ps.add_argument("--jobs", type=_positive_int, default=None,
-                    help="worker processes for the restart portfolio; "
-                         "results are identical across --jobs values "
-                         "(artifacts byte-identical once the run-timing "
-                         "fields are stripped; requires --strategy anneal)")
+    _add_spec_args(ps)
     ps.add_argument("--out", metavar="PATH",
                     help="write the canonical JSON search artifact here")
     ps.add_argument("--save-blif", metavar="PATH",
                     help="write the searched netlist as mapped BLIF")
-    ps.add_argument("--checkpoint", metavar="PATH",
-                    help="periodically snapshot the search state here "
-                         "(atomic, checksummed); resume a killed run "
-                         "with --resume PATH for a byte-identical "
-                         "artifact")
-    ps.add_argument("--checkpoint-every", type=_positive_int, default=None,
-                    metavar="N",
-                    help="accepted moves between checkpoint snapshots "
-                         "(default 32; needs --checkpoint)")
-    ps.add_argument("--resume", metavar="PATH",
-                    help="resume from a checkpoint written by "
-                         "--checkpoint (the run must use the same "
-                         "circuit, stats and search parameters)")
-    ps.add_argument("--deadline", type=float, default=None,
-                    metavar="SECONDS",
-                    help="per-restart wall-time budget for portfolio "
-                         "workers; a restart that exceeds it is killed "
-                         "and retried (requires --restarts/--jobs)")
-    ps.add_argument("--retries", type=_nonnegative_int, default=2,
-                    metavar="N",
-                    help="extra attempts for a portfolio restart whose "
-                         "worker crashes, raises or times out before "
-                         "it is recorded as failed (default 2)")
     _add_obs_args(ps)
 
     pt = sub.add_parser(
@@ -641,81 +592,31 @@ def _cmd_eco(out, path: str, script_path: str, scenario: str, seed: int,
 
 
 def _cmd_search(out, args) -> int:
-    from .analysis.experiments import run_search
+    from dataclasses import fields
+
     from .bench.runner import write_artifact
     from .circuit.blif import load_blif, write_mapped_blif
+    from .incremental.search import search_circuit
+    from .incremental.spec import SearchSpec, SpecError, flag, render
+    from .robust import CheckpointError
     from .sim.stimulus import ScenarioA, ScenarioB
     from .synth.mapper import map_circuit
 
-    if args.delay_weight is not None:
-        if args.objective != "power-delay":
-            raise SystemExit("--delay-weight requires --objective power-delay")
-        if not 0.0 < args.delay_weight < 1.0:
-            raise SystemExit("--delay-weight must lie strictly between 0 and 1")
-    if args.structural and args.backend != "analytic":
-        raise SystemExit("--structural requires --backend analytic (sampled "
-                         "backends cannot maintain statistics across "
-                         "structural edits)")
-    portfolio_kwargs = {}
-    if args.restarts is not None or args.jobs is not None:
-        if args.strategy != "anneal":
-            raise SystemExit("--restarts/--jobs require --strategy anneal")
-        from .incremental.portfolio import DEFAULT_RESTARTS
-
-        # The restart count never derives from --jobs: `--jobs 1` and
-        # `--jobs 4` do the same work and emit byte-identical artifacts.
-        portfolio_kwargs["restarts"] = (
-            args.restarts if args.restarts is not None else DEFAULT_RESTARTS
-        )
-        portfolio_kwargs["jobs"] = args.jobs if args.jobs is not None else 1
-    backend_kwargs = {}
-    if args.backend == "sampled":
-        # search_circuit forwards its seed= into the sampled backend
-        for name, value in (("lanes", args.lanes), ("steps", args.steps)):
-            if value is not None:
-                backend_kwargs[name] = value
-    else:
-        given = [n for n, v in (("--lanes", args.lanes), ("--steps", args.steps))
-                 if v is not None]
-        if given:
-            raise SystemExit(f"{', '.join(given)} requires --backend sampled")
-
-    robust_kwargs = {}
-    if args.checkpoint_every is not None and args.checkpoint is None:
-        raise SystemExit("--checkpoint-every requires --checkpoint")
-    if args.deadline is not None and not portfolio_kwargs:
-        raise SystemExit("--deadline requires --restarts/--jobs")
-    if args.checkpoint is not None:
-        robust_kwargs["checkpoint_path"] = args.checkpoint
-        if args.checkpoint_every is not None:
-            robust_kwargs["checkpoint_every"] = args.checkpoint_every
-    if args.resume is not None:
-        robust_kwargs["resume_path"] = args.resume
-    if args.deadline is not None:
-        robust_kwargs["deadline_s"] = args.deadline
-    if portfolio_kwargs:
-        robust_kwargs["worker_retries"] = args.retries
+    # Each flag's dest is its option string minus the dashes.
+    params = {f.name: getattr(args, flag(f.name)[2:].replace("-", "_"))
+              for f in fields(SearchSpec) if flag(f.name) is not None}
+    try:
+        SearchSpec(**params)
+    except SpecError as error:
+        raise SystemExit(render(error.template, flag))
 
     network = load_blif(args.blif)
     circuit = map_circuit(network)
     generator = (ScenarioA(seed=args.seed) if args.scenario == "A"
                  else ScenarioB(seed=args.seed))
     stats = generator.input_stats(circuit.inputs)
-    from .robust import CheckpointError
-
     try:
-        result = run_search(
-            circuit, stats,
-            strategy=args.strategy, objective=args.objective,
-            delay_weight=args.delay_weight, backend=args.backend,
-            seed=args.seed, retemplate=args.retemplate,
-            max_trials=args.max_trials, max_moves=args.max_moves,
-            anneal_trials=args.anneal_trials, polish=args.polish,
-            structural=args.structural, structural_nets=args.structural_nets,
-            **portfolio_kwargs,
-            **backend_kwargs,
-            **robust_kwargs,
-        )
+        result = search_circuit(circuit, stats, **params)
     except CheckpointError as error:
         raise SystemExit(f"search: {error}")
 

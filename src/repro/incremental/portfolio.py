@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional
 
 from ..circuit.netlist import Circuit
 from ..robust import faults as _faults
@@ -161,7 +161,7 @@ def _run_restart(payload: Mapping[str, object]) -> Dict[str, object]:
         _trace.adopt(trace_ref[0], trace_ref[1])
     tracer = _trace.ACTIVE
     span = (tracer.span("portfolio.anneal", index=payload["index"],
-                        seed=payload["seed"])
+                        seed=payload["search"].seed)
             if tracer is not None else _trace.NULL_SPAN)
     try:
         with span:
@@ -174,26 +174,24 @@ def _run_restart(payload: Mapping[str, object]) -> Dict[str, object]:
 
 
 def _run_restart_body(payload: Mapping[str, object]) -> Dict[str, object]:
-    from .search import search_circuit
+    from .search import _single
 
     # Fault-injection site: kill-restart=K / crash-restart=K /
     # sleep-restart=K:SECS target the worker running restart K (one
     # env read when nothing is armed).
     _faults.fire("portfolio.restart", match=payload["index"])
-    circuit = circuit_from_spec(payload["spec"])
+    circuit = circuit_from_spec(payload["circuit"])
     input_stats = {
         net: SignalStats(probability, density)
         for net, probability, density in payload["input_stats"]
     }
-    result = search_circuit(
-        circuit, input_stats, strategy="anneal",
-        seed=payload["seed"], **payload["params"],
-    )
+    result = _single(circuit, input_stats, payload["search"],
+                     model=payload["model"])
     score = result.objective.score(result.power_after, result.delay_after,
                                    result.power_before, result.delay_before)
     return {
         "index": payload["index"],
-        "seed": payload["seed"],
+        "seed": result.seed,
         "score": score,
         "power_before": result.power_before,
         "power_after": result.power_after,
@@ -246,22 +244,22 @@ class PortfolioRun:
 
 def run_restarts(circuit: Circuit,
                  input_stats: Mapping[str, SignalStats],
-                 seed: int,
-                 restarts: int,
-                 jobs: int,
-                 params: Mapping[str, object],
+                 spec: "SearchSpec",
+                 model=None,
                  *,
                  cached: Optional[Mapping[int, Dict[str, object]]] = None,
                  on_outcome: Optional[Callable[[Dict[int, Dict[str, object]]],
                                                None]] = None,
-                 deadline_s: Optional[float] = None,
-                 retries: int = 2) -> PortfolioRun:
-    """Run ``restarts`` seeded annealing restarts, ``jobs`` at a time.
+                 ) -> PortfolioRun:
+    """Run ``spec.restarts`` seeded annealing restarts, ``spec.jobs`` at a time.
 
-    Returns a :class:`PortfolioRun` with the per-restart outcome dicts
-    in restart order.  ``jobs=1`` (without a ``deadline_s``) runs
-    inline — no pool, no pickling of numpy state — retrying an
-    in-process exception up to ``retries`` times; higher values fan
+    Each worker runs :meth:`SearchSpec.restart` of ``spec`` — the
+    restart's seed, no portfolio or run-descriptor fields — on a
+    rebuilt circuit, with ``model`` as its power model.  Returns a
+    :class:`PortfolioRun` with the per-restart outcome dicts in restart
+    order.  ``jobs=1`` (without a ``deadline_s``) runs inline — no
+    pool, no pickling of numpy state — retrying an in-process
+    exception up to ``worker_retries`` times; higher values fan
     out through :func:`repro.robust.supervise.run_supervised`: one
     process per restart, crash/hang detection, bounded retries with
     backoff and a per-attempt ``deadline_s`` wall-time budget.  Either
@@ -283,7 +281,9 @@ def run_restarts(circuit: Circuit,
     tracer = _trace.ACTIVE
     trace_ref = ((tracer.path, tracer._t0)
                  if tracer is not None and tracer.path is not None else None)
-    spec = circuit_spec(circuit)
+    restarts, jobs = spec.restarts, spec.jobs
+    deadline_s, retries = spec.deadline_s, spec.worker_retries
+    circuit_rows = circuit_spec(circuit)
     stats_rows = [
         (net, input_stats[net].probability, input_stats[net].density)
         for net in circuit.inputs
@@ -291,11 +291,11 @@ def run_restarts(circuit: Circuit,
     results: Dict[int, Dict[str, object]] = dict(cached or {})
     payloads = [
         {
-            "spec": spec,
+            "circuit": circuit_rows,
             "input_stats": stats_rows,
-            "seed": restart_seed(seed, index),
             "index": index,
-            "params": dict(params),
+            "search": spec.restart(index),
+            "model": model,
             "trace": trace_ref,
         }
         for index in range(restarts)

@@ -75,7 +75,7 @@ import json
 import math
 import time
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -108,14 +108,14 @@ from ..stochastic.signal import SignalStats
 from ..timing.sta import DEFAULT_PO_LOAD
 from .cache import StatsCache
 from .eco import WhatIf, script_edit_label
+from .spec import STRUCTURAL_FAMILIES, Objective, SearchSpec, make_objective
 from .timing import TimingCache
 
 __all__ = [
-    "STRATEGIES",
-    "SEARCH_OBJECTIVES",
     "STRUCTURAL_FAMILIES",
     "Objective",
     "make_objective",
+    "SearchSpec",
     "Move",
     "AcceptedMove",
     "SearchResult",
@@ -123,11 +123,6 @@ __all__ = [
     "enumerate_moves",
     "search_circuit",
 ]
-
-STRATEGIES = ("greedy", "anneal")
-SEARCH_OBJECTIVES = ("power", "delay", "power-delay")
-#: Opt-in structural move families, in the canonical order they run.
-STRUCTURAL_FAMILIES = ("buffer", "dup", "sweep")
 
 #: Structural moves accepted across all searches of the process
 #: (:mod:`repro.obs.metrics` global registry; snapshotted into traces).
@@ -141,73 +136,6 @@ _RESUMES = _GLOBAL_METRICS.counter("robust.resumes")
 #: (scores are baseline-normalised, so this is a relative threshold);
 #: keeps float noise from producing accept/undo churn.
 _TOL = 1e-12
-
-
-# ----------------------------------------------------------------------
-# Objectives
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Objective:
-    """Weighted power/delay cost, normalised by the baseline values.
-
-    ``score = power_weight * P/P0 + delay_weight * D/D0`` — the
-    baseline circuit scores exactly ``power_weight + delay_weight``,
-    so deltas are comparable across circuits and units.
-    """
-
-    name: str
-    power_weight: float = 1.0
-    delay_weight: float = 0.0
-
-    def __post_init__(self):
-        if self.power_weight < 0.0 or self.delay_weight < 0.0:
-            raise ValueError("objective weights must be non-negative")
-        if self.power_weight == 0.0 and self.delay_weight == 0.0:
-            raise ValueError("objective needs at least one non-zero weight")
-
-    @property
-    def needs_delay(self) -> bool:
-        """Whether scoring a trial requires an STA run."""
-        return self.delay_weight != 0.0
-
-    def score(self, power: float, delay: float,
-              power0: float, delay0: float) -> float:
-        value = 0.0
-        if self.power_weight:
-            value += self.power_weight * (power / power0 if power0 else power)
-        if self.delay_weight:
-            value += self.delay_weight * (delay / delay0 if delay0 else delay)
-        return value
-
-
-def make_objective(objective: Union[str, Objective],
-                   delay_weight: Optional[float] = None) -> Objective:
-    """Resolve an objective name (or pass an :class:`Objective` through).
-
-    ``"power"`` and ``"delay"`` are single-term; ``"power-delay"`` is
-    the weighted product objective with ``delay_weight`` (default 0.5)
-    against ``1 - delay_weight`` on power.
-    """
-    if isinstance(objective, Objective):
-        if delay_weight is not None:
-            raise TypeError("delay_weight conflicts with an Objective instance")
-        return objective
-    if objective == "power":
-        if delay_weight is not None:
-            raise ValueError("delay_weight requires the 'power-delay' objective")
-        return Objective("power", 1.0, 0.0)
-    if objective == "delay":
-        if delay_weight is not None:
-            raise ValueError("delay_weight requires the 'power-delay' objective")
-        return Objective("delay", 0.0, 1.0)
-    if objective == "power-delay":
-        weight = 0.5 if delay_weight is None else float(delay_weight)
-        if not 0.0 < weight < 1.0:
-            raise ValueError("delay_weight must lie strictly between 0 and 1")
-        return Objective("power-delay", 1.0 - weight, weight)
-    raise ValueError(
-        f"unknown objective {objective!r}; choose from {SEARCH_OBJECTIVES}"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -787,9 +715,10 @@ def _search_fingerprint(circuit: Circuit,
     — structure, templates, configurations, gate order), the input
     statistics and the search parameters, so a checkpoint from a
     different circuit, stimulus or parameterisation is rejected up
-    front instead of resuming into silent divergence.  ``jobs`` is
-    deliberately excluded: it is guaranteed not to change results, so
-    resuming across it is legal.
+    front instead of resuming into silent divergence.  ``params`` is
+    :meth:`SearchSpec.fingerprint`: run descriptors such as ``jobs``
+    are guaranteed not to change results and are left out, so resuming
+    across them is legal.
     """
     from .portfolio import circuit_spec
 
@@ -804,6 +733,42 @@ def _search_fingerprint(circuit: Circuit,
     return zlib.crc32(
         json.dumps(body, sort_keys=True, default=str).encode("utf-8")
     )
+
+
+def _open_checkpoints(circuit: Circuit,
+                      input_stats: Mapping[str, SignalStats],
+                      spec: SearchSpec, kind: str
+                      ) -> Tuple[Optional[int], Optional[Dict[str, object]]]:
+    """The run's checkpoint fingerprint and its ``resume_path`` payload.
+
+    Both are ``None`` when the spec neither checkpoints nor resumes.  A
+    ``kind`` checkpoint with another fingerprint is refused up front.
+    """
+    if spec.checkpoint_path is None and spec.resume_path is None:
+        return None, None
+    fingerprint = _search_fingerprint(circuit, input_stats,
+                                      spec.fingerprint())
+    if spec.resume_path is None:
+        return fingerprint, None
+    payload = load_checkpoint(spec.resume_path, expect_kind=kind)
+    if payload.get("fingerprint") != fingerprint:
+        what = "portfolio search" if kind == "portfolio" else "search"
+        raise CheckpointError(
+            f"{spec.resume_path}: checkpoint belongs to a different {what} "
+            f"(circuit, stimulus or parameters differ)"
+        )
+    _RESUMES.inc()
+    return fingerprint, payload
+
+
+def _replay(circuit: Circuit, moves: Sequence[AcceptedMove]) -> None:
+    """Re-apply accepted moves, edit by edit, through their script form."""
+    from .eco import resolve_edit
+
+    for move in moves:
+        entries = move.entry if isinstance(move.entry, list) else [move.entry]
+        for entry in entries:
+            circuit.apply_edit(resolve_edit(circuit, entry))
 
 
 class _Checkpointer:
@@ -821,11 +786,12 @@ class _Checkpointer:
     equal the uninterrupted run's.
     """
 
-    def __init__(self, path: str, every: int, state: "_Search",
+    def __init__(self, spec: SearchSpec, state: "_Search",
                  timing: TimingCache, fingerprint: int,
                  repropagated_before: int, retimed_before: int):
-        self.path = path
-        self.every = max(1, int(every))
+        self.path = spec.checkpoint_path
+        self.every = (spec.checkpoint_every if spec.checkpoint_every
+                      is not None else DEFAULT_CHECKPOINT_EVERY)
         self.state = state
         self.timing = timing
         self.fingerprint = fingerprint
@@ -866,11 +832,8 @@ class _Checkpointer:
         self.save(phase, phase_state_fn())
 
     def save(self, phase: str, phase_state: Dict[str, object]) -> None:
-        tracer = _trace.ACTIVE
-        span = (tracer.span("robust.checkpoint.save", phase=phase,
-                            accepted=len(self.state.accepted))
-                if tracer is not None else _trace.NULL_SPAN)
-        with span:
+        with _trace.span("robust.checkpoint.save", phase=phase,
+                         accepted=len(self.state.accepted)):
             save_checkpoint(self.path, self.payload(phase, phase_state))
         _CHECKPOINTS_SAVED.inc()
         self._last_count = len(self.state.accepted)
@@ -894,17 +857,14 @@ class _Search:
     """Shared trial/accept machinery of both strategies."""
 
     def __init__(self, cache: StatsCache, timing: TimingCache,
-                 objective: Objective,
-                 retemplate: bool, max_trials: Optional[int],
-                 max_moves: Optional[int]):
+                 spec: SearchSpec):
         self.cache = cache
         self.timing = timing
         self.circuit = cache.circuit
-        self.objective = objective
-        self.retemplate = retemplate
-        self.groups = swap_groups(self.circuit) if retemplate else {}
-        self.max_trials = max_trials
-        self.max_moves = max_moves
+        self.spec = spec
+        self.objective = objective = spec.objective
+        self.retemplate = spec.retemplate
+        self.groups = swap_groups(self.circuit) if spec.retemplate else {}
         self.trials = 0
         #: Monotonic suffix counter for structural-edit gate names;
         #: deterministic (never reset, rejected candidates consume
@@ -931,9 +891,10 @@ class _Search:
 
     # -- budget -------------------------------------------------------
     def out_of_budget(self) -> bool:
-        if self.max_trials is not None and self.trials >= self.max_trials:
+        max_trials, max_moves = self.spec.max_trials, self.spec.max_moves
+        if max_trials is not None and self.trials >= max_trials:
             self.budget_exhausted = True
-        if self.max_moves is not None and len(self.accepted) >= self.max_moves:
+        if max_moves is not None and len(self.accepted) >= max_moves:
             self.budget_exhausted = True
         return self.budget_exhausted
 
@@ -1098,8 +1059,7 @@ class _Search:
                 return name
 
 
-def _greedy(state: _Search, max_rounds: Optional[int],
-            checkpointer: Optional[_Checkpointer] = None,
+def _greedy(state: _Search, checkpointer: Optional[_Checkpointer] = None,
             phase: str = "greedy",
             resume: Optional[Mapping[str, object]] = None) -> int:
     """Steepest descent to a fixed point; returns rounds run.
@@ -1112,6 +1072,7 @@ def _greedy(state: _Search, max_rounds: Optional[int],
     and returns the rounds finished so far instead of raising.
     """
     topo_index = state.cache.topo_index
+    max_rounds = state.spec.max_rounds
     if resume is not None:
         rounds = int(resume["rounds"])
         queue = list(resume["queue"])
@@ -1183,9 +1144,7 @@ def _greedy(state: _Search, max_rounds: Optional[int],
     return rounds
 
 
-def _anneal(state: _Search, seed: int, initial_temp: float, cooling: float,
-            moves_per_temp: int, anneal_trials: Optional[int],
-            checkpointer: Optional[_Checkpointer] = None,
+def _anneal(state: _Search, checkpointer: Optional[_Checkpointer] = None,
             resume: Optional[Mapping[str, object]] = None) -> int:
     """Metropolis annealing over single random moves; returns trials run.
 
@@ -1197,11 +1156,12 @@ def _anneal(state: _Search, seed: int, initial_temp: float, cooling: float,
     stream the uninterrupted run would.
     """
     topo_index = state.cache.topo_index
+    spec = state.spec
     if resume is not None:
         movable = list(resume["movable"])
         if not movable:
             return int(resume["steps"])
-        rng = stream_rng(seed, f"anneal:{state.circuit.name}")
+        rng = stream_rng(spec.seed, f"anneal:{state.circuit.name}")
         _restore_rng(rng, resume["rng"])
         budget = int(resume["budget"])
         steps = int(resume["steps"])
@@ -1212,8 +1172,8 @@ def _anneal(state: _Search, seed: int, initial_temp: float, cooling: float,
         )
         if not movable:
             return 0
-        rng = stream_rng(seed, f"anneal:{state.circuit.name}")
-        budget = (anneal_trials if anneal_trials is not None
+        rng = stream_rng(spec.seed, f"anneal:{state.circuit.name}")
+        budget = (spec.anneal_trials if spec.anneal_trials is not None
                   else 32 * len(movable))
         steps = 0
     try:
@@ -1222,7 +1182,8 @@ def _anneal(state: _Search, seed: int, initial_temp: float, cooling: float,
             gate_name = movable[int(rng.integers(len(movable)))]
             moves = enumerate_moves(state.circuit, gate_name, state.retemplate,
                                     state.groups)
-            temperature = initial_temp * cooling ** (steps // moves_per_temp)
+            temperature = spec.initial_temp * spec.cooling ** (
+                steps // spec.moves_per_temp)
             steps += 1
             if not moves:
                 continue  # unreachable for movable gates; spends budget anyway
@@ -1384,7 +1345,7 @@ def _sweep_moves(state: _Search):
                    label=f"sweep {name}")
 
 
-def _structural(state: _Search, families: Sequence[str], nets_k: int) -> int:
+def _structural(state: _Search) -> int:
     """Run the opt-in structural families; returns family passes run.
 
     Families run in the canonical :data:`STRUCTURAL_FAMILIES` order
@@ -1393,15 +1354,12 @@ def _structural(state: _Search, families: Sequence[str], nets_k: int) -> int:
     and greedily accepted when strictly improving — no randomness, so
     the trace stays byte-stable for a fixed input.
     """
-    requested = frozenset(families)
+    requested = frozenset(state.spec.structural)
+    nets_k = state.spec.structural_nets
     passes = 0
-    tracer = _trace.ACTIVE
-    span = (tracer.span(
-                "search.structural", nets=nets_k,
-                families=",".join(f for f in STRUCTURAL_FAMILIES
-                                  if f in requested))
-            if tracer is not None else _trace.NULL_SPAN)
-    with span:
+    with _trace.span("search.structural", nets=nets_k,
+                     families=",".join(f for f in STRUCTURAL_FAMILIES
+                                       if f in requested)) as span:
         accepted_before = len(state.accepted)
         try:
             for family in STRUCTURAL_FAMILIES:
@@ -1422,22 +1380,12 @@ def _structural(state: _Search, families: Sequence[str], nets_k: int) -> int:
                         state.accept(move)
         except KeyboardInterrupt:
             state.interrupted = True
-        if tracer is not None:
-            span.note(accepted=len(state.accepted) - accepted_before)
+        span.note(accepted=len(state.accepted) - accepted_before)
     return passes
 
 
 def _portfolio(circuit: Circuit, input_stats: Mapping[str, SignalStats],
-               objective: Objective, *, seed: int, restarts: int, jobs: int,
-               backend, model, po_load, retemplate, max_trials, max_moves,
-               max_rounds, initial_temp, cooling, moves_per_temp,
-               anneal_trials, polish, structural, structural_nets,
-               backend_kwargs,
-               checkpoint_path: Optional[str] = None,
-               resume_path: Optional[str] = None,
-               deadline_s: Optional[float] = None,
-               worker_retries: int = 2,
-               fingerprint_params: Optional[Mapping[str, object]] = None,
+               spec: SearchSpec, model: Optional[GatePowerModel]
                ) -> SearchResult:
     """Fan out CRC-seeded annealing restarts and merge them deterministically.
 
@@ -1458,53 +1406,20 @@ def _portfolio(circuit: Circuit, input_stats: Mapping[str, SignalStats],
     ``result.failures`` and flag the result ``partial`` instead of
     raising — the anytime path.
     """
-    from .eco import resolve_edit
     from .portfolio import run_restarts
 
     start = time.perf_counter()
-    params = {
-        "objective": objective,
-        "backend": backend,
-        "model": model,
-        "po_load": po_load,
-        "retemplate": retemplate,
-        "max_trials": max_trials,
-        "max_moves": max_moves,
-        "max_rounds": max_rounds,
-        "initial_temp": initial_temp,
-        "cooling": cooling,
-        "moves_per_temp": moves_per_temp,
-        "anneal_trials": anneal_trials,
-        "polish": polish,
-        "structural": structural,
-        "structural_nets": structural_nets,
-        **backend_kwargs,
-    }
-
-    fingerprint = None
-    if checkpoint_path is not None or resume_path is not None:
-        fingerprint = _search_fingerprint(circuit, input_stats,
-                                          fingerprint_params or {})
+    restarts, checkpoint_path = spec.restarts, spec.checkpoint_path
+    # ``restarts`` is in the fingerprint, so a resumed payload ran the
+    # same restart count.
+    fingerprint, payload = _open_checkpoints(circuit, input_stats, spec,
+                                             "portfolio")
     cached: Dict[int, Dict[str, object]] = {}
-    if resume_path is not None:
-        payload = load_checkpoint(resume_path, expect_kind="portfolio")
-        if payload.get("fingerprint") != fingerprint:
-            raise CheckpointError(
-                f"{resume_path}: checkpoint belongs to a different "
-                f"portfolio search (circuit, stimulus or parameters differ)"
-            )
-        if payload.get("restarts") != restarts:
-            raise CheckpointError(
-                f"{resume_path}: checkpoint ran {payload.get('restarts')} "
-                f"restarts, this search asks for {restarts}"
-            )
+    if payload is not None:
         cached = {int(index): outcome
                   for index, outcome in payload["outcomes"].items()}
-        _RESUMES.inc()
-        tracer = _trace.ACTIVE
-        if tracer is not None:
-            tracer.instant("robust.resume", kind="portfolio",
-                           cached=len(cached), restarts=restarts)
+        _trace.instant("robust.resume", kind="portfolio",
+                       cached=len(cached), restarts=restarts)
         sink = _progress.ACTIVE
         if sink is not None:
             sink.emit("robust.resume", force=True, kind="portfolio",
@@ -1513,11 +1428,8 @@ def _portfolio(circuit: Circuit, input_stats: Mapping[str, SignalStats],
     on_outcome = None
     if checkpoint_path is not None:
         def on_outcome(outcomes_so_far: Dict[int, Dict[str, object]]) -> None:
-            tracer = _trace.ACTIVE
-            span = (tracer.span("robust.checkpoint.save", kind="portfolio",
-                                done=len(outcomes_so_far))
-                    if tracer is not None else _trace.NULL_SPAN)
-            with span:
+            with _trace.span("robust.checkpoint.save", kind="portfolio",
+                             done=len(outcomes_so_far)):
                 save_checkpoint(checkpoint_path, {
                     "kind": "portfolio",
                     "fingerprint": fingerprint,
@@ -1529,9 +1441,8 @@ def _portfolio(circuit: Circuit, input_stats: Mapping[str, SignalStats],
                 })
             _CHECKPOINTS_SAVED.inc()
 
-    run = run_restarts(circuit, input_stats, seed, restarts, jobs, params,
-                       cached=cached, on_outcome=on_outcome,
-                       deadline_s=deadline_s, retries=worker_retries)
+    run = run_restarts(circuit, input_stats, spec, model,
+                       cached=cached, on_outcome=on_outcome)
     outcomes = [entry for entry in run.outcomes if entry is not None]
     if not outcomes:
         detail = "; ".join(
@@ -1556,16 +1467,13 @@ def _portfolio(circuit: Circuit, input_stats: Mapping[str, SignalStats],
                 trials=entry["trials"], accepted=entry["accepted_count"],
                 elapsed_s=entry.get("elapsed_s", 0.0),
             )
-        tracer.instant("portfolio.merge", restarts=len(outcomes), jobs=jobs,
-                       winner=best["index"], score=best["score"])
+        tracer.instant("portfolio.merge", restarts=len(outcomes),
+                       jobs=spec.jobs, winner=best["index"],
+                       score=best["score"])
 
     work = circuit.copy()
     accepted = [AcceptedMove(**dict(move)) for move in best["moves"]]
-    for move in accepted:
-        entries = (move.entry if isinstance(move.entry, list)
-                   else [move.entry])
-        for entry in entries:
-            work.apply_edit(resolve_edit(work, entry))
+    _replay(work, accepted)
     summaries = [
         {
             key: entry[key]
@@ -1593,15 +1501,15 @@ def _portfolio(circuit: Circuit, input_stats: Mapping[str, SignalStats],
         gates_repropagated=sum(
             entry["gates_repropagated"] for entry in outcomes),
         strategy="anneal",
-        objective=objective,
-        seed=seed,
+        objective=spec.objective,
+        seed=spec.seed,
         backend=best["backend"],
         budget_exhausted=any(entry["budget_exhausted"] for entry in outcomes),
         elapsed_s=time.perf_counter() - start,
         gates_retimed=sum(entry["gates_retimed"] for entry in outcomes),
         restarts=summaries,
         restart_index=best["index"],
-        jobs=jobs,
+        jobs=spec.jobs,
         partial=partial,
         failures=(
             [{"index": entry["index"], "status": entry["status"],
@@ -1617,68 +1525,28 @@ def search_circuit(
     input_stats: Optional[Mapping[str, SignalStats]] = None,
     *,
     cache: Optional[StatsCache] = None,
-    strategy: str = "greedy",
-    objective: Union[str, Objective] = "power",
-    delay_weight: Optional[float] = None,
-    backend="analytic",
     model: Optional[GatePowerModel] = None,
-    po_load: float = DEFAULT_PO_LOAD,
-    seed: int = 0,
-    retemplate: bool = False,
-    max_trials: Optional[int] = None,
-    max_moves: Optional[int] = None,
-    max_rounds: Optional[int] = None,
-    initial_temp: float = 0.02,
-    cooling: float = 0.9,
-    moves_per_temp: int = 8,
-    anneal_trials: Optional[int] = None,
-    polish: bool = False,
-    structural: Optional[Sequence[str]] = None,
-    structural_nets: int = 4,
-    restarts: Optional[int] = None,
-    jobs: int = 1,
-    checkpoint_path: Optional[str] = None,
-    checkpoint_every: Optional[int] = None,
-    resume_path: Optional[str] = None,
-    deadline_s: Optional[float] = None,
-    worker_retries: int = 2,
-    **backend_kwargs,
+    **params,
 ) -> SearchResult:
     """Run the delta-driven local search and return the searched circuit.
+
+    ``params`` are the fields of :class:`~repro.incremental.spec.SearchSpec`;
+    its field reference gives each one's meaning, default and bound.
+    The whole set is validated up front, before any circuit copy or
+    cache is built; a rejected set raises
+    :class:`~repro.incremental.spec.SpecError` (a ``ValueError``).
 
     Either pass ``circuit`` + ``input_stats`` (a private copy is
     searched; the input circuit is never mutated) or a live ``cache``
     (its circuit is searched **in place** and the cache is left open —
-    the caller owns it; ``backend``/``model``/``po_load`` and backend
-    kwargs must then be left at their defaults).
+    the caller owns it; ``backend``/``model``/``po_load`` and the
+    sampled backend's knobs must then be left at their defaults).
+    Hitting any budget sets ``budget_exhausted`` on the result.
 
-    ``max_trials`` caps candidate evaluations, ``max_moves`` caps
-    accepted moves, ``max_rounds`` caps greedy sweeps; hitting any one
-    sets ``budget_exhausted`` on the result.  ``anneal_trials`` sets
-    the annealing schedule length (default 32 x movable gates) without
-    consuming the global caps; ``polish=True`` runs a greedy descent
-    after annealing (still within the same budgets).
-
-    ``structural=`` opts into the structural move families (any subset
-    of :data:`STRUCTURAL_FAMILIES`: ``"buffer"``, ``"dup"``,
-    ``"sweep"``), run after the main strategy in canonical order and
-    within the same budgets; ``structural_nets`` sets the top-K net
-    count the buffer and dup families consider.  Structural moves edit
-    connectivity, so they need a backend that can maintain statistics
-    across structural edits — the analytic one; asking for them on a
-    sampled backend raises up front.
-
-    ``restarts=N`` switches to **portfolio annealing**: N independent
-    restarts seeded from CRC substreams of ``seed``
-    (:func:`repro.incremental.portfolio.restart_seed`), fanned out over
-    ``jobs`` worker processes (each on its own circuit copy and
-    caches) and merged deterministically — best objective score, ties
-    broken by restart index.  ``jobs=N`` alone implies
-    ``restarts=DEFAULT_RESTARTS`` (a fixed count, never derived from
-    ``jobs``).  The merged result carries the winner's trace plus
-    per-restart summaries, and its artifact is byte-identical for any
-    ``jobs`` value.  Portfolio mode needs ``strategy="anneal"`` and an
-    owned circuit (not a live ``cache=``).
+    ``restarts``/``jobs`` switch to **portfolio annealing**
+    (:func:`_portfolio`): CRC-seeded restarts on worker processes,
+    merged deterministically, with an artifact byte-identical for any
+    ``jobs`` value; it needs an owned circuit (not a live ``cache=``).
 
     Greedy pure-power candidate batches are priced in one vectorised
     kernel pass instead of per-move trials (:class:`_BatchPricer`);
@@ -1692,175 +1560,88 @@ def search_circuit(
     byte-stable across runs and processes (greedy uses no randomness
     at all; annealing draws from a CRC-stable substream).
 
-    **Fault tolerance** (:mod:`repro.robust`): ``checkpoint_path``
-    snapshots the search state atomically every ``checkpoint_every``
-    accepted moves (default
-    :data:`~repro.robust.checkpoint.DEFAULT_CHECKPOINT_EVERY`), taken
-    only at accept boundaries where both caches are fully flushed;
-    ``resume_path`` restores such a snapshot — replaying the accepted
-    trace onto a fresh copy and continuing mid-phase — with the hard
-    invariant that the resumed run's artifact is **byte-identical** to
-    an uninterrupted one.  Checkpoints cover the greedy/anneal/polish
-    phases; the structural post-pass is not checkpointed (a kill there
-    resumes from the last pre-structural snapshot and redoes it).
-    Portfolio runs checkpoint at restart granularity instead, retry
-    crashed/hung workers (``worker_retries`` attempts beyond the first,
-    per-attempt ``deadline_s`` wall-time budget) and merge whatever
+    **Fault tolerance** (:mod:`repro.robust`): checkpoints are taken
+    only at accept boundaries, where both caches are fully flushed,
+    and a run resumed from one replays the accepted trace onto a fresh
+    copy and continues mid-phase, with the hard invariant that its
+    artifact is **byte-identical** to an uninterrupted one.  They cover
+    the greedy/anneal/polish phases; the structural post-pass is not
+    checkpointed (a kill there resumes from the last pre-structural
+    snapshot and redoes it).  Portfolio runs checkpoint at restart
+    granularity instead, retry crashed/hung workers and merge whatever
     completed into a ``partial`` result rather than raising.  SIGTERM
     or Ctrl-C mid-search returns the best-so-far result flagged
     ``partial=True`` instead of raising.  Checkpoint/resume need an
     owned circuit (not a live ``cache=``).
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
-    resolved = make_objective(objective, delay_weight)
-    families: Tuple[str, ...] = tuple(structural) if structural else ()
-    unknown_families = [f for f in families if f not in STRUCTURAL_FAMILIES]
-    if unknown_families:
-        raise ValueError(
-            f"unknown structural move families {unknown_families}; "
-            f"choose from {STRUCTURAL_FAMILIES}"
-        )
-    if structural_nets < 1:
-        raise ValueError("structural_nets must be at least 1")
-
-    from .portfolio import DEFAULT_RESTARTS
-
-    if restarts is None and jobs != 1:
-        restarts = DEFAULT_RESTARTS
-    if checkpoint_every is not None and checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be at least 1")
-    if deadline_s is not None and restarts is None:
-        raise ValueError("deadline_s budgets portfolio restart attempts; "
-                         "it needs restarts=/jobs= (portfolio mode)")
-    if (checkpoint_path is not None or resume_path is not None) \
-            and cache is not None:
-        raise TypeError("checkpoint/resume need an owned circuit "
-                        "(circuit/input_stats), not a live cache=")
-    # Everything a checkpoint must agree with to be resumable.  ``jobs``
-    # is excluded on purpose: it is guaranteed not to change results,
-    # so resuming across it is legal.
-    fingerprint_params = {
-        "strategy": strategy,
-        "objective": [resolved.name, resolved.power_weight,
-                      resolved.delay_weight],
-        "seed": seed,
-        "retemplate": retemplate,
-        "max_trials": max_trials,
-        "max_moves": max_moves,
-        "max_rounds": max_rounds,
-        "initial_temp": initial_temp,
-        "cooling": cooling,
-        "moves_per_temp": moves_per_temp,
-        "anneal_trials": anneal_trials,
-        "polish": polish,
-        "structural": list(families),
-        "structural_nets": structural_nets,
-        "backend": (backend if isinstance(backend, str)
-                    else getattr(backend, "name", str(backend))),
-        "po_load": po_load,
-        "restarts": restarts,
-        "backend_kwargs": dict(sorted(backend_kwargs.items())),
-    }
-    if restarts is not None:
-        if strategy != "anneal":
-            raise ValueError("portfolio restarts need strategy='anneal' "
-                             "(greedy descent is deterministic — every "
-                             "restart would repeat the same search)")
-        if cache is not None:
+    spec = SearchSpec(**params)
+    if cache is None:
+        if circuit is None or input_stats is None:
+            raise TypeError("search_circuit needs circuit and input_stats "
+                            "(or a live cache=)")
+    else:
+        if circuit is not None or input_stats is not None:
+            raise TypeError("pass either circuit/input_stats or cache=, not both")
+        if spec.restarts is not None:
             raise TypeError("portfolio restarts need circuit/input_stats, "
                             "not a live cache=")
-        if circuit is None or input_stats is None:
-            raise TypeError("search_circuit needs circuit and input_stats "
-                            "(or a live cache=)")
-        if restarts < 1:
-            raise ValueError("restarts must be at least 1")
-        if jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        return _portfolio(
-            circuit, input_stats, resolved, seed=seed, restarts=restarts,
-            jobs=jobs, backend=backend, model=model, po_load=po_load,
-            retemplate=retemplate, max_trials=max_trials,
-            max_moves=max_moves, max_rounds=max_rounds,
-            initial_temp=initial_temp, cooling=cooling,
-            moves_per_temp=moves_per_temp, anneal_trials=anneal_trials,
-            polish=polish, structural=structural or None,
-            structural_nets=structural_nets,
-            backend_kwargs=backend_kwargs,
-            checkpoint_path=checkpoint_path, resume_path=resume_path,
-            deadline_s=deadline_s, worker_retries=worker_retries,
-            fingerprint_params=fingerprint_params,
-        )
+        if spec.checkpoint_path is not None or spec.resume_path is not None:
+            raise TypeError("checkpoint/resume need an owned circuit "
+                            "(circuit/input_stats), not a live cache=")
+        if (model is not None or spec.backend != "analytic"
+                or spec.backend_kwargs() or spec.po_load != DEFAULT_PO_LOAD):
+            raise TypeError(
+                "backend/model/po_load arguments conflict with a live cache="
+            )
+        if spec.structural and not cache.backend.supports_structure:
+            raise ValueError(
+                f"structural move families need a backend that can maintain "
+                f"statistics across structural edits; the "
+                f"{cache.backend.name!r} backend cannot (use the analytic "
+                f"backend)"
+            )
+    if spec.restarts is not None:
+        return _portfolio(circuit, input_stats, spec, model)
+    return _single(circuit, input_stats, spec, cache, model)
 
+
+def _single(circuit: Optional[Circuit],
+            input_stats: Optional[Mapping[str, SignalStats]],
+            spec: SearchSpec, cache: Optional[StatsCache] = None,
+            model: Optional[GatePowerModel] = None) -> SearchResult:
+    """One search of a validated spec: on a copy, or on a live ``cache``."""
     owns_cache = cache is None
-    fingerprint = None
-    resume_payload = None
+    fingerprint, resume_payload = None, None
     resume_accepted: List[AcceptedMove] = []
     if owns_cache:
-        if circuit is None or input_stats is None:
-            raise TypeError("search_circuit needs circuit and input_stats "
-                            "(or a live cache=)")
-        if checkpoint_path is not None or resume_path is not None:
-            fingerprint = _search_fingerprint(circuit, input_stats,
-                                              fingerprint_params)
+        fingerprint, resume_payload = _open_checkpoints(
+            circuit, input_stats, spec, "search")
         work = circuit.copy()
-        if resume_path is not None:
-            resume_payload = load_checkpoint(resume_path, expect_kind="search")
-            if resume_payload.get("fingerprint") != fingerprint:
-                raise CheckpointError(
-                    f"{resume_path}: checkpoint belongs to a different "
-                    f"search (circuit, stimulus or parameters differ)"
-                )
+        if resume_payload is not None:
             # Replay the checkpointed trace onto the fresh copy: the
             # incremental == from-scratch identity guarantees the
             # rebuilt caches match the snapshot's flushed state
             # bit-for-bit.
-            from .eco import resolve_edit
-
-            tracer = _trace.ACTIVE
-            span = (tracer.span("robust.resume.replay",
-                                accepted=len(resume_payload["accepted"]),
-                                phase=resume_payload["phase"])
-                    if tracer is not None else _trace.NULL_SPAN)
-            with span:
-                for move_data in resume_payload["accepted"]:
-                    move = AcceptedMove(**move_data)
-                    resume_accepted.append(move)
-                    entries = (move.entry if isinstance(move.entry, list)
-                               else [move.entry])
-                    for entry in entries:
-                        work.apply_edit(resolve_edit(work, entry))
-            _RESUMES.inc()
+            resume_accepted = [AcceptedMove(**move)
+                               for move in resume_payload["accepted"]]
+            with _trace.span("robust.resume.replay",
+                             accepted=len(resume_accepted),
+                             phase=resume_payload["phase"]):
+                _replay(work, resume_accepted)
             sink = _progress.ACTIVE
             if sink is not None:
                 sink.emit("robust.resume", force=True, kind="search",
                           phase=resume_payload["phase"],
                           accepted=len(resume_accepted),
                           trials=resume_payload["trials"])
-        if backend == "sampled":
+        backend_kwargs = spec.backend_kwargs()
+        if spec.backend == "sampled":
             # One seed drives the whole search: the annealing RNG and
             # the backend's per-input sample substreams.
-            backend_kwargs.setdefault("seed", seed)
-        cache = StatsCache(work, input_stats, backend=backend, model=model,
-                           po_load=po_load, **backend_kwargs)
-    else:
-        if circuit is not None or input_stats is not None:
-            raise TypeError("pass either circuit/input_stats or cache=, not both")
-        if (model is not None or backend != "analytic" or backend_kwargs
-                or po_load != DEFAULT_PO_LOAD):
-            raise TypeError(
-                "backend/model/po_load arguments conflict with a live cache="
-            )
-
-    if families and not getattr(cache.backend, "supports_structure", False):
-        if owns_cache:
-            cache.close()
-        raise ValueError(
-            f"structural move families need a backend that can maintain "
-            f"statistics across structural edits; the "
-            f"{cache.backend.name!r} backend cannot (use the analytic "
-            f"backend)"
-        )
+            backend_kwargs["seed"] = spec.seed
+        cache = StatsCache(work, input_stats, backend=spec.backend,
+                           model=model, po_load=spec.po_load,
+                           **backend_kwargs)
 
     start = time.perf_counter()
     # The search's live timing side: shares the stats cache's fanout
@@ -1869,8 +1650,7 @@ def search_circuit(
     timing = TimingCache(cache.circuit, tech=cache.model.tech,
                          po_load=cache.po_load, index=cache.index)
     try:
-        state = _Search(cache, timing, resolved, retemplate,
-                        max_trials, max_moves)
+        state = _Search(cache, timing, spec)
         if resume_payload is not None:
             # The replayed caches carry the snapshot's values; restore
             # the search bookkeeping the caches don't hold — the trace,
@@ -1883,81 +1663,63 @@ def search_circuit(
             state.delay0 = resume_payload["delay0"]
             state.power = resume_payload["power"]
             state.delay = resume_payload["delay"]
-            state.score = resolved.score(state.power, state.delay,
-                                         state.power0, state.delay0)
+            state.score = spec.objective.score(state.power, state.delay,
+                                               state.power0, state.delay0)
             state.budget_exhausted = bool(resume_payload["budget_exhausted"])
         # Counter offsets.  Fresh runs keep the historical semantics:
         # stat re-propagations exclude the cache's initial propagation,
         # arrival counts include the first full STA.  A resumed run
         # backdates the offsets against the snapshot's search-relative
         # counts, so the final values equal an uninterrupted run's.
-        if resume_payload is not None:
-            repropagated_before = (cache.gates_repropagated
-                                   - int(resume_payload["gates_repropagated"]))
-            retimed_before = (timing.gates_retimed
-                              - int(resume_payload["gates_retimed"]))
-        else:
-            repropagated_before = cache.gates_repropagated
-            retimed_before = 0
+        resume = resume_payload or {}
+        repropagated_before = (cache.gates_repropagated
+                               - int(resume.get("gates_repropagated", 0)))
+        retimed_before = (timing.gates_retimed
+                          - int(resume.get("gates_retimed",
+                                           timing.gates_retimed)))
         checkpointer = None
-        if checkpoint_path is not None:
-            checkpointer = _Checkpointer(
-                checkpoint_path,
-                (checkpoint_every if checkpoint_every is not None
-                 else DEFAULT_CHECKPOINT_EVERY),
-                state, timing, fingerprint,
-                repropagated_before, retimed_before,
-            )
-        resume_phase = (resume_payload["phase"]
-                        if resume_payload is not None else None)
-        phase_state = (resume_payload["phase_state"]
-                       if resume_payload is not None else None)
-        rounds_prior = (int(resume_payload.get("rounds_prior", 0))
-                        if resume_payload is not None else 0)
+        if spec.checkpoint_path is not None:
+            checkpointer = _Checkpointer(spec, state, timing, fingerprint,
+                                         repropagated_before, retimed_before)
+        resume_phase, phase_state = resume.get("phase"), resume.get("phase_state")
+        rounds_prior = int(resume.get("rounds_prior", 0))
         if checkpointer is not None:
             checkpointer.rounds_prior = rounds_prior
         rounds = 0
-        tracer = _trace.ACTIVE
-        span = (tracer.span("search", circuit=cache.circuit.name,
-                            gates=len(cache.circuit), strategy=strategy,
-                            objective=resolved.name,
-                            backend=cache.backend.name, seed=seed)
-                if tracer is not None else _trace.NULL_SPAN)
-        with span:
-            if strategy == "greedy":
+        with _trace.span("search", circuit=cache.circuit.name,
+                         gates=len(cache.circuit), strategy=spec.strategy,
+                         objective=spec.objective.name,
+                         backend=cache.backend.name, seed=spec.seed) as span:
+            if spec.strategy == "greedy":
                 rounds = _greedy(
-                    state, max_rounds, checkpointer=checkpointer,
-                    phase="greedy",
+                    state, checkpointer=checkpointer, phase="greedy",
                     resume=phase_state if resume_phase == "greedy" else None)
             elif resume_phase == "polish":
                 # Annealing completed before the snapshot; only the
                 # polish descent continues.
                 rounds = rounds_prior
-                rounds += _greedy(state, max_rounds,
-                                  checkpointer=checkpointer, phase="polish",
-                                  resume=phase_state)
+                rounds += _greedy(state, checkpointer=checkpointer,
+                                  phase="polish", resume=phase_state)
             else:
                 rounds = _anneal(
-                    state, seed, initial_temp, cooling, moves_per_temp,
-                    anneal_trials, checkpointer=checkpointer,
+                    state, checkpointer=checkpointer,
                     resume=phase_state if resume_phase == "anneal" else None)
-                if polish and not state.out_of_budget() \
+                if spec.polish and not state.out_of_budget() \
                         and not state.interrupted:
                     if checkpointer is not None:
                         checkpointer.rounds_prior = rounds
-                    rounds += _greedy(state, max_rounds,
-                                      checkpointer=checkpointer,
+                    rounds += _greedy(state, checkpointer=checkpointer,
                                       phase="polish")
             # The structural post-pass is not checkpointed: its moves
             # mint fresh gate names and edit connectivity, and it runs
             # last — a kill here resumes from the final pre-structural
             # snapshot and redoes the pass.
-            if families and not state.out_of_budget() \
+            if spec.structural and not state.out_of_budget() \
                     and not state.interrupted:
-                rounds += _structural(state, families, structural_nets)
-            if tracer is not None:
-                span.note(trials=state.trials, rounds=rounds,
-                          accepted=len(state.accepted))
+                rounds += _structural(state)
+            span.note(trials=state.trials, rounds=rounds,
+                      accepted=len(state.accepted))
+        tracer = _trace.ACTIVE
         if tracer is not None:
             tracer.metrics({
                 **cache.metrics.snapshot(),
@@ -1978,9 +1740,9 @@ def search_circuit(
             rounds=rounds,
             gates_repropagated=cache.gates_repropagated - repropagated_before,
             gates_retimed=timing.gates_retimed - retimed_before,
-            strategy=strategy,
-            objective=resolved,
-            seed=seed,
+            strategy=spec.strategy,
+            objective=spec.objective,
+            seed=spec.seed,
             backend=cache.backend.name,
             budget_exhausted=state.budget_exhausted,
             elapsed_s=time.perf_counter() - start,

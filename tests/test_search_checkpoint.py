@@ -9,6 +9,7 @@ saves (by wrapping the saver), resume from each one, and byte-compare
 """
 
 import shutil
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from repro.bench.runner import dumps_artifact, strip_timing
 from repro.bench.suite import get_case
 from repro.incremental import search_circuit
 from repro.incremental import search as search_mod
+from repro.incremental.spec import SearchSpec
 from repro.robust import CheckpointError
 from repro.sim.stimulus import ScenarioA
 from repro.synth.mapper import map_circuit
@@ -165,3 +167,92 @@ class TestResumeValidation:
         resumed = search_circuit(circuit, stats, seed=0, strategy="greedy",
                                  resume_path=first, checkpoint_path=second)
         assert canonical(resumed) == base
+
+
+class TestFingerprint:
+    """The fingerprint is derived from the spec's result-affecting fields."""
+
+    #: ``_search_fingerprint`` CRCs recorded on the ``adder`` fixture
+    #: while the parameter dict was still spelled out by hand: the
+    #: derived fingerprint must keep every one, so existing checkpoints
+    #: stay resumable.
+    GOLDEN = {
+        "greedy-defaults": ({}, 2784634346),
+        "anneal-schedule": (dict(strategy="anneal", seed=4, initial_temp=0.05,
+                                 cooling=0.8, moves_per_temp=4,
+                                 anneal_trials=30), 2700609308),
+        "power-delay-0.3": (dict(objective="power-delay", delay_weight=0.3),
+                            3650983854),
+        "sampled-lanes-steps": (dict(backend="sampled", lanes=64, steps=16,
+                                     seed=2), 1513691572),
+        "restarts-3": (dict(strategy="anneal", restarts=3, anneal_trials=10),
+                       3295968650),
+        "structural-nets": (dict(structural=["buffer", "sweep"],
+                                 structural_nets=2, retemplate=True,
+                                 max_trials=50), 3979539025),
+    }
+
+    #: One change per result-affecting field: (base, change).
+    RESULT_CHANGES = [
+        ({}, dict(seed=1)),
+        ({}, dict(strategy="anneal")),
+        ({}, dict(objective="delay")),
+        (dict(objective="power-delay"), dict(delay_weight=0.3)),
+        ({}, dict(backend="sampled")),
+        (dict(backend="sampled"), dict(lanes=32)),
+        (dict(backend="sampled"), dict(steps=8)),
+        (dict(backend="sampled"), dict(dt=1e-10)),
+        ({}, dict(po_load=2e-14)),
+        ({}, dict(retemplate=True)),
+        ({}, dict(max_trials=5)),
+        ({}, dict(max_moves=5)),
+        ({}, dict(max_rounds=2)),
+        ({}, dict(initial_temp=0.05)),
+        ({}, dict(cooling=0.8)),
+        ({}, dict(moves_per_temp=4)),
+        ({}, dict(anneal_trials=10)),
+        ({}, dict(polish=True)),
+        ({}, dict(structural=["sweep"])),
+        ({}, dict(structural_nets=2)),
+        (dict(strategy="anneal"), dict(restarts=3)),
+    ]
+
+    #: One change per run descriptor: (base, change).
+    DESCRIPTOR_CHANGES = [
+        (dict(strategy="anneal", restarts=4), dict(jobs=2)),
+        ({}, dict(checkpoint_path="ck.json")),
+        (dict(checkpoint_path="ck.json"), dict(checkpoint_every=3)),
+        ({}, dict(resume_path="ck.json")),
+        (dict(strategy="anneal", restarts=2), dict(deadline_s=5.0)),
+        (dict(strategy="anneal", restarts=2), dict(worker_retries=0)),
+    ]
+
+    @staticmethod
+    def crc(adder, params):
+        circuit, stats = adder
+        return search_mod._search_fingerprint(
+            circuit, stats, SearchSpec(**params).fingerprint())
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_crc_is_pinned(self, adder, name):
+        params, expected = self.GOLDEN[name]
+        assert self.crc(adder, params) == expected
+
+    def test_every_field_is_covered(self):
+        result = {f.name for f in fields(SearchSpec)
+                  if f.metadata.get("result", True)}
+        descriptors = {f.name for f in fields(SearchSpec)} - result
+        assert {name for _, change in self.RESULT_CHANGES
+                for name in change} == result
+        assert {name for _, change in self.DESCRIPTOR_CHANGES
+                for name in change} == descriptors
+
+    def test_result_fields_change_the_crc(self, adder):
+        for base, change in self.RESULT_CHANGES:
+            assert self.crc(adder, base) != \
+                self.crc(adder, {**base, **change}), change
+
+    def test_descriptor_fields_do_not(self, adder):
+        for base, change in self.DESCRIPTOR_CHANGES:
+            assert self.crc(adder, base) == \
+                self.crc(adder, {**base, **change}), change
