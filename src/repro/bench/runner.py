@@ -29,6 +29,7 @@ import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..circuit.netlist import Circuit
+from ..robust.supervise import fan_out
 from ..synth.mapper import map_circuit
 from .suite import benchmark_suite, get_case
 
@@ -163,15 +164,6 @@ def _run_case(work: Tuple[str, Tuple[str, ...], int]) -> List[Dict[str, object]]
         _trace.flush()
 
 
-def _case_progress(case_name: str, done: int, total: int) -> None:
-    from ..obs import progress as _progress
-
-    sink = _progress.ACTIVE
-    if sink is not None:
-        sink.emit("bench.case", force=True, circuit=case_name, done=done,
-                  total=total)
-
-
 def run_suite(subset: Optional[str] = "quick",
               scenarios: Sequence[str] = ("A", "B"),
               jobs: int = 1,
@@ -183,9 +175,10 @@ def run_suite(subset: Optional[str] = "quick",
     """Run the Table-3 sweep, optionally in parallel, and return the artifact.
 
     ``cases`` overrides ``subset`` with an explicit list of case names.
-    ``jobs > 1`` fans circuits out over supervised worker processes
-    (:func:`repro.robust.supervise.run_supervised`); results are in
-    suite order and bit-identical to a ``jobs=1`` run.  When
+    Every ``jobs`` value fans circuits out through
+    :func:`repro.robust.supervise.fan_out`: ``jobs > 1`` over supervised
+    worker processes, ``jobs=1`` in this process; results are in suite
+    order and bit-identical across ``jobs`` settings.  When
     ``out_path`` is given the canonical JSON artifact is also written
     there (atomically — a kill mid-write never leaves a torn file).
 
@@ -194,10 +187,10 @@ def run_suite(subset: Optional[str] = "quick",
     contributes a single ``{"status": "error"|"crashed"|"timeout"}`` row
     carrying the failure text, and every other case still reports.
     Success rows carry ``status: "ok"``.  ``case_timeout_s`` needs a
-    worker process to enforce, so setting it routes even ``jobs=1`` runs
-    through the supervisor.  ``KeyboardInterrupt``/SIGTERM stops the
-    sweep, keeps the completed rows and flags the artifact
-    ``partial: true`` instead of raising.
+    worker process to enforce, so setting it gives even ``jobs=1`` runs
+    one.  ``KeyboardInterrupt``/SIGTERM stops the sweep, keeps the
+    completed rows and flags the artifact ``partial: true`` instead of
+    raising.
     """
     if cases is not None:
         names = [get_case(name).name for name in cases]
@@ -213,54 +206,17 @@ def run_suite(subset: Optional[str] = "quick",
         raise ValueError("jobs must be at least 1")
 
     work = [(name, scenarios, seed) for name in names]
-    grouped: List[Optional[List[Dict[str, object]]]] = [None] * len(work)
-    interrupted = False
     start = time.perf_counter()
-    if case_timeout_s is None and (jobs == 1 or len(work) <= 1):
-        done = 0
-        try:
-            for index, item in enumerate(work):
-                attempt = 1
-                while True:
-                    try:
-                        rows = _run_case(item)
-                    except KeyboardInterrupt:
-                        raise
-                    except Exception as error:
-                        if attempt <= retries:
-                            attempt += 1
-                            continue
-                        rows = [_error_row(
-                            item[0], "error",
-                            f"{type(error).__name__}: {error}",
-                        )]
-                    break
-                grouped[index] = rows
-                done += 1
-                _case_progress(item[0], done, len(work))
-        except KeyboardInterrupt:
-            interrupted = True
-    else:
-        from ..robust.supervise import run_supervised
-
-        def on_complete(outcome, done, total) -> None:
-            if outcome.ok:
-                grouped[outcome.index] = outcome.value
-            _case_progress(work[outcome.index][0], done, total)
-
-        run = run_supervised(
-            _run_case, work, min(jobs, len(work)),
-            retries=retries, deadline_s=case_timeout_s,
-            on_complete=on_complete, label="bench.case",
-        )
-        interrupted = run.interrupted
-        for outcome in run.failed:
-            if interrupted and outcome.status == "interrupted":
-                continue
-            grouped[outcome.index] = [_error_row(
-                work[outcome.index][0], outcome.status, outcome.error,
-            )]
+    run = fan_out(_run_case, work, jobs, retries=retries,
+                  deadline_s=case_timeout_s, label="bench.case")
     elapsed = time.perf_counter() - start
+    results: List[Dict[str, object]] = []
+    for outcome in run.outcomes:
+        if outcome.ok:
+            results.extend(outcome.value)
+        elif not (run.interrupted and outcome.status == "interrupted"):
+            results.append(_error_row(work[outcome.index][0],
+                                      outcome.status, outcome.error))
 
     artifact: Dict[str, object] = {
         "schema": SCHEMA_VERSION,
@@ -273,10 +229,9 @@ def run_suite(subset: Optional[str] = "quick",
         "jobs": jobs,
         "elapsed_s": elapsed,
         "meta": environment_meta(),
-        "results": [row for rows in grouped if rows is not None
-                    for row in rows],
+        "results": results,
     }
-    if interrupted:
+    if run.interrupted:
         artifact["partial"] = True
     if out_path:
         write_artifact(artifact, out_path)

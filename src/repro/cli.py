@@ -29,9 +29,10 @@ Subcommands::
 streams span/metrics events to a JSONL file while the run's printed
 output and artifacts stay byte-identical; multi-process runs shard per
 worker pid and the shards are merged automatically on exit.
-``--progress`` on the same subcommands streams rate-limited live
-status lines (rounds, anneal steps, restart completions, bench cases)
-to stderr.
+``--progress`` on the same subcommands renders that stream as
+rate-limited live status lines on stderr (greedy rounds, anneal
+trials, resumes, restart and bench-case completions), with or without
+a trace file.
 """
 
 from __future__ import annotations
@@ -829,11 +830,13 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     _install_sigterm_handler()
     # --trace (search/eco/optimize/bench) wins over REPRO_TRACE; the
     # environment flag alone enables tracing for any subcommand.
+    # --progress renders the same stream, on a file-less tracer if
+    # nothing is traced.
     tracer = _trace.start(getattr(args, "trace", None))
+    if getattr(args, "progress", False):
+        _progress.attach()
+        tracer = _trace.ACTIVE
     trace_path = tracer.path if tracer is not None else None
-    progress_on = bool(getattr(args, "progress", False))
-    if progress_on:
-        _progress.enable()
     try:
         return _dispatch(args, out)
     except KeyboardInterrupt:
@@ -842,8 +845,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         sys.stderr.write("interrupted\n")
         return 130
     finally:
-        if progress_on:
-            _progress.disable()
         if tracer is not None:
             _trace.disable()
             if trace_path is not None:

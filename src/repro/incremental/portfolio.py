@@ -143,7 +143,7 @@ def circuit_from_spec(spec: Mapping[str, object]) -> Circuit:
 # The worker
 # ----------------------------------------------------------------------
 def _run_restart(payload: Mapping[str, object]) -> Dict[str, object]:
-    """One annealing restart in plain data, for ``Pool.map``.
+    """One annealing restart in plain data, for the supervised fan-out.
 
     Runs in a worker process (or inline for ``jobs=1``); everything in
     and out is picklable, and everything out is a pure function of the
@@ -216,18 +216,6 @@ def _run_restart_body(payload: Mapping[str, object]) -> Dict[str, object]:
     }
 
 
-def _restart_progress(outcome: Mapping[str, object],
-                      done: int, total: int) -> None:
-    from ..obs import progress as _progress
-
-    sink = _progress.ACTIVE
-    if sink is not None:
-        sink.emit("portfolio.restart", force=True,
-                  index=outcome["index"], done=done, total=total,
-                  score=outcome["score"],
-                  accepted=outcome["accepted_count"])
-
-
 @dataclass
 class PortfolioRun:
     """What a supervised restart fan-out produced.
@@ -257,15 +245,16 @@ def run_restarts(circuit: Circuit,
     restart's seed, no portfolio or run-descriptor fields — on a
     rebuilt circuit, with ``model`` as its power model.  Returns a
     :class:`PortfolioRun` with the per-restart outcome dicts in restart
-    order.  ``jobs=1`` (without a ``deadline_s``) runs inline — no
-    pool, no pickling of numpy state — retrying an in-process
-    exception up to ``worker_retries`` times; higher values fan
-    out through :func:`repro.robust.supervise.run_supervised`: one
-    process per restart, crash/hang detection, bounded retries with
-    backoff and a per-attempt ``deadline_s`` wall-time budget.  Either
-    way a restart is a pure function of its payload, so retry counts
-    and scheduling never change results — the artifact stays
-    byte-identical across ``jobs`` settings.
+    order.  Every ``jobs`` value fans out through
+    :func:`repro.robust.supervise.fan_out`, with up to
+    ``worker_retries`` retries per restart: ``jobs=1`` (without a
+    ``deadline_s``) runs in this process — no fork, no pickling of
+    numpy state — and higher values run one supervised process per
+    restart, with crash/hang detection and a per-attempt
+    ``deadline_s`` wall-time budget.  Either way a restart is a pure
+    function of its payload, so retry counts and scheduling never
+    change results — the artifact stays byte-identical across ``jobs``
+    settings.
 
     ``cached`` pre-fills completed outcomes by restart index (the
     checkpoint/resume path — only the missing restarts run), and
@@ -276,13 +265,12 @@ def run_restarts(circuit: Circuit,
     caller's anytime path — instead of raising.
     """
     from ..obs import trace as _trace
-    from ..robust.supervise import run_supervised
+    from ..robust.supervise import fan_out
 
     tracer = _trace.ACTIVE
     trace_ref = ((tracer.path, tracer._t0)
                  if tracer is not None and tracer.path is not None else None)
-    restarts, jobs = spec.restarts, spec.jobs
-    deadline_s, retries = spec.deadline_s, spec.worker_retries
+    restarts = spec.restarts
     circuit_rows = circuit_spec(circuit)
     stats_rows = [
         (net, input_stats[net].probability, input_stats[net].density)
@@ -301,65 +289,28 @@ def run_restarts(circuit: Circuit,
         for index in range(restarts)
         if index not in results
     ]
-    failures: List[Dict[str, object]] = []
-    interrupted = False
 
-    def record(index: int, outcome: Dict[str, object]) -> None:
-        results[index] = outcome
-        if on_outcome is not None:
-            on_outcome(results)
-        _restart_progress(outcome, len(results), restarts)
+    def on_complete(task, done, total) -> None:
+        if task.ok:
+            results[payloads[task.index]["index"]] = task.value
+            if on_outcome is not None:
+                on_outcome(results)
 
-    if not payloads:
-        pass
-    elif (jobs == 1 or len(payloads) == 1) and deadline_s is None:
-        try:
-            for payload in payloads:
-                attempt = 1
-                while True:
-                    try:
-                        outcome = _run_restart(payload)
-                    except KeyboardInterrupt:
-                        raise
-                    except Exception as error:
-                        if attempt <= retries:
-                            attempt += 1
-                            continue
-                        failures.append({
-                            "index": payload["index"],
-                            "status": "error",
-                            "error": f"{type(error).__name__}: {error}",
-                        })
-                        break
-                    record(payload["index"], outcome)
-                    break
-        except KeyboardInterrupt:
-            interrupted = True
-    else:
-        def on_complete(task, done, total) -> None:
-            if task.ok:
-                record(payloads[task.index]["index"], task.value)
-
-        run = run_supervised(
-            _run_restart, payloads, min(jobs, len(payloads)),
-            retries=retries, deadline_s=deadline_s,
-            on_complete=on_complete, label="portfolio.restart",
-        )
-        interrupted = run.interrupted
-        for task in run.failed:
-            failures.append({
-                "index": payloads[task.index]["index"],
-                "status": task.status,
-                "error": task.error,
-            })
-
-    ordered = [results.get(index) for index in range(restarts)]
-    if interrupted:
-        # Tasks the supervisor never resolved are failures only if the
-        # run wasn't interrupted; under an interrupt they are simply
-        # "not done yet" and stay out of the failure list.
-        failures = [entry for entry in failures
-                    if entry["status"] != "interrupted"]
-    failures.sort(key=lambda entry: entry["index"])
-    return PortfolioRun(outcomes=ordered, failures=failures,
-                        interrupted=interrupted)
+    run = fan_out(_run_restart, payloads, spec.jobs,
+                  retries=spec.worker_retries, deadline_s=spec.deadline_s,
+                  on_complete=on_complete, label="portfolio.restart")
+    # Under an interrupt, tasks the supervisor never resolved are
+    # simply "not done yet" and stay out of the failure list.
+    failures = [
+        {
+            "index": payloads[task.index]["index"],
+            "status": task.status,
+            "error": task.error,
+        }
+        for task in run.failed
+        if not (run.interrupted and task.status == "interrupted")
+    ]
+    return PortfolioRun(
+        outcomes=[results.get(index) for index in range(restarts)],
+        failures=failures, interrupted=run.interrupted,
+    )

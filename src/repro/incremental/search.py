@@ -93,7 +93,6 @@ from ..compiled.circuit import stats_class
 from ..compiled.power import _PowerClass, power_class
 from ..core.power_model import GatePowerModel
 from ..gates.capacitance import pin_terminal_counts
-from ..obs import progress as _progress
 from ..obs import trace as _trace
 from ..obs.metrics import REGISTRY as _GLOBAL_METRICS
 from ..robust import faults as _faults
@@ -1133,12 +1132,8 @@ def _greedy(state: _Search, checkpointer: Optional[_Checkpointer] = None,
                                 "worklist": sorted(worklist),
                             })
                 if tracer is not None:
-                    span.note(accepted=len(state.accepted) - accepted_before)
-            sink = _progress.ACTIVE
-            if sink is not None:
-                sink.emit("search.round", round=rounds, queue=queue_size,
-                          accepted=len(state.accepted), trials=state.trials,
-                          score=state.score)
+                    span.note(accepted=len(state.accepted) - accepted_before,
+                              trials=state.trials, score=state.score)
     except KeyboardInterrupt:
         state.interrupted = True
     return rounds
@@ -1222,11 +1217,6 @@ def _anneal(state: _Search, checkpointer: Optional[_Checkpointer] = None,
                         "steps": steps,
                         "rng": _rng_state(rng),
                     })
-            sink = _progress.ACTIVE
-            if sink is not None:
-                sink.emit("search.anneal", step=steps, budget=budget,
-                          accepted=len(state.accepted),
-                          temperature=temperature, score=state.score)
     except KeyboardInterrupt:
         state.interrupted = True
     return steps
@@ -1420,10 +1410,6 @@ def _portfolio(circuit: Circuit, input_stats: Mapping[str, SignalStats],
                   for index, outcome in payload["outcomes"].items()}
         _trace.instant("robust.resume", kind="portfolio",
                        cached=len(cached), restarts=restarts)
-        sink = _progress.ACTIVE
-        if sink is not None:
-            sink.emit("robust.resume", force=True, kind="portfolio",
-                      cached=len(cached), restarts=restarts)
 
     on_outcome = None
     if checkpoint_path is not None:
@@ -1628,12 +1614,10 @@ def _single(circuit: Optional[Circuit],
                              accepted=len(resume_accepted),
                              phase=resume_payload["phase"]):
                 _replay(work, resume_accepted)
-            sink = _progress.ACTIVE
-            if sink is not None:
-                sink.emit("robust.resume", force=True, kind="search",
-                          phase=resume_payload["phase"],
-                          accepted=len(resume_accepted),
-                          trials=resume_payload["trials"])
+            _trace.instant("robust.resume", kind="search",
+                           phase=resume_payload["phase"],
+                           accepted=len(resume_accepted),
+                           trials=resume_payload["trials"])
         backend_kwargs = spec.backend_kwargs()
         if spec.backend == "sampled":
             # One seed drives the whole search: the annealing RNG and

@@ -18,8 +18,12 @@ The engine's observability layer (see README.md):
   Chrome/Perfetto trace-event JSON for ``chrome://tracing``;
 * :mod:`repro.obs.perfdb` — the perf-regression baseline store behind
   ``repro bench check --baseline`` / ``repro bench baseline``;
-* :mod:`repro.obs.progress` — the opt-in ``--progress`` live status
-  channel (stderr, rate-limited).
+* :mod:`repro.obs.progress` — the opt-in ``--progress`` heartbeat: a
+  rate-limited stderr view of the tracer's record stream (one table,
+  ``HEARTBEAT``, names the records it prints), not a second API.
+
+``trace.ACTIVE`` is the only instrumentation global: a trace file, the
+heartbeat, or both hang off the one live tracer.
 
 The contract that makes instrumentation safe to leave in hot paths:
 **off means off** (one module-global read and an ``is not None`` test;

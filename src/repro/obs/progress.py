@@ -1,35 +1,45 @@
-"""Live progress streaming: opt-in, rate-limited, stderr.
+"""Live progress: a rate-limited stderr view of the trace stream.
 
-Hour-long searches on large circuits are silent today unless tracing is
-on — and a trace is a post-mortem artifact, not a heartbeat.  This
-module is the heartbeat: ``--progress`` (any traced subcommand has it)
-installs a process-wide :class:`Progress` sink and the existing
-instrumentation touchpoints (greedy rounds, anneal steps, portfolio
-restart completions, bench cases) feed it one-line status updates::
+A trace is a post-mortem artifact; ``--progress`` is the heartbeat of
+the same run.  It is not a second instrumentation API: :func:`attach`
+hangs a :class:`Progress` renderer on the live tracer (starting one
+with no file when ``--trace`` is off), and the renderer prints the
+records :data:`HEARTBEAT` names as one-line status updates::
 
-    [    12.3s] search.round round=41 queue=388 accepted=12 power=17.304
+    [    12.3s] search.round round=41 queue=388 accepted=3 trials=1203 score=17.3
 
-The channel is stderr so it never contaminates piped artifact output,
-and emission is rate-limited (default one line per 0.25 s; milestone
-events pass ``force=True``) so a hot anneal loop cannot flood the
-terminal.  The same zero-overhead contract as tracing applies: hot call
-sites read :data:`ACTIVE` and skip all work — **no kwargs dict is ever
-built** — when it is ``None``.  Forked workers inherit an enabled
-sink but stay silent (pid guard): only the parent narrates.
+A greedy round, an anneal trial, a resume or a supervised task
+completion is one record, so the trace and the heartbeat can never
+disagree about what happened.  The channel is stderr so it never
+contaminates piped artifact output.  Lines are rate-limited to one per
+:data:`INTERVAL_S` of trace time, except milestones, so a hot anneal
+loop cannot flood the terminal.  Forked workers stay silent: a tracer
+that reroutes to a worker shard drops its renderer, and a tracer with
+no file emits nothing in a child — only the parent narrates.
 """
 
 from __future__ import annotations
 
-import os
 import sys
-import time
-from typing import IO, Optional
+from typing import IO, Dict, Optional
 
-__all__ = ["ACTIVE", "Progress", "enable", "disable", "emit"]
+from . import trace as _trace
 
-#: The process-wide live progress sink, or ``None`` when off.  Hot
-#: paths read this directly and skip all further work on ``None``.
-ACTIVE: Optional["Progress"] = None
+__all__ = ["HEARTBEAT", "INTERVAL_S", "Progress", "attach"]
+
+#: Minimum trace time between two rate-limited lines, in seconds.
+INTERVAL_S = 0.25
+
+#: The records the heartbeat prints, by name, and whether each is a
+#: milestone (never rate-limited).  A span prints at its ``E`` record
+#: with its ``B`` attributes first; an instant prints as it happens.
+HEARTBEAT: Dict[str, bool] = {
+    "search.round": False,
+    "search.trial": False,
+    "robust.resume": True,
+    "robust.portfolio.restart": True,
+    "robust.bench.case": True,
+}
 
 
 def _fmt(value: object) -> str:
@@ -39,29 +49,36 @@ def _fmt(value: object) -> str:
 
 
 class Progress:
-    """A rate-limited line writer for live status updates."""
+    """Renders the :data:`HEARTBEAT` records of a trace stream as lines."""
 
-    def __init__(self, stream: Optional[IO[str]] = None,
-                 interval: float = 0.25):
+    def __init__(self, stream: Optional[IO[str]] = None):
         self.stream = stream if stream is not None else sys.stderr
-        self.interval = interval
         self.emitted = 0
-        self._pid = os.getpid()
-        self._t0 = time.monotonic()
-        self._last = float("-inf")
+        self._last: Optional[int] = None
+        self._begun: Dict[str, Optional[dict]] = {}
 
-    def emit(self, name: str, force: bool = False, **fields) -> None:
-        """Write one status line, unless rate-limited (or in a child)."""
-        if os.getpid() != self._pid:
+    def observe(self, record: dict) -> None:
+        """Write one status line for ``record``, unless it is not a
+        heartbeat record or is rate-limited."""
+        name = record.get("name")
+        milestone = HEARTBEAT.get(name)
+        if milestone is None:
             return
-        now = time.monotonic()
-        if not force and now - self._last < self.interval:
+        attrs = record.get("attrs")
+        if record["ev"] == "B":
+            self._begun[name] = attrs
+            return
+        begun = self._begun.pop(name, None)
+        now = record["ts_ns"]
+        if (not milestone and self._last is not None
+                and now - self._last < INTERVAL_S * 1e9):
             return
         self._last = now
-        parts = " ".join(f"{key}={_fmt(fields[key])}" for key in fields)
-        line = f"[{now - self._t0:8.1f}s] {name}"
-        if parts:
-            line += " " + parts
+        fields = {**(begun or {}), **(attrs or {})}
+        line = f"[{now / 1e9:8.1f}s] {name}"
+        if fields:
+            line += " " + " ".join(f"{key}={_fmt(value)}"
+                                   for key, value in fields.items())
         try:
             self.stream.write(line + "\n")
             self.stream.flush()
@@ -70,21 +87,12 @@ class Progress:
         self.emitted += 1
 
 
-def enable(stream: Optional[IO[str]] = None,
-           interval: float = 0.25) -> Progress:
-    """Install a live progress sink (replacing any existing one)."""
-    global ACTIVE
-    ACTIVE = Progress(stream, interval)
-    return ACTIVE
+def attach(stream: Optional[IO[str]] = None) -> Progress:
+    """Render the live trace stream to ``stream`` (default stderr).
 
-
-def disable() -> None:
-    global ACTIVE
-    ACTIVE = None
-
-
-def emit(name: str, force: bool = False, **fields) -> None:
-    """Convenience emit for cold call sites (hot loops guard ACTIVE)."""
-    sink = ACTIVE
-    if sink is not None:
-        sink.emit(name, force=force, **fields)
+    Starts a tracer with no file when none is live; the heartbeat goes
+    away with the tracer (:func:`repro.obs.trace.disable`).
+    """
+    tracer = _trace.ACTIVE or _trace.enable(None)
+    tracer.progress = Progress(stream)
+    return tracer.progress

@@ -57,7 +57,10 @@ IO-backed tracers (no path) still go silent in children.
 
 Enable with ``REPRO_TRACE=path`` (the CLI honours it for every
 subcommand) or ``--trace path`` on ``repro search|eco|optimize|bench``,
-or programmatically via :func:`enable`.
+or programmatically via :func:`enable`.  The ``--progress`` heartbeat
+is a view of this same stream (:mod:`repro.obs.progress`): it renders
+records as the tracer emits them, on a tracer with no file when no
+trace is being written.
 """
 
 from __future__ import annotations
@@ -75,7 +78,6 @@ __all__ = [
     "NULL_SPAN",
     "Span",
     "Tracer",
-    "active",
     "enabled",
     "span",
     "instant",
@@ -187,9 +189,13 @@ class Span:
 
 
 class Tracer:
-    """A JSONL trace-event writer bound to one file handle and one pid."""
+    """A JSONL trace-event writer bound to one file handle and one pid.
 
-    def __init__(self, sink: Union[str, IO[str]], *, mode: str = "w"):
+    ``sink=None`` keeps no file: the records reach only the attached
+    :attr:`progress` renderer (``--progress`` without ``--trace``).
+    """
+
+    def __init__(self, sink: Union[str, IO[str], None], *, mode: str = "w"):
         if isinstance(sink, str):
             directory = os.path.dirname(os.path.abspath(sink))
             os.makedirs(directory, exist_ok=True)
@@ -199,7 +205,7 @@ class Tracer:
                         os.unlink(stale)
                     except OSError:
                         pass
-            self._handle: IO[str] = open(sink, mode)
+            self._handle: Optional[IO[str]] = open(sink, mode)
             self._owns_handle = True
             self.path: Optional[str] = sink
         else:
@@ -216,6 +222,9 @@ class Tracer:
         #: Records emitted so far (the overhead benchmark counts the
         #: instrumentation touchpoints a workload hits through this).
         self.records = 0
+        #: The live heartbeat (:class:`repro.obs.progress.Progress`),
+        #: fed every record this process emits; ``None`` when off.
+        self.progress = None
 
     # ------------------------------------------------------------------
     def _ensure_process(self) -> bool:
@@ -223,10 +232,11 @@ class Tracer:
 
         The first event after a pid change switches a path-backed tracer
         onto this pid's shard file (append mode — pool workers are
-        reused).  The inherited handle must never be flushed or closed
-        here: its buffer duplicates the parent's unflushed records at a
-        shared file offset.  IO-backed tracers cannot shard and go
-        silent instead.
+        reused) and drops the heartbeat: only the parent narrates.  The
+        inherited handle must never be flushed or closed here: its
+        buffer duplicates the parent's unflushed records at a shared
+        file offset.  IO-backed and file-less tracers cannot shard and
+        go silent instead.
         """
         pid = os.getpid()
         if pid == self._pid:
@@ -244,15 +254,20 @@ class Tracer:
         self._pid = pid
         self._depth = 0
         self.records = 0
+        self.progress = None
         return True
 
     def _emit(self, record: dict) -> None:
         if self._closed:
             return
         record["pid"] = self._pid
-        self._handle.write(
-            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        )
+        if self._handle is not None:
+            self._handle.write(
+                json.dumps(record, sort_keys=True, separators=(",", ":"))
+                + "\n"
+            )
+        if self.progress is not None:
+            self.progress.observe(record)
         self.records += 1
 
     def span(self, name: str, **attrs) -> Union[Span, _NullSpan]:
@@ -287,7 +302,7 @@ class Tracer:
 
     def flush(self) -> None:
         """Flush the current stream (never an inherited parent handle)."""
-        if self._closed or os.getpid() != self._pid:
+        if self._closed or os.getpid() != self._pid or self._handle is None:
             return
         try:
             self._handle.flush()
@@ -298,8 +313,9 @@ class Tracer:
         if self._closed:
             return
         self._closed = True
-        if os.getpid() != self._pid:
-            # Inherited, never-rerouted handle: the parent owns it.
+        if os.getpid() != self._pid or self._handle is None:
+            # No file, or an inherited, never-rerouted handle that the
+            # parent owns.
             return
         self._handle.flush()
         if self._owns_handle:
@@ -312,11 +328,6 @@ class Tracer:
 # ----------------------------------------------------------------------
 # Module-level switchboard
 # ----------------------------------------------------------------------
-def active() -> Optional[Tracer]:
-    """The live tracer, or ``None`` — the hot-path guard reads this."""
-    return ACTIVE
-
-
 def enabled() -> bool:
     return ACTIVE is not None
 
@@ -339,8 +350,9 @@ def instant(name: str, **attrs) -> None:
         tracer.instant(name, **attrs)
 
 
-def enable(sink: Union[str, IO[str]]) -> Tracer:
-    """Open a tracer on ``sink`` (path or file object) and make it live.
+def enable(sink: Union[str, IO[str], None]) -> Tracer:
+    """Open a tracer on ``sink`` (path, file object or ``None`` for no
+    file) and make it live.
 
     Any previously live tracer is closed first — one stream per process.
     """

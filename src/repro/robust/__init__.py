@@ -22,8 +22,10 @@ This package is the substrate the rest of the system builds on:
 :mod:`~repro.robust.supervise`
     :func:`~repro.robust.supervise.run_supervised` — process-per-task
     workers with crash detection, bounded retries with backoff,
-    per-task deadlines and a graceful anytime path — behind the
-    portfolio search and the bench runner pools.
+    per-task deadlines and a graceful anytime path — and
+    :func:`~repro.robust.supervise.fan_out`, the one fan-out path of
+    the portfolio search and the bench runner at every ``jobs`` value
+    (sequential runs stay in-process under the same books).
 
 :mod:`~repro.robust.faults`
     The env/flag-driven fault-injection harness (``REPRO_FAULTS``)

@@ -3,21 +3,25 @@
 ``multiprocessing.Pool`` loses a task forever when its worker dies —
 an ``imap`` over a pool whose child was SIGKILLed simply hangs — and
 offers no per-task deadline at all.  The portfolio search and the
-bench runner need both, so this module runs each task in its own
-supervised :class:`multiprocessing.Process`:
+bench runner need both, so :func:`run_supervised` runs each task in
+its own supervised :class:`multiprocessing.Process`:
 
 * a worker that exits without delivering a result (killed, segfault,
   ``os._exit``) is detected by pipe EOF + exit code and the task is
   **requeued** with exponential backoff, up to ``retries`` times;
 * a worker that outlives its ``deadline_s`` budget is killed and
   requeued the same way;
-* an exception inside the task function travels back as a string and
-  counts as a failed attempt (faults can be transient — a retried
-  attempt may run clean);
+* an exception inside the task function travels back as
+  ``"<Type>: <message>"`` and counts as a failed attempt (faults can be
+  transient — a retried attempt may run clean);
 * ``KeyboardInterrupt``/SIGTERM in the supervising parent kills the
   in-flight workers and returns the completed outcomes — the *anytime*
   path: callers merge what finished into a ``partial: true`` artifact
   instead of raising.
+
+Both fan-outs call :func:`fan_out`, which runs a sequential fan-out in
+this process under the same books, so ``jobs=1`` and ``jobs=N`` count,
+trace and report alike.
 
 Determinism is untouched: tasks are pure functions of their payloads
 (the portfolio/bench contract), so retry counts, scheduling order and
@@ -27,15 +31,13 @@ worker pids can never change a result — only whether one exists.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
-import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..obs.metrics import REGISTRY as _GLOBAL_METRICS
 
-__all__ = ["TaskOutcome", "SupervisedRun", "run_supervised"]
+__all__ = ["TaskOutcome", "SupervisedRun", "run_supervised", "fan_out"]
 
 #: Worker restarts performed across the process (obs vocabulary).
 _RETRIES = _GLOBAL_METRICS.counter("robust.worker.retries")
@@ -43,6 +45,7 @@ _RETRIES = _GLOBAL_METRICS.counter("robust.worker.retries")
 _FAILURES = _GLOBAL_METRICS.counter("robust.worker.failures")
 
 _POLL_S = 0.05
+_BACKOFF_S = 0.25
 
 
 @dataclass
@@ -90,13 +93,18 @@ class _Active:
     done: bool = field(default=False)
 
 
+def _describe(error: BaseException) -> str:
+    """The failure text of a raising task, the same in both modes."""
+    return f"{type(error).__name__}: {error}"
+
+
 def _child_main(fn, payload, conn) -> None:
     """Run one task in the worker and ship the outcome over the pipe."""
     try:
         value = fn(payload)
-    except BaseException:
+    except BaseException as error:
         try:
-            conn.send(("error", traceback.format_exc(limit=20)))
+            conn.send(("error", _describe(error)))
         finally:
             conn.close()
         return
@@ -110,7 +118,7 @@ def run_supervised(
     jobs: int,
     *,
     retries: int = 2,
-    backoff_s: float = 0.25,
+    backoff_s: float = _BACKOFF_S,
     deadline_s: Optional[float] = None,
     on_complete: Optional[Callable[[TaskOutcome, int, int], None]] = None,
     label: str = "task",
@@ -122,11 +130,47 @@ def run_supervised(
     restarting.  ``deadline_s`` caps each attempt's wall time (the
     worker is killed and the attempt counts as ``timeout``).
     ``on_complete(outcome, done, total)`` fires in the parent as each
-    task resolves (in completion order) — the progress/checkpoint hook.
+    task resolves (in completion order) — the checkpoint hook; the
+    same resolution emits a ``robust.<label>`` trace instant, which
+    ``--progress`` prints.
 
     Returns outcomes in payload order.  Never raises for worker
     failures; the caller decides whether a non-``ok`` outcome is fatal.
     """
+    return _run(fn, payloads, jobs, False, retries=retries,
+                backoff_s=backoff_s, deadline_s=deadline_s,
+                on_complete=on_complete, label=label)
+
+
+def fan_out(
+    fn: Callable[[object], object],
+    payloads: Sequence[object],
+    jobs: int,
+    *,
+    retries: int = 2,
+    deadline_s: Optional[float] = None,
+    on_complete: Optional[Callable[[TaskOutcome, int, int], None]] = None,
+    label: str = "task",
+) -> SupervisedRun:
+    """:func:`run_supervised`, except that a sequential run — one job
+    or one task — with no deadline runs in this process: no fork, no
+    pickling.
+
+    In-process attempts call ``fn`` directly and share the supervisor's
+    retries, backoff, ``robust.worker.*`` counters, ``robust.<label>``
+    instants, ``on_complete`` hook and failure text.  A deadline needs
+    a worker process to enforce, so a run with one always gets workers.
+    """
+    jobs = min(jobs, len(payloads))
+    inline = jobs <= 1 and deadline_s is None
+    return _run(fn, payloads, jobs, inline, retries=retries,
+                backoff_s=_BACKOFF_S, deadline_s=deadline_s,
+                on_complete=on_complete, label=label)
+
+
+def _run(fn, payloads, jobs, inline, *, retries, backoff_s, deadline_s,
+         on_complete, label) -> SupervisedRun:
+    """The supervision loop; ``inline`` runs each attempt in-process."""
     from ..obs import trace as _trace
 
     total = len(payloads)
@@ -144,6 +188,7 @@ def run_supervised(
             tracer.instant(
                 f"robust.{label}", index=outcome.index,
                 status=outcome.status, attempts=outcome.attempts,
+                done=len(outcomes), total=total,
             )
         if on_complete is not None:
             on_complete(outcome, len(outcomes), total)
@@ -158,6 +203,15 @@ def run_supervised(
             _FAILURES.inc()
             resolve(TaskOutcome(index=index, status=status, error=error,
                                 attempts=attempt))
+
+    def run_inline(index: int, attempt: int) -> None:
+        try:
+            value = fn(payloads[index])
+        except Exception as error:
+            retry_or_fail(index, attempt, "error", _describe(error))
+            return
+        resolve(TaskOutcome(index=index, status="ok", value=value,
+                            attempts=attempt))
 
     def start(index: int, attempt: int) -> None:
         reader, writer = context.Pipe(duplex=False)
@@ -220,15 +274,18 @@ def run_supervised(
             now = time.monotonic()
             # Launch everything ready, up to the worker budget.
             queue.sort()
-            while queue and len(active) < jobs and queue[0][0] <= now:
+            while queue and (inline or len(active) < jobs) \
+                    and queue[0][0] <= now:
                 _, index, attempt = queue.pop(0)
-                start(index, attempt)
+                (run_inline if inline else start)(index, attempt)
             # Wait for results, deaths, deadlines or backoff expiry.
             conns = [task.conn for task in active]
             wait_s = _POLL_S
             if not conns:
-                wait_s = max(0.0, min(ready for ready, _, _ in queue) - now)
-                time.sleep(min(wait_s, _POLL_S) or 0.001)
+                if queue:
+                    wait_s = max(0.0, min(ready for ready, _, _ in queue)
+                                 - now)
+                    time.sleep(min(wait_s, _POLL_S) or 0.001)
                 continue
             ready = multiprocessing.connection.wait(conns, timeout=wait_s)
             now = time.monotonic()

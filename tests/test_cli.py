@@ -587,16 +587,33 @@ class TestTraceCLI:
             run_cli("trace", "export", str(tmp_path / "nope.jsonl"))
 
     def test_progress_flag_streams_to_stderr(self, tmp_path, capsys):
-        from repro.obs import progress
+        import json
+
+        from repro.bench.runner import dumps_artifact, load_artifact, \
+            strip_timing
+        from repro.obs import trace
 
         blif = self.write_blif(tmp_path)
-        code, text = run_cli("search", blif, "--progress")
+        code, _ = run_cli("search", blif, "--out", str(tmp_path / "p.json"))
         assert code == 0
-        assert progress.ACTIVE is None  # cleared once main() returns
-        err = capsys.readouterr().err
-        assert "search.round" in err
-        # progress must stay off the artifact/report channel
-        assert "search.round" not in text
+        capsys.readouterr()
+        plain = dumps_artifact(strip_timing(load_artifact(
+            str(tmp_path / "p.json"))))
+        for extra in ([], ["--trace", str(tmp_path / "t.jsonl")]):
+            out = str(tmp_path / "progress.json")
+            code, text = run_cli("search", blif, "--progress", "--out", out,
+                                 *extra)
+            assert code == 0
+            assert trace.ACTIVE is None  # cleared once main() returns
+            err = capsys.readouterr().err
+            assert "search.round" in err
+            # progress must stay off the artifact/report channel
+            assert "search.round" not in text
+            assert dumps_artifact(strip_timing(load_artifact(out))) == plain
+        # With --trace, the heartbeat and the file share one stream.
+        records = [json.loads(line) for line in
+                   (tmp_path / "t.jsonl").read_text().splitlines()]
+        assert any(r.get("name") == "search.round" for r in records)
 
     def test_eco_artifact_unperturbed_by_tracing(self, tmp_path):
         import json

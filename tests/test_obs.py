@@ -36,12 +36,10 @@ from repro.synth.mapper import map_circuit
 
 @pytest.fixture(autouse=True)
 def _no_leaked_tracer():
-    """Every test starts and ends with tracing and progress off."""
+    """Every test starts and ends with tracing (and so progress) off."""
     trace.disable()
-    progress.disable()
     yield
     trace.disable()
-    progress.disable()
 
 
 @pytest.fixture(scope="module")
@@ -417,66 +415,155 @@ class TestSummarize:
 
 
 # ----------------------------------------------------------------------
-# Live progress streaming
+# Live progress: the heartbeat view of the trace stream
 # ----------------------------------------------------------------------
+def _lines(sink: io.StringIO, name: str):
+    return [line for line in sink.getvalue().splitlines()
+            if line.split("] ", 1)[1].split(" ", 1)[0] == name]
+
+
 class TestProgress:
     def test_disabled_module_emit_is_noop(self):
-        assert progress.ACTIVE is None
-        progress.emit("anything", n=1)  # no sink, no error
+        assert trace.ACTIVE is None
+        trace.instant("robust.resume", n=1)  # no tracer, no error
+        assert trace.span("search.round", round=1) is trace.NULL_SPAN
+        assert trace.ACTIVE is None
 
-    def test_emit_format_and_rate_limit(self):
+    def test_emit_format_and_rate_limit(self, monkeypatch):
+        monkeypatch.setattr(progress, "INTERVAL_S", 3600.0)
         sink = io.StringIO()
-        p = progress.Progress(sink, interval=3600.0)
-        p.emit("search.round", round=3, score=0.123456)
-        p.emit("search.round", round=4)  # rate-limited: huge interval
-        p.emit("milestone", force=True, done=1)
+        p = progress.attach(sink)
+        with trace.span("search.round", round=3) as span:
+            with trace.span("stats.refresh", gates=2):
+                pass  # not a heartbeat record
+            span.note(score=0.123456)
+        with trace.span("search.round", round=4):
+            pass  # rate-limited: huge interval
+        trace.instant("robust.resume", done=1)  # milestone: forced
         lines = sink.getvalue().splitlines()
         assert len(lines) == 2
         assert p.emitted == 2
-        assert lines[0].endswith("search.round round=3 score=0.1235")
+        assert lines[0].endswith("] search.round round=3 score=0.1235")
         assert lines[0].startswith("[") and "s]" in lines[0]
-        assert lines[1].endswith("milestone done=1")
+        assert lines[1].endswith("] robust.resume done=1")
 
-    def test_zero_interval_never_limits(self):
+    def test_zero_interval_never_limits(self, monkeypatch):
+        monkeypatch.setattr(progress, "INTERVAL_S", 0.0)
         sink = io.StringIO()
-        p = progress.Progress(sink, interval=0.0)
+        p = progress.attach(sink)
         for i in range(5):
-            p.emit("tick", i=i)
+            with trace.span("search.trial", step=i):
+                pass
         assert p.emitted == 5
+        assert len(_lines(sink, "search.trial")) == 5
 
-    def test_forked_child_is_silent(self):
+    def test_forked_child_is_silent(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(progress, "INTERVAL_S", 0.0)
+        # A tracer with no file emits nothing at all in a child.
         sink = io.StringIO()
-        p = progress.Progress(sink, interval=0.0)
-        p._pid += 1  # simulate a forked worker
-        p.emit("tick", force=True)
+        tracer = trace.enable(None)
+        p = progress.attach(sink)
+        tracer._pid += 1  # simulate a forked worker
+        trace.instant("robust.resume", n=1)
         assert sink.getvalue() == "" and p.emitted == 0
+        trace.disable()
+        # A file tracer reroutes to its shard and drops the heartbeat.
+        path = str(tmp_path / "t.jsonl")
+        tracer = trace.enable(path)
+        p = progress.attach(sink)
+        tracer._pid += 1
+        trace.instant("robust.resume", n=2)
+        trace.disable()
+        assert sink.getvalue() == "" and p.emitted == 0
+        assert tracer.progress is None
+        assert len(trace.find_shards(path)) == 1
 
-    def test_enable_disable_install_module_sink(self):
+    def test_enable_disable_install_module_sink(self, monkeypatch):
+        monkeypatch.setattr(progress, "INTERVAL_S", 0.0)
+        # No trace: attach starts a tracer with no file.
         sink = io.StringIO()
-        installed = progress.enable(sink, interval=0.0)
-        assert progress.ACTIVE is installed
-        progress.emit("hello", n=2)
-        progress.disable()
-        assert progress.ACTIVE is None
-        assert "hello n=2" in sink.getvalue()
+        installed = progress.attach(sink)
+        assert trace.ACTIVE is not None and trace.ACTIVE.path is None
+        assert trace.ACTIVE.progress is installed
+        trace.instant("robust.resume", n=2)
+        trace.disable()
+        assert trace.ACTIVE is None
+        assert "robust.resume n=2" in sink.getvalue()
+        # A live trace: the same record reaches the file and the view.
+        stream, view = io.StringIO(), io.StringIO()
+        tracer = trace.enable(stream)
+        progress.attach(view)
+        assert trace.ACTIVE is tracer
+        trace.instant("robust.resume", n=3)
+        trace.disable()
+        assert [r["name"] for r in _records(stream)] == ["robust.resume"]
+        assert "robust.resume n=3" in view.getvalue()
 
-    def test_search_emits_progress_lines(self, setting):
+    def test_search_emits_progress_lines(self, setting, monkeypatch):
+        monkeypatch.setattr(progress, "INTERVAL_S", 0.0)
         circuit, input_stats = setting
         sink = io.StringIO()
-        progress.enable(sink, interval=0.0)
+        progress.attach(sink)
         search_circuit(circuit, input_stats, strategy="greedy")
-        progress.disable()
-        lines = sink.getvalue().splitlines()
-        assert any("search.round" in line for line in lines)
-        assert all(line.startswith("[") for line in lines)
+        trace.disable()
+        rounds = _lines(sink, "search.round")
+        assert rounds
+        assert all(f in rounds[0] for f in
+                   ("round=1", "queue=", "accepted=", "trials=", "score="))
+        assert all(line.startswith("[")
+                   for line in sink.getvalue().splitlines())
 
-    def test_progress_does_not_perturb_artifacts(self, setting):
+    def test_progress_does_not_perturb_artifacts(self, setting, monkeypatch):
+        monkeypatch.setattr(progress, "INTERVAL_S", 0.0)
         circuit, input_stats = setting
         quiet = search_circuit(circuit, input_stats, strategy="anneal",
                                seed=7, anneal_trials=40)
-        progress.enable(io.StringIO(), interval=0.0)
+        sink = io.StringIO()
+        progress.attach(sink)
         noisy = search_circuit(circuit, input_stats, strategy="anneal",
                                seed=7, anneal_trials=40)
-        progress.disable()
+        trace.disable()
         assert dumps_artifact(strip_timing(noisy.to_artifact())) == \
             dumps_artifact(strip_timing(quiet.to_artifact()))
+        assert len(_lines(sink, "search.trial")) == 40
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_line_per_restart(self, setting, monkeypatch, jobs):
+        monkeypatch.setattr(progress, "INTERVAL_S", 3600.0)
+        circuit, input_stats = setting
+        sink = io.StringIO()
+        progress.attach(sink)
+        search_circuit(circuit, input_stats, strategy="anneal", seed=7,
+                       anneal_trials=20, restarts=3, jobs=jobs)
+        trace.disable()
+        lines = _lines(sink, "robust.portfolio.restart")
+        assert len(lines) == 3
+        assert all("status=ok" in line and "total=3" in line
+                   for line in lines)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_line_per_bench_case(self, monkeypatch, jobs):
+        from repro.bench.runner import run_suite
+
+        monkeypatch.setattr(progress, "INTERVAL_S", 3600.0)
+        sink = io.StringIO()
+        progress.attach(sink)
+        run_suite(cases=["fa1", "c17"], scenarios=("A",), jobs=jobs)
+        trace.disable()
+        lines = _lines(sink, "robust.bench.case")
+        assert len(lines) == 2
+        assert all("status=ok" in line and "total=2" in line
+                   for line in lines)
+
+    def test_search_resume_line(self, setting, tmp_path):
+        circuit, input_stats = setting
+        checkpoint = str(tmp_path / "ck.json")
+        search_circuit(circuit, input_stats, strategy="greedy",
+                       checkpoint_path=checkpoint, checkpoint_every=1)
+        sink = io.StringIO()
+        progress.attach(sink)
+        search_circuit(circuit, input_stats, strategy="greedy",
+                       resume_path=checkpoint)
+        trace.disable()
+        (line,) = _lines(sink, "robust.resume")
+        assert "kind=search" in line and "phase=" in line

@@ -1,12 +1,22 @@
 """End-to-end recovery: injected faults, supervised retries, partial artifacts."""
 
+import io
+import json
 import signal
 
 import pytest
 
-from repro.bench.runner import dumps_artifact, run_suite, strip_timing
+from repro.bench.runner import (
+    dumps_artifact,
+    load_artifact,
+    run_suite,
+    strip_timing,
+)
 from repro.bench.suite import get_case
+from repro.cli import main
 from repro.incremental import search_circuit
+from repro.obs import trace
+from repro.obs.metrics import REGISTRY
 from repro.sim.stimulus import ScenarioA
 from repro.synth.mapper import map_circuit
 
@@ -117,3 +127,64 @@ class TestInterruptedSearch:
         assert result.partial and result.interrupted
         assert result.to_artifact()["partial"] is True
         assert len(result.accepted) <= 2
+
+
+def _bookkeeping(run):
+    """Worker-counter deltas and ``robust.*`` task instants of ``run()``."""
+    retries = REGISTRY.counter("robust.worker.retries")
+    failures = REGISTRY.counter("robust.worker.failures")
+    before = retries.value, failures.value
+    sink = io.StringIO()
+    trace.enable(sink)
+    try:
+        run()
+    finally:
+        trace.disable()
+    instants = sorted(
+        (record["name"], record["attrs"]["index"], record["attrs"]["status"],
+         record["attrs"]["attempts"])
+        for record in map(json.loads, sink.getvalue().splitlines())
+        if record["ev"] == "I" and record["name"].startswith("robust.")
+    )
+    return retries.since(before[0]), failures.since(before[1]), instants
+
+
+class TestFanOutBookkeeping:
+    """``jobs=1`` fans out through the supervisor's own books: the same
+    retry/failure counts, task instants and failure text as ``jobs=2``."""
+
+    @pytest.mark.parametrize("kind", ["bench", "portfolio"])
+    def test_jobs_one_keeps_the_same_books_as_jobs_two(self, adder, kind,
+                                                       monkeypatch):
+        circuit, stats = adder
+        if kind == "bench":
+            monkeypatch.setenv("REPRO_FAULTS", "crash-case=fa1")
+
+            def run(jobs):
+                run_suite(cases=["fa1", "c17"], scenarios=("A",), jobs=jobs,
+                          seed=0, retries=1)
+        else:
+            monkeypatch.setenv("REPRO_FAULTS", "crash-restart=1")
+
+            def run(jobs):
+                search_circuit(circuit, stats, seed=1, worker_retries=1,
+                               **dict(PORTFOLIO, jobs=jobs))
+        serial = _bookkeeping(lambda: run(1))
+        parallel = _bookkeeping(lambda: run(2))
+        assert serial == parallel
+        assert serial[:2] == (1, 1)
+        assert [status for _, _, status, _ in serial[2]].count("error") == 1
+
+    def test_bench_failure_rows_byte_identical_across_jobs(self, tmp_path,
+                                                           monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "crash-case=fa1")
+        artifacts = []
+        for jobs in ("1", "2"):
+            path = str(tmp_path / f"bench{jobs}.json")
+            code = main(["bench", "--cases", "fa1", "c17", "--scenario", "A",
+                         "--jobs", jobs, "--retries", "0", "--out", path],
+                        out=io.StringIO())
+            assert code == 0
+            artifacts.append(dumps_artifact(strip_timing(load_artifact(path))))
+        assert artifacts[0] == artifacts[1]
+        assert '"error": "FaultInjected: injected fault' in artifacts[0]

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.robust import SupervisedRun, TaskOutcome, run_supervised
+from repro.robust.supervise import fan_out
 
 # Worker functions must be importable from the child process (fork or
 # spawn), so they live at module scope.
@@ -113,6 +114,42 @@ class TestFailurePaths:
                              retries=0, backoff_s=0.01)
         assert [o.status for o in run.outcomes] == \
             ["ok", "ok", "ok", "crashed", "ok"]
+
+
+def _pid(payload):
+    return os.getpid()
+
+
+def _interrupt_on_two(payload):
+    if payload == 2:
+        raise KeyboardInterrupt
+    return payload
+
+
+class TestFanOut:
+    def test_sequential_runs_in_process(self):
+        run = fan_out(_pid, [0, 1], jobs=1)
+        assert [o.value for o in run.outcomes] == [os.getpid()] * 2
+        # One task runs in process at any jobs; a deadline needs workers.
+        assert fan_out(_pid, [0], jobs=4).outcomes[0].value == os.getpid()
+        run = fan_out(_pid, [0], jobs=1, deadline_s=60.0)
+        assert run.outcomes[0].value != os.getpid()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_same_outcomes_in_both_modes(self, jobs):
+        run = fan_out(_crash_on_odd, [0, 1, 2], jobs=jobs, retries=1)
+        assert [(o.status, o.attempts) for o in run.outcomes] == \
+            [("ok", 1), ("error", 2), ("ok", 1)]
+        assert run.outcomes[1].error == "ValueError: odd payload 1"
+
+    def test_interrupt_keeps_completed_outcomes(self):
+        seen = []
+        run = fan_out(_interrupt_on_two, [0, 1, 2, 3], jobs=1,
+                      on_complete=lambda o, done, total: seen.append(done))
+        assert run.interrupted
+        assert [o.status for o in run.outcomes] == \
+            ["ok", "ok", "interrupted", "interrupted"]
+        assert seen == [1, 2]
 
 
 class TestOutcome:
