@@ -208,6 +208,27 @@ class _TimingClass:
             self._delay_cache[tech] = data
         return data
 
+    def pin_delays(self, tech: TechParams, loads: np.ndarray) -> list:
+        """Per-pin delay arrays (pin order) at each of the output ``loads``.
+
+        Each entry is :func:`gate_pin_delay` of that pin — the worst of
+        the falling and rising Elmore delays — batched over ``loads``
+        with its operation order, so every float is identical.
+        """
+        base_cap, pins = self.delay_data(tech)
+        output_cap = base_cap + loads
+        delays = []
+        for fall_r, fall_terms, rise_r, rise_terms in pins:
+            tau = output_cap * fall_r
+            for term in fall_terms:
+                tau = tau + term
+            fall = LN2 * tau
+            tau = output_cap * rise_r
+            for term in rise_terms:
+                tau = tau + term
+            delays.append(np.maximum(fall, LN2 * tau))
+        return delays
+
 
 # Class tables live on the compiled gate they are derived from.  The
 # library's content-keyed compile cache (key: configuration key plus
@@ -223,12 +244,11 @@ def stats_class(compiled: CompiledGate) -> _StatsClass:
     return cls
 
 
-def timing_class(gate: GateInstance) -> _TimingClass:
-    """The arrival tables of ``gate``'s configuration, built once."""
-    compiled = gate.compiled()
+def timing_class(compiled: CompiledGate, config: GateConfig) -> _TimingClass:
+    """The arrival tables of ``config`` (as ``compiled``), built once."""
     cls = getattr(compiled, "_timing_class", None)
     if cls is None:
-        cls = _TimingClass(compiled, gate.effective_config())
+        cls = _TimingClass(compiled, config)
         compiled._timing_class = cls
     return cls
 
@@ -327,7 +347,8 @@ class CompiledCircuit:
         code = self._timing_keys.get(key)
         if code is None:
             code = len(self._timing_classes)
-            self._timing_classes.append(timing_class(gate))
+            self._timing_classes.append(
+                timing_class(gate.compiled(), gate.effective_config()))
             self._timing_keys[key] = code
         return code
 
@@ -336,7 +357,7 @@ class CompiledCircuit:
         self.stats_code[gid] = self._stats_code_for(gate)
         start = self.fanin_ptr[gid]
         self.slot_count[start:start + len(gate.template.pins)] = \
-            timing_class(gate).pin_counts
+            timing_class(gate.compiled(), gate.effective_config()).pin_counts
         self._cap_version += 1
         self._stats_plan = None
 
@@ -553,20 +574,10 @@ class CompiledCircuit:
                        arr: np.ndarray, loads: np.ndarray,
                        out_ids: np.ndarray, tech: TechParams):
         """Arrival + latest-pin of one same-class batch (strict-> ties)."""
-        base_cap, pins = cls.delay_data(tech)
-        output_cap = base_cap + loads[out_ids]
         best: Optional[np.ndarray] = None
         best_pin: Optional[np.ndarray] = None
-        for j, (fall_r, fall_terms, rise_r, rise_terms) in enumerate(pins):
-            tau = output_cap * fall_r
-            for term in fall_terms:
-                tau = tau + term
-            fall = LN2 * tau
-            tau = output_cap * rise_r
-            for term in rise_terms:
-                tau = tau + term
-            rise = LN2 * tau
-            candidate = arr[fanin[:, j]] + np.maximum(fall, rise)
+        for j, delay in enumerate(cls.pin_delays(tech, loads[out_ids])):
+            candidate = arr[fanin[:, j]] + delay
             if best is None:
                 best = candidate
                 best_pin = np.zeros(len(candidate), dtype=np.int64)

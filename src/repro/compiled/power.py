@@ -22,7 +22,9 @@ one pairwise fold over its last axis; the node and pin arithmetic then
 runs on ``(rows, lanes, width)`` blocks.  A single configuration
 is one lane.  :meth:`_PowerClass.stacked` concatenates the programs of
 a gate's candidate configurations into one lane each, padding nodes to
-the widest lane, so one call prices a whole candidate set.
+the widest lane, so one call prices a whole candidate set;
+:func:`stacked_class` memoises it per candidate set for its two
+consumers, the paper's optimiser and the search's batch pricer.
 
 **The equivalence contract.**  Bit-identical to
 :class:`~repro.core.power_model.GatePowerModel` — every float comes
@@ -73,11 +75,12 @@ from ..core.power_model import (
     GatePowerReport,
     NodePowerEntry,
 )
+from ..gates.library import GateConfig, GateTemplate
 from ..gates.network import OUT, CompiledGate
 from ..obs.metrics import REGISTRY as _METRICS
 from .circuit import CompiledCircuit, _pairwise_block, _tt_selection
 
-__all__ = ["CompiledPowerKernel", "power_class"]
+__all__ = ["CompiledPowerKernel", "power_class", "stacked_class"]
 
 #: Process-global kernel metrics: power-kernel invocation counts and
 #: batch-size distribution (see :mod:`repro.compiled.circuit` for the
@@ -308,6 +311,29 @@ def power_class(compiled: CompiledGate) -> _PowerClass:
         cls = _PowerClass(compiled)
         compiled._power_class = cls
     return cls
+
+
+#: Stacked candidate programs, keyed by content (see :func:`stacked_class`).
+_STACKS: Dict[tuple, _PowerClass] = {}
+
+
+def stacked_class(template: GateTemplate,
+                  configs: Sequence[GateConfig]) -> _PowerClass:
+    """One program pricing ``configs`` of ``template``, a lane each, in order.
+
+    Memoised on the compile cache's content key — the pin order plus
+    every configuration key, in lane order — so the optimiser's
+    per-template candidate sets and the search pricer's per-gate move
+    sets are each stacked once per process.
+    """
+    key = (template.pins, tuple(config.key() for config in configs))
+    stack = _STACKS.get(key)
+    if stack is None:
+        stack = _PowerClass.stacked([
+            power_class(template.compile_config(config)) for config in configs
+        ])
+        _STACKS[key] = stack
+    return stack
 
 
 class CompiledPowerKernel:

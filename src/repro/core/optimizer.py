@@ -1,7 +1,7 @@
 """The paper's circuit optimisation algorithm (§4, Figure 3).
 
-One topological traversal of the mapped netlist.  For each gate it
-gathers the (probability, density) statistics of its fanins
+Figure 3 is one topological traversal of the mapped netlist.  For each
+gate it gathers the (probability, density) statistics of its fanins
 (OBTAIN_PROB_AND_DENS), exhaustively evaluates all transistor
 reorderings under the extended power model and keeps the best
 (FIND_BEST_REORDERING), then computes the output statistics with
@@ -11,8 +11,21 @@ Najm's transition density (CALCULATE_DENS) and moves on
 Because a gate's output function — hence its output (P, D) — does not
 depend on the chosen ordering, the greedy per-gate choice is globally
 optimal *with respect to the model* in a single pass (the paper's
-monotonic-characteristic argument, §4.2).
+monotonic-characteristic argument, §4.2).  The same fact lets the
+traversal run as one batch per pass on the compiled kernels, with
+every float unchanged: the statistics of every net come from one
+(P, D) sweep before any decision, and a gate's load is the load at the
+start of the pass, because its sinks come later in topological order.
+So one stacked table program per template prices every configuration
+of that template's gates in one kernel call
+(:func:`repro.compiled.power.stacked_class`), and the choice is an
+arg-min over lanes in configuration-key order.  The delay-aware
+objectives read per-pin delays from the compiled timing tables; no
+timing cache rides along.  :func:`~repro.core.reorder.evaluate_configurations`
+and :func:`circuit_power` remain the per-gate oracles the batch is
+tested against.
 
+Four objectives:
 Three objectives:
 
 ``"best"``      minimise each gate's modelled power (the paper's optimiser);
@@ -34,19 +47,21 @@ Three objectives:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
 from ..circuit.netlist import Circuit, GateInstance
+from ..compiled.circuit import get_compiled, timing_class
 from ..gates.capacitance import TechParams
+from ..gates.library import GateConfig, GateTemplate
 from ..obs import trace as _trace
 from ..obs.metrics import REGISTRY as _METRICS
+from ..stochastic.density import local_stats, propagate_stats
 from ..stochastic.signal import SignalStats
-from ..timing.elmore import gate_pin_delay, gate_worst_delay
 from ..timing.sta import DEFAULT_PO_LOAD
-from .power_model import GatePowerModel, GatePowerReport
-from .reorder import ConfigEvaluation, evaluate_configurations
+from .power_model import GatePowerModel, GatePowerReport, NodePowerEntry
+from .reorder import ConfigEvaluation
 
 __all__ = [
     "OBJECTIVES",
@@ -62,9 +77,10 @@ __all__ = [
 OBJECTIVES = ("best", "worst", "delay-constrained", "fastest")
 
 #: Sources of the per-net (P, D) statistics driving the optimisation.
-#: ``"model"`` is the paper's flow (incremental propagation through the
-#: power model during the traversal); the others precompute a full map
-#: with :func:`repro.stochastic.density.propagate_stats`.
+#: ``"model"`` is the paper's flow (propagation through the power model
+#: in topological order), which is exactly the compiled ``"local"``
+#: sweep; every source is one full map from
+#: :func:`repro.stochastic.density.propagate_stats`.
 STATS_SOURCES = ("model", "local", "exact", "sampled")
 
 _EPS = 1e-30
@@ -110,11 +126,6 @@ class OptimizeResult:
     every gate; later (cone-aware) passes re-decide only the worklist,
     so with ``passes > 1`` this stays far below ``passes * len(circuit)``."""
 
-    gates_retimed: int = 0
-    """Gate arrival recomputations performed by the incremental timing
-    worklist (delay-aware objectives with ``passes > 1`` only; 0 when
-    no :class:`~repro.incremental.timing.TimingCache` was attached)."""
-
     @property
     def reduction(self) -> float:
         """Fractional power reduction relative to the input circuit."""
@@ -140,9 +151,82 @@ class CircuitPowerReport:
         return sum(r.output_power for r in self.by_gate.values())
 
 
-def _pin_stats(gate: GateInstance,
-               net_stats: Mapping[str, SignalStats]) -> Dict[str, SignalStats]:
-    return {pin: net_stats[gate.pin_nets[pin]] for pin in gate.template.pins}
+#: Elements per array of one kernel call: a template's gates are priced
+#: in row blocks of at most this many table values (and gathered minterm
+#: weights), so memory stays bounded on large circuits.
+_BLOCK = 1 << 20
+
+
+class _Candidates:
+    """Every configuration of one template as one stacked table program.
+
+    Lanes follow configuration-key order, so a first-occurrence arg-min
+    (arg-max) over a lane axis is the ``(±power, key)`` tie-break.
+    """
+
+    def __init__(self, template: GateTemplate):
+        # Imported here: repro.compiled.power imports this package.
+        from ..compiled.power import stacked_class
+
+        self.configs = sorted(template.configurations(), key=GateConfig.key)
+        self.lane = {config.key(): k for k, config in enumerate(self.configs)}
+        self.default = self.lane[template.default_config().key()]
+        self.compileds = [template.compile_config(c) for c in self.configs]
+        self.stack = stacked_class(template, self.configs)
+        cost = len(self.stack.const) + sum(
+            sels.size for _, sels in self.stack.groups)
+        self.block = max(1, _BLOCK // cost)
+
+    def decide(self, objective: str, model: GatePowerModel,
+               gates: List[GateInstance], p_in: np.ndarray,
+               d_in: np.ndarray, loads: np.ndarray) -> list:
+        """``(decision, entry power)`` of every gate, priced in one call.
+
+        ``p_in``/``d_in`` are the gates' ``(rows, pins)`` statistics and
+        ``loads`` their output loads; the entry power is the gate's
+        current configuration's.
+        """
+        caps, probs, trans, powers, totals = self.stack.evaluate(
+            model, p_in, d_in, loads)
+        lanes = self._choose(objective, totals, loads, model.tech)
+        rows = np.arange(len(gates))
+        picked = zip(*(grid[rows, lanes].tolist()
+                       for grid in (caps, probs, trans, powers)))
+        out = []
+        for row, (gate, lane, values) in enumerate(
+                zip(gates, lanes.tolist(), picked)):
+            power = float(totals[row, lane])
+            report = GatePowerReport(
+                tuple(map(NodePowerEntry, self.compileds[lane].nodes,
+                          *values)), model.tech)
+            decision = GateDecision(
+                gate.name, gate.template.name, len(self.configs),
+                ConfigEvaluation(self.configs[lane], power, report),
+                float(totals[row, self.default]))
+            entry = self.lane[gate.effective_config().key()]
+            out.append((decision, float(totals[row, entry])))
+        return out
+
+    def _choose(self, objective: str, totals: np.ndarray, loads: np.ndarray,
+                tech: TechParams) -> np.ndarray:
+        """The chosen lane of every row under ``objective``."""
+        if objective == "best":
+            return totals.argmin(axis=1)
+        if objective == "worst":
+            return totals.argmax(axis=1)
+        # (rows, lanes, pins): gate_pin_delay of every configuration.
+        delays = np.stack([
+            np.stack(timing_class(compiled, config).pin_delays(tech, loads),
+                     axis=1)
+            for compiled, config in zip(self.compileds, self.configs)
+        ], axis=1)
+        if objective == "fastest":
+            return delays.max(axis=2).argmin(axis=1)
+        # delay-constrained: every pin within the default's own delay
+        # (so the default itself is always feasible).
+        limits = delays[:, self.default, :] * (1.0 + 1e-9)
+        feasible = (delays <= limits[:, None, :]).all(axis=2)
+        return np.where(feasible, totals, np.inf).argmin(axis=1)
 
 
 def optimize_circuit(
@@ -158,10 +242,11 @@ def optimize_circuit(
     """Run the Figure 3 algorithm and return a reordered copy of ``circuit``.
 
     ``stats`` selects where the per-net (P, D) statistics come from:
-    ``"model"`` (default) propagates them incrementally through the
-    power model exactly as the paper's traversal does, while
-    ``"local"``, ``"exact"`` and ``"sampled"`` precompute the full map
-    with :func:`repro.stochastic.density.propagate_stats` (the sampled
+    ``"model"`` (default) is the paper's incremental propagation
+    through the power model, which is the compiled local sweep bit for
+    bit, so it shares ``"local"``'s one flat-array pass; ``"exact"``
+    and ``"sampled"`` precompute the map with
+    :func:`repro.stochastic.density.propagate_stats` (the sampled
     source runs the bit-parallel Monte Carlo engine; ``stats_kwargs``
     forwards its ``lanes``/``steps``/``dt``/``seed`` options).
 
@@ -169,31 +254,24 @@ def optimize_circuit(
     early at a fixed point.  The paper's single pass is per-gate
     optimal *under the model*, but a gate's external load depends on
     its sinks' pin capacitances — which the same pass may still change
-    after the gate was decided.  Later passes are **cone-aware**: a
-    gate's decision inputs are its fanin statistics (invariant across
-    passes — reordering never changes a net's (P, D), and the
-    non-model sources are precomputed once) and its external load, so
-    instead of re-traversing the whole circuit each pass, later passes
-    re-decide exactly the worklist of gates whose settled sink loads
-    the previous pass actually changed: the fanin drivers of every
-    re-configured gate.  This reaches the same fixed point as full
-    re-traversal (a gate with unchanged decision inputs re-decides
-    identically) in cone-sized work per pass
-    (``OptimizeResult.gates_decided`` counts the total).
+    after the gate was decided.  Each pass decides its worklist as
+    **one batch at the loads from the start of the pass**: a gate's
+    sinks come later in topological order, so a sequential traversal
+    would see exactly those loads too.  Pass 1's worklist is every
+    gate; a gate's other decision input, its fanin statistics, never
+    changes (reordering never changes a net's (P, D)), so each later
+    pass re-decides only the fanin drivers of the gates the previous
+    pass re-configured — the gates whose load it changed.  That
+    reaches the fixed point of full re-traversal in cone-sized work
+    (``OptimizeResult.gates_decided`` counts the total).  The
+    reported ``power_before`` always refers to the input circuit and,
+    after more than one pass, ``power_after`` to the settled
+    configuration under its settled loads.
 
-    For the delay-aware objectives (``"delay-constrained"`` and
-    ``"fastest"``) the worklist additionally consumes **timing-dirty**
-    gates: a :class:`~repro.incremental.timing.TimingCache` rides along
-    on the working circuit, and every gate whose output arrival a pass
-    actually moved (cone-sized re-propagation with early cut-off, not
-    a full STA per pass) is re-verified next pass.  Under the model
-    those re-decides are idempotent — a decision reads fanin statistics
-    and load, both already covered by the load worklist — so this
-    widens the audited set without changing the fixed point;
-    ``OptimizeResult.gates_retimed`` counts the extra work.  The
-    reported ``power_before`` always refers to the input circuit and
-    ``power_after`` to the settled configuration under its settled
-    loads.
+    Each template's configurations are one stacked table program
+    (:func:`repro.compiled.power.stacked_class`), so one kernel call
+    prices every configuration of every worklist gate of a template,
+    bit-identical to :func:`~repro.core.reorder.evaluate_configurations`.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; choose from {OBJECTIVES}")
@@ -213,220 +291,100 @@ def optimize_circuit(
         raise KeyError(f"missing input statistics for {missing}")
 
     result_circuit = circuit.copy()
-    precomputed: Optional[Dict[str, SignalStats]] = None
-    if stats != "model":
-        from ..stochastic.density import propagate_stats
+    cc = get_compiled(result_circuit)
+    net_stats = propagate_stats(
+        result_circuit, input_stats,
+        method="local" if stats == "model" else stats,
+        **dict(stats_kwargs or {}),
+    )
+    tech = model.tech
+    prob = np.fromiter((net_stats[n].probability for n in cc.nets),
+                       dtype=np.float64, count=len(cc.nets))
+    dens = np.fromiter((net_stats[n].density for n in cc.nets),
+                       dtype=np.float64, count=len(cc.nets))
 
-        precomputed = propagate_stats(
-            circuit, input_stats, method=stats, **dict(stats_kwargs or {})
-        )
-
-    power_before: Optional[float] = None
-    power_after = 0.0
-    net_stats: Dict[str, SignalStats] = {}
-    passes_run = 0
     # The process-wide decision counter (repro.obs.metrics); the result
     # field is the delta over this run, so the artifact number and a
     # metrics snapshot always agree.
     _decided = _METRICS.counter("optimize.gates_decided")
     decided_start = _decided.value
-    any_changed = False
     topo = result_circuit.topo_gates()
-    decisions_by_gate: Dict[str, GateDecision] = {}
-    #: Gates to re-decide next pass; ``None`` = full traversal (pass 1).
-    pending: Optional[set] = None
-
-    timing = None
-    if passes > 1 and objective in ("delay-constrained", "fastest"):
-        # Delay-aware objectives: watch the working circuit with an
-        # incremental timing cache so later passes can also consume
-        # timing-dirty gates (imported lazily — repro.incremental
-        # imports this module).
-        from ..incremental.timing import TimingCache
-
-        timing = TimingCache(result_circuit, tech=model.tech, po_load=po_load)
-
-    for _ in range(passes):
-        passes_run += 1
-        changed_gates: set = set()
-
-        if pending is None:
-            # Pass 1 — the paper's full traversal, propagating net_stats
-            # along the way in the "model" flow.
-            pass_power_before = 0.0
-            power_after = 0.0
-            net_stats = (
-                dict(precomputed) if precomputed is not None
-                else {n: input_stats[n] for n in circuit.inputs}
-            )
-            for gate in topo:
-                pin_stats = _pin_stats(gate, net_stats)
-                load = result_circuit.output_load(gate.output, model.tech, po_load)
-                evaluations = evaluate_configurations(
-                    gate.template, pin_stats, model, load
-                )
-                _decided.inc()
-                by_key = {e.config.key(): e for e in evaluations}
-                entry_key = gate.effective_config().key()
-                original_eval = by_key[entry_key]
-                default_eval = by_key[gate.template.default_config().key()]
-                chosen = _choose(objective, gate, evaluations, default_eval,
-                                 model, load)
-                if chosen.config.key() != entry_key:
-                    changed_gates.add(gate.name)
-                    # Through the edit API (the only write path) so an
-                    # attached TimingCache hears about it.
-                    result_circuit.set_config(gate.name, chosen.config)
-                decisions_by_gate[gate.name] = GateDecision(
-                    gate.name, gate.template.name, len(evaluations),
-                    chosen, default_eval.power
-                )
-                pass_power_before += original_eval.power
-                power_after += chosen.power
-                if precomputed is None:
-                    net_stats[gate.output] = model.output_stats(
-                        gate.compiled(), pin_stats
-                    )
-            if power_before is None:
-                power_before = pass_power_before
-        else:
-            # Cone-aware pass: statistics are pass-invariant, so only
-            # the worklist — gates whose external load the previous
-            # pass changed — can decide differently.  Topological
-            # order and live loads reproduce exactly what a full
-            # re-traversal would decide (a gate's sinks come later in
-            # topological order, so its load still reflects the
-            # previous pass when it is re-decided).
-            for gate in topo:
-                if gate.name not in pending:
-                    continue
-                pin_stats = _pin_stats(gate, net_stats)
-                load = result_circuit.output_load(gate.output, model.tech, po_load)
-                evaluations = evaluate_configurations(
-                    gate.template, pin_stats, model, load
-                )
-                _decided.inc()
-                by_key = {e.config.key(): e for e in evaluations}
-                entry_key = gate.effective_config().key()
-                default_eval = by_key[gate.template.default_config().key()]
-                chosen = _choose(objective, gate, evaluations, default_eval,
-                                 model, load)
-                if chosen.config.key() != entry_key:
-                    changed_gates.add(gate.name)
-                    result_circuit.set_config(gate.name, chosen.config)
-                decisions_by_gate[gate.name] = GateDecision(
-                    gate.name, gate.template.name, len(evaluations),
-                    chosen, default_eval.power
-                )
-
+    topo_gids = np.fromiter((cc.gate_id[gate.name] for gate in topo),
+                            dtype=np.int64, count=len(topo))
+    decisions: List[Optional[GateDecision]] = [None] * len(topo)
+    candidates: Dict[str, _Candidates] = {}
+    #: Topological positions of the gates to decide this pass.
+    worklist = list(range(len(topo)))
+    entry_totals = np.empty(len(topo))
+    chosen_totals = np.empty(len(topo))
+    power_before = power_after = 0.0
+    any_changed = False
+    for passes_run in range(1, passes + 1):
+        loads = cc.net_loads(tech, po_load)
+        groups: Dict[str, List[int]] = {}
+        for pos in worklist:
+            groups.setdefault(topo[pos].template.name, []).append(pos)
+        changed: List[int] = []
+        for members in groups.values():
+            template = topo[members[0]].template
+            cand = candidates.get(template.name)
+            if cand is None:
+                cand = candidates[template.name] = _Candidates(template)
+            for lo in range(0, len(members), cand.block):
+                block = members[lo:lo + cand.block]
+                gids = topo_gids[block]
+                fanin = cc._fanin_matrix(gids, len(template.pins))
+                outcomes = cand.decide(
+                    objective, model, [topo[pos] for pos in block],
+                    prob[fanin], dens[fanin], loads[cc.out_net[gids]])
+                for pos, (decision, entry_power) in zip(block, outcomes):
+                    decisions[pos] = decision
+                    entry_totals[pos] = entry_power
+                    chosen_totals[pos] = decision.chosen.power
+                    if (decision.chosen.config.key()
+                            != topo[pos].effective_config().key()):
+                        changed.append(pos)
+        _decided.inc(len(worklist))
+        changed.sort()
+        for pos in changed:
+            result_circuit.set_config(topo[pos].name,
+                                      decisions[pos].chosen.config)
+        if passes_run == 1:
+            power_before = fold_power(entry_totals)
+            power_after = fold_power(chosen_totals)
         tracer = _trace.ACTIVE
         if tracer is not None:
             tracer.instant("optimize.pass", number=passes_run,
                            decided=_decided.since(decided_start),
-                           changed=len(changed_gates))
-        if not changed_gates:
+                           changed=len(changed))
+        if not changed:
             break
         any_changed = True
         # The next worklist: a re-configured gate changes only its own
         # pin capacitances — the load its fanin drivers see.
-        pending = set()
-        for name in changed_gates:
-            for pred in result_circuit.fanin_drivers(name):
-                if pred.template.num_configurations() > 1:
-                    pending.add(pred.name)
-        if timing is not None:
-            # Timing-dirty consumption (delay-aware objectives): every
-            # gate whose output arrival this pass actually moved is
-            # re-verified next pass.  refresh() returns exactly those
-            # nets — cone-sized work, pruned by early cut-off.
-            for net in timing.refresh():
-                retimed_gate = result_circuit.driver(net)
-                if (retimed_gate is not None
-                        and retimed_gate.template.num_configurations() > 1):
-                    pending.add(retimed_gate.name)
+        pending = {
+            pred.name
+            for pos in changed
+            for pred in result_circuit.fanin_drivers(topo[pos].name)
+            if pred.template.num_configurations() > 1
+        }
         if not pending:
             break
+        worklist = [pos for pos, gate in enumerate(topo)
+                    if gate.name in pending]
 
     if passes > 1 and any_changed:
-        # Settled-load accounting: per-gate decision powers were priced
-        # against loads that later decisions may have changed; one
-        # cheap sweep (no enumeration) reprices the final configuration
-        # consistently.  Matches a converged full pass bit-for-bit.
-        power_after = 0.0
-        for gate in topo:
-            report = model.gate_power(
-                gate.compiled(), _pin_stats(gate, net_stats),
-                result_circuit.output_load(gate.output, model.tech, po_load),
-            )
-            power_after += report.total
+        # Settled-load accounting: later decisions may have changed the
+        # loads earlier ones were priced at, so one sweep reprices the
+        # final configuration.  Matches a converged full pass exactly.
+        from ..compiled.power import CompiledPowerKernel
 
-    gates_retimed = 0
-    if timing is not None:
-        timing.refresh()  # settle any dirt the final pass left behind
-        gates_retimed = timing.gates_retimed
-        timing.close()
+        power_after = fold_power(CompiledPowerKernel(cc, model).gate_totals(
+            [gate.name for gate in topo], net_stats, po_load))
 
-    decisions = [decisions_by_gate[g.name] for g in topo]
     return OptimizeResult(result_circuit, net_stats, decisions,
                           power_before, power_after, passes_run,
-                          _decided.since(decided_start), gates_retimed)
-
-
-def _choose(
-    objective: str,
-    gate: GateInstance,
-    evaluations: List[ConfigEvaluation],
-    default_eval: ConfigEvaluation,
-    model: GatePowerModel,
-    load: float,
-) -> ConfigEvaluation:
-    """Pick one configuration under ``objective`` (deterministic ties)."""
-    template = gate.template
-    candidates = evaluations
-    if objective == "delay-constrained":
-        candidates = _delay_feasible(
-            gate, evaluations, default_eval, model.tech, load
-        )
-    if objective == "worst":
-        return min(candidates, key=lambda e: (-e.power, e.config.key()))
-    if objective == "fastest":
-        return min(
-            candidates,
-            key=lambda e: (
-                gate_worst_delay(
-                    template.compile_config(e.config), e.config,
-                    model.tech, load,
-                ),
-                e.config.key(),
-            ),
-        )
-    return min(candidates, key=lambda e: (e.power, e.config.key()))
-
-
-def _delay_feasible(
-    gate: GateInstance,
-    evaluations: List[ConfigEvaluation],
-    default_eval: ConfigEvaluation,
-    tech: TechParams,
-    load: float,
-) -> List[ConfigEvaluation]:
-    """Configurations whose every pin delay is within the default's."""
-    default_compiled = gate.template.compile_config(default_eval.config)
-    limits = {
-        pin: gate_pin_delay(default_compiled, default_eval.config, pin, tech, load)
-        for pin in gate.template.pins
-    }
-    feasible = []
-    for evaluation in evaluations:
-        compiled = gate.template.compile_config(evaluation.config)
-        ok = all(
-            gate_pin_delay(compiled, evaluation.config, pin, tech, load)
-            <= limits[pin] * (1.0 + 1e-9)
-            for pin in gate.template.pins
-        )
-        if ok:
-            feasible.append(evaluation)
-    return feasible or [default_eval]
+                          _decided.since(decided_start))
 
 
 def circuit_power(
@@ -445,14 +403,13 @@ def circuit_power(
     :meth:`repro.incremental.StatsCache.total_power` runs, so an
     incrementally maintained total equals this one exactly.
     """
-    from ..stochastic.density import local_stats
-
     model = model if model is not None else GatePowerModel()
     if net_stats is None:
         net_stats = local_stats(circuit, input_stats)
     by_gate: Dict[str, GatePowerReport] = {}
     for gate in circuit.gates:
-        stats = _pin_stats(gate, net_stats)
+        stats = {pin: net_stats[gate.pin_nets[pin]]
+                 for pin in gate.template.pins}
         load = circuit.output_load(gate.output, model.tech, po_load)
         by_gate[gate.name] = model.gate_power(gate.compiled(), stats, load)
     total = fold_power(np.fromiter(

@@ -90,7 +90,7 @@ from ..circuit.netlist import (
     lookup_template,
 )
 from ..compiled.circuit import stats_class
-from ..compiled.power import _PowerClass, power_class
+from ..compiled.power import power_class, stacked_class
 from ..core.power_model import GatePowerModel
 from ..gates.capacitance import pin_terminal_counts
 from ..obs import trace as _trace
@@ -514,9 +514,6 @@ class _BatchPricer:
         self.kernel = self.cache.power_kernel()
         self.cc = self.kernel.cc
         self._templates = {t.name: t for t in state.circuit.library}
-        #: Stacked power programs of candidate sets, keyed by the
-        #: candidates' (template name, config key) tuple.
-        self._stacks: Dict[tuple, _PowerClass] = {}
         self._totals: Optional[np.ndarray] = None
 
     def invalidate(self) -> None:
@@ -572,7 +569,7 @@ class _BatchPricer:
         A reorder changes nothing but the gate's own power row, and
         every candidate reads the same pin statistics and output load,
         so the candidates' programs stack into one lane each of a
-        single evaluation (:meth:`_PowerClass.stacked`).
+        single evaluation (:func:`~repro.compiled.power.stacked_class`).
         """
         cache = self.cache
         cc = self.cc
@@ -584,16 +581,8 @@ class _BatchPricer:
         p_in, d_in = kernel._gather([gid], len(template.pins), cache._stats)
         configs = [template.default_config() if move.edit.config is None
                    else move.edit.config for move in moves]
-        key = tuple((template.name, config.key()) for config in configs)
-        stack = self._stacks.get(key)
-        if stack is None:
-            stack = _PowerClass.stacked([
-                power_class(template.compile_config(config))
-                for config in configs
-            ])
-            self._stacks[key] = stack
-        *_, totals = stack.evaluate(kernel.model, p_in, d_in,
-                                    np.asarray([load]))
+        *_, totals = stacked_class(template, configs).evaluate(
+            kernel.model, p_in, d_in, np.asarray([load]))
         pos = cache.topo_index[gate.name]
         return self._fold([{pos: total} for total in totals[0].tolist()])
 

@@ -2,13 +2,22 @@
 
 import pytest
 
+from repro.analysis.experiments import case_seed
+from repro.bench.suite import benchmark_suite, get_case
+from repro.circuit.blif import write_mapped_blif
 from repro.circuit.netlist import Circuit
-from repro.core.optimizer import circuit_power, optimize_circuit
+from repro.core import optimizer
+from repro.core.optimizer import OBJECTIVES, circuit_power, optimize_circuit
 from repro.core.power_model import GatePowerModel
+from repro.core.reorder import evaluate_configurations
 from repro.gates.library import default_library
 from repro.sim.logicsim import check_equivalence
+from repro.sim.stimulus import ScenarioA, ScenarioB
+from repro.stochastic.density import propagate_stats
 from repro.stochastic.signal import SignalStats
-from repro.timing.sta import circuit_delay
+from repro.synth.mapper import map_circuit
+from repro.timing.elmore import gate_pin_delay
+from repro.timing.sta import DEFAULT_PO_LOAD, circuit_delay
 
 LIB = default_library()
 MODEL = GatePowerModel()
@@ -164,3 +173,161 @@ class TestCircuitPower:
         result = optimize_circuit(c, skewed_stats(), MODEL)
         assert result.circuit.area() == c.area()
         assert result.circuit.transistor_count() == c.transistor_count()
+
+
+# ----------------------------------------------------------------------
+# The batch engine against the sequential per-gate algorithm
+# ----------------------------------------------------------------------
+def reference_optimize(circuit, net_stats, objective, passes, model=MODEL,
+                       po_load=DEFAULT_PO_LOAD, priced=None):
+    """Figure 3 gate by gate on the object oracle, cone-aware passes.
+
+    Each gate reads its live load and is re-configured before the next
+    gate is decided, as a sequential traversal does.  ``priced`` may
+    share :func:`evaluate_configurations` results between calls on the
+    same ``net_stats`` (keyed by gate and load; the function is pure).
+
+    Returns ``(circuit, decisions, power_before, power_after,
+    passes_run)`` with decisions as :func:`decision_fields` tuples.
+    """
+    work = circuit.copy()
+    tech = model.tech
+    topo = work.topo_gates()
+    decisions = {}
+    pending = None
+    power_before = power_after = 0.0
+    any_changed = False
+    for passes_run in range(1, passes + 1):
+        changed = []
+        for gate in topo:
+            if pending is not None and gate.name not in pending:
+                continue
+            template = gate.template
+            pins = {pin: net_stats[gate.pin_nets[pin]]
+                    for pin in template.pins}
+            load = work.output_load(gate.output, tech, po_load)
+            evaluations = None if priced is None else priced.get(
+                (gate.name, load))
+            if evaluations is None:
+                evaluations = evaluate_configurations(template, pins, model,
+                                                      load)
+                if priced is not None:
+                    priced[(gate.name, load)] = evaluations
+            by_key = {e.config.key(): e for e in evaluations}
+            entry = by_key[gate.effective_config().key()]
+            default = by_key[template.default_config().key()]
+
+            def delays(e):
+                compiled = template.compile_config(e.config)
+                return [gate_pin_delay(compiled, e.config, pin, tech, load)
+                        for pin in template.pins]
+
+            if objective == "delay-constrained":
+                limits = [d * (1.0 + 1e-9) for d in delays(default)]
+                evaluations = [e for e in evaluations if all(
+                    d <= limit for d, limit in zip(delays(e), limits))]
+            if objective == "worst":
+                chosen = min(evaluations,
+                             key=lambda e: (-e.power, e.config.key()))
+            elif objective == "fastest":
+                chosen = min(evaluations,
+                             key=lambda e: (max(delays(e)), e.config.key()))
+            else:
+                chosen = min(evaluations,
+                             key=lambda e: (e.power, e.config.key()))
+            if chosen.config.key() != entry.config.key():
+                changed.append(gate.name)
+                work.set_config(gate.name, chosen.config)
+            decisions[gate.name] = (gate.name, template.name, len(by_key),
+                                    chosen.config.key(), repr(chosen.power),
+                                    repr(default.power), chosen.report)
+            if passes_run == 1:
+                power_before += entry.power
+                power_after += chosen.power
+        if not changed:
+            break
+        any_changed = True
+        pending = {pred.name for name in changed
+                   for pred in work.fanin_drivers(name)
+                   if pred.template.num_configurations() > 1}
+        if not pending:
+            break
+    if passes > 1 and any_changed:
+        power_after = circuit_power(work, {}, model, po_load,
+                                    net_stats=net_stats).total
+    return (work, [decisions[g.name] for g in topo], power_before,
+            power_after, passes_run)
+
+
+def decision_fields(d):
+    return (d.gate_name, d.template_name, d.num_configurations,
+            d.chosen.config.key(), repr(d.chosen.power),
+            repr(d.default_power), d.chosen.report)
+
+
+def assert_matches_reference(result, reference):
+    work, decisions, before, after, passes_run = reference
+    assert [decision_fields(d) for d in result.decisions] == decisions
+    assert repr(result.power_before) == repr(before)
+    assert repr(result.power_after) == repr(after)
+    assert result.passes_run == passes_run
+    assert write_mapped_blif(result.circuit) == write_mapped_blif(work)
+
+
+class TestBatchEngineMatchesReference:
+    @pytest.mark.parametrize("scenario", ["A", "B"])
+    @pytest.mark.parametrize("case",
+                             [c.name for c in benchmark_suite("quick")])
+    def test_quick_suite(self, case, scenario):
+        circuit = map_circuit(get_case(case).network())
+        generator = (ScenarioA if scenario == "A" else ScenarioB)(
+            seed=case_seed(case))
+        stats = generator.input_stats(circuit.inputs)
+        maps = {"local": propagate_stats(circuit, stats, method="local"),
+                "exact": propagate_stats(circuit, stats, method="exact")}
+        priced = {source: {} for source in maps}
+        for objective in OBJECTIVES:
+            for passes in (1, 3):
+                for source, net_stats in maps.items():
+                    reference = reference_optimize(circuit, net_stats,
+                                                   objective, passes,
+                                                   priced=priced[source])
+                    for alias in (("model", "local") if source == "local"
+                                  else ("exact",)):
+                        result = optimize_circuit(
+                            circuit, stats, MODEL, objective=objective,
+                            stats=alias, passes=passes)
+                        assert_matches_reference(result, reference)
+
+    def test_exact_tie_breaks_on_configuration_key(self):
+        # Both nand2 pins on one net: the two series orders are mirror
+        # images and price to the identical double, for best and worst.
+        c = Circuit("tie", LIB)
+        c.add_input("a")
+        c.add_output("y")
+        c.add_gate("g", "nand2", {"a": "a", "b": "a"}, "y")
+        stats = {"a": SignalStats(0.3, 4.0e5)}
+        powers = {e.power for e in evaluate_configurations(
+            LIB["nand2"], {"a": stats["a"], "b": stats["a"]}, MODEL,
+            c.output_load("y", MODEL.tech))}
+        assert len(powers) == 1
+        first = min(config.key() for config in LIB["nand2"].configurations())
+        for objective in ("best", "worst"):
+            result = optimize_circuit(c, stats, MODEL, objective=objective)
+            assert result.decisions[0].chosen.config.key() == first
+            assert_matches_reference(result, reference_optimize(
+                c, propagate_stats(c, stats), objective, 1))
+
+    def test_row_blocks_do_not_change_decisions(self, monkeypatch):
+        # Large circuits price a template's gates in row blocks; one
+        # gate per block must decide exactly as one block per template.
+        circuit = map_circuit(get_case("rca4").network())
+        stats = ScenarioB(seed=case_seed("rca4")).input_stats(circuit.inputs)
+        whole = optimize_circuit(circuit, stats, MODEL, passes=3)
+        monkeypatch.setattr(optimizer, "_BLOCK", 1)
+        split = optimize_circuit(circuit, stats, MODEL, passes=3)
+        assert [decision_fields(d) for d in split.decisions] == \
+            [decision_fields(d) for d in whole.decisions]
+        assert repr(split.power_after) == repr(whole.power_after)
+        assert write_mapped_blif(split.circuit) == \
+            write_mapped_blif(whole.circuit)
