@@ -1,10 +1,10 @@
 """Legacy setup shim.
 
-The offline environment lacks the ``wheel`` package, so PEP 517
-editable installs (which need ``bdist_wheel``) fail.  This shim lets
-``pip install -e . --no-use-pep517 --no-build-isolation`` (or plain
-``pip install -e .`` on environments with ``wheel``) work everywhere.
-All metadata lives in pyproject.toml.
+All metadata lives in pyproject.toml.  Where the ``wheel`` package is
+installed, ``pip install -e .`` (or, offline,
+``pip install --no-use-pep517 --no-build-isolation --no-deps -e .``)
+installs the package.  Without ``wheel`` neither pip route can build,
+and ``python setup.py develop`` does the same editable install.
 """
 
 from setuptools import setup

@@ -129,10 +129,6 @@ class BDD:
         return Func(self, self._mk(self._var_level[name], self.FALSE, self.TRUE))
 
     @property
-    def var_names(self) -> Tuple[str, ...]:
-        return tuple(self._var_names)
-
-    @property
     def false(self) -> Func:
         return Func(self, self.FALSE)
 

@@ -233,6 +233,9 @@ class TruthTable:
         ``probs`` maps each variable name to its equilibrium probability.
         Variables the function does not mention still participate (their
         weights sum out to 1), so only names missing from ``probs`` raise.
+
+        The masked sum folds the selected minterm weights left to right
+        in ascending minterm order, as the compiled kernels do.
         """
         n = len(self.vars)
         if n == 0 or self.is_constant():
@@ -246,4 +249,4 @@ class TruthTable:
             self.bits.to_bytes((1 << n) // 8 if n >= 3 else 1, "little"), dtype=np.uint8
         )
         sel = np.unpackbits(idx, bitorder="little")[: 1 << n].astype(bool)
-        return float(min(1.0, max(0.0, weights[sel].sum())))
+        return float(min(1.0, max(0.0, np.cumsum(weights[sel])[-1])))

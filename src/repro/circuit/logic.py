@@ -139,9 +139,6 @@ class LogicNetwork:
     def node(self, name: str) -> LogicNode:
         return self._nodes[name]
 
-    def has_node(self, name: str) -> bool:
-        return name in self._nodes
-
     def __len__(self) -> int:
         return len(self._nodes)
 

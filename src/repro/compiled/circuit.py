@@ -15,16 +15,18 @@ reproduction on index ranges instead of object traversals:
 
 **The equivalence contract.**  Every kernel reproduces the object-graph
 arithmetic *operation for operation*: per-minterm weight products and
-masked sums follow :meth:`repro.boolean.truthtable.TruthTable.probability`,
-clamping follows ``repro.stochastic.density._clamp``, load summation
-follows :func:`repro.gates.capacitance.net_load` in the same
-gate-creation-then-template-pin sink order, and per-pin Elmore delays
-use the load-affine terms of
+masked sums follow :meth:`repro.boolean.truthtable.TruthTable.probability`
+(both kernels evaluate their tables through the one shared
+:class:`_TableSet`), clamping follows ``repro.stochastic.density._clamp``,
+load summation follows :func:`repro.gates.capacitance.net_load` in the
+same gate-creation-then-template-pin sink order, and per-pin Elmore
+delays use the load-affine terms of
 :func:`repro.timing.elmore.stack_delay_terms` accumulated in
-:func:`~repro.timing.elmore.stack_delay`'s order.  numpy reduces the
-innermost contiguous axis with the same pairwise algorithm regardless
-of leading dimensions, so batching gates does not change a single bit
-— the property ``tests/test_compiled.py`` locks with hypothesis edit
+:func:`~repro.timing.elmore.stack_delay`'s order.  Every float sum
+here is a sequential left fold in a stated order — a masked sum adds
+its minterm weights in ascending minterm order, in the oracle and in
+the kernels — so batching gates does not change a single bit, the
+property ``tests/test_compiled.py`` locks with hypothesis edit
 sequences.
 
 Work is batched by **(logic level, class)**: within a level no gate
@@ -69,8 +71,8 @@ def _tt_selection(tt: TruthTable) -> np.ndarray:
     """Ascending minterm indices where ``tt`` is 1.
 
     The exact unpacking :meth:`TruthTable.probability` performs before
-    its masked sum, so ``weights[:, selection].sum(axis=1)`` adds the
-    same floats in the same order as ``weights[mask].sum()``.
+    its masked sum, so a left fold of ``weights[selection]`` adds the
+    same floats in the same order as the oracle.
     """
     n = tt.nvars
     nbytes = (1 << n) // 8 if n >= 3 else 1
@@ -79,55 +81,74 @@ def _tt_selection(tt: TruthTable) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def _pairwise_block(block: np.ndarray, start: int, count: int) -> np.ndarray:
-    """numpy's 1-D pairwise summation, lifted to the last axis of ``block``.
+#: Selection padding: the all-zero weight column :meth:`_TableSet.evaluate`
+#: appends after the minterm weights.
+_ZERO = -1
 
-    Mirrors the C ``pairwise_sum`` algorithm (sequential below 8
-    elements; eight interleaved partial sums combined as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` up to the 128 blocksize;
-    recursive halving above), with each scalar replaced by the slice
-    ``block[..., i]`` — so every entry of the result is the double a
-    1-D ``.sum()`` of that entry's last-axis run would produce, for a
-    block of any rank.  ``tests/test_compiled.py`` asserts the match for
-    every length a gate truth table can select.
+
+class _TableSet:
+    """The truth-table evaluator both kernels share.
+
+    Column ``c`` of :meth:`evaluate` is :meth:`TruthTable.probability`
+    of table ``c``, bit for bit.  Constant tables (and zero-variable
+    ones, the oracle's early-out) are exact 0.0/1.0 values in
+    :attr:`const`; the rest are grouped one group per ``L // 8`` of
+    their selection length ``L``, padded at the end with :data:`_ZERO`
+    to the group's longest.  The bucketing only bounds the padding: a
+    padding element adds an exact ``+0.0`` at the end of a left fold.
     """
-    if count < 8:
-        result = block[..., start].copy()
-        for i in range(1, count):
-            result += block[..., start + i]
-        return result
-    if count <= 128:
-        partial = [block[..., start + j].copy() for j in range(8)]
-        i = 8
-        while i < count - (count % 8):
-            for j in range(8):
-                partial[j] += block[..., start + i + j]
-            i += 8
-        result = (
-            (partial[0] + partial[1]) + (partial[2] + partial[3])
-        ) + ((partial[4] + partial[5]) + (partial[6] + partial[7]))
-        while i < count:
-            result += block[..., start + i]
-            i += 1
-        return result
-    half = (count // 2) - ((count // 2) % 8)
-    return (_pairwise_block(block, start, half)
-            + _pairwise_block(block, start + half, count - half))
 
+    __slots__ = ("mat", "const", "groups")
 
-def _rowwise_selected_sum(weights: np.ndarray,
-                          selection: np.ndarray) -> np.ndarray:
-    """Per-row ``weights[row, selection].sum()`` in 1-D summation order.
+    def __init__(self, arity: int, const: np.ndarray, selections) -> None:
+        """``selections`` yields ``(column, selection)`` pairs."""
+        self.mat = _minterm_matrix(arity) if arity else None
+        self.const = const
+        buckets: Dict[int, list] = {}
+        for col, sel in selections:
+            buckets.setdefault(len(sel) // 8, []).append((col, sel))
+        groups = []
+        for entries in buckets.values():
+            sels = np.full((len(entries), max(len(sel) for _, sel in entries)),
+                           _ZERO)
+            for row, (_, sel) in enumerate(entries):
+                sels[row, :len(sel)] = sel
+            groups.append((np.asarray([col for col, _ in entries]), sels))
+        self.groups = tuple(groups)
 
-    ``sum(axis=1)`` reduces multi-row arrays in a different associativity
-    than a 1-D ``.sum()`` once rows reach eight elements, which would
-    break bit-identity with :meth:`TruthTable.probability`; this takes
-    the 1-D pairwise route explicitly.
-    """
-    if len(selection) == 0:
-        return np.zeros(len(weights))
-    picked = weights[:, selection]
-    return _pairwise_block(picked, 0, picked.shape[1])
+    @classmethod
+    def of(cls, arity: int, tables: List[TruthTable]) -> "_TableSet":
+        """The evaluator of ``tables``, each over the same ``arity`` pins."""
+        const = np.zeros(len(tables))
+        selections = []
+        for col, tt in enumerate(tables):
+            if len(tt.vars) == 0 or tt.is_constant():
+                const[col] = 1.0 if tt.bits else 0.0
+            else:
+                selections.append((col, _tt_selection(tt)))
+        return cls(arity, const, selections)
+
+    def evaluate(self, p_in: np.ndarray) -> np.ndarray:
+        """``(rows, tables)`` probabilities of ``(rows, arity)`` pin inputs.
+
+        Per row the minterm weights (plus the :data:`_ZERO` column), per
+        group one gather and one left fold over its last axis in
+        ascending minterm order, then the ``[0, 1]`` clamp.
+        """
+        rows = len(p_in)
+        vals = np.empty((rows, len(self.const)))
+        vals[:] = self.const
+        if self.groups:
+            weights = np.zeros((rows, len(self.mat) + 1))
+            np.prod(
+                np.where(self.mat[None, :, :] == 1,
+                         p_in[:, None, :], 1.0 - p_in[:, None, :]),
+                axis=2, out=weights[:, :-1],
+            )
+            for cols, sels in self.groups:
+                vals[:, cols] = np.cumsum(weights[:, sels], axis=-1)[..., -1]
+            np.minimum(1.0, np.maximum(0.0, vals, out=vals), out=vals)
+        return vals
 
 
 #: Process-global kernel metrics (:mod:`repro.obs.metrics`): invocation
@@ -145,30 +166,17 @@ _LOADS_REBUILDS = _METRICS.counter("compiled.net_loads.rebuilds")
 class _StatsClass:
     """Per-template data of the (P, D) kernel (function, not ordering)."""
 
-    __slots__ = ("arity", "mat", "const_p", "out_sel", "pin_diffs", "tt_bits")
+    __slots__ = ("arity", "tables", "tt_bits")
 
     def __init__(self, output_tt: TruthTable):
         self.arity = output_tt.nvars
         #: Dense truth-table bits — the sampled kernel keys its word
         #: evaluators (bitsim._compile_word_function) on (arity, bits).
         self.tt_bits = output_tt.bits
-        self.mat = _minterm_matrix(self.arity) if self.arity else None
-        if self.arity == 0 or output_tt.is_constant():
-            self.const_p: Optional[float] = 1.0 if output_tt.bits else 0.0
-            self.out_sel: Optional[np.ndarray] = None
-        else:
-            self.const_p = None
-            self.out_sel = _tt_selection(output_tt)
-        #: Per pin: ``(selection, None)`` for essential dependence or
-        #: ``(None, constant_probability)`` when the Boolean difference
-        #: is constant (TruthTable.probability's early-out).
-        self.pin_diffs: List[tuple] = []
-        for pin in output_tt.vars:
-            diff = output_tt.boolean_difference(pin)
-            if self.arity == 0 or diff.is_constant():
-                self.pin_diffs.append((None, 1.0 if diff.bits else 0.0))
-            else:
-                self.pin_diffs.append((_tt_selection(diff), None))
+        #: Table 0 is the output function, table ``1 + j`` the Boolean
+        #: difference with respect to pin ``j``.
+        self.tables = _TableSet.of(self.arity, [output_tt] + [
+            output_tt.boolean_difference(pin) for pin in output_tt.vars])
 
 
 class _TimingClass:
@@ -426,44 +434,22 @@ class CompiledCircuit:
         count = len(fanin)
         _STATS_GROUP_CALLS.inc()
         _STATS_GROUP_SIZES.observe(count)
-        if cls.const_p is None:
-            # TruthTable.probability: per-minterm weight products, then
-            # the masked sum over the function's minterms.
-            weights = np.prod(
-                np.where(cls.mat[None, :, :] == 1,
-                         p_in[:, None, :], 1.0 - p_in[:, None, :]),
-                axis=2,
-            )
-            p_out = np.minimum(1.0, np.maximum(
-                0.0, _rowwise_selected_sum(weights, cls.out_sel)))
-        else:
-            weights = None
-            p_out = np.full(count, cls.const_p)
+        # TruthTable.probability of the output and of every pin's
+        # Boolean difference, clamped to [0, 1].
+        vals = cls.tables.evaluate(p_in)
         d_out = np.zeros(count)
-        for j, (selection, const) in enumerate(cls.pin_diffs):
+        for j in range(cls.arity):
             d_col = d_in[:, j]
-            if selection is None:
-                p_diff = const
-            else:
-                if weights is None:  # pragma: no cover - constant outputs
-                    weights = np.prod(  # have constant differences
-                        np.where(cls.mat[None, :, :] == 1,
-                                 p_in[:, None, :], 1.0 - p_in[:, None, :]),
-                        axis=2,
-                    )
-                p_diff = np.minimum(1.0, np.maximum(
-                    0.0, _rowwise_selected_sum(weights, selection)))
             # local_gate_stats skips pins with zero density; adding the
             # product there would be a no-op, but np.where keeps the
             # accumulation literally identical.
-            d_out = np.where(d_col != 0.0, d_out + p_diff * d_col, d_out)
-        # _clamp: [0, 1] always, the epsilon band only for live signals.
-        p_out = np.minimum(1.0, np.maximum(0.0, p_out))
-        p_out = np.where(
-            d_out > 0.0,
-            np.minimum(1.0 - _STATS_EPS, np.maximum(_STATS_EPS, p_out)),
-            p_out,
-        )
+            d_out = np.where(d_col != 0.0, d_out + vals[:, 1 + j] * d_col,
+                             d_out)
+        # _clamp: [0, 1] always (evaluate's clamp), the epsilon band
+        # only for live signals.
+        p_out = vals[:, 0]
+        p_out = np.where(d_out > 0.0, np.minimum(
+            1.0 - _STATS_EPS, np.maximum(_STATS_EPS, p_out)), p_out)
         return p_out, d_out
 
     def _stats_full_plan(self) -> list:

@@ -12,31 +12,28 @@ batch and reduces every node table at once.
 
 **The table program.**  A :class:`_PowerClass` lays every node table
 out as a column of a ``(lanes, width)`` node grid — ``H`` and ``G``
-per node, ``dH``/``dG`` per node and pin — with constant tables as
-exact 0.0/1.0 values and the rest grouped by selection length ``L``
-— one group per ``L // 8``, the part of ``L`` that fixes the shape of
-numpy's pairwise sum, each selection zero-padded to its group's
-longest.  :meth:`_PowerClass.evaluate` computes the minterm weights
-once per row, then per group does one gather ``weights[:, sel]`` and
-one pairwise fold over its last axis; the node and pin arithmetic then
-runs on ``(rows, lanes, width)`` blocks.  A single configuration
-is one lane.  :meth:`_PowerClass.stacked` concatenates the programs of
-a gate's candidate configurations into one lane each, padding nodes to
-the widest lane, so one call prices a whole candidate set;
-:func:`stacked_class` memoises it per candidate set for its two
-consumers, the paper's optimiser and the search's batch pricer.
+per node, ``dH``/``dG`` per node and pin — and evaluates the columns
+with the truth-table evaluator the (P, D) kernel shares
+(:class:`~repro.compiled.circuit._TableSet`: exact 0.0/1.0 constants,
+the rest one gather and one left fold per selection-length group); the
+node and pin arithmetic then runs on ``(rows, lanes, width)`` blocks.
+A single configuration is one lane.  :meth:`_PowerClass.stacked`
+concatenates the programs of a gate's candidate configurations into
+one lane each, padding nodes to the widest lane, so one call prices a
+whole candidate set; :func:`stacked_class` memoises it per candidate
+set for its two consumers, the paper's optimiser and the search's
+batch pricer.
 
 **The equivalence contract.**  Bit-identical to
 :class:`~repro.core.power_model.GatePowerModel` — every float comes
 out of the same operations in the same order:
 
 * per-minterm weights and masked sums follow
-  :meth:`TruthTable.probability` (via ``_pairwise_block``, the 1-D
-  pairwise summation lifted to the last axis of an N-d block: each
-  ``(row, table)`` entry gets the adds a 1-D ``.sum()`` of its
-  selection would run, whatever the leading dimensions).  A padding
-  element selects an all-zero weight column and lands among the
-  one-at-a-time trailing adds, so it adds an exact ``+0.0``;
+  :meth:`TruthTable.probability`: each ``(row, table)`` entry is a
+  left fold of its selected weights in ascending minterm order,
+  whatever the leading dimensions.  A padding element selects an
+  all-zero weight column at the end of the fold, so it adds an exact
+  ``+0.0``;
 * the steady-state guard ``ph + pg <= eps -> 0`` and the conditioned
   formula's denominators reproduce
   :meth:`GatePowerModel.node_probability` /
@@ -68,7 +65,6 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..boolean.truthtable import _minterm_matrix
 from ..core.power_model import (
     _EPS,
     GatePowerModel,
@@ -78,7 +74,7 @@ from ..core.power_model import (
 from ..gates.library import GateConfig, GateTemplate
 from ..gates.network import OUT, CompiledGate
 from ..obs.metrics import REGISTRY as _METRICS
-from .circuit import CompiledCircuit, _pairwise_block, _tt_selection
+from .circuit import CompiledCircuit, _TableSet
 
 __all__ = ["CompiledPowerKernel", "power_class", "stacked_class"]
 
@@ -87,10 +83,6 @@ __all__ = ["CompiledPowerKernel", "power_class", "stacked_class"]
 #: statistics/timing twins).
 _POWER_EVAL_CALLS = _METRICS.counter("compiled.power_eval.calls")
 _POWER_EVAL_SIZES = _METRICS.histogram("compiled.power_eval.batch_size")
-
-#: Selection padding: the all-zero weight column :meth:`_PowerClass.evaluate`
-#: appends after the minterm weights.
-_ZERO = -1
 
 
 def _layout(lanes: int, width: int, arity: int) -> tuple:
@@ -109,49 +101,25 @@ def _layout(lanes: int, width: int, arity: int) -> tuple:
             cols[2 * size + per_pin:].reshape(lanes, width, arity))
 
 
-def _fold_groups(selections) -> tuple:
-    """``(columns, selections)`` groups, one per pairwise-fold shape.
-
-    ``selections`` yields ``(column, selection)`` pairs.  numpy's
-    pairwise sum of ``L`` elements combines the first ``8 * (L // 8)``
-    in a shape fixed by ``L // 8`` and adds the rest one at a time, so
-    selections sharing ``L // 8`` share one fold: each is padded at the
-    end with :data:`_ZERO` to the longest, and every padded element adds
-    an exact ``+0.0`` to a sum of non-negative weights.
-    """
-    buckets: Dict[int, list] = {}
-    for col, sel in selections:
-        buckets.setdefault(len(sel) // 8, []).append((col, sel))
-    groups = []
-    for entries in buckets.values():
-        sels = np.full((len(entries), max(len(sel) for _, sel in entries)),
-                       _ZERO)
-        for row, (_, sel) in enumerate(entries):
-            sels[row, :len(sel)] = sel
-        groups.append((np.asarray([col for col, _ in entries]), sels))
-    return tuple(groups)
-
-
 class _PowerClass:
     """The table program of one gate configuration, or of a stacked set.
 
     Every node table (``H`` and ``G`` per node, ``dH``/``dG`` per node
     and pin) is one column of a ``(lanes, width)`` node grid: one lane
     for a single configuration, one lane per candidate for a stacked
-    candidate set (:meth:`stacked`).  Constant tables — and a
-    zero-variable table, :meth:`TruthTable.probability`'s early-out —
-    are an exact 0.0/1.0 in :attr:`const`; the rest are grouped by
-    selection length (:func:`_fold_groups`), so :meth:`evaluate` prices
-    the whole grid with one gather and one pairwise fold per group.
+    candidate set (:meth:`stacked`).  The columns are evaluated by the
+    kernels' shared truth-table evaluator
+    (:class:`~repro.compiled.circuit._TableSet`, in :attr:`tables`), so
+    :meth:`evaluate` prices the whole grid with one gather and one left
+    fold per selection-length group.
     """
 
-    __slots__ = ("arity", "mat", "nodes", "lanes", "width", "is_out",
-                 "counts", "const", "groups")
+    __slots__ = ("arity", "nodes", "lanes", "width", "is_out", "counts",
+                 "tables")
 
     def __init__(self, compiled: CompiledGate):
         arity = len(compiled.inputs)
         self.arity = arity
-        self.mat = _minterm_matrix(arity) if arity else None
         self.nodes: Optional[Tuple[str, ...]] = compiled.nodes
         self.lanes = 1
         self.width = len(self.nodes)
@@ -166,14 +134,7 @@ class _PowerClass:
         for source in (compiled.dh, compiled.dg):
             tables += [source[(node, pin)] for node in self.nodes
                        for pin in compiled.inputs]
-        self.const = np.zeros(len(tables))
-        selections = []
-        for col, tt in enumerate(tables):
-            if len(tt.vars) == 0 or tt.is_constant():
-                self.const[col] = 1.0 if tt.bits else 0.0
-            else:
-                selections.append((col, _tt_selection(tt)))
-        self.groups = _fold_groups(selections)
+        self.tables = _TableSet.of(arity, tables)
 
     @classmethod
     def stacked(cls, parts: Sequence["_PowerClass"]) -> "_PowerClass":
@@ -190,13 +151,12 @@ class _PowerClass:
         grid = _layout(len(parts), width, arity)
         self = cls.__new__(cls)
         self.arity = arity
-        self.mat = parts[0].mat
         self.nodes = None
         self.lanes = len(parts)
         self.width = width
         self.is_out = np.zeros((self.lanes, width), dtype=bool)
         self.counts = np.zeros((self.lanes, width))
-        self.const = np.zeros(self.lanes * width * (2 + 2 * arity))
+        const = np.zeros(self.lanes * width * (2 + 2 * arity))
         selections = []
         for k, part in enumerate(parts):
             n = part.width
@@ -206,10 +166,11 @@ class _PowerClass:
             remap = np.concatenate([grid[0][k, :n], grid[1][k, :n],
                                     grid[2][k, :n].ravel(),
                                     grid[3][k, :n].ravel()])
-            self.const[remap] = part.const
-            for cols, sels in part.groups:
+            const[remap] = part.tables.const
+            # Re-bucketing a padded selection keeps its L // 8 group.
+            for cols, sels in part.tables.groups:
                 selections.extend(zip(remap[cols].tolist(), sels))
-        self.groups = _fold_groups(selections)
+        self.tables = _TableSet(arity, const, selections)
         return self
 
     def evaluate(self, model: GatePowerModel, p_in: np.ndarray,
@@ -229,22 +190,7 @@ class _PowerClass:
         tech = model.tech
         factor = tech.switch_energy_factor
         arity = self.arity
-        vals = np.empty((rows, len(self.const)))
-        vals[:] = self.const
-        if self.groups:
-            # TruthTable.probability: per-minterm weight products (plus
-            # the _ZERO padding column), the 1-D pairwise masked sum,
-            # then the [0, 1] clamp — a no-op on the 0.0/1.0 constants.
-            weights = np.zeros((rows, len(self.mat) + 1))
-            np.prod(
-                np.where(self.mat[None, :, :] == 1,
-                         p_in[:, None, :], 1.0 - p_in[:, None, :]),
-                axis=2, out=weights[:, :-1],
-            )
-            for cols, sels in self.groups:
-                vals[:, cols] = _pairwise_block(weights[:, sels], 0,
-                                                sels.shape[1])
-            np.minimum(1.0, np.maximum(0.0, vals, out=vals), out=vals)
+        vals = self.tables.evaluate(p_in)
         grid = (rows, self.lanes, self.width)
         size = self.lanes * self.width
         per_pin = size * arity

@@ -173,8 +173,8 @@ class _Candidates:
         self.default = self.lane[template.default_config().key()]
         self.compileds = [template.compile_config(c) for c in self.configs]
         self.stack = stacked_class(template, self.configs)
-        cost = len(self.stack.const) + sum(
-            sels.size for _, sels in self.stack.groups)
+        tables = self.stack.tables
+        cost = len(tables.const) + sum(sels.size for _, sels in tables.groups)
         self.block = max(1, _BLOCK // cost)
 
     def decide(self, objective: str, model: GatePowerModel,

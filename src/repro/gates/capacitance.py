@@ -104,11 +104,13 @@ def net_load(sinks, is_output: bool, tech: TechParams,
     floats in the same order (their bit-identity contracts depend on
     it).  ``sinks`` iterates ``(gate_instance, pin_name)`` pairs; both
     :meth:`Circuit.fanout` and :meth:`FanoutIndex.sinks` produce them
-    in gate-creation-then-pin order.
+    in gate-creation-then-pin order.  The sum is a strict left fold, not
+    ``sum()`` (compensated from Python 3.12), like the compiled
+    ``net_loads`` kernel's ``np.add.at``.
     """
-    load = sum(
-        pin_capacitance(gate.compiled(), pin, tech) for gate, pin in sinks
-    )
+    load = 0.0
+    for gate, pin in sinks:
+        load += pin_capacitance(gate.compiled(), pin, tech)
     if is_output:
         load += po_load
     return load

@@ -147,13 +147,6 @@ class TransistorNetwork:
         """Number of transistor source/drain terminals touching ``node``."""
         return len(self._adjacency.get(node, ()))
 
-    def transistor_between(self, node_a: str, node_b: str) -> Tuple[Transistor, ...]:
-        return tuple(t for other, t in self._adjacency.get(node_a, ()) if other == node_b)
-
-    def configuration_key(self) -> tuple:
-        """Hashable identity of this configuration (order-sensitive)."""
-        return (sptree._ordered_key(self.pdn), sptree._ordered_key(self.pun))
-
     # ------------------------------------------------------------------
     # Path functions
     # ------------------------------------------------------------------

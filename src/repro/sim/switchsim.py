@@ -70,10 +70,6 @@ class SwitchSimReport:
         return sum(e.internal for e in self.gate_energy.values())
 
     @property
-    def output_energy(self) -> float:
-        return sum(e.output for e in self.gate_energy.values())
-
-    @property
     def power(self) -> float:
         """Average power over the run (W)."""
         return self.energy / self.duration

@@ -61,9 +61,6 @@ class AIG:
         self._pi_lit[name] = lit
         return lit
 
-    def pi_literal(self, name: str) -> int:
-        return self._pi_lit[name]
-
     def add_po(self, name: str, lit: int) -> None:
         if any(po == name for po, _ in self._pos):
             raise ValueError(f"duplicate primary output {name!r}")
@@ -151,10 +148,6 @@ class AIG:
         if fanin is None:
             raise ValueError(f"node {node} is not an AND node")
         return fanin
-
-    def and_nodes(self) -> Tuple[int, ...]:
-        """AND node indices in topological order (construction order)."""
-        return tuple(i for i, f in enumerate(self._fanins) if f is not None)
 
     def pi_name_of(self, node: int) -> str:
         if not self.is_pi(node):

@@ -83,18 +83,6 @@ def _literal_counts(cover: Cover) -> Dict[Literal, int]:
     return counts
 
 
-def _make_cube_free(cover: Cover) -> Cover:
-    """Strip the largest common cube from every cube of the cover."""
-    if not cover:
-        return cover
-    common = None
-    for cube in cover:
-        common = set(cube) if common is None else common & cube
-    if not common:
-        return cover
-    return frozenset(frozenset(c - common) for c in cover)
-
-
 def is_cube_free(cover: Cover) -> bool:
     if not cover:
         return True

@@ -104,9 +104,6 @@ class PatternIndex:
     def lookup(self, num_leaves: int, bits: int) -> Optional[_Match]:
         return self._tables.get(num_leaves, {}).get(bits)
 
-    def max_leaves(self) -> int:
-        return max(self._tables) if self._tables else 0
-
 
 _PATTERN_CACHE: Dict[tuple, PatternIndex] = {}
 

@@ -1,10 +1,14 @@
 """Tests for the structural capacitance model."""
 
+import functools
+import operator
+
 import pytest
 
 from repro.gates.capacitance import (
     TechParams,
     internal_node_capacitance,
+    net_load,
     node_capacitance,
     output_intrinsic_capacitance,
     pin_capacitance,
@@ -42,6 +46,27 @@ class TestPinCapacitance:
         gate = LIB["inv"].compile_config()
         with pytest.raises(KeyError):
             pin_capacitance(gate, "z", TECH)
+
+
+class TestNetLoad:
+    def test_sinks_fold_left_to_right(self):
+        """A net's load is a strict left fold of its sinks' pin caps.
+
+        The compiled ``net_loads`` kernel adds in that order; Python's
+        float ``sum()`` is compensated from 3.12 and already differs
+        from the fold at seven equal sinks.
+        """
+
+        class Sink:
+            def compiled(self):
+                return LIB["nand2"].compile_config()
+
+        sinks = [(Sink(), "a")] * 7 + [(Sink(), "b")] * 4
+        caps = [pin_capacitance(g.compiled(), pin, TECH) for g, pin in sinks]
+        for n in range(len(sinks) + 1):
+            fold = functools.reduce(operator.add, caps[:n], 0.0)
+            assert net_load(sinks[:n], False, TECH, 9e-15) == fold
+            assert net_load(sinks[:n], True, TECH, 9e-15) == fold + 9e-15
 
 
 class TestNodeCapacitance:

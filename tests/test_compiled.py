@@ -8,9 +8,12 @@ results (exact float equality) to the readable per-gate oracles
 over random circuits and random reorder/retemplate/input-stats/
 input-arrival edit sequences.  Plus the memoised-structure satellite
 (FanoutIndex / topological order shared across caches with
-invalidation hooks) and the numpy summation-order canary the kernels
-rely on.
+invalidation hooks) and the one float-summation rule the oracle and
+the kernels share.
 """
+
+import functools
+import operator
 
 import numpy as np
 import pytest
@@ -20,8 +23,9 @@ from hypothesis import strategies as st
 from repro.bench.generators import random_logic
 from repro.bench.runner import dumps_artifact, strip_timing
 from repro.bench.suite import get_case
+from repro.boolean.truthtable import TruthTable
 from repro.compiled import get_compiled
-from repro.compiled.circuit import _pairwise_block, _rowwise_selected_sum
+from repro.compiled.circuit import _ZERO, _TableSet
 from repro.gates.library import default_library
 from repro.incremental import StatsCache, TimingCache
 from repro.incremental.backends import AnalyticBackend
@@ -66,76 +70,51 @@ def assert_timing_equal(circuit, input_arrivals=None):
 
 
 # ----------------------------------------------------------------------
-# The numpy contract the kernels stand on
+# The float contract the kernels stand on
 # ----------------------------------------------------------------------
-class TestSummationOrder:
-    def test_rowwise_selected_sum_matches_1d_sums(self):
-        """Batched masked sums must replay numpy's 1-D pairwise order.
+class TestFloatContract:
+    def test_masked_sums_fold_left_to_right(self):
+        """One float rule: a masked sum is a left fold in minterm order.
 
-        Library truth tables select at most 2**6 minterms; if a numpy
-        upgrade ever changes its 1-D reduction order, this canary (and
-        the equivalence suites below) fails before any silent drift.
+        For every selection length a library truth table can have
+        (1-64, here over 7 variables so that 64 is not constant), the
+        oracle equals an explicit Python left fold of its selected
+        weights, and the kernels' shared evaluator — selections padded
+        within their ``L // 8`` group, many rows per call — equals the
+        oracle bit for bit, on a multi-row batch and on one row.
         """
         rng = np.random.default_rng(0)
-        for width in range(1, 65):
-            block = rng.random((5, width + 3))
-            selection = np.sort(
-                rng.choice(width + 3, size=width, replace=False))
-            batched = _rowwise_selected_sum(block, selection)
-            for row in range(len(block)):
-                assert batched[row] == block[row, selection].sum(), \
-                    f"order drift at width {width}"
-
-    def test_pairwise_block_nd_matches_1d_sums(self):
-        """The fold over the last axis of an N-d block is per-slice 1-D.
-
-        The power kernel folds ``(rows, tables, L)`` gathers in one
-        call; every ``(row, table)`` entry must be the double the 1-D
-        ``.sum()`` of that slice gives, for every length a library
-        truth table can select.
-        """
-        rng = np.random.default_rng(1)
-        for width in range(1, 65):
-            block = rng.random((3, 4, width))
-            folded = _pairwise_block(block, 0, width)
-            assert folded.shape == (3, 4)
-            for row in range(3):
-                for table in range(4):
-                    assert folded[row, table] == block[row, table].sum(), \
-                        f"order drift at width {width}"
-            # A gathered block (non-contiguous source columns) too.
-            weights = rng.random((3, 2 * width))
-            sels = np.sort(rng.permuted(
-                np.tile(np.arange(2 * width), (4, 1)), axis=1)[:, :width],
-                axis=1)
-            folded = _pairwise_block(weights[:, sels], 0, width)
-            for row in range(3):
-                for table in range(4):
-                    assert folded[row, table] \
-                        == weights[row, sels[table]].sum()
-
-    def test_zero_padding_within_a_fold_shape_is_exact(self):
-        """Trailing zeros up to the next multiple of 8 change no bit.
-
-        The power kernel pads selections sharing ``L // 8`` to one
-        length with a zero weight; numpy's pairwise sum adds those
-        after the first ``8 * (L // 8)`` elements, one at a time.
-        """
-        rng = np.random.default_rng(2)
-        for width in range(1, 65):
-            row = rng.random(width)
-            for padded in range(width, 8 * (width // 8) + 8):
-                block = np.zeros((1, padded))
-                block[0, :width] = row
-                assert _pairwise_block(block, 0, padded)[0] == row.sum(), \
-                    f"padding {width} -> {padded} changed the sum"
-
-    def test_empty_selection_sums_to_zero(self):
-        block = np.ones((4, 8))
-        assert np.array_equal(
-            _rowwise_selected_sum(block, np.array([], dtype=np.int64)),
-            np.zeros(4),
-        )
+        nvars = 7
+        names = tuple(f"x{j}" for j in range(nvars))
+        tables = []
+        for length in range(1, 65):
+            minterms = rng.choice(1 << nvars, size=length, replace=False)
+            tables.append(TruthTable(names, sum(1 << int(m) for m in minterms)))
+        rows = rng.random((5, nvars))
+        for p in rows:
+            weights = [
+                functools.reduce(operator.mul, (
+                    p[j] if (m >> j) & 1 else 1.0 - p[j]
+                    for j in range(nvars)))
+                for m in range(1 << nvars)
+            ]
+            probs = dict(zip(names, p))
+            for tt in tables:
+                selected = [weights[m] for m in range(1 << nvars)
+                            if (tt.bits >> m) & 1]
+                fold = functools.reduce(operator.add, selected)
+                assert tt.probability(probs) == min(1.0, max(0.0, fold)), \
+                    f"not a left fold at length {len(selected)}"
+        evaluator = _TableSet.of(nvars, tables)
+        assert any((sels == _ZERO).any() for _, sels in evaluator.groups)
+        for batch in (rows, rows[:1]):
+            vals = evaluator.evaluate(batch)
+            assert vals.shape == (len(batch), len(tables))
+            for row, p in enumerate(batch):
+                probs = dict(zip(names, p))
+                for col, tt in enumerate(tables):
+                    assert vals[row, col] == tt.probability(probs), \
+                        f"evaluator drift at length {col + 1}"
 
 
 # ----------------------------------------------------------------------
