@@ -60,7 +60,8 @@ from ..obs.metrics import REGISTRY as _METRICS
 from ..stochastic.density import local_stats, propagate_stats
 from ..stochastic.signal import SignalStats
 from ..timing.sta import DEFAULT_PO_LOAD
-from .power_model import GatePowerModel, GatePowerReport, NodePowerEntry
+from .power_model import (GatePowerModel, GatePowerReport, NodePowerEntry,
+                          _left_fold)
 from .reorder import ConfigEvaluation
 
 __all__ = [
@@ -142,13 +143,15 @@ class CircuitPowerReport:
     by_gate: Dict[str, GatePowerReport]
     net_stats: Dict[str, SignalStats]
 
+    # Strict left folds in ``by_gate`` order, not ``sum()`` (compensated
+    # from Python 3.12), like the per-gate totals they add up.
     @property
     def internal_total(self) -> float:
-        return sum(r.internal_power for r in self.by_gate.values())
+        return _left_fold(r.internal_power for r in self.by_gate.values())
 
     @property
     def output_total(self) -> float:
-        return sum(r.output_power for r in self.by_gate.values())
+        return _left_fold(r.output_power for r in self.by_gate.values())
 
 
 #: Elements per array of one kernel call: a template's gates are priced

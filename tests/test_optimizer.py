@@ -1,5 +1,9 @@
 """Tests for the Figure 3 circuit optimiser."""
 
+import functools
+import math
+import operator
+
 import pytest
 
 from repro.analysis.experiments import case_seed
@@ -159,6 +163,26 @@ class TestCircuitPower:
         assert report.total == pytest.approx(
             report.internal_total + report.output_total
         )
+
+    def test_totals_fold_left_to_right(self):
+        """``internal_total``/``output_total`` are strict left folds in
+        gate order; ``sum()`` (compensated from Python 3.12) or
+        ``math.fsum`` would give 1.0 here."""
+        from repro.core.power_model import GatePowerReport, NodePowerEntry
+        from repro.gates.network import OUT
+
+        powers = [1e16, 1.0, -1e16]
+        fold = functools.reduce(operator.add, powers, 0.0)
+        assert fold == 0.0 and math.fsum(powers) == 1.0
+        by_gate = {
+            f"g{i}": GatePowerReport(
+                (NodePowerEntry("n1", 0.0, 0.0, 0.0, p),
+                 NodePowerEntry(OUT, 0.0, 0.0, 0.0, p)), MODEL.tech)
+            for i, p in enumerate(powers)
+        }
+        report = optimizer.CircuitPowerReport(0.0, by_gate, {})
+        assert report.internal_total == fold
+        assert report.output_total == fold
 
     def test_matches_optimizer_bookkeeping(self):
         c = sample_circuit()

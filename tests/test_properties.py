@@ -189,6 +189,138 @@ class TestSimulatorInvariants:
         total_settled = sum(settled.net_transitions.values())
         assert total_settled <= total_timed
 
+    # -- the lowered loops against the readable oracle -----------------
+    @staticmethod
+    def _random_circuit(seed):
+        """A random DAG of 1-6 library gates over 2-4 inputs.
+
+        Pins draw their nets with replacement, so one gate often sees
+        the same net on two pins; every gate gets a random ordering.
+        """
+        from repro.circuit.netlist import Circuit
+
+        rng = np.random.default_rng(seed)
+        templates = list(LIB)
+        c = Circuit("r", LIB)
+        nets = [f"i{k}" for k in range(int(rng.integers(2, 5)))]
+        for net in nets:
+            c.add_input(net)
+        for g in range(int(rng.integers(1, 7))):
+            template = templates[int(rng.integers(len(templates)))]
+            pins = {pin: nets[int(rng.integers(len(nets)))]
+                    for pin in template.pins}
+            c.add_gate(f"g{g}", template.name, pins, f"n{g}")
+            configs = template.configurations()
+            c.set_config(f"g{g}", configs[int(rng.integers(len(configs)))])
+            nets.append(f"n{g}")
+        c.add_output(nets[-1])
+        return c
+
+    @staticmethod
+    def _both(circuit, stimulus, **kwargs):
+        from repro.sim.switchsim import SwitchLevelSimulator
+        from repro.sim.switchsim_reference import ReferenceSwitchSimulator
+
+        return (SwitchLevelSimulator(circuit, **kwargs).run(stimulus),
+                ReferenceSwitchSimulator(circuit, **kwargs).run(stimulus))
+
+    @staticmethod
+    def _fields(report):
+        return (report.duration,
+                [(n, e.internal, e.output)
+                 for n, e in report.gate_energy.items()],
+                report.input_net_energy,
+                list(report.net_transitions.items()),
+                list(report.net_high_time.items()),
+                repr(report.power))
+
+    MODES = [{"delay_mode": "elmore", "inertial": False},
+             {"delay_mode": "elmore", "inertial": True},
+             {"delay_mode": "zero"}]
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_lowered_loop_matches_reference_on_random_circuits(self, seed):
+        """Equal to the oracle field for field, and again on a rerun of
+        the same simulator."""
+        from repro.sim.stimulus import ScenarioA, ScenarioB
+        from repro.sim.switchsim import SwitchLevelSimulator
+        from repro.sim.switchsim_reference import ReferenceSwitchSimulator
+
+        c = self._random_circuit(seed)
+        stimuli = [ScenarioA(seed=seed).generate(c.inputs, duration=3e-5),
+                   ScenarioB(seed=seed).generate(c.inputs, cycles=30)]
+        for mode in self.MODES:
+            simulator = SwitchLevelSimulator(c, **mode)
+            for stimulus in stimuli:
+                expected = self._fields(
+                    ReferenceSwitchSimulator(c, **mode).run(stimulus))
+                assert self._fields(simulator.run(stimulus)) == expected, mode
+                assert self._fields(simulator.run(stimulus)) == expected, mode
+
+    def test_same_net_on_two_pins(self):
+        """Each (gate, pin) entry is evaluated and scheduled with that
+        pin's own delay, as in the oracle."""
+        from repro.circuit.netlist import Circuit
+        from repro.sim.stimulus import ScenarioA
+
+        c = Circuit("dup", LIB)
+        for n in ("a", "b"):
+            c.add_input(n)
+        c.add_output("y")
+        c.add_gate("g0", "aoi21", {"a": "a", "b": "a", "c": "b"}, "n0")
+        c.add_gate("g1", "oai21", {"a": "n0", "b": "a", "c": "n0"}, "y")
+        stimulus = ScenarioA(seed=5).generate(c.inputs, duration=1e-4)
+        for mode in self.MODES:
+            lowered, reference = self._both(c, stimulus, **mode)
+            assert self._fields(lowered) == self._fields(reference), mode
+            assert lowered.net_transitions["y"] > 0
+
+    def test_event_at_duration_is_dropped(self):
+        from repro.circuit.netlist import Circuit
+        from repro.sim.stimulus import Stimulus
+
+        c = Circuit("inv", LIB)
+        c.add_input("a")
+        c.add_output("y")
+        c.add_gate("g0", "inv", {"a": "a"}, "y")
+        stimulus = Stimulus({}, {"a": (0, (2e-7, 5e-7, 1e-6))}, 1e-6)
+        for mode in self.MODES:
+            lowered, reference = self._both(c, stimulus, **mode)
+            assert self._fields(lowered) == self._fields(reference), mode
+            assert lowered.net_transitions["a"] == 2
+            assert lowered.net_high_time["a"] == 5e-7 - 2e-7
+
+    def test_negative_stimulus_time_is_rejected(self):
+        from repro.circuit.netlist import Circuit
+        from repro.sim.stimulus import Stimulus
+        from repro.sim.switchsim import SwitchLevelSimulator
+        from repro.sim.switchsim_reference import ReferenceSwitchSimulator
+
+        c = Circuit("inv", LIB)
+        c.add_input("a")
+        c.add_output("y")
+        c.add_gate("g0", "inv", {"a": "a"}, "y")
+        stimulus = Stimulus({}, {"a": (0, (-1e-9, 5e-7))}, 1e-6)
+        for cls in (SwitchLevelSimulator, ReferenceSwitchSimulator):
+            for inertial in (False, True):
+                with pytest.raises(ValueError,
+                                   match="cannot schedule in negative time"):
+                    cls(c, inertial=inertial).run(stimulus)
+
+    def test_missing_waveform_is_a_key_error(self):
+        from repro.sim.stimulus import Stimulus
+        from repro.sim.switchsim import SwitchLevelSimulator
+        from repro.sim.switchsim_reference import ReferenceSwitchSimulator
+
+        c = _bitsim_test_circuit()
+        stimulus = Stimulus({}, {"a": (0, ()), "c": (1, ())}, 1e-6)
+        for cls in (SwitchLevelSimulator, ReferenceSwitchSimulator):
+            for mode in self.MODES:
+                with pytest.raises(KeyError,
+                                   match=r"stimulus missing waveforms for \['b'\]"):
+                    cls(c, **mode).run(stimulus)
+
 
 def _bitsim_test_circuit():
     from repro.circuit.netlist import Circuit

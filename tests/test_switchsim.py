@@ -1,16 +1,25 @@
 """Tests for the event-driven switch-level power simulator."""
 
+import functools
+import math
+import operator
+import statistics
+
 import numpy as np
 import pytest
 
+from repro.analysis.experiments import case_seed
+from repro.bench.suite import benchmark_suite, get_case
 from repro.circuit.netlist import Circuit
-from repro.core.optimizer import circuit_power
+from repro.core.optimizer import circuit_power, optimize_circuit
 from repro.gates.capacitance import TechParams
 from repro.gates.library import default_library
 from repro.sim.stimulus import ScenarioA, ScenarioB, Stimulus
-from repro.sim.switchsim import SwitchLevelSimulator
+from repro.sim.switchsim import GateEnergy, SwitchLevelSimulator, SwitchSimReport
+from repro.sim.switchsim_reference import ReferenceSwitchSimulator
 from repro.stochastic.density import local_stats
 from repro.stochastic.signal import SignalStats, markov_waveform
+from repro.synth.mapper import map_circuit
 
 LIB = default_library()
 TECH = TechParams()
@@ -178,3 +187,81 @@ class TestReorderingVisibleInSimulation:
         p_best = SwitchLevelSimulator(best.circuit, TECH).run(stimulus).power
         p_worst = SwitchLevelSimulator(worst.circuit, TECH).run(stimulus).power
         assert p_best < p_worst
+
+
+class TestReportTotals:
+    def test_energy_totals_fold_left_to_right(self):
+        """Report totals are strict left folds in gate order.
+
+        ``sum()`` is compensated from Python 3.12 (and ``math.fsum``
+        always is): on these energies it gives 1.0 where the fold gives
+        0.0, so the simulated powers would differ between Pythons.
+        """
+        energies = [1e16, 1.0, -1e16]
+        fold = functools.reduce(operator.add, energies, 0.0)
+        assert fold == 0.0 and math.fsum(energies) == 1.0
+        report = SwitchSimReport(
+            duration=1.0,
+            gate_energy={f"g{i}": GateEnergy(internal=e)
+                         for i, e in enumerate(energies)},
+            input_net_energy=0.0, net_transitions={}, net_high_time={})
+        assert report.internal_energy == fold
+        assert report.energy == fold
+        assert report.power == fold
+        report = SwitchSimReport(
+            duration=1.0,
+            gate_energy={f"g{i}": GateEnergy(output=e)
+                         for i, e in enumerate(energies)},
+            input_net_energy=0.0, net_transitions={}, net_high_time={})
+        assert report.energy == fold
+
+
+def report_fields(report):
+    """Every field of a report, in insertion order, for ``==``."""
+    return {
+        "duration": report.duration,
+        "gate_energy": [(name, e.internal, e.output)
+                        for name, e in report.gate_energy.items()],
+        "input_net_energy": report.input_net_energy,
+        "net_transitions": list(report.net_transitions.items()),
+        "net_high_time": list(report.net_high_time.items()),
+        "power": repr(report.power),
+    }
+
+
+def table3_stimulus(circuit, case, scenario):
+    """The Table 3 flow's stimulus for ``case`` under ``scenario``."""
+    if scenario == "A":
+        generator = ScenarioA(seed=case_seed(case))
+        stats = generator.input_stats(circuit.inputs)
+        duration = 150.0 / statistics.mean(s.density for s in stats.values())
+        return stats, generator.generate(circuit.inputs, duration)
+    generator = ScenarioB(seed=case_seed(case))
+    stats = generator.input_stats(circuit.inputs)
+    return stats, generator.generate(circuit.inputs, 250)
+
+
+#: (delay_mode, inertial): transport, inertial and zero-delay.
+SIM_MODES = [("elmore", False), ("elmore", True), ("zero", False)]
+
+
+class TestLoweredLoopMatchesReference:
+    """The integer-array loops equal the readable simulator bit for bit."""
+
+    @pytest.mark.parametrize("scenario", ["A", "B"])
+    @pytest.mark.parametrize("case",
+                             [c.name for c in benchmark_suite("quick")])
+    def test_quick_suite(self, case, scenario):
+        mapped = map_circuit(get_case(case).network())
+        stats, stimulus = table3_stimulus(mapped, case, scenario)
+        for objective in ("best", "worst"):
+            circuit = optimize_circuit(mapped, stats,
+                                       objective=objective).circuit
+            for delay_mode, inertial in SIM_MODES:
+                lowered = SwitchLevelSimulator(
+                    circuit, TECH, delay_mode=delay_mode, inertial=inertial)
+                reference = ReferenceSwitchSimulator(
+                    circuit, TECH, delay_mode=delay_mode, inertial=inertial)
+                assert report_fields(lowered.run(stimulus)) == \
+                    report_fields(reference.run(stimulus)), \
+                    (objective, delay_mode, inertial)
