@@ -76,6 +76,8 @@ class GateTemplate:
             raise ValueError(f"{self.name}: pins {pins} do not match PDN signals")
         object.__setattr__(self, "pins", pins)
         object.__setattr__(self, "_pdn", pdn)
+        object.__setattr__(self, "_transistors",
+                           2 * sptree.transistor_count(pdn))
 
     # ------------------------------------------------------------------
     @property
@@ -90,7 +92,7 @@ class GateTemplate:
     @property
     def num_transistors(self) -> int:
         """Total device count (N plus P)."""
-        return 2 * sptree.transistor_count(self.pdn)
+        return self._transistors  # type: ignore[attr-defined]
 
     @property
     def area(self) -> float:

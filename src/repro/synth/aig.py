@@ -21,6 +21,19 @@ __all__ = ["AIG", "aig_from_logic_network"]
 CONST0 = 0
 CONST1 = 1
 
+#: Projection words of six variables: bit ``i`` of ``PROJECTIONS[j]`` is
+#: bit ``j`` of minterm ``i``, the :class:`TruthTable` encoding.  The low
+#: ``2**n`` bits of the first ``n`` words are the projections of ``n``
+#: variables.
+PROJECTIONS = (
+    0xAAAAAAAAAAAAAAAA,
+    0xCCCCCCCCCCCCCCCC,
+    0xF0F0F0F0F0F0F0F0,
+    0xFF00FF00FF00FF00,
+    0xFFFF0000FFFF0000,
+    0xFFFFFFFF00000000,
+)
+
 
 def lit_node(lit: int) -> int:
     """The node index of a literal."""
@@ -201,6 +214,39 @@ class AIG:
             result = ta & tb
             cache[n] = result
             return result
+
+        return walk(node)
+
+    def cone_word(self, node: int, leaves: Sequence[int]) -> int:
+        """Function of ``node`` over at most six cut ``leaves``, as one word.
+
+        The word is the truth table that :meth:`cone_truthtable` computes,
+        built from the projection words of :data:`PROJECTIONS` with
+        integer ``&`` and ``^`` instead of :class:`TruthTable` objects.
+        """
+        if len(leaves) > len(PROJECTIONS):
+            raise ValueError(f"at most {len(PROJECTIONS)} leaves, got {len(leaves)}")
+        full = (1 << (1 << len(leaves))) - 1
+        words = {leaf: PROJECTIONS[j] & full for j, leaf in enumerate(leaves)}
+        fanins = self._fanins
+
+        def walk(n: int) -> int:
+            word = words.get(n)
+            if word is not None:
+                return word
+            fanin = fanins[n]
+            if fanin is None:
+                raise ValueError(f"cone of node {node} escapes the cut at node {n}")
+            a, b = fanin
+            word = walk(a >> 1)
+            if a & 1:
+                word ^= full
+            other = walk(b >> 1)
+            if b & 1:
+                other ^= full
+            word &= other
+            words[n] = word
+            return word
 
         return walk(node)
 

@@ -6,6 +6,19 @@ when it has at most ``k`` leaves.  Cuts are enumerated bottom-up: the
 cuts of an AND node are the pairwise unions of its fanin cuts (plus the
 trivial cut ``{n}``), pruned for dominance and capped per node — the
 standard FlowMap/ABC scheme.
+
+Each cut carries a 64-bit leaf signature, the OR of ``1 << (leaf % 64)``
+over its leaves (ABC's priority cuts, Mishchenko et al., ICCAD'07).  A
+union whose signature has more than ``k`` bits set has more than ``k``
+leaves, and a cut can only contain another whose signature bits it
+covers, so most size and subset tests never build a set.
+
+Dominance runs in one pass over the unions sorted by ``(len, leaves)``,
+checking each only against the cuts already kept.  That keeps exactly
+the smallest ``max_cuts`` undominated unions: a dominated union has a
+strictly smaller dominator, which sorts earlier and is either kept or
+itself dominated by a smaller kept cut (subset is transitive).  So the
+pass can stop as soon as ``max_cuts`` cuts are kept.
 """
 
 from __future__ import annotations
@@ -20,12 +33,11 @@ __all__ = ["enumerate_cuts", "Cut"]
 Cut = Tuple[int, ...]
 
 
-def _dominated(cut: Cut, others: List[Cut]) -> bool:
-    cut_set = set(cut)
-    for other in others:
-        if other != cut and set(other) <= cut_set:
-            return True
-    return False
+def _signature(cut: Cut) -> int:
+    sig = 0
+    for leaf in cut:
+        sig |= 1 << (leaf & 63)
+    return sig
 
 
 def enumerate_cuts(aig: AIG, k: int = 6, max_cuts: int = 16) -> Dict[int, List[Cut]]:
@@ -39,29 +51,46 @@ def enumerate_cuts(aig: AIG, k: int = 6, max_cuts: int = 16) -> Dict[int, List[C
     if k < 2:
         raise ValueError("k must be at least 2")
     cuts: Dict[int, List[Cut]] = {}
+    # Per node: (leaf set, signature) of each of its cuts, in list order.
+    info: Dict[int, List[Tuple[frozenset, int]]] = {}
     for node in range(aig.num_nodes):
         if node == 0:
             cuts[node] = [()]  # the constant has an empty cut
+            info[node] = [(frozenset(), 0)]
             continue
         if aig.is_pi(node):
             cuts[node] = [(node,)]
+            info[node] = [(frozenset((node,)), _signature((node,)))]
             continue
         a, b = aig.fanins(node)
-        na, nb = lit_node(a), lit_node(b)
-        merged: List[Cut] = []
-        seen = set()
-        for cut_a in cuts[na]:
-            for cut_b in cuts[nb]:
-                union = tuple(sorted(set(cut_a) | set(cut_b)))
-                if len(union) > k or union in seen:
+        info_b = info[lit_node(b)]
+        unions: Dict[frozenset, int] = {}
+        for set_a, sig_a in info[lit_node(a)]:
+            for set_b, sig_b in info_b:
+                sig = sig_a | sig_b
+                if sig.bit_count() > k:
                     continue
-                seen.add(union)
-                merged.append(union)
-        merged = [c for c in merged if not _dominated(c, merged)]
-        merged.sort(key=lambda c: (len(c), c))
+                union = set_a | set_b
+                if len(union) <= k:
+                    unions[union] = sig
+        # Cuts are distinct, so the sort never compares past the tuple.
+        merged = sorted((len(u), tuple(sorted(u)), u, sig)
+                        for u, sig in unions.items())
+        result: List[Cut] = []
+        kept: List[Tuple[frozenset, int]] = []
+        for _, cut, leaves, sig in merged:
+            if len(result) == max_cuts:
+                break
+            for kept_leaves, kept_sig in kept:
+                if not kept_sig & ~sig and kept_leaves <= leaves:
+                    break  # dominated by a smaller kept cut
+            else:
+                result.append(cut)
+                kept.append((leaves, sig))
         trivial = (node,)
-        result = merged[:max_cuts]
         if trivial not in result:
             result.append(trivial)
+            kept.append((frozenset(trivial), _signature(trivial)))
         cuts[node] = result
+        info[node] = kept
     return cuts

@@ -18,28 +18,99 @@ Costs are transistor counts, so the mapper minimises area; inverters
 bridge phase mismatches.  Matching both the function and its complement
 guarantees every 2-leaf cut is realisable with ``nand2``/``inv``, hence
 mapping always succeeds.
+
+All three hot loops run on integers:
+
+- **Functions are words.**  A function of ``n <= 6`` leaves is one
+  Python int, the :class:`~repro.boolean.truthtable.TruthTable` encoding
+  (bit ``i`` is the value on minterm ``i``, leaf ``j`` is bit ``j`` of
+  ``i``).  Cone functions come from the projection words
+  (``0xAAAA...``, ``0xCCCC...``, ...) with ``&`` and ``^ full``
+  (:meth:`AIG.cone_word`); the support from comparing the two
+  cofactors of each variable in place (:func:`word_support`); the
+  complement phase is ``bits ^ full``.
+- **The index is one gather per phase.**  For a template of ``m`` pins,
+  ``base[p, i]`` is the pin minterm that leaf minterm ``i`` drives under
+  the ``p``-th permutation (``itertools.permutations`` order).
+  Complementing pins ``psi`` XORs ``psi`` into it, so ``f[base ^ psi]``
+  packed little-endian is the leaf-order truth table of every
+  permutation at once.  Key ``p * 2**m + psi`` is the visit order of the
+  readable loop over permutations then phases, and templates go in
+  ``(area, name)`` order, so keeping the first occurrence of each key
+  (``np.unique(..., return_index=True)``) keeps the match that loop
+  keeps: the first writer wins in ``(area, name, sigma, psi)`` order.
+- **Cut dominance is one sorted pass** (see :mod:`repro.synth.cuts`).
+
+:mod:`repro.synth.reference` keeps the readable index loop and cut
+filter; ``TruthTable`` and :meth:`AIG.cone_truthtable` stay the oracle
+of the word functions.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..circuit.logic import LogicNetwork
 from ..circuit.netlist import Circuit, CircuitError
 from ..gates.library import GateLibrary, GateTemplate, default_library
-from .aig import AIG, aig_from_logic_network, lit_node, lit_phase
+from .aig import PROJECTIONS, AIG, aig_from_logic_network, lit_node, lit_phase
 from .cuts import Cut, enumerate_cuts
 
 __all__ = ["PatternIndex", "TechMapper", "map_circuit"]
 
 _INF = float("inf")
 
-#: Generic leaf variable names used for cut functions.
-_LEAF_VARS = tuple(f"x{i}" for i in range(8))
+
+def word_support(bits: int, n: int) -> Tuple[int, ...]:
+    """The variables an ``n``-variable truth-table word depends on.
+
+    Variable ``j`` is essential iff the two cofactors differ: the
+    minterms with bit ``j`` clear, against those with it set shifted
+    down by ``2**j`` onto them.
+    """
+    return tuple(
+        j for j in range(n)
+        if bits & ~PROJECTIONS[j] != (bits & PROJECTIONS[j]) >> (1 << j)
+    )
+
+
+@functools.cache
+def _shrink_sources(keep: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Old minterm read by each new minterm; dropped variables read 0."""
+    return tuple(
+        sum(((i >> t) & 1) << j for t, j in enumerate(keep))
+        for i in range(1 << len(keep))
+    )
+
+
+def shrink_word(bits: int, keep: Sequence[int]) -> int:
+    """Re-express a word over the variables ``keep`` (ascending), which
+    must include its support: variable ``keep[t]`` becomes variable ``t``."""
+    word = 0
+    for i, source in enumerate(_shrink_sources(tuple(keep))):
+        word |= ((bits >> source) & 1) << i
+    return word
+
+
+def cut_function(aig: AIG, node: int, cut: Cut) -> Optional[Tuple[Cut, int]]:
+    """The cone function of ``node`` over ``cut``, shrunk to its support.
+
+    Returns the leaves the function depends on, in cut order, and its
+    truth-table word over them, or ``None`` for a constant cone.
+    """
+    bits = aig.cone_word(node, cut)
+    keep = word_support(bits, len(cut))
+    if not keep:
+        return None
+    if len(keep) < len(cut):
+        bits = shrink_word(bits, keep)
+        cut = tuple(cut[j] for j in keep)
+    return cut, bits
 
 
 @dataclass(frozen=True)
@@ -76,30 +147,39 @@ class PatternIndex:
     def _index_template(self, template: GateTemplate) -> None:
         m = template.num_inputs
         table = self._tables.setdefault(m, {})
-        f = template.function()
         size = 1 << m
-        f_values = np.array(
-            [(f.bits >> i) & 1 for i in range(size)], dtype=np.uint8
-        )
-        leaf_index = np.arange(size, dtype=np.uint32)
-        leaf_bits = [((leaf_index >> j) & 1) for j in range(m)]
-        for sigma in itertools.permutations(range(m)):
-            for psi in range(1 << m):
-                # Pin j reads leaf sigma[j], complemented when psi bit j set.
-                pin_index = np.zeros(size, dtype=np.uint32)
-                for j in range(m):
-                    bit = leaf_bits[sigma[j]] ^ ((psi >> j) & 1)
-                    pin_index |= bit.astype(np.uint32) << j
-                values = f_values[pin_index]
-                bits = int.from_bytes(
-                    np.packbits(values, bitorder="little").tobytes(), "little"
+        f_bits = template.function().bits
+        f_values = np.array([(f_bits >> i) & 1 for i in range(size)],
+                            dtype=np.uint8)
+        # Pin j reads leaf sigma[j]: base[p, i] is the pin minterm that
+        # leaf minterm i drives under permutation p.  Complementing the
+        # pins in phase psi XORs psi into that index.
+        sigmas = list(itertools.permutations(range(m)))
+        leaf_index = np.arange(size, dtype=np.uint8)
+        base = np.zeros((len(sigmas), size), dtype=np.uint8)
+        for j, column in enumerate(np.array(sigmas, dtype=np.uint8).T):
+            base |= ((leaf_index[None, :] >> column[:, None]) & 1) << j
+        # keys[p, psi]: the leaf-order truth table of (sigma_p, psi).
+        keys = np.empty((len(sigmas), size), dtype=np.uint64)
+        wide = np.zeros((len(sigmas), 8), dtype=np.uint8)
+        for psi in range(size):
+            packed = np.packbits(f_values[base ^ psi], axis=1, bitorder="little")
+            wide[:, :packed.shape[1]] = packed
+            keys[:, psi] = wide.view("<u8")[:, 0]
+        # Row p * 2^m + psi is the visit order of the readable loop over
+        # permutations then phases, so the first occurrence of each key
+        # is the match that loop would have kept.
+        flat = keys.ravel()
+        _, first = np.unique(flat, return_index=True)
+        for row in np.sort(first).tolist():
+            bits = int(flat[row])
+            if bits not in table:
+                sigma, psi = divmod(row, size)
+                table[bits] = _Match(
+                    template,
+                    sigmas[sigma],
+                    tuple((psi >> j) & 1 for j in range(m)),
                 )
-                if bits not in table:
-                    table[bits] = _Match(
-                        template,
-                        tuple(sigma),
-                        tuple((psi >> j) & 1 for j in range(m)),
-                    )
 
     def lookup(self, num_leaves: int, bits: int) -> Optional[_Match]:
         return self._tables.get(num_leaves, {}).get(bits)
@@ -198,20 +278,14 @@ class TechMapper:
         return cost, choice
 
     def _match_cut(self, aig: AIG, node: int, cut: Cut, cost, direct) -> None:
-        variables = _LEAF_VARS[: len(cut)]
-        tt = aig.cone_truthtable(node, cut, variables)
-        support = tt.support()
-        if len(support) == 0:
+        found = cut_function(aig, node, cut)
+        if found is None:
             return  # constant cone: handled by AIG folding upstream
-        if len(support) < len(cut):
-            keep = [i for i, v in enumerate(variables) if v in support]
-            cut = tuple(cut[i] for i in keep)
-            tt = tt.expand(tuple(variables[i] for i in keep))
-            tt = tt.rename(dict(zip(tt.vars, _LEAF_VARS)))
+        cut, bits = found
         m = len(cut)
         if m == 1:
             leaf = cut[0]
-            leaf_phase = 0 if tt.bits == 0b10 else 1
+            leaf_phase = 0 if bits == 0b10 else 1
             for phase in (0, 1):
                 alias_phase = leaf_phase ^ phase
                 candidate = cost.get((leaf, alias_phase), _INF)
@@ -221,8 +295,9 @@ class TechMapper:
                         _Choice(_Choice.ALIAS, alias=(leaf, alias_phase)),
                     )
             return
-        for phase, bits in ((0, tt.bits), (1, (~tt).bits)):
-            match = self.patterns.lookup(m, bits)
+        full = (1 << (1 << m)) - 1
+        for phase, word in ((0, bits), (1, bits ^ full)):
+            match = self.patterns.lookup(m, word)
             if match is None:
                 continue
             total = match.template.area
@@ -263,7 +338,7 @@ class TechMapper:
             if ch.kind == _Choice.INV:
                 source = realize(node, 1 - phase)
                 net = forced or fresh()
-                circuit.add_gate(f"g{len(circuit.gates)}", "inv",
+                circuit.add_gate(f"g{len(circuit)}", "inv",
                                  {"a": source}, net)
                 nets[key] = net
                 return net
@@ -273,7 +348,7 @@ class TechMapper:
                 leaf = leaves[match.permutation[j]]
                 pin_nets[pin] = realize(leaf, match.phases[j])
             net = forced or fresh()
-            circuit.add_gate(f"g{len(circuit.gates)}", match.template.name,
+            circuit.add_gate(f"g{len(circuit)}", match.template.name,
                              pin_nets, net)
             nets[key] = net
             return net
@@ -303,12 +378,12 @@ class TechMapper:
         """
         driver = circuit.driver(source)
         if driver is not None:
-            circuit.add_gate(f"g{len(circuit.gates)}", driver.template.name,
+            circuit.add_gate(f"g{len(circuit)}", driver.template.name,
                              dict(driver.pin_nets), target)
         else:
             middle = f"{target}_binv"
-            circuit.add_gate(f"g{len(circuit.gates)}", "inv", {"a": source}, middle)
-            circuit.add_gate(f"g{len(circuit.gates)}", "inv", {"a": middle}, target)
+            circuit.add_gate(f"g{len(circuit)}", "inv", {"a": source}, middle)
+            circuit.add_gate(f"g{len(circuit)}", "inv", {"a": middle}, target)
 
 
 def map_circuit(network: LogicNetwork, library: Optional[GateLibrary] = None,

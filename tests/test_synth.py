@@ -1,21 +1,31 @@
 """Tests for the synthesis substrates: SOP, AIG, cuts, mapper."""
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.bench.generators import parity_tree, ripple_carry_adder
-from repro.circuit.blif import parse_blif
+from repro.bench.generators import parity_tree, random_logic, ripple_carry_adder
+from repro.boolean.truthtable import TruthTable
+from repro.circuit.blif import parse_blif, write_mapped_blif
 from repro.circuit.logic import LogicNetwork
 from repro.circuit.netlist import CircuitError
 from repro.gates.library import default_library
 from repro.sim.logicsim import check_equivalence, random_vectors
 from repro.synth.aig import AIG, aig_from_logic_network, lit_node, lit_not, lit_phase
 from repro.synth.cuts import enumerate_cuts
-from repro.synth.mapper import PatternIndex, TechMapper, map_circuit
+from repro.synth.mapper import (
+    PatternIndex,
+    TechMapper,
+    cut_function,
+    map_circuit,
+    shrink_word,
+    word_support,
+)
+from repro.synth.reference import reference_enumerate_cuts, reference_pattern_tables
 from repro.synth.sop import (
     cover_to_expr,
     cube_contains,
@@ -287,3 +297,161 @@ class TestMapper:
         network.add_output("y")
         circuit = map_circuit(network)
         assert check_equivalence(network, circuit)
+
+
+# ----------------------------------------------------------------------
+# The integer front end against its readable oracles
+# ----------------------------------------------------------------------
+class TestPatternIndexOracle:
+    @pytest.mark.parametrize("gate_names", [
+        None, {"nand2", "inv", "aoi21"}, {"nand2", "inv", "oai222"},
+    ], ids=["full", "aoi21", "oai222"])
+    def test_tables_equal_readable_loop(self, gate_names):
+        index = PatternIndex(LIB, gate_names)
+        reference = reference_pattern_tables(LIB, gate_names)
+        assert index._tables == reference
+        # Same insertion order too: the first writer is the same match.
+        assert [list(t.items()) for t in index._tables.values()] \
+            == [list(t.items()) for t in reference.values()]
+
+
+def _cut_networks():
+    from repro.bench.suite import benchmark_suite
+
+    cases = [pytest.param(case.network, id=case.name)
+             for case in benchmark_suite("quick")]
+    return cases + [pytest.param(lambda: random_logic(12, 100, 7),
+                                 id="random_logic(12, 100, 7)")]
+
+
+class TestCutsOracle:
+    @pytest.mark.parametrize("build", _cut_networks())
+    def test_cuts_equal_quadratic_filter(self, build):
+        aig = aig_from_logic_network(build())
+        for k, max_cuts in itertools.product((4, 6), (8, 16)):
+            assert enumerate_cuts(aig, k, max_cuts) \
+                == reference_enumerate_cuts(aig, k, max_cuts), (k, max_cuts)
+
+
+@st.composite
+def cone_and_cut(draw):
+    """A random AIG, one of its AND nodes and a cut of that node."""
+    num_pis = draw(st.integers(min_value=1, max_value=6))
+    aig = AIG()
+    lits = [aig.add_pi(f"i{j}") for j in range(num_pis)]
+    for _ in range(draw(st.integers(min_value=1, max_value=14))):
+        a = draw(st.sampled_from(lits)) ^ draw(st.integers(0, 1))
+        b = draw(st.sampled_from(lits)) ^ draw(st.integers(0, 1))
+        lit = aig.and_(a, b)
+        if lit_node(lit) != 0:
+            lits.append(lit)
+    ands = [n for n in range(aig.num_nodes) if aig.is_and(n)]
+    assume(ands)
+    node = draw(st.sampled_from(ands))
+    cuts = [c for c in enumerate_cuts(aig)[node] if node not in c]
+    cuts.append(tuple(range(1, num_pis + 1)))  # the primary inputs
+    cut = draw(st.sampled_from(cuts))
+    return aig, node, tuple(draw(st.permutations(cut)))
+
+
+class TestConeWords:
+    @given(cone_and_cut())
+    @settings(max_examples=200, deadline=None)
+    def test_word_functions_equal_truthtables(self, case):
+        aig, node, cut = case
+        variables = tuple(f"x{i}" for i in range(len(cut)))
+        tt = aig.cone_truthtable(node, cut, variables)
+        bits = aig.cone_word(node, cut)
+        assert bits == tt.bits
+        support = word_support(bits, len(cut))
+        assert tuple(variables[j] for j in support) == tt.support()
+        found = cut_function(aig, node, cut)
+        if not support:
+            assert tt.is_constant() and found is None
+            return
+        kept = tuple(variables[j] for j in support)
+        shrunk = tt.expand(kept).rename(dict(zip(kept, variables)))
+        assert found == (tuple(cut[j] for j in support), shrunk.bits)
+
+    def test_shrink_word_drops_unused_variables(self):
+        # f = x1 & !x3 over four variables, read over (x1, x3).
+        tt = TruthTable.from_function(
+            ("x0", "x1", "x2", "x3"), lambda v: v["x1"] and not v["x3"])
+        assert word_support(tt.bits, 4) == (1, 3)
+        assert shrink_word(tt.bits, (1, 3)) == 0b0010
+
+    def test_cone_word_rejects_wide_cuts(self):
+        aig = AIG()
+        lits = [aig.add_pi(f"i{j}") for j in range(7)]
+        top = lit_node(aig.and_many(lits))
+        with pytest.raises(ValueError):
+            aig.cone_word(top, tuple(range(1, 8)))
+
+
+#: sha256 of ``write_mapped_blif(map_circuit(network))``, recorded with
+#: the per-permutation pattern loop, the TruthTable cone functions and
+#: the quadratic cut filter.  The integer front end must reproduce them.
+MAPPED_DIGESTS = {
+    "c17": "60206a7bc0b73533e352eaad5916386838c7840ca565d8d197aa3c1a016dc0e7",
+    "xor5": "f5840d78790d06e0ea7dc158c4feb2dc2ec3d4284904be4f6074527cc877cf73",
+    "maj3": "89ff86903c63ad848e2896077d0609ca050daf53e6049fb418e27bd585b43482",
+    "fa1": "f3d1bc7d908a92176b0a7286037492d63103ad9e79a6fc299b64a9ecd5bd2363",
+    "rca4": "8fbdb983eaa8fc70ac304f31895ce92789c9a9308928e7983648c124803f8238",
+    "rca8": "11448b26eeb93b344f18a39748962377668d07b9ed014abaab341aad7e1f4e38",
+    "rca16": "61307c5975ae92ba5dd368f13ba824a8b8791b9df339ff6ebf7eec4d0a46a1de",
+    "mult2": "dc24b9639d68c5c924414ac6798d97d121ea3cd42f7003c10911ebd62e7db502",
+    "mult3": "372ebf56fee1a4a51ef84fa40bb12dd207ac284f3ade03dc591fe976aa7cf9b6",
+    "mult4": "86adc08dc5b7b81fa4ea269fde729cb68f71d9545efc3db50a7811ff6b8ecb13",
+    "parity8": "93d1c04190a749168b8cc04d9747cff0c6dd289e25e87a6f4393acfa30c6e7f0",
+    "parity16": "185e1616c66e27cd597296ad73f9d58dd6bdacb501a6e786ee9e6431ef6d354f",
+    "eqcmp8": "ae40f14c7ff397527d65eb93293e1e1c31e56554de2d73cc8bce71473cef6983",
+    "magcmp6": "823a353f0347438a7d1352485f248028beb0fe87ee77ac581d8382307ad9a743",
+    "magcmp10": "975f7b5d34e3eeba5e311149af522c65e05220f494b248a0da2371556069c7ff",
+    "dec3": "200d3c2c7a9358daafac8527f5958abee301c5cf4c8cc94c8ed04e04aa91fb49",
+    "dec4": "11c0e98493a2b1966cfb5f10ae73513e04b89b639faf5b8863a01ba71ae68835",
+    "mux8": "1a2bae05dcbc96462c2b8d3220d048fe5b6c41c98b208ee57ad7f54558fc2bed",
+    "mux16": "2588b3ff7e6129bf9aba36e330507d8563816ef7844bf4925fe2b1c094bb7add",
+    "alu2": "d69de27065e482cbc2a16eb198be54671664768abb69f5d406a6308dfdf89e54",
+    "alu4": "9304fd5264113dfb57a7dca24e8a85d3f7ee29844b84b8bf7e3a808a3e5359b6",
+    "maj5": "b9211829161abde8cfedfb8309f608df3c2284bf02ab6025e5548489a660e712",
+    "rnd_a": "a69c35cdf5955d3453633d8f2679eddd5d2536b4520c4d5e7d29eae39cccc3f2",
+    "rnd_b": "f9dee5d20cbb2ad4e732f337562ea9bbf25b0a7d584568f387a7bb69cd502569",
+    "rnd_c": "eb649af69f9c67810442316935e9594a860f435bec076a6f56a6fe192c0ae04a",
+    "rnd_d": "21df73bf1635f7813a6094e6e9f160087133beff1574bcf6960d15b8f1cedeb1",
+    "rnd_e": "a29be66d0992251dec48ba9c630a2fe2e4dda62cfa6e0b4eb65ab3aeb25e6c1a",
+    "rnd_f": "894f78e4f70ec0978855dd9007985108e2252b7abca6ea638060b5b44796bd78",
+    "rnd_g": "e78cd4f20ee207391a913180a4740e84be2cf60e79e744f0ef0a08976ac64c9b",
+    "rnd_h": "4ac92ab9e30b02affd1a62a8fa5318d4edad803d3786b7e984a55fcade975b8b",
+}
+
+RANDOM_DIGESTS = {
+    (12, 100, 7): "664d799e419597216398669d65745028bd5f9f44d35263dd15e952e4d5ed6e48",
+    (16, 220, 7): "a977d7ab3883e3c40a12242cf7ee64854f499c1c70e5e092217650195142140d",
+    (16, 1000, 7): "be3b2dd08e31d01cdfa654453db8e5b2e9725c7fa042363527832bd7ac63ecae",
+}
+
+
+def _mapped_digest(network):
+    text = write_mapped_blif(map_circuit(network))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestMappedGoldens:
+    @pytest.mark.parametrize("name", sorted(MAPPED_DIGESTS))
+    def test_suite_circuit(self, name):
+        from repro.bench.suite import get_case
+
+        assert _mapped_digest(get_case(name).network()) == MAPPED_DIGESTS[name]
+
+    @pytest.mark.parametrize("shape", [
+        (12, 100, 7),
+        (16, 220, 7),
+        pytest.param((16, 1000, 7), marks=pytest.mark.slow),
+    ], ids=str)
+    def test_random_logic(self, shape):
+        assert _mapped_digest(random_logic(*shape)) == RANDOM_DIGESTS[shape]
+
+    def test_every_suite_circuit_has_a_digest(self):
+        from repro.bench.suite import benchmark_suite
+
+        assert {case.name for case in benchmark_suite()} == set(MAPPED_DIGESTS)
