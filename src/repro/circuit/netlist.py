@@ -386,7 +386,8 @@ class Circuit:
         These are exactly the gates whose external load changes when
         ``gate_name`` is edited (a new compiled form can change its pin
         capacitances) — the worklist seed of the cone-aware
-        re-optimisation passes and the incremental power dirty set.
+        re-optimisation passes and of the incremental power refresh
+        after a retemplate.
         """
         gate = self.gate(gate_name)
         drivers: List[GateInstance] = []

@@ -125,10 +125,19 @@ class GateTemplate:
         return cached
 
     def configurations(self) -> List[GateConfig]:
-        """Every distinct transistor ordering (brute-force enumeration)."""
-        pdns = list(sptree.enumerate_orderings(self.pdn))
-        puns = list(sptree.enumerate_orderings(sptree.dual(self.pdn)))
-        return [GateConfig(p, q) for p in pdns for q in puns]
+        """Every distinct transistor ordering (brute-force enumeration).
+
+        Memoised (the template is frozen) as a tuple of the same
+        :class:`GateConfig` objects, so their memoised keys are derived
+        once; each call returns a fresh list the caller may mutate.
+        """
+        cached = getattr(self, "_configurations", None)
+        if cached is None:
+            pdns = list(sptree.enumerate_orderings(self.pdn))
+            puns = list(sptree.enumerate_orderings(sptree.dual(self.pdn)))
+            cached = tuple(GateConfig(p, q) for p in pdns for q in puns)
+            object.__setattr__(self, "_configurations", cached)
+        return list(cached)
 
     def compile_config(self, config: Optional[GateConfig] = None) -> CompiledGate:
         """Compile (with caching) a configuration of this gate."""

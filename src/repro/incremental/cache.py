@@ -11,15 +11,28 @@ under ECO edits.  Invalidation rules (see README.md):
 * the structural edits (``AddGate``/``RemoveGate``/``RewireNet``)
   rebuild the fanout index and topological order, then dirty the
   edited gate's new cone (add/rewire) — a removed gate's entries are
-  purged instead — plus, power-only, the drivers of every net whose
-  external load changed (the event's ``load_nets``);
+  purged instead;
 * nothing else dirties anything.
 
 :meth:`refresh` re-propagates the dirty set in topological order via
 the configured backend and is called lazily by every read accessor.
-Gate power is cached too, with a slightly wider dirty set: an edited
-gate's *fanin drivers* also go power-dirty, because a new compiled
-form can change pin capacitances and hence the load those drivers see.
+
+Gate power is cached too.  A gate's power reads its fanin and output
+(P, D), its own compiled form and its output net's load, so an edit
+power-dirties only *seeds* and the refresh adds the rest with an
+**early cut-off**:
+
+* ``SetConfig`` seeds the gate alone — a reordering changes neither
+  the logic function (so no net's (P, D)) nor any pin's transistor
+  count (so no net's load);
+* ``SetTemplate`` seeds the gate and its *fanin drivers* — a new cell
+  can present other pin capacitances, the load those drivers see;
+* a structural edit seeds the added or rewired gate and the drivers of
+  the event's ``load_nets`` (whose external load changed);
+* :meth:`refresh` power-dirties the sinks of every net whose refreshed
+  (P, D) differs from the cached value, primary inputs included — the
+  only way a gate outside the seeds can change power.
+
 Each gate's total sits in a flat array indexed by topological slot; a
 power refresh rewrites only the dirty slots with the kernel's per-gate
 totals (no report objects), and the circuit total is
@@ -149,27 +162,39 @@ class StatsCache:
     # Invalidation
     # ------------------------------------------------------------------
     def _on_edit(self, gate_name: str, kind: str) -> None:
+        """Dirty the edited gate's cone; power-dirty the seeds only.
+
+        Statistics go dirty on the whole fanout cone, because the
+        refresh is how the cache learns which nets moved.  Power is
+        seeded narrower: a reordering (``"config"``) changes only the
+        gate's own internal-node power — the logic function and every
+        pin's transistor count are ordering-independent — so it seeds
+        the gate alone; a retemplate (``"template"``) may also change
+        the pin capacitances its fanin drivers see, so it seeds them
+        too.  Gates downstream are power-dirtied by :meth:`refresh`,
+        and only where a net's (P, D) actually changed.
+        """
         if kind == "structure":
             self._on_structure(gate_name, self.circuit.structure_event)
             return
-        cone = self.index.cone_from_gates([gate_name])
-        self._dirty |= cone
-        self._power_dirty |= cone
-        # The edited gate's compiled form changed, so its pin
-        # capacitances — the load its fanin drivers see — may have too.
-        for pred in self.circuit.fanin_drivers(gate_name):
-            self._power_dirty.add(pred.name)
+        self._dirty |= self.index.cone_from_gates([gate_name])
+        self._power_dirty.add(gate_name)
+        if kind == "template":
+            for pred in self.circuit.fanin_drivers(gate_name):
+                self._power_dirty.add(pred.name)
 
     def _on_structure(self, gate_name: str, event: StructureEvent) -> None:
-        """Handle a structural edit: rebuild structure, widen dirty sets.
+        """Handle a structural edit: rebuild structure, seed dirty sets.
 
         The connectivity-derived state (fanout index, topological
         order) is re-read from the circuit's (freshly invalidated)
-        memo.  Statistics for an added or rewired gate's cone go dirty;
-        a removed gate's cached entries are purged instead.  Drivers of
-        every net in ``event.load_nets`` go power-dirty only — their
-        own (P, D) are untouched, but the external load they see
-        changed.
+        memo.  Statistics for an added or rewired gate's cone go dirty
+        and the gate itself is a power seed; a removed gate's cached
+        entries are purged instead.  Drivers of every net in
+        ``event.load_nets`` are power seeds too — their own (P, D) are
+        untouched, but the external load they see changed.  Gates whose
+        fanin (P, D) the edit moves are power-dirtied by
+        :meth:`refresh`.
         """
         if not getattr(self.backend, "supports_structure", False):
             raise CircuitError(
@@ -195,9 +220,8 @@ class StatsCache:
             self._power.pop(gate_name, None)
             self._stale_reports.discard(gate_name)
         else:
-            cone = self.index.cone_from_gates([gate_name])
-            self._dirty |= cone
-            self._power_dirty |= cone
+            self._dirty |= self.index.cone_from_gates([gate_name])
+            self._power_dirty.add(gate_name)
         for net in event.load_nets:
             pred = self.circuit.driver(net)
             if pred is not None:
@@ -212,9 +236,7 @@ class StatsCache:
             return old
         self._input_stats[net] = stats
         self._changed_inputs.add(net)
-        cone = self.index.cone_from_nets([net])
-        self._dirty |= cone
-        self._power_dirty |= cone
+        self._dirty |= self.index.cone_from_nets([net])
         return old
 
     def input_stats(self, net: str) -> SignalStats:
@@ -229,7 +251,12 @@ class StatsCache:
     # Reads (lazily refreshing)
     # ------------------------------------------------------------------
     def refresh(self) -> Tuple[str, ...]:
-        """Re-propagate the dirty set; returns the recomputed nets."""
+        """Re-propagate the dirty set; returns the recomputed nets.
+
+        The sinks of every recomputed net whose (P, D) differs from the
+        cached value go power-dirty (the power rule's cut-off: a cone
+        the edit left unchanged is never repriced).
+        """
         if not self._dirty and not self._changed_inputs:
             return ()
         order = self._topo_index
@@ -246,7 +273,14 @@ class StatsCache:
                 self.circuit, dirty_gates, self._input_stats,
                 frozenset(self._changed_inputs), self._stats,
             )
-        self._stats.update(updates)
+        stats = self._stats
+        sinks = self.index.sinks
+        power_dirty = self._power_dirty
+        for net, new in updates.items():
+            if stats.get(net) != new:
+                for gate, _pin in sinks(net):
+                    power_dirty.add(gate.name)
+        stats.update(updates)
         self._repropagated.inc(len(dirty_gates))
         self._refreshes.inc()
         self._dirty.clear()

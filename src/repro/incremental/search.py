@@ -623,7 +623,9 @@ class _BatchPricer:
         }
         # Repriced rows besides the gate itself: its cone (new input
         # statistics) and its fanin drivers (new loads) — with the gate,
-        # exactly the trial's power-dirty set.  They keep their classes
+        # a superset of the trial's power-dirty set, which narrows the
+        # cone to the sinks of nets that moved (a row whose inputs did
+        # not move reprices to its old total).  They keep their classes
         # under every candidate, so they are grouped by class once and
         # each group is priced in one kernel call per candidate.
         names = rest + preds

@@ -53,7 +53,9 @@ class TimingCache:
 
     Arrivals live in a persistent flat array over the circuit's
     :class:`~repro.compiled.circuit.CompiledCircuit` lowering, with a
-    dict view kept in sync for reads.
+    dict view kept in sync for reads.  A structural edit drops the
+    array and the lowering; the next refresh rebuilds both from the
+    dict.
     """
 
     def __init__(self, circuit: Circuit,
@@ -135,9 +137,12 @@ class TimingCache:
         NaN never escapes because the gate is in the dirty seeds of the
         very next refresh.  Drivers of the event's ``load_nets`` are
         seeded too — the external load they see changed, and load
-        enters the Elmore delay.  The stale lowering is replaced and
-        the persistent arrival array rebuilt from the (still exact)
-        arrival dict.
+        enters the Elmore delay.  The stale lowering and its arrival
+        array are dropped, not rebuilt: the arrival dict stays exact,
+        and the next :meth:`refresh` re-lowers once from it
+        (:meth:`_relower`), so a run of structural edits — a
+        multi-edit move and its rollback — lowers once per read, not
+        once per edit.
         """
         self.index = self.circuit.fanout_index()
         self._topo = self.circuit.topo_gates()
@@ -155,13 +160,24 @@ class TimingCache:
             pred = self.circuit.driver(net)
             if pred is not None:
                 self._dirty.add(pred.name)
-        self._cc = get_compiled(self.circuit)
-        arr = np.zeros(len(self._cc.nets))
-        for i, net in enumerate(self._cc.nets):
-            arr[i] = self._arrivals.get(net, np.nan)
-        self._arr = arr
+        self._cc = None
+        self._arr = None
         self._required = None
         self._required_clock = None
+
+    def _relower(self) -> None:
+        """Re-acquire the lowering and rebuild the arrival array.
+
+        Called by :meth:`refresh` after structural edits dropped the
+        old pair; the circuit's memoised lowering
+        (:func:`~repro.compiled.circuit.get_compiled`) is shared with
+        the statistics backend and the power kernel.
+        """
+        cc = self._cc = get_compiled(self.circuit)
+        arrivals = self._arrivals
+        self._arr = np.fromiter(
+            (arrivals.get(net, np.nan) for net in cc.nets),
+            dtype=float, count=len(cc.nets))
 
     def mark_dirty(self, gate_name: str) -> None:
         """Seed the dirty set as if ``gate_name`` had just been edited.
@@ -188,7 +204,8 @@ class TimingCache:
             return old
         self._input_arrivals[net] = arrival
         self._arrivals[net] = arrival
-        self._arr[self._cc.net_id[net]] = arrival
+        if self._cc is not None:  # else the next refresh re-lowers
+            self._arr[self._cc.net_id[net]] = arrival
         self._required = None  # the net may have no sinks to refresh through
         for gate, _pin in self.index.sinks(net):
             self._dirty.add(gate.name)
@@ -234,6 +251,8 @@ class TimingCache:
         """
         if not self._dirty:
             return ()
+        if self._cc is None:
+            self._relower()
         cc = self._cc
         arr = self._arr
         tracer = _trace.ACTIVE
