@@ -114,21 +114,6 @@ def test_search_repropagation_floor_and_power(setting):
     assert search_power <= single_power * (1.0 + 1e-9)
 
 
-def test_multipass_worklist_is_cone_sized(setting):
-    name, circuit, input_stats = setting
-    gates = len(circuit)
-    result = optimize_circuit(circuit, input_stats, passes=10)
-    full_work = result.passes_run * gates
-    print(f"\n{name}: optimize_circuit(passes=10) converged in "
-          f"{result.passes_run} passes, {result.gates_decided} decisions "
-          f"vs {full_work} for full re-traversals")
-    if result.passes_run > 1:
-        assert result.gates_decided < full_work
-    assert result.power_after == pytest.approx(
-        circuit_power(result.circuit, input_stats).total, rel=1e-12
-    )
-
-
 def test_artifacts_byte_identical_across_runs(setting):
     name, circuit, input_stats = setting
     for strategy, kwargs in (

@@ -383,11 +383,9 @@ class Circuit:
     def fanin_drivers(self, gate_name: str) -> Tuple[GateInstance, ...]:
         """Unique gates driving ``gate_name``'s fanin nets, in pin order.
 
-        These are exactly the gates whose external load changes when
-        ``gate_name`` is edited (a new compiled form can change its pin
-        capacitances) — the worklist seed of the cone-aware
-        re-optimisation passes and of the incremental power refresh
-        after a retemplate.
+        The greedy search re-enqueues them around an accepted move.  A
+        reorder or retemplate of ``gate_name`` never changes their load:
+        every pin of every template drives one N and one P device.
         """
         gate = self.gate(gate_name)
         drivers: List[GateInstance] = []

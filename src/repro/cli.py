@@ -199,15 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["model", "analytic", "local", "exact", "sampled"],
                     default="model",
                     help="(P, D) estimator driving the optimisation "
-                         "('analytic' is an alias for the default 'model' flow; "
-                         "'sampled' runs the bit-parallel Monte Carlo engine)")
+                         "('analytic' and 'local' name the default 'model' "
+                         "flow; 'sampled' runs the bit-parallel Monte Carlo "
+                         "engine)")
     po.add_argument("--lanes", type=_positive_int, default=None,
                     help="sample lanes for --stats sampled")
     po.add_argument("--objective", choices=list(OBJECTIVES), default="best",
                     help="optimisation objective (default: best)")
-    po.add_argument("--passes", type=_positive_int, default=1,
-                    help="re-optimisation passes (iterate until the "
-                         "configuration assignment stops changing)")
     po.add_argument("--save-blif", metavar="PATH",
                     help="write the optimised netlist as mapped BLIF")
     po.add_argument("--save-verilog", metavar="PATH",
@@ -420,7 +418,6 @@ def _cmd_optimize(out, path: str, scenario: str, seed: int,
                   stats_source: str = "model",
                   lanes: Optional[int] = None,
                   objective: str = "best",
-                  passes: int = 1,
                   save_blif: Optional[str] = None,
                   save_verilog: Optional[str] = None) -> int:
     from .circuit.blif import load_blif, write_mapped_blif
@@ -432,6 +429,8 @@ def _cmd_optimize(out, path: str, scenario: str, seed: int,
 
     if stats_source == "analytic":
         stats_source = "model"  # alias: the paper's analytic model flow
+    # 'local' names the same sweep as 'model' and keeps its own label.
+    source = "model" if stats_source == "local" else stats_source
     stats_kwargs = {}
     if stats_source == "sampled":
         stats_kwargs["seed"] = seed
@@ -445,18 +444,16 @@ def _cmd_optimize(out, path: str, scenario: str, seed: int,
     generator = ScenarioA(seed=seed) if scenario == "A" else ScenarioB(seed=seed)
     stats = generator.input_stats(circuit.inputs)
     chosen = optimize_circuit(circuit, stats, objective=objective,
-                              stats=stats_source, stats_kwargs=stats_kwargs,
-                              passes=passes)
-    worst = chosen if objective == "worst" and passes == 1 else optimize_circuit(
+                              stats=source, stats_kwargs=stats_kwargs)
+    worst = chosen if objective == "worst" else optimize_circuit(
         circuit, stats, objective="worst",
-        stats=stats_source, stats_kwargs=stats_kwargs,
+        stats=source, stats_kwargs=stats_kwargs,
     )
     out.write(f"circuit        : {network.name}\n")
     out.write(f"mapped gates   : {len(circuit)}\n")
     out.write(f"gate mix       : {circuit.gate_count_by_template()}\n")
     out.write(f"objective      : {objective} (stats={stats_source}"
               + (f", lanes={lanes}" if lanes else "")
-              + (f", passes={chosen.passes_run}/{passes}" if passes > 1 else "")
               + ")\n")
     out.write(f"model power    : {format_si(chosen.power_after, 'W')} (optimised), "
               f"{format_si(worst.power_after, 'W')} (worst ordering)\n")
@@ -785,7 +782,7 @@ def _dispatch(args, out) -> int:
     if args.command == "optimize":
         return _cmd_optimize(out, args.blif, args.scenario, args.seed,
                              args.stats, args.lanes, args.objective,
-                             args.passes, args.save_blif, args.save_verilog)
+                             args.save_blif, args.save_verilog)
     if args.command == "eco":
         return _cmd_eco(out, args.blif, args.script, args.scenario, args.seed,
                         args.backend, args.lanes, args.steps, args.dt,

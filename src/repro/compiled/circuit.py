@@ -325,10 +325,10 @@ class CompiledCircuit:
         self.timing_code = np.asarray(timing_codes, dtype=np.int64)
         self.slot_count = np.asarray(slot_counts, dtype=np.int64)
         self._stats_plan: Optional[list] = None
-        #: Bumped whenever a template swap changes pin capacitances.
-        self._cap_version = 0
-        self._slot_caps_cache: Dict[TechParams, tuple] = {}
-        self._loads_cache: Dict[tuple, tuple] = {}
+        #: Loads depend on connectivity alone (every pin of every
+        #: template drives one N and one P device), so this lives as
+        #: long as the lowering does.
+        self._loads_cache: Dict[tuple, np.ndarray] = {}
 
         circuit.add_edit_listener(self._on_edit)
         self._subscribed = True
@@ -360,15 +360,6 @@ class CompiledCircuit:
             self._timing_keys[key] = code
         return code
 
-    def _set_template_codes(self, gid: int, gate: GateInstance) -> None:
-        """(Re)derive the template-dependent state of one gate."""
-        self.stats_code[gid] = self._stats_code_for(gate)
-        start = self.fanin_ptr[gid]
-        self.slot_count[start:start + len(gate.template.pins)] = \
-            timing_class(gate.compiled(), gate.effective_config()).pin_counts
-        self._cap_version += 1
-        self._stats_plan = None
-
     def _on_edit(self, gate_name: str, kind: str) -> None:
         if kind == "structure":
             # Connectivity changed: gate/net ids, CSR arrays and level
@@ -387,7 +378,8 @@ class CompiledCircuit:
         # this listener alone keeps the class codes current.
         gate = self.circuit.gate(gate_name)
         if kind == "template":
-            self._set_template_codes(gid, gate)
+            self.stats_code[gid] = self._stats_code_for(gate)
+            self._stats_plan = None
         self.timing_code[gid] = self._timing_code_for(gate)
 
     def close(self) -> None:
@@ -526,14 +518,6 @@ class CompiledCircuit:
     # ------------------------------------------------------------------
     # Load and arrival kernels
     # ------------------------------------------------------------------
-    def _slot_caps(self, tech: TechParams) -> np.ndarray:
-        cached = self._slot_caps_cache.get(tech)
-        if cached is not None and cached[0] == self._cap_version:
-            return cached[1]
-        caps = self.slot_count * tech.c_gate
-        self._slot_caps_cache[tech] = (self._cap_version, caps)
-        return caps
-
     def net_loads(self, tech: TechParams, po_load: float) -> np.ndarray:
         """External capacitance of every net at once (treat as read-only).
 
@@ -546,14 +530,13 @@ class CompiledCircuit:
         self._check_fresh()
         key = (tech, float(po_load))
         _LOADS_CALLS.inc()
-        cached = self._loads_cache.get(key)
-        if cached is not None and cached[0] == self._cap_version:
-            return cached[1]
-        _LOADS_REBUILDS.inc()
-        loads = np.zeros(len(self.nets))
-        np.add.at(loads, self.fanin_net, self._slot_caps(tech))
-        loads[self.is_output] += po_load
-        self._loads_cache[key] = (self._cap_version, loads)
+        loads = self._loads_cache.get(key)
+        if loads is None:
+            _LOADS_REBUILDS.inc()
+            loads = np.zeros(len(self.nets))
+            np.add.at(loads, self.fanin_net, self.slot_count * tech.c_gate)
+            loads[self.is_output] += po_load
+            self._loads_cache[key] = loads
         return loads
 
     def _arrival_group(self, cls: _TimingClass, fanin: np.ndarray,

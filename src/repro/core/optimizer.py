@@ -11,13 +11,13 @@ Najm's transition density (CALCULATE_DENS) and moves on
 Because a gate's output function — hence its output (P, D) — does not
 depend on the chosen ordering, the greedy per-gate choice is globally
 optimal *with respect to the model* in a single pass (the paper's
-monotonic-characteristic argument, §4.2).  The same fact lets the
-traversal run as one batch per pass on the compiled kernels, with
-every float unchanged: the statistics of every net come from one
-(P, D) sweep before any decision, and a gate's load is the load at the
-start of the pass, because its sinks come later in topological order.
-So one stacked table program per template prices every configuration
-of that template's gates in one kernel call
+monotonic-characteristic argument, §4.2).  A gate's load does not
+depend on any ordering either (every pin drives one N and one P
+device), so the traversal runs as one batch on the compiled kernels,
+with every float unchanged: the statistics of every net come from one
+(P, D) sweep before any decision, and every load from one sum.  One
+stacked table program per template prices every configuration of that
+template's gates in one kernel call
 (:func:`repro.compiled.power.stacked_class`), and the choice is an
 arg-min over lanes in configuration-key order.  The delay-aware
 objectives read per-pin delays from the compiled timing tables; no
@@ -26,7 +26,6 @@ and :func:`circuit_power` remain the per-gate oracles the batch is
 tested against.
 
 Four objectives:
-Three objectives:
 
 ``"best"``      minimise each gate's modelled power (the paper's optimiser);
 ``"worst"``     maximise it (the paper's pessimal reference point — Table 3
@@ -79,10 +78,10 @@ OBJECTIVES = ("best", "worst", "delay-constrained", "fastest")
 
 #: Sources of the per-net (P, D) statistics driving the optimisation.
 #: ``"model"`` is the paper's flow (propagation through the power model
-#: in topological order), which is exactly the compiled ``"local"``
-#: sweep; every source is one full map from
-#: :func:`repro.stochastic.density.propagate_stats`.
-STATS_SOURCES = ("model", "local", "exact", "sampled")
+#: in topological order), which is exactly the compiled
+#: ``propagate_stats(method="local")`` sweep; every source is one full
+#: map from :func:`repro.stochastic.density.propagate_stats`.
+STATS_SOURCES = ("model", "exact", "sampled")
 
 _EPS = 1e-30
 
@@ -118,14 +117,8 @@ class OptimizeResult:
     power_after: float
     """Total modelled power with the chosen configurations."""
 
-    passes_run: int = 1
-    """Traversals actually executed (< the requested ``passes`` when the
-    configuration assignment reached a fixed point early)."""
-
     gates_decided: int = 0
-    """Per-gate decisions evaluated across all passes.  Pass 1 decides
-    every gate; later (cone-aware) passes re-decide only the worklist,
-    so with ``passes > 1`` this stays far below ``passes * len(circuit)``."""
+    """Per-gate decisions evaluated: one per gate."""
 
     @property
     def reduction(self) -> float:
@@ -240,40 +233,28 @@ def optimize_circuit(
     po_load: float = DEFAULT_PO_LOAD,
     stats: str = "model",
     stats_kwargs: Optional[Mapping] = None,
-    passes: int = 1,
 ) -> OptimizeResult:
     """Run the Figure 3 algorithm and return a reordered copy of ``circuit``.
 
     ``stats`` selects where the per-net (P, D) statistics come from:
     ``"model"`` (default) is the paper's incremental propagation
     through the power model, which is the compiled local sweep bit for
-    bit, so it shares ``"local"``'s one flat-array pass; ``"exact"``
-    and ``"sampled"`` precompute the map with
+    bit; ``"exact"`` and ``"sampled"`` precompute the map with
     :func:`repro.stochastic.density.propagate_stats` (the sampled
     source runs the bit-parallel Monte Carlo engine; ``stats_kwargs``
     forwards its ``lanes``/``steps``/``dt``/``seed`` options).
 
-    ``passes`` repeats the traversal up to that many times, stopping
-    early at a fixed point.  The paper's single pass is per-gate
-    optimal *under the model*, but a gate's external load depends on
-    its sinks' pin capacitances — which the same pass may still change
-    after the gate was decided.  Each pass decides its worklist as
-    **one batch at the loads from the start of the pass**: a gate's
-    sinks come later in topological order, so a sequential traversal
-    would see exactly those loads too.  Pass 1's worklist is every
-    gate; a gate's other decision input, its fanin statistics, never
-    changes (reordering never changes a net's (P, D)), so each later
-    pass re-decides only the fanin drivers of the gates the previous
-    pass re-configured — the gates whose load it changed.  That
-    reaches the fixed point of full re-traversal in cone-sized work
-    (``OptimizeResult.gates_decided`` counts the total).  The
-    reported ``power_before`` always refers to the input circuit and,
-    after more than one pass, ``power_after`` to the settled
-    configuration under its settled loads.
+    One pass decides every gate.  A gate's decision inputs are its
+    fanin statistics and its output load, and no reordering changes
+    either: the logic function is ordering-independent, and so is every
+    pin capacitance (each pin drives one N and one P device, which
+    :class:`~repro.gates.library.GateTemplate` guarantees).  So the
+    whole traversal is one batch, and re-optimising the result keeps
+    every configuration.
 
     Each template's configurations are one stacked table program
     (:func:`repro.compiled.power.stacked_class`), so one kernel call
-    prices every configuration of every worklist gate of a template,
+    prices every configuration of every gate of a template,
     bit-identical to :func:`~repro.core.reorder.evaluate_configurations`.
     """
     if objective not in OBJECTIVES:
@@ -286,8 +267,6 @@ def optimize_circuit(
         raise TypeError(
             f"stats_kwargs {sorted(stats_kwargs)} need a non-default stats source"
         )
-    if passes < 1:
-        raise ValueError("passes must be at least 1")
     model = model if model is not None else GatePowerModel()
     missing = [n for n in circuit.inputs if n not in input_stats]
     if missing:
@@ -305,89 +284,43 @@ def optimize_circuit(
                        dtype=np.float64, count=len(cc.nets))
     dens = np.fromiter((net_stats[n].density for n in cc.nets),
                        dtype=np.float64, count=len(cc.nets))
+    loads = cc.net_loads(tech, po_load)
 
-    # The process-wide decision counter (repro.obs.metrics); the result
-    # field is the delta over this run, so the artifact number and a
-    # metrics snapshot always agree.
-    _decided = _METRICS.counter("optimize.gates_decided")
-    decided_start = _decided.value
     topo = result_circuit.topo_gates()
     topo_gids = np.fromiter((cc.gate_id[gate.name] for gate in topo),
                             dtype=np.int64, count=len(topo))
     decisions: List[Optional[GateDecision]] = [None] * len(topo)
-    candidates: Dict[str, _Candidates] = {}
-    #: Topological positions of the gates to decide this pass.
-    worklist = list(range(len(topo)))
     entry_totals = np.empty(len(topo))
     chosen_totals = np.empty(len(topo))
-    power_before = power_after = 0.0
-    any_changed = False
-    for passes_run in range(1, passes + 1):
-        loads = cc.net_loads(tech, po_load)
-        groups: Dict[str, List[int]] = {}
-        for pos in worklist:
-            groups.setdefault(topo[pos].template.name, []).append(pos)
-        changed: List[int] = []
-        for members in groups.values():
-            template = topo[members[0]].template
-            cand = candidates.get(template.name)
-            if cand is None:
-                cand = candidates[template.name] = _Candidates(template)
-            for lo in range(0, len(members), cand.block):
-                block = members[lo:lo + cand.block]
-                gids = topo_gids[block]
-                fanin = cc._fanin_matrix(gids, len(template.pins))
-                outcomes = cand.decide(
-                    objective, model, [topo[pos] for pos in block],
-                    prob[fanin], dens[fanin], loads[cc.out_net[gids]])
-                for pos, (decision, entry_power) in zip(block, outcomes):
-                    decisions[pos] = decision
-                    entry_totals[pos] = entry_power
-                    chosen_totals[pos] = decision.chosen.power
-                    if (decision.chosen.config.key()
-                            != topo[pos].effective_config().key()):
-                        changed.append(pos)
-        _decided.inc(len(worklist))
-        changed.sort()
-        for pos in changed:
-            result_circuit.set_config(topo[pos].name,
-                                      decisions[pos].chosen.config)
-        if passes_run == 1:
-            power_before = fold_power(entry_totals)
-            power_after = fold_power(chosen_totals)
-        tracer = _trace.ACTIVE
-        if tracer is not None:
-            tracer.instant("optimize.pass", number=passes_run,
-                           decided=_decided.since(decided_start),
-                           changed=len(changed))
-        if not changed:
-            break
-        any_changed = True
-        # The next worklist: a re-configured gate changes only its own
-        # pin capacitances — the load its fanin drivers see.
-        pending = {
-            pred.name
-            for pos in changed
-            for pred in result_circuit.fanin_drivers(topo[pos].name)
-            if pred.template.num_configurations() > 1
-        }
-        if not pending:
-            break
-        worklist = [pos for pos, gate in enumerate(topo)
-                    if gate.name in pending]
-
-    if passes > 1 and any_changed:
-        # Settled-load accounting: later decisions may have changed the
-        # loads earlier ones were priced at, so one sweep reprices the
-        # final configuration.  Matches a converged full pass exactly.
-        from ..compiled.power import CompiledPowerKernel
-
-        power_after = fold_power(CompiledPowerKernel(cc, model).gate_totals(
-            [gate.name for gate in topo], net_stats, po_load))
-
+    groups: Dict[str, List[int]] = {}
+    for pos, gate in enumerate(topo):
+        groups.setdefault(gate.template.name, []).append(pos)
+    for members in groups.values():
+        template = topo[members[0]].template
+        cand = _Candidates(template)
+        for lo in range(0, len(members), cand.block):
+            block = members[lo:lo + cand.block]
+            gids = topo_gids[block]
+            fanin = cc._fanin_matrix(gids, len(template.pins))
+            outcomes = cand.decide(
+                objective, model, [topo[pos] for pos in block],
+                prob[fanin], dens[fanin], loads[cc.out_net[gids]])
+            for pos, (decision, entry_power) in zip(block, outcomes):
+                decisions[pos] = decision
+                entry_totals[pos] = entry_power
+                chosen_totals[pos] = decision.chosen.power
+    changed = 0
+    for gate, decision in zip(topo, decisions):
+        if decision.chosen.config.key() != gate.effective_config().key():
+            result_circuit.set_config(gate.name, decision.chosen.config)
+            changed += 1
+    # The process-wide decision counter (repro.obs.metrics) counts the
+    # same decisions as the result field.
+    _METRICS.counter("optimize.gates_decided").inc(len(topo))
+    _trace.instant("optimize.pass", decided=len(topo), changed=changed)
     return OptimizeResult(result_circuit, net_stats, decisions,
-                          power_before, power_after, passes_run,
-                          _decided.since(decided_start))
+                          fold_power(entry_totals), fold_power(chosen_totals),
+                          len(topo))
 
 
 def circuit_power(

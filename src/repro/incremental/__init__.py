@@ -11,9 +11,8 @@ bit-identical to a from-scratch run.
 
 :class:`TimingCache` is the delay-side twin: it maintains per-net
 arrival times (and lazily required times, slacks and the critical
-path) under the same edit-listener protocol, with a wider dirty set
-(fanin drivers included — an edit changes the load they see) pruned by
-early cut-off (re-propagation stops where a recomputed arrival is
+path) under the same edit-listener protocol and the same seeds, pruned
+by early cut-off (re-propagation stops where a recomputed arrival is
 bit-identical to the cached one).
 
 See ``src/repro/incremental/README.md`` for the invalidation rules and

@@ -268,7 +268,7 @@ class SampledBackend(StatsBackend):
 def make_backend(backend, **kwargs) -> StatsBackend:
     """Resolve a backend name (or pass through an instance).
 
-    ``"analytic"``/``"local"`` select :class:`AnalyticBackend`;
+    ``"analytic"`` selects :class:`AnalyticBackend`;
     ``"sampled"`` selects :class:`SampledBackend` (forwarding
     ``lanes``/``steps``/``dt``/``seed``).
     """
@@ -278,7 +278,7 @@ def make_backend(backend, **kwargs) -> StatsBackend:
                 f"backend arguments {sorted(kwargs)} conflict with an instance"
             )
         return backend
-    if backend in ("analytic", "local"):
+    if backend == "analytic":
         if kwargs:
             raise TypeError(
                 f"the analytic backend takes no arguments: {sorted(kwargs)}"

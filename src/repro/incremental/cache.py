@@ -22,11 +22,11 @@ Gate power is cached too.  A gate's power reads its fanin and output
 power-dirties only *seeds* and the refresh adds the rest with an
 **early cut-off**:
 
-* ``SetConfig`` seeds the gate alone — a reordering changes neither
-  the logic function (so no net's (P, D)) nor any pin's transistor
-  count (so no net's load);
-* ``SetTemplate`` seeds the gate and its *fanin drivers* — a new cell
-  can present other pin capacitances, the load those drivers see;
+* ``SetConfig`` and ``SetTemplate`` seed the gate alone — no
+  reordering or template swap changes a pin's transistor count (every
+  pin drives one N and one P device, which ``GateTemplate`` guarantees),
+  so no net's load moves, and a reordering does not change the logic
+  function (so no net's (P, D)) either;
 * a structural edit seeds the added or rewired gate and the drivers of
   the event's ``load_nets`` (whose external load changed);
 * :meth:`refresh` power-dirties the sinks of every net whose refreshed
@@ -166,22 +166,17 @@ class StatsCache:
 
         Statistics go dirty on the whole fanout cone, because the
         refresh is how the cache learns which nets moved.  Power is
-        seeded narrower: a reordering (``"config"``) changes only the
-        gate's own internal-node power — the logic function and every
-        pin's transistor count are ordering-independent — so it seeds
-        the gate alone; a retemplate (``"template"``) may also change
-        the pin capacitances its fanin drivers see, so it seeds them
-        too.  Gates downstream are power-dirtied by :meth:`refresh`,
-        and only where a net's (P, D) actually changed.
+        seeded with the gate alone: neither a reordering (``"config"``)
+        nor a retemplate (``"template"``) changes a pin capacitance, so
+        no other gate's load moves.  Gates downstream are power-dirtied
+        by :meth:`refresh`, and only where a net's (P, D) actually
+        changed.
         """
         if kind == "structure":
             self._on_structure(gate_name, self.circuit.structure_event)
             return
         self._dirty |= self.index.cone_from_gates([gate_name])
         self._power_dirty.add(gate_name)
-        if kind == "template":
-            for pred in self.circuit.fanin_drivers(gate_name):
-                self._power_dirty.add(pred.name)
 
     def _on_structure(self, gate_name: str, event: StructureEvent) -> None:
         """Handle a structural edit: rebuild structure, seed dirty sets.

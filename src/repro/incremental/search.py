@@ -26,9 +26,9 @@ Two strategies, both deterministic for a given ``seed``:
               candidate move (batched in one :class:`WhatIf` so
               same-gate candidates overwrite each other and the cone
               is re-propagated once per candidate instead of twice),
-              accept the best improving one, and re-enqueue exactly
-              the gates whose decision context the acceptance changed:
-              the accepted gate's fanin drivers (their load changed)
+              accept the best improving one, and re-enqueue its
+              neighbourhood: the accepted gate's fanin drivers (the
+              paths through them changed delay; their load did not)
               and, for template swaps, its fanout cone (their input
               statistics changed).
 ``"anneal"``  simulated annealing with a geometric temperature
@@ -92,7 +92,6 @@ from ..circuit.netlist import (
 from ..compiled.circuit import stats_class
 from ..compiled.power import power_class, stacked_class
 from ..core.power_model import GatePowerModel
-from ..gates.capacitance import pin_terminal_counts
 from ..obs import trace as _trace
 from ..obs.metrics import REGISTRY as _GLOBAL_METRICS
 from ..robust import faults as _faults
@@ -609,39 +608,28 @@ class _BatchPricer:
                       key=topo.__getitem__)
         rest_ids = np.fromiter((cc.gate_id[n] for n in rest),
                                dtype=np.int64, count=len(rest))
-        preds = [g.name for g in circuit.fanin_drivers(gate_name)]
         fanin = cc._fanin_matrix(np.asarray([gid], dtype=np.int64),
                                  len(gate.template.pins))
         out = int(cc.out_net[gid])
-        slot_lo = int(cc.fanin_ptr[gid])
-        slot_hi = int(cc.fanin_ptr[gid + 1])
-        # Ascending-slot occurrence lists of the gate's fanin nets —
-        # the np.add.at accumulation order of net_loads.
-        net_slots = {
-            net: [int(s) for s in np.flatnonzero(cc.fanin_net == net)]
-            for net in sorted({int(n) for n in cc.fanin_net[slot_lo:slot_hi]})
-        }
         # Repriced rows besides the gate itself: its cone (new input
-        # statistics) and its fanin drivers (new loads) — with the gate,
-        # a superset of the trial's power-dirty set, which narrows the
-        # cone to the sinks of nets that moved (a row whose inputs did
-        # not move reprices to its old total).  They keep their classes
-        # under every candidate, so they are grouped by class once and
-        # each group is priced in one kernel call per candidate.
-        names = rest + preds
-        ids = np.asarray([cc.gate_id[n] for n in names], dtype=np.int64)
-        codes = cc.timing_code[ids]
+        # statistics) — with the gate, a superset of the trial's
+        # power-dirty set, which narrows the cone to the sinks of nets
+        # that moved (a row whose inputs did not move reprices to its
+        # old total).  No load moves under a template swap, so every
+        # row prices at the baseline loads.  The rows keep their
+        # classes under every candidate, so they are grouped by class
+        # once and each group is priced in one kernel call per
+        # candidate.
+        codes = cc.timing_code[rest_ids]
         groups = []
         for code in np.unique(codes):
             where = np.flatnonzero(codes == code)
-            sub = ids[where]
+            sub = rest_ids[where]
             cls = kernel.class_for_code(int(code))
-            out_nets = cc.out_net[sub]
             groups.append((
-                cls, cc._fanin_matrix(sub, cls.arity), out_nets,
-                [(row, net) for row, net in enumerate(out_nets.tolist())
-                 if net in net_slots],
-                [topo[names[i]] for i in where],
+                cls, cc._fanin_matrix(sub, cls.arity),
+                base_loads[cc.out_net[sub]],
+                [topo[rest[i]] for i in where],
             ))
         replacements = []
         for move in moves:
@@ -661,31 +649,10 @@ class _BatchPricer:
             prob[out] = p_out[0]
             dens[out] = d_out[0]
             cc.resettle_stats(rest_ids, prob, dens)
-            # Candidate loads: only the gate's own pins change terminal
-            # counts, so only its fanin nets need their load refolded.
-            counts = pin_terminal_counts(compiled)
-            cand_counts = [counts[pin] for pin in new_template.pins]
-            cand_loads: Dict[int, float] = {}
-            for net, slots in net_slots.items():
-                value = 0.0
-                for s in slots:
-                    if slot_lo <= s < slot_hi:
-                        count = cand_counts[s - slot_lo]
-                    else:
-                        count = int(cc.slot_count[s])
-                    value = value + count * tech.c_gate
-                if cc.is_output[net]:
-                    value = value + cache.po_load
-                cand_loads[net] = value
-            # The gate's output net is not among its fanin nets: its load
-            # is the baseline one.
             *_, totals = power_class(compiled).evaluate(
                 model, prob[fanin], dens[fanin], base_loads[[out]])
             repl = {topo[gate_name]: float(totals[0, 0])}
-            for cls, matrix, out_nets, refolded, positions in groups:
-                loads = base_loads[out_nets]
-                for row, net in refolded:
-                    loads[row] = cand_loads[net]
+            for cls, matrix, loads, positions in groups:
                 *_, totals = cls.evaluate(model, prob[matrix], dens[matrix],
                                           loads)
                 repl.update(zip(positions, totals[:, 0].tolist()))
@@ -1020,11 +987,14 @@ class _Search:
     def touched_gates(self, move: Move) -> List[str]:
         """Gates whose decision context an accepted ``move`` changed.
 
-        The accepted gate's fanin drivers always re-enter the worklist
-        (the gate's pin capacitances — their load — changed); template
-        swaps additionally re-enqueue the accepted gate itself (a new
-        configuration space) and its fanout cone (their input
-        statistics changed).
+        The accepted gate's fanin drivers always re-enter the worklist.
+        Their load did not change (no reorder or retemplate changes a
+        pin capacitance), but the gate's new pin-to-output delays
+        change the paths through them, which delay-aware objectives
+        score; it is a neighbourhood heuristic, and narrowing it would
+        change trial counts.  Template swaps additionally re-enqueue
+        the accepted gate itself (a new configuration space) and its
+        fanout cone (their input statistics changed).
         """
         touched = [g.name for g in self.circuit.fanin_drivers(move.gate)]
         if move.kind == "retemplate":

@@ -126,9 +126,9 @@ def _param(default, help: str, **meta):
     ``result`` (default true) — the value can change the result, so it
     enters the fingerprint; ``cli`` (default true), ``flag``,
     ``metavar`` — its ``repro search`` flag (``--field-name`` unless
-    renamed); ``choices`` (plus library-only ``aliases``; per element
-    with ``many``) and ``at_least``/``above``/``at_most`` — what a given
-    value may be; ``within`` — the fingerprint entry that carries it.
+    renamed); ``choices`` (per element with ``many``) and
+    ``at_least``/``above``/``at_most`` — what a given value may be;
+    ``within`` — the fingerprint entry that carries it.
     """
     return field(default=default, metadata={"help": help, **meta})
 
@@ -159,8 +159,7 @@ class SearchSpec:
               "default 0.5)", within="objective")
     backend: Union[str, StatsBackend] = _param(
         "analytic", "statistics backend; the library also takes a "
-                    "StatsBackend instance", choices=("analytic", "sampled"),
-        aliases=("local",))
+                    "StatsBackend instance", choices=("analytic", "sampled"))
     lanes: Optional[int] = _param(
         None, "sample lanes for `backend=sampled`", at_least=1,
         within="backend_kwargs")
@@ -245,7 +244,7 @@ class SearchSpec:
         if sampled and self.backend != "sampled":
             raise SpecError(f"{', '.join(sampled)} requires `backend=sampled`")
         backend = self.backend
-        if self.structural and not (backend in ("analytic", "local")
+        if self.structural and not (backend == "analytic"
                                     if isinstance(backend, str)
                                     else backend.supports_structure):
             raise SpecError("`structural` requires `backend=analytic` "
@@ -328,8 +327,7 @@ def _check(spec_field, value) -> None:
     elif choices is not None:
         if isinstance(value, StatsBackend):
             return
-        if not isinstance(value, str) or (
-                value not in choices and value not in meta.get("aliases", ())):
+        if not isinstance(value, str) or value not in choices:
             raise SpecError(f"unknown `{name}` {value!r}; "
                             f"choose from {choices}")
     elif meta.get("at_least") is not None and value < meta["at_least"]:

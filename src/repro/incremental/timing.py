@@ -5,16 +5,13 @@ required times, slacks and the critical path — of a circuit under ECO
 edits, mirroring :class:`~repro.incremental.cache.StatsCache` on the
 delay axis of the paper's (P, D) co-metric (Table 3 column D).
 
-Invalidation is **wider** than the statistics rule (see README.md,
-"Timing invalidation rules"): an edit on gate *g* timing-dirties *g*,
-its transitive fanout, *and its fanin drivers* — a reorder or
-retemplate changes *g*'s compiled form, hence its pin capacitances,
-hence the load its drivers see, hence the Elmore delay (and output
-arrival) of those drivers; their arrival changes then ripple through
-*their* cones.  Re-propagation compensates with **early cut-off**: the
-refresh stops descending a fanout cone as soon as a recomputed arrival
-is bit-identical to the cached one (common — most reorders leave many
-pin capacitances, and therefore most downstream arrivals, untouched).
+Invalidation mirrors the statistics rule (see README.md, "Timing
+invalidation rules"): a reorder or retemplate of gate *g* seeds *g*
+alone — its new compiled form changes its own pin-to-output delays,
+but no pin capacitance, so no driver's load — and the refresh descends
+*g*'s fanout cone with **early cut-off**, stopping as soon as a
+recomputed arrival is bit-identical to the cached one.  A structural
+edit also seeds the drivers of the nets whose load it changed.
 
 Both the full initial sweep and the incremental re-propagation run
 on the flat-array timing kernels of
@@ -120,13 +117,11 @@ class TimingCache:
         if kind == "structure":
             self._on_structure(gate_name, self.circuit.structure_event)
             return
+        # A reorder or retemplate changes the gate's own delays only:
+        # no pin capacitance moves (every pin drives one N and one P
+        # device, which GateTemplate guarantees), so no driver's load
+        # and no driver's arrival does.
         self._dirty.add(gate_name)
-        # Wider than the statistics rule: the edited gate's new
-        # compiled form can change its pin capacitances — the load its
-        # fanin drivers see — and load enters the Elmore delay, so the
-        # drivers' own output arrivals may move too.
-        for pred in self.circuit.fanin_drivers(gate_name):
-            self._dirty.add(pred.name)
 
     def _on_structure(self, gate_name: str, event) -> None:
         """Handle a structural edit: rebuild structure, widen dirty seeds.
@@ -184,15 +179,14 @@ class TimingCache:
 
         The batch move pricer (:mod:`repro.incremental.search`) scores
         candidates without applying circuit edits, so no edit
-        notification fires; this reproduces the exact seeds a trial
-        apply/rollback pair would leave — the gate plus its fanin
-        drivers — keeping the refresh work and the
-        :attr:`gates_retimed` counter bit-identical to the per-move
-        :class:`~repro.incremental.eco.WhatIf` path.
+        notification fires; this reproduces the seed a trial
+        apply/rollback pair would leave — the gate alone — keeping the
+        refresh work and the :attr:`gates_retimed` counter bit-identical
+        to the per-move :class:`~repro.incremental.eco.WhatIf` path.
         """
         if gate_name not in self._topo_index:
             raise KeyError(f"unknown gate {gate_name!r}")
-        self._on_edit(gate_name, "mark")
+        self._dirty.add(gate_name)
 
     def set_input_arrival(self, net: str, arrival: float) -> float:
         """Edit one primary input's arrival time; returns the old value."""

@@ -90,7 +90,7 @@ class TestCommands:
         )
         code, text = run_cli(
             "optimize", str(blif), "--stats", "sampled", "--lanes", "64",
-            "--objective", "delay-constrained", "--passes", "3",
+            "--objective", "delay-constrained",
         )
         assert code == 0
         assert "stats=sampled" in text and "lanes=64" in text
@@ -104,6 +104,15 @@ class TestCommands:
         code, text = run_cli("optimize", str(blif), "--stats", "analytic")
         assert code == 0
         assert "stats=model" in text
+        # 'local' runs the same sweep under its own label.
+        code, local = run_cli("optimize", str(blif), "--stats", "local")
+        assert code == 0
+        assert local == text.replace("stats=model", "stats=local")
+
+    def test_optimize_has_no_passes_flag(self):
+        # One pass is the whole algorithm (no reorder moves a load).
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["optimize", "x.blif", "--passes", "2"])
 
     def test_optimize_lanes_requires_sampled(self, tmp_path):
         blif = tmp_path / "g.blif"

@@ -9,7 +9,7 @@ from repro.circuit.topology import (
     topological_gates,
     transitive_fanout,
 )
-from repro.core.optimizer import circuit_power, optimize_circuit
+from repro.core.optimizer import circuit_power
 from repro.incremental import (
     AnalyticBackend,
     SampledBackend,
@@ -336,7 +336,6 @@ class TestStatsCacheSampled:
 class TestMakeBackend:
     def test_names_resolve(self):
         assert isinstance(make_backend("analytic"), AnalyticBackend)
-        assert isinstance(make_backend("local"), AnalyticBackend)
         assert isinstance(make_backend("sampled", lanes=8), SampledBackend)
 
     def test_instance_passthrough(self):
@@ -348,6 +347,8 @@ class TestMakeBackend:
     def test_rejections(self):
         with pytest.raises(ValueError):
             make_backend("exact")
+        with pytest.raises(ValueError):  # one name per source
+            make_backend("local")
         with pytest.raises(TypeError):
             make_backend("analytic", lanes=8)
 
@@ -533,83 +534,4 @@ class TestEditScripts:
         assert "nor2" in script_edit_label(SetTemplate("g0", "nor2"))
         assert "input-stats" in script_edit_label(
             InputStatsEdit("a", SignalStats(0.5, 1.0))
-        )
-
-
-# ----------------------------------------------------------------------
-# Iterative re-optimisation
-# ----------------------------------------------------------------------
-class TestMultiPassOptimize:
-    def test_single_pass_unchanged_default(self, adder):
-        circuit, stats = adder
-        result = optimize_circuit(circuit, stats)
-        assert result.passes_run == 1
-
-    def test_converges_to_fixed_point(self, adder):
-        circuit, stats = adder
-        result = optimize_circuit(circuit, stats, passes=10)
-        assert result.passes_run < 10
-        # Re-running on the converged circuit changes nothing.
-        again = optimize_circuit(result.circuit, stats, passes=10)
-        assert again.passes_run == 1
-        assert [d.chosen.config.key() for d in again.decisions] == [
-            d.chosen.config.key() for d in result.decisions
-        ]
-
-    def test_multipass_never_hurts_the_model_objective(self, adder):
-        circuit, stats = adder
-        one = optimize_circuit(circuit, stats, passes=1)
-        many = optimize_circuit(circuit, stats, passes=10)
-        assert many.power_after <= one.power_after * (1.0 + 1e-9)
-        assert many.power_before == one.power_before
-
-    def test_invalid_passes_rejected(self, adder):
-        circuit, stats = adder
-        with pytest.raises(ValueError):
-            optimize_circuit(circuit, stats, passes=0)
-
-    def test_later_passes_are_cone_sized(self, adder):
-        # Pass 1 decides every gate; the cone-aware passes re-decide
-        # only the worklist (fanin drivers of re-configured gates), so
-        # total decisions stay well below passes_run full traversals.
-        circuit, stats = adder
-        result = optimize_circuit(circuit, stats, passes=10)
-        assert result.passes_run > 1
-        assert result.gates_decided > len(circuit)
-        assert result.gates_decided < result.passes_run * len(circuit)
-
-    def test_single_pass_decides_every_gate_once(self, adder):
-        circuit, stats = adder
-        result = optimize_circuit(circuit, stats)
-        assert result.gates_decided == len(circuit)
-
-    def test_cone_aware_matches_iterated_full_reoptimization(self, adder):
-        # The worklist protocol must land on exactly the configuration
-        # a naive "re-run the full single-pass optimiser to a fixed
-        # point" loop finds: a gate with unchanged fanin statistics and
-        # unchanged load re-decides identically, so skipping it is pure
-        # savings, never a different answer.
-        circuit, stats = adder
-        cone = optimize_circuit(circuit, stats, passes=10)
-        naive = optimize_circuit(circuit, stats, passes=1)
-        for _ in range(10):
-            again = optimize_circuit(naive.circuit, stats, passes=1)
-            if [d.chosen.config.key() for d in again.decisions] == [
-                d.chosen.config.key() for d in naive.decisions
-            ]:
-                break
-            naive = again
-        assert [d.chosen.config.key() for d in cone.decisions] == [
-            d.chosen.config.key() for d in naive.decisions
-        ]
-        assert cone.power_after == pytest.approx(naive.power_after, rel=1e-12)
-
-    def test_multipass_power_matches_reanalysis(self, adder):
-        # power_after of a converged multipass run is settled-load
-        # accounting — it must equal a from-scratch re-analysis of the
-        # emitted netlist.
-        circuit, stats = adder
-        result = optimize_circuit(circuit, stats, passes=10)
-        assert result.power_after == pytest.approx(
-            circuit_power(result.circuit, stats).total, rel=1e-12
         )

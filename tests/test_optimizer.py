@@ -7,6 +7,7 @@ import operator
 import pytest
 
 from repro.analysis.experiments import case_seed
+from repro.bench.generators import random_logic
 from repro.bench.suite import benchmark_suite, get_case
 from repro.circuit.blif import write_mapped_blif
 from repro.circuit.netlist import Circuit
@@ -87,6 +88,13 @@ class TestOptimizeCircuit:
     def test_unknown_objective(self):
         with pytest.raises(ValueError):
             optimize_circuit(sample_circuit(), skewed_stats(), MODEL, objective="x")
+
+    def test_one_name_per_stats_source(self):
+        # "model" is the compiled local sweep; "local" is not a second
+        # name for it.
+        with pytest.raises(ValueError):
+            optimize_circuit(sample_circuit(), skewed_stats(), MODEL,
+                             stats="local")
 
     def test_missing_stats(self):
         with pytest.raises(KeyError):
@@ -202,85 +210,61 @@ class TestCircuitPower:
 # ----------------------------------------------------------------------
 # The batch engine against the sequential per-gate algorithm
 # ----------------------------------------------------------------------
-def reference_optimize(circuit, net_stats, objective, passes, model=MODEL,
+def reference_optimize(circuit, net_stats, objective, model=MODEL,
                        po_load=DEFAULT_PO_LOAD, priced=None):
-    """Figure 3 gate by gate on the object oracle, cone-aware passes.
+    """Figure 3 gate by gate on the object oracle.
 
     Each gate reads its live load and is re-configured before the next
     gate is decided, as a sequential traversal does.  ``priced`` may
     share :func:`evaluate_configurations` results between calls on the
     same ``net_stats`` (keyed by gate and load; the function is pure).
 
-    Returns ``(circuit, decisions, power_before, power_after,
-    passes_run)`` with decisions as :func:`decision_fields` tuples.
+    Returns ``(circuit, decisions, power_before, power_after)`` with
+    decisions as :func:`decision_fields` tuples.
     """
     work = circuit.copy()
     tech = model.tech
     topo = work.topo_gates()
-    decisions = {}
-    pending = None
+    decisions = []
     power_before = power_after = 0.0
-    any_changed = False
-    for passes_run in range(1, passes + 1):
-        changed = []
-        for gate in topo:
-            if pending is not None and gate.name not in pending:
-                continue
-            template = gate.template
-            pins = {pin: net_stats[gate.pin_nets[pin]]
-                    for pin in template.pins}
-            load = work.output_load(gate.output, tech, po_load)
-            evaluations = None if priced is None else priced.get(
-                (gate.name, load))
-            if evaluations is None:
-                evaluations = evaluate_configurations(template, pins, model,
-                                                      load)
-                if priced is not None:
-                    priced[(gate.name, load)] = evaluations
-            by_key = {e.config.key(): e for e in evaluations}
-            entry = by_key[gate.effective_config().key()]
-            default = by_key[template.default_config().key()]
+    for gate in topo:
+        template = gate.template
+        pins = {pin: net_stats[gate.pin_nets[pin]] for pin in template.pins}
+        load = work.output_load(gate.output, tech, po_load)
+        evaluations = None if priced is None else priced.get(
+            (gate.name, load))
+        if evaluations is None:
+            evaluations = evaluate_configurations(template, pins, model, load)
+            if priced is not None:
+                priced[(gate.name, load)] = evaluations
+        by_key = {e.config.key(): e for e in evaluations}
+        entry = by_key[gate.effective_config().key()]
+        default = by_key[template.default_config().key()]
 
-            def delays(e):
-                compiled = template.compile_config(e.config)
-                return [gate_pin_delay(compiled, e.config, pin, tech, load)
-                        for pin in template.pins]
+        def delays(e):
+            compiled = template.compile_config(e.config)
+            return [gate_pin_delay(compiled, e.config, pin, tech, load)
+                    for pin in template.pins]
 
-            if objective == "delay-constrained":
-                limits = [d * (1.0 + 1e-9) for d in delays(default)]
-                evaluations = [e for e in evaluations if all(
-                    d <= limit for d, limit in zip(delays(e), limits))]
-            if objective == "worst":
-                chosen = min(evaluations,
-                             key=lambda e: (-e.power, e.config.key()))
-            elif objective == "fastest":
-                chosen = min(evaluations,
-                             key=lambda e: (max(delays(e)), e.config.key()))
-            else:
-                chosen = min(evaluations,
-                             key=lambda e: (e.power, e.config.key()))
-            if chosen.config.key() != entry.config.key():
-                changed.append(gate.name)
-                work.set_config(gate.name, chosen.config)
-            decisions[gate.name] = (gate.name, template.name, len(by_key),
-                                    chosen.config.key(), repr(chosen.power),
-                                    repr(default.power), chosen.report)
-            if passes_run == 1:
-                power_before += entry.power
-                power_after += chosen.power
-        if not changed:
-            break
-        any_changed = True
-        pending = {pred.name for name in changed
-                   for pred in work.fanin_drivers(name)
-                   if pred.template.num_configurations() > 1}
-        if not pending:
-            break
-    if passes > 1 and any_changed:
-        power_after = circuit_power(work, {}, model, po_load,
-                                    net_stats=net_stats).total
-    return (work, [decisions[g.name] for g in topo], power_before,
-            power_after, passes_run)
+        if objective == "delay-constrained":
+            limits = [d * (1.0 + 1e-9) for d in delays(default)]
+            evaluations = [e for e in evaluations if all(
+                d <= limit for d, limit in zip(delays(e), limits))]
+        if objective == "worst":
+            chosen = min(evaluations, key=lambda e: (-e.power, e.config.key()))
+        elif objective == "fastest":
+            chosen = min(evaluations,
+                         key=lambda e: (max(delays(e)), e.config.key()))
+        else:
+            chosen = min(evaluations, key=lambda e: (e.power, e.config.key()))
+        if chosen.config.key() != entry.config.key():
+            work.set_config(gate.name, chosen.config)
+        decisions.append((gate.name, template.name, len(by_key),
+                          chosen.config.key(), repr(chosen.power),
+                          repr(default.power), chosen.report))
+        power_before += entry.power
+        power_after += chosen.power
+    return work, decisions, power_before, power_after
 
 
 def decision_fields(d):
@@ -290,11 +274,10 @@ def decision_fields(d):
 
 
 def assert_matches_reference(result, reference):
-    work, decisions, before, after, passes_run = reference
+    work, decisions, before, after = reference
     assert [decision_fields(d) for d in result.decisions] == decisions
     assert repr(result.power_before) == repr(before)
     assert repr(result.power_after) == repr(after)
-    assert result.passes_run == passes_run
     assert write_mapped_blif(result.circuit) == write_mapped_blif(work)
 
 
@@ -311,17 +294,13 @@ class TestBatchEngineMatchesReference:
                 "exact": propagate_stats(circuit, stats, method="exact")}
         priced = {source: {} for source in maps}
         for objective in OBJECTIVES:
-            for passes in (1, 3):
-                for source, net_stats in maps.items():
-                    reference = reference_optimize(circuit, net_stats,
-                                                   objective, passes,
-                                                   priced=priced[source])
-                    for alias in (("model", "local") if source == "local"
-                                  else ("exact",)):
-                        result = optimize_circuit(
-                            circuit, stats, MODEL, objective=objective,
-                            stats=alias, passes=passes)
-                        assert_matches_reference(result, reference)
+            for source, net_stats in maps.items():
+                reference = reference_optimize(circuit, net_stats, objective,
+                                               priced=priced[source])
+                result = optimize_circuit(
+                    circuit, stats, MODEL, objective=objective,
+                    stats="model" if source == "local" else source)
+                assert_matches_reference(result, reference)
 
     def test_exact_tie_breaks_on_configuration_key(self):
         # Both nand2 pins on one net: the two series orders are mirror
@@ -340,18 +319,59 @@ class TestBatchEngineMatchesReference:
             result = optimize_circuit(c, stats, MODEL, objective=objective)
             assert result.decisions[0].chosen.config.key() == first
             assert_matches_reference(result, reference_optimize(
-                c, propagate_stats(c, stats), objective, 1))
+                c, propagate_stats(c, stats), objective))
 
     def test_row_blocks_do_not_change_decisions(self, monkeypatch):
         # Large circuits price a template's gates in row blocks; one
         # gate per block must decide exactly as one block per template.
         circuit = map_circuit(get_case("rca4").network())
         stats = ScenarioB(seed=case_seed("rca4")).input_stats(circuit.inputs)
-        whole = optimize_circuit(circuit, stats, MODEL, passes=3)
+        whole = optimize_circuit(circuit, stats, MODEL)
         monkeypatch.setattr(optimizer, "_BLOCK", 1)
-        split = optimize_circuit(circuit, stats, MODEL, passes=3)
+        split = optimize_circuit(circuit, stats, MODEL)
         assert [decision_fields(d) for d in split.decisions] == \
             [decision_fields(d) for d in whole.decisions]
         assert repr(split.power_after) == repr(whole.power_after)
         assert write_mapped_blif(split.circuit) == \
             write_mapped_blif(whole.circuit)
+
+
+# ----------------------------------------------------------------------
+# One pass is the whole algorithm
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module", params=["rca4", "random_logic"])
+def mapped(request):
+    if request.param == "rca4":
+        circuit = map_circuit(get_case("rca4").network())
+    else:
+        circuit = map_circuit(random_logic(12, 100, 3))
+    return circuit, ScenarioB(seed=11).input_stats(circuit.inputs)
+
+
+def configuration_keys(circuit):
+    return [(g.name, g.effective_config().key()) for g in circuit.gates]
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+class TestSinglePass:
+    """No reordering changes a gate's fanin statistics or its load, so
+    the one batch pass is already the fixed point of re-optimisation."""
+
+    def test_reoptimising_keeps_every_config(self, mapped, objective):
+        circuit, stats = mapped
+        once = optimize_circuit(circuit, stats, MODEL, objective=objective)
+        twice = optimize_circuit(once.circuit, stats, MODEL,
+                                 objective=objective)
+        assert configuration_keys(twice.circuit) == \
+            configuration_keys(once.circuit)
+        assert twice.power_before == twice.power_after == once.power_after
+        assert once.gates_decided == twice.gates_decided == len(circuit)
+
+    def test_power_after_matches_reanalysis(self, mapped, objective):
+        circuit, stats = mapped
+        result = optimize_circuit(circuit, stats, MODEL, objective=objective)
+        assert result.power_after == \
+            circuit_power(result.circuit, stats, MODEL).total
+        assert result.power_before == \
+            circuit_power(circuit, stats, MODEL).total
+

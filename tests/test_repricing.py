@@ -4,8 +4,10 @@ Three rules keep the incremental caches' work proportional to what an
 edit changed rather than to the circuit:
 
 * ``StatsCache`` power-dirties only the seeds of an edit (a reordering
-  seeds the gate alone) and lets :meth:`StatsCache.refresh` add the
-  sinks of every net whose (P, D) actually moved;
+  or retemplate seeds the gate alone, because loads follow
+  connectivity — checked here against every edit the library allows)
+  and lets :meth:`StatsCache.refresh` add the sinks of every net whose
+  (P, D) actually moved;
 * ``TimingCache`` re-lowers the circuit once, at the first refresh
   after a run of structural edits, instead of once per edit;
 * ``GateTemplate.configurations`` enumerates a template's orderings
@@ -30,8 +32,10 @@ from repro.circuit.netlist import (
     SetTemplate,
 )
 from repro.compiled import circuit as compiled_circuit
+from repro.compiled import get_compiled
 from repro.compiled.power import CompiledPowerKernel
 from repro.core.optimizer import circuit_power
+from repro.core.power_model import GatePowerModel
 from repro.gates.capacitance import pin_terminal_counts
 from repro.gates.library import default_library
 from repro.incremental import StatsCache, TimingCache, WhatIf
@@ -40,7 +44,7 @@ from repro.sim.stimulus import ScenarioA
 from repro.stochastic.density import local_stats
 from repro.stochastic.signal import SignalStats
 from repro.synth.mapper import map_circuit
-from repro.timing.sta import analyze_timing
+from repro.timing.sta import DEFAULT_PO_LOAD, analyze_timing
 
 
 @pytest.fixture(scope="module")
@@ -230,6 +234,33 @@ class TestPowerCutoff:
             # ... but the power refresh prices the gate alone.
             assert priced == [[gate.name]]
 
+    def test_retemplate_reprices_the_gate_and_sinks_of_changed_nets(
+            self, master, priced):
+        # No fanin driver is repriced: a swap moves no load.
+        circuit_master, stats = master
+        circuit = circuit_master.copy()
+        groups = {}
+        for template in circuit.library:
+            groups.setdefault(template.pins, []).append(template.name)
+        with StatsCache(circuit, stats) as cache:
+            cache.total_power()
+            before = dict(cache.stats())
+            gate = next(g for g in circuit.topo_gates()
+                        if len(groups[g.template.pins]) > 1
+                        and circuit.fanin_drivers(g.name))
+            other = next(name for name in groups[gate.template.pins]
+                         if name != gate.template.name)
+            priced.clear()
+            circuit.apply_edit(SetTemplate(gate.name, other))
+            after = cache.stats()
+            moved = [n for n in after if after[n] != before.get(n)]
+            cache.total_power()
+            assert priced == [sorted(
+                {gate.name} | {sink.name for n in moved
+                               for sink, _pin in cache.index.sinks(n)},
+                key=cache.topo_index.__getitem__)]
+            _assert_matches_scratch(cache, circuit)
+
     def test_input_edit_reprices_sinks_of_changed_nets(self, master, priced):
         circuit_master, stats = master
         circuit = circuit_master.copy()
@@ -249,13 +280,81 @@ class TestPowerCutoff:
 
 
 # ----------------------------------------------------------------------
-# The invariant the reorder seed relies on, and memoised orderings
+# The invariant every edit seed relies on: loads follow connectivity
+# ----------------------------------------------------------------------
+def _local_edits(circuit, gate, groups):
+    """Every SetConfig and SetTemplate the library allows on ``gate``."""
+    for config in gate.template.configurations():
+        yield SetConfig(gate.name, config)
+    for template in groups[gate.template.pins]:
+        if template.name != gate.template.name:
+            for config in template.configurations():
+                yield SetTemplate(gate.name, template.name, config)
+
+
+class TestLoadsFollowConnectivity:
+    def test_net_loads_fixed_under_every_reorder_and_retemplate(self,
+                                                                 master):
+        circuit_master, stats = master
+        circuit = circuit_master.copy()
+        tech = GatePowerModel().tech
+        cc = get_compiled(circuit)
+        baseline = cc.net_loads(tech, DEFAULT_PO_LOAD).tolist()
+        groups = {}
+        for template in circuit.library:
+            groups.setdefault(template.pins, []).append(template)
+        for gate in list(circuit.gates):
+            restore = SetTemplate(gate.name, gate.template.name, gate.config)
+            for edit in _local_edits(circuit, gate, groups):
+                circuit.apply_edit(edit)
+                assert get_compiled(circuit) is cc
+                assert cc.net_loads(tech, DEFAULT_PO_LOAD).tolist() == baseline
+                # The object graph agrees on the nets the gate loads.
+                for net in circuit.gate(gate.name).fanin_nets:
+                    assert circuit.output_load(net, tech, DEFAULT_PO_LOAD) \
+                        == baseline[cc.net_id[net]]
+            circuit.apply_edit(restore)
+        # A fresh lowering of a scrambled assignment agrees too.
+        rng = random.Random(5)
+        for gate in list(circuit.gates):
+            circuit.apply_edit(rng.choice(list(
+                _local_edits(circuit, gate, groups))))
+        fresh = compiled_circuit.CompiledCircuit(circuit)
+        try:
+            assert fresh.net_loads(tech, DEFAULT_PO_LOAD).tolist() == baseline
+        finally:
+            fresh.close()
+        # And inside WhatIf trials, before and after the rollback.
+        with StatsCache(circuit, stats) as cache:
+            movable = [g for g in circuit.gates
+                       if len(groups[g.template.pins]) > 1]
+            for gate in rng.sample(movable, 20):
+                edits = list(_local_edits(circuit, gate, groups))
+                with WhatIf(cache) as trial:
+                    # A reorder, then a swap (a swap's config belongs to
+                    # the new template).
+                    trial.apply(rng.choice(
+                        [e for e in edits if isinstance(e, SetConfig)]))
+                    trial.apply(rng.choice(
+                        [e for e in edits if isinstance(e, SetTemplate)]))
+                    assert get_compiled(circuit).net_loads(
+                        tech, DEFAULT_PO_LOAD).tolist() == baseline
+                assert get_compiled(circuit).net_loads(
+                    tech, DEFAULT_PO_LOAD).tolist() == baseline
+                _assert_matches_scratch(cache, circuit)
+
+
+# ----------------------------------------------------------------------
+# Pin terminal counts per ordering, and memoised orderings
 # ----------------------------------------------------------------------
 class TestOrderings:
     @pytest.mark.parametrize("template", list(default_library()),
                              ids=lambda t: t.name)
     def test_pin_terminal_counts_are_ordering_independent(self, template):
         default = pin_terminal_counts(template.compile_config())
+        # One N and one P device per pin: GateTemplate rejects a repeated
+        # PDN signal, and the PUN is the PDN's dual over the same signals.
+        assert default == {pin: 2 for pin in template.pins}
         for config in template.configurations():
             assert pin_terminal_counts(
                 template.compile_config(config)) == default

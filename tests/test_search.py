@@ -165,11 +165,12 @@ class TestGreedy:
         two = search_circuit(circuit, stats)
         assert canonical(one) == canonical(two)
 
-    def test_matches_cone_aware_multipass_power(self, adder):
+    def test_matches_optimizer_power(self, adder):
         circuit, stats = adder
         result = search_circuit(circuit, stats)
-        multi = optimize_circuit(circuit, stats, passes=8)
-        assert result.power_after == pytest.approx(multi.power_after, rel=1e-12)
+        optimised = optimize_circuit(circuit, stats)
+        assert result.power_after == pytest.approx(optimised.power_after,
+                                                   rel=1e-12)
 
     def test_net_stats_match_from_scratch(self, adder):
         circuit, stats = adder

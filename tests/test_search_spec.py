@@ -198,6 +198,7 @@ def no_cache_builds(monkeypatch):
     (dict(structural=["bogus"]), r"\['bogus'\]"),
     (dict(strategy="greedy", restarts=2), r"strategy='anneal'"),
     (dict(deadline_s=10.0), r"deadline_s budgets portfolio"),
+    (dict(backend="local"), r"unknown backend 'local'"),
 ])
 def test_rejected_before_any_cache_is_built(adder, no_cache_builds, params,
                                             message):
