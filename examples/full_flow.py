@@ -4,8 +4,9 @@
 BLIF in -> technology mapping onto the Table 2 library -> transistor
 reordering for low power (Scenario A statistics) -> validation by
 switch-level simulation -> delay check with static timing analysis.
-This mirrors exactly what ``repro.analysis.run_table3_case`` does for
-every Table 3 row.
+This is the flow behind every Table 3 row of ``repro table3``: the
+bench runner (``repro.bench.runner.run_suite``) maps each circuit once
+and ``repro.analysis.run_table3_case`` runs the rest for each scenario.
 
 Run:  python examples/full_flow.py [circuit-name]
 """

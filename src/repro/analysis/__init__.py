@@ -8,7 +8,6 @@ from .experiments import (
     run_table1,
     run_table2,
     run_table2_instances,
-    run_table3,
     run_table3_case,
 )
 from .glitches import GlitchReport, analyze_glitches
@@ -20,7 +19,6 @@ __all__ = [
     "run_table1",
     "run_table2",
     "run_table2_instances",
-    "run_table3",
     "run_table3_case",
     "run_adder_activity",
     "Table1Row",

@@ -5,10 +5,11 @@ Each function reproduces one artefact (see DESIGN.md §4):
 * :func:`run_table1` — the Table 1(b) motivation gate under the two
   activity cases;
 * :func:`run_table2` — the library configuration counts;
-* :func:`run_table3_case` / :func:`run_table3` — the main evaluation:
-  per circuit and scenario, the modelled (M) and simulated (S)
+* :func:`run_table3_case` — one row of the main evaluation: for one
+  mapped circuit and scenario, the modelled (M) and simulated (S)
   best-versus-worst power reduction and the delay increase (D) of the
-  power-optimised netlist versus the as-mapped one;
+  power-optimised netlist versus the as-mapped one
+  (:func:`repro.bench.runner.run_suite` runs it over the suite);
 * :func:`run_adder_activity` — the §1.1 ripple-carry carry-chain
   activity profile.
 """
@@ -19,7 +20,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..bench.suite import BenchmarkCase, benchmark_suite
+from ..bench.suite import BenchmarkCase
 from ..circuit.netlist import Circuit
 from ..core.optimizer import optimize_circuit
 from ..core.power_model import GatePowerModel
@@ -43,7 +44,6 @@ __all__ = [
     "run_table2_instances",
     "Table3Row",
     "run_table3_case",
-    "run_table3",
     "run_adder_activity",
     "EcoRow",
     "run_eco",
@@ -163,32 +163,24 @@ def _simulate(circuit: Circuit, stimulus: Stimulus, tech: TechParams,
     return simulator.run(stimulus).power
 
 
-def run_table3_case(case: BenchmarkCase, scenario: str,
+def run_table3_case(case: BenchmarkCase, scenario: str, *,
+                    circuit: Circuit,
                     tech: Optional[TechParams] = None,
                     seed: int = 0,
                     target_transitions: float = 150.0,
                     cycles: int = 250,
                     po_load: float = DEFAULT_PO_LOAD,
-                    library: Optional[GateLibrary] = None,
-                    model: Optional[GatePowerModel] = None,
-                    circuit: Optional[Circuit] = None) -> Table3Row:
-    """Run the full flow for one circuit and one scenario ('A' or 'B').
+                    model: Optional[GatePowerModel] = None) -> Table3Row:
+    """Run the flow after mapping for one circuit and one scenario.
 
-    Deterministic for a given ``(case, scenario, seed)``: the stimulus
-    seed comes from :func:`case_seed`.  ``circuit`` may supply an
-    already-mapped netlist (the benchmark runner caches one per case so
-    both scenarios reuse the mapping); it is never mutated.
+    ``circuit`` is ``case``'s mapped netlist; it is never mutated, so
+    the benchmark runner maps each case once and runs every scenario
+    ('A' or 'B') on the same netlist.  Deterministic for a given
+    ``(case, scenario, seed)``: the stimulus seed comes from
+    :func:`case_seed`.
     """
     tech = tech if tech is not None else TechParams()
     model = model if model is not None else GatePowerModel(tech)
-    if circuit is None:
-        network = case.network()
-        circuit = map_circuit(network, library)
-    elif library is not None:
-        raise ValueError(
-            "library is only used when mapping internally; "
-            "pass either circuit or library, not both"
-        )
 
     if scenario == "A":
         generator = ScenarioA(seed=case_seed(case.name, seed))
@@ -227,19 +219,6 @@ def run_table3_case(case: BenchmarkCase, scenario: str,
     )
 
 
-def run_table3(subset: Optional[str] = "quick",
-               scenarios: Sequence[str] = ("A", "B"),
-               **kwargs) -> Dict[str, List[Table3Row]]:
-    """Table 3 over the benchmark suite; returns rows grouped by scenario."""
-    cases = benchmark_suite(subset)
-    results: Dict[str, List[Table3Row]] = {}
-    for scenario in scenarios:
-        results[scenario] = [
-            run_table3_case(case, scenario, **kwargs) for case in cases
-        ]
-    return results
-
-
 # ----------------------------------------------------------------------
 # ECO replay — scripted edits against the incremental engine
 # ----------------------------------------------------------------------
@@ -248,7 +227,8 @@ class EcoRow:
     """One scripted edit: what changed and what it cost.
 
     Powers are modelled totals (W); ``cone`` is how many gates the
-    incremental engine re-propagated — the work the edit actually
+    incremental engine re-propagated and ``retimed`` how many gate
+    arrivals the timing cache recomputed — the work the edit actually
     caused, versus ``gates`` for a from-scratch recompute.
     """
 
@@ -259,9 +239,7 @@ class EcoRow:
     power_after: float
     delay_before: float
     delay_after: float
-    retimed: int = -1
-    """Gate arrivals the incremental timing cache recomputed for this
-    edit; -1 when delay came from a full STA (``timing="full"``)."""
+    retimed: int
 
     @property
     def delta_power(self) -> float:
@@ -278,7 +256,6 @@ def run_eco(circuit: Circuit,
             backend: str = "analytic",
             model: Optional[GatePowerModel] = None,
             po_load: float = DEFAULT_PO_LOAD,
-            timing: str = "full",
             **backend_kwargs) -> List[EcoRow]:
     """Apply a JSON edit script in order, reporting per-edit deltas.
 
@@ -287,14 +264,11 @@ def run_eco(circuit: Circuit,
     resolved against the circuit state the previous edits produced, so
     e.g. a ``reorder`` after a ``retemplate`` indexes the new
     template's configurations.  Statistics and power are maintained by
-    a :class:`repro.incremental.StatsCache` with the chosen backend —
-    every edit costs cone-sized work, which the ``cone`` column records.
-
-    ``timing`` selects the per-edit delay source: ``"full"`` (an STA
-    run per edit, the historical behaviour) or ``"incremental"`` (a
-    :class:`repro.incremental.TimingCache` sharing the stats cache's
-    fanout index — bit-identical delays for cone-sized work, with the
-    per-edit arrival recomputes recorded in ``EcoRow.retimed``).
+    a :class:`repro.incremental.StatsCache` with the chosen backend,
+    and delay by a :class:`repro.incremental.TimingCache` sharing its
+    fanout index: every edit costs cone-sized work, which the ``cone``
+    and ``retimed`` columns record, and each delay is bit-identical to
+    a from-scratch STA of the edited netlist.
     """
     from ..incremental import StatsCache, TimingCache
     from ..incremental.eco import (
@@ -304,25 +278,19 @@ def run_eco(circuit: Circuit,
         script_edit_label,
     )
 
-    if timing not in ("full", "incremental"):
-        raise ValueError(
-            f"unknown timing mode {timing!r}; use 'full' or 'incremental'"
-        )
     model = model if model is not None else GatePowerModel()
     cache = StatsCache(circuit, input_stats, backend=backend, model=model,
                        po_load=po_load, **backend_kwargs)
-    tcache = (TimingCache(circuit, tech=model.tech, po_load=po_load,
-                          index=cache.index)
-              if timing == "incremental" else None)
+    tcache = TimingCache(circuit, tech=model.tech, po_load=po_load,
+                         index=cache.index)
     rows: List[EcoRow] = []
     try:
         power = cache.total_power()
-        delay = (tcache.delay() if tcache is not None
-                 else circuit_delay(circuit, model.tech, po_load))
+        delay = tcache.delay()
         for index, entry in enumerate(script):
             edit = resolve_edit(circuit, entry, index)
             repropagated = cache.gates_repropagated
-            retimed_before = tcache.gates_retimed if tcache is not None else 0
+            retimed_before = tcache.gates_retimed
             tracer = _trace.ACTIVE
             span = (tracer.span("eco.edit", index=index,
                                 label=script_edit_label(edit))
@@ -331,21 +299,12 @@ def run_eco(circuit: Circuit,
                 if isinstance(edit, InputStatsEdit):
                     cache.set_input_stats(edit.net, edit.stats)
                 elif isinstance(edit, InputArrivalEdit):
-                    if tcache is None:
-                        raise ValueError(
-                            "input-arrival edits need timing='incremental' "
-                            "(repro eco --timing)"
-                        )
                     tcache.set_input_arrival(edit.net, edit.arrival)
                 else:
                     circuit.apply_edit(edit)
                 power_after = cache.total_power()  # refreshes the dirty cone
-                if tcache is not None:
-                    delay_after = tcache.delay()  # refreshes the timing cone
-                    retimed = tcache.gates_retimed - retimed_before
-                else:
-                    delay_after = circuit_delay(circuit, model.tech, po_load)
-                    retimed = -1
+                delay_after = tcache.delay()  # refreshes the timing cone
+                retimed = tcache.gates_retimed - retimed_before
                 if tracer is not None:
                     span.note(cone=cache.gates_repropagated - repropagated,
                               retimed=retimed)
@@ -361,8 +320,7 @@ def run_eco(circuit: Circuit,
             ))
             power, delay = power_after, delay_after
     finally:
-        if tcache is not None:
-            tcache.close()
+        tcache.close()
         cache.close()
     return rows
 

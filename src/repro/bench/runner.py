@@ -1,13 +1,13 @@
-"""Parallel batch runner for the Table-3 benchmark sweep.
+"""The Table-3 driver: the benchmark sweep, serial or in parallel.
 
 Runs the full flow (map -> optimise best/worst -> switch-level simulate
--> STA) for every suite circuit and scenario, fanned out over worker
-processes with :mod:`multiprocessing`, and collects the rows into a
-canonical JSON artifact:
+-> STA) for every suite circuit and scenario through
+:func:`repro.robust.supervise.fan_out` (in this process for
+``jobs=1``, over supervised worker processes otherwise), and collects
+the rows into a canonical JSON artifact:
 
-* one work item per circuit, covering all requested scenarios, so the
-  mapped netlist is built once per circuit (a per-process cache keyed
-  by case name) instead of once per (circuit, scenario, run);
+* one work item per circuit, covering all requested scenarios: the work
+  item maps its circuit once and runs every scenario on that netlist;
 * results are deterministic for a given seed — identical across runs
   and across ``--jobs`` settings — because the per-case stimulus seed
   is CRC-based (:func:`repro.analysis.experiments.case_seed`) and work
@@ -17,8 +17,9 @@ canonical JSON artifact:
   compare the rest (:func:`dumps_artifact` is canonical: sorted keys,
   fixed separators, trailing newline).
 
-The ``repro bench`` CLI subcommand wraps :func:`run_suite`; the
-``benchmarks/bench_runner_suite.py`` script consumes the artifact.
+The ``repro table3`` and ``repro bench`` CLI subcommands render
+:func:`run_suite` rows; ``benchmarks/bench_table3_mcnc.py`` and
+``benchmarks/bench_runner_suite.py`` check them.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import os
 import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..circuit.netlist import Circuit
 from ..robust.supervise import fan_out
 from ..synth.mapper import map_circuit
 from .suite import benchmark_suite, get_case
@@ -98,19 +98,6 @@ def environment_meta() -> Dict[str, object]:
         "git_sha": _git_sha(),
     }
 
-#: Worker-local mapped-netlist cache: case name -> mapped circuit.  The
-#: optimiser copies before reordering, so cached circuits stay pristine.
-_MAPPED_CACHE: Dict[str, Circuit] = {}
-
-
-def _mapped_circuit(case_name: str) -> Circuit:
-    circuit = _MAPPED_CACHE.get(case_name)
-    if circuit is None:
-        circuit = map_circuit(get_case(case_name).network())
-        _MAPPED_CACHE[case_name] = circuit
-    return circuit
-
-
 def _row_dict(row, elapsed: float) -> Dict[str, object]:
     return {
         "circuit": row.name,
@@ -137,7 +124,7 @@ def _error_row(case_name: str, status: str,
 
 
 def _run_case(work: Tuple[str, Tuple[str, ...], int]) -> List[Dict[str, object]]:
-    """One work item: every scenario of one circuit, mapping reused."""
+    """One work item: map one circuit once, then run every scenario on it."""
     from ..analysis.experiments import run_table3_case
     from ..obs import trace as _trace
     from ..robust import faults as _faults
@@ -149,8 +136,8 @@ def _run_case(work: Tuple[str, Tuple[str, ...], int]) -> List[Dict[str, object]]
     try:
         with span:
             _faults.fire("bench.case", match=case_name)
-            circuit = _mapped_circuit(case_name)
             case = get_case(case_name)
+            circuit = map_circuit(case.network())
             rows = []
             for scenario in scenarios:
                 start = time.perf_counter()

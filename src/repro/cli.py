@@ -9,8 +9,8 @@ Subcommands::
     adder [--width N]      the ripple-carry activity profile (§1.1)
     optimize FILE.blif     map + optimise a BLIF circuit, report savings
     eco FILE.blif SCRIPT   replay a JSON edit script incrementally,
-                           reporting per-edit delta power/delay
-                           (--timing prices delay incrementally too)
+                           reporting per-edit delta power/delay and
+                           the cone each edit re-propagated and re-timed
     search FILE.blif       delta-driven ECO local search (greedy or
                            annealing) over the incremental engine
     trace summarize FILE   per-span profile of a JSONL trace written by
@@ -41,7 +41,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .analysis.experiments import run_adder_activity, run_table1, run_table3
+from .analysis.experiments import run_adder_activity, run_table1
 from .analysis.report import format_percent, format_si, format_table
 from .analysis.stats import mean
 from .core.optimizer import OBJECTIVES
@@ -222,9 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
                          '{"op": "reorder"|"retemplate"|"add-gate"'
                          '|"remove-gate"|"rewire"|"input-stats"'
                          '|"input-arrival", ...} entries (see '
-                         "repro.incremental.eco; input-arrival needs "
-                         "--timing; the structural ops need --backend "
-                         "analytic)")
+                         "repro.incremental.eco; the structural ops need "
+                         "--backend analytic)")
     pe.add_argument("--scenario", choices=["A", "B"], default="A")
     pe.add_argument("--seed", type=int, default=0)
     pe.add_argument("--backend", choices=["analytic", "sampled"],
@@ -237,10 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="explicit step size for --backend sampled (needed "
                          "when input-stats edits shorten dwell times below "
                          "the initial ones)")
-    pe.add_argument("--timing", action="store_true",
-                    help="maintain per-edit delay with the incremental "
-                         "TimingCache (cone-sized arrival re-propagation) "
-                         "instead of a full STA per edit")
     pe.add_argument("--out", metavar="PATH",
                     help="write the JSON result artifact here")
     _add_obs_args(pe)
@@ -298,6 +293,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load(command: str, path: str, parse):
+    """``parse(path)``; a missing, unreadable or malformed file ends the
+    run with one line naming ``path`` and the error."""
+    try:
+        return parse(path)
+    except OSError as error:
+        raise SystemExit(f"{command}: {path}: {error.strerror or error}")
+    except ValueError as error:  # BlifError, LogicError, JSONDecodeError
+        raise SystemExit(f"{command}: {path}: {error}")
+
+
+def _load_json(path: str):
+    import json
+
+    with open(path) as handle:
+        return json.load(handle)
+
+
 def _cmd_table1(out) -> int:
     rows = run_table1()
     for row in rows:
@@ -324,45 +337,54 @@ def _cmd_table2(out) -> int:
     return 0
 
 
-def _write_scenario_table(out, title: str, rows, extra=None) -> None:
-    """One Table-3-style block: per-circuit M/S/D columns + average footer.
+def _write_suite_tables(out, artifact, scenarios, title, timed=False) -> int:
+    """Render a :func:`~repro.bench.runner.run_suite` artifact.
 
-    ``rows`` is a list of ``(circuit, gates, model, sim, delay)`` tuples
-    with raw fractions; ``extra`` optionally adds one trailing
-    preformatted column as ``(header, [cell, ...])``.
+    One Table-3 block per scenario — per-circuit M/S/D columns and an
+    average footer, headed ``title(scenario)``; ``timed`` adds each
+    row's wall time as a ``t`` column — then one line per failed case.
+    Returns the number of failed cases.
     """
-    headers = ["Circuit", "G", "M%", "S%", "D%"]
-    table_rows = [
-        [name, gates, format_percent(m), format_percent(s), format_percent(d)]
-        for name, gates, m, s, d in rows
-    ]
-    footer = [
-        "average", "",
-        format_percent(mean([r[2] for r in rows])),
-        format_percent(mean([r[3] for r in rows])),
-        format_percent(mean([r[4] for r in rows])),
-    ]
-    if extra is not None:
-        header, cells = extra
-        headers.append(header)
-        for row, cell in zip(table_rows, cells):
-            row.append(cell)
-        footer.append("")
-    out.write(format_table(tuple(headers), [tuple(r) for r in table_rows],
-                           title=title, footer=tuple(footer)))
-    out.write("\n\n")
+    rows = artifact["results"]
+    for sc in scenarios:
+        sc_rows = [r for r in rows
+                   if r["status"] == "ok" and r["scenario"] == sc]
+        if not sc_rows:
+            continue
+        headers = ["Circuit", "G", "M%", "S%", "D%"]
+        columns = ("model_reduction", "sim_reduction", "delay_increase")
+        table_rows = [[r["circuit"], r["gates"]]
+                      + [format_percent(r[c]) for c in columns]
+                      for r in sc_rows]
+        footer = ["average", ""] + [
+            format_percent(mean([r[c] for r in sc_rows])) for c in columns]
+        if timed:
+            headers.append("t")
+            for line, r in zip(table_rows, sc_rows):
+                line.append(f"{r['elapsed_s']:.2f}s")
+            footer.append("")
+        out.write(format_table(tuple(headers),
+                               [tuple(r) for r in table_rows],
+                               title=title(sc), footer=tuple(footer)))
+        out.write("\n\n")
+    failed = [r for r in rows if r["status"] != "ok"]
+    for row in failed:
+        first_line = (row["error"] or "").strip().splitlines()
+        out.write(f"[{row['status']}] {row['circuit']}: "
+                  f"{first_line[-1] if first_line else ''}\n")
+    return len(failed)
 
 
 def _cmd_table3(out, subset: str, scenario: str, seed: int) -> int:
+    from .bench.runner import run_suite
+
     scenarios = ("A", "B") if scenario == "both" else (scenario,)
-    results = run_table3(subset=subset, scenarios=scenarios, seed=seed)
-    for sc, rows in results.items():
-        _write_scenario_table(
-            out, f"Table 3 - scenario {sc}",
-            [(r.name, r.gates, r.model_reduction, r.sim_reduction,
-              r.delay_increase) for r in rows],
-        )
-    return 0
+    artifact = run_suite(subset=subset, scenarios=scenarios, seed=seed)
+    failed = _write_suite_tables(out, artifact, scenarios,
+                                 lambda sc: f"Table 3 - scenario {sc}")
+    if artifact.get("partial"):
+        return 130
+    return 1 if failed else 0
 
 
 def _cmd_bench(out, subset: str, scenario: str, jobs: int, seed: int,
@@ -372,29 +394,19 @@ def _cmd_bench(out, subset: str, scenario: str, jobs: int, seed: int,
     from .bench.runner import run_suite
 
     scenarios = ("A", "B") if scenario == "both" else (scenario,)
-    artifact = run_suite(subset=subset, scenarios=scenarios, jobs=jobs,
-                         seed=seed, cases=cases, out_path=out_path,
-                         case_timeout_s=case_timeout, retries=retries)
-    rows = artifact["results"]
-    failed = [r for r in rows if r["status"] != "ok"]
-    for sc in scenarios:
-        sc_rows = [r for r in rows
-                   if r["status"] == "ok" and r["scenario"] == sc]
-        if not sc_rows:
-            continue
-        _write_scenario_table(
-            out,
-            f"bench - scenario {sc} ({artifact['suite']['subset']}, jobs={jobs})",
-            [(r["circuit"], r["gates"], r["model_reduction"],
-              r["sim_reduction"], r["delay_increase"]) for r in sc_rows],
-            extra=("t", [f"{r['elapsed_s']:.2f}s" for r in sc_rows]),
-        )
-    for row in failed:
-        first_line = (row["error"] or "").strip().splitlines()
-        out.write(f"[{row['status']}] {row['circuit']}: "
-                  f"{first_line[-1] if first_line else ''}\n")
-    out.write(f"{len(rows)} rows in {artifact['elapsed_s']:.2f}s "
-              f"with {jobs} job(s)\n")
+    try:
+        artifact = run_suite(subset=subset, scenarios=scenarios, jobs=jobs,
+                             seed=seed, cases=cases, out_path=out_path,
+                             case_timeout_s=case_timeout, retries=retries)
+    except KeyError as error:  # an unknown --cases name
+        raise SystemExit(f"bench: {error.args[0]}")
+    label = artifact["suite"]["subset"]
+    _write_suite_tables(
+        out, artifact, scenarios,
+        lambda sc: f"bench - scenario {sc} ({label}, jobs={jobs})",
+        timed=True)
+    out.write(f"{len(artifact['results'])} rows in "
+              f"{artifact['elapsed_s']:.2f}s with {jobs} job(s)\n")
     if artifact.get("partial"):
         out.write("[partial] sweep interrupted; artifact carries the "
                   "completed cases and is flagged \"partial\": true\n")
@@ -439,7 +451,7 @@ def _cmd_optimize(out, path: str, scenario: str, seed: int,
     elif lanes is not None:
         raise SystemExit("--lanes requires --stats sampled")
 
-    network = load_blif(path)
+    network = _load("optimize", path, load_blif)
     circuit = map_circuit(network)
     generator = ScenarioA(seed=seed) if scenario == "A" else ScenarioB(seed=seed)
     stats = generator.input_stats(circuit.inputs)
@@ -478,19 +490,16 @@ def _cmd_optimize(out, path: str, scenario: str, seed: int,
 
 def _cmd_eco(out, path: str, script_path: str, scenario: str, seed: int,
              backend: str, lanes: Optional[int], steps: Optional[int],
-             dt: Optional[float], timing: bool, out_path: Optional[str]) -> int:
-    import json
-
+             dt: Optional[float], out_path: Optional[str]) -> int:
     from .analysis.experiments import run_eco
     from .bench.runner import SCHEMA_VERSION, write_artifact
     from .circuit.blif import load_blif
     from .sim.stimulus import ScenarioA, ScenarioB
     from .synth.mapper import map_circuit
 
-    with open(script_path) as handle:
-        script = json.load(handle)
+    script = _load("eco", script_path, _load_json)
     if not isinstance(script, list):
-        raise SystemExit(f"{script_path}: expected a JSON list of edits")
+        raise SystemExit(f"eco: {script_path}: expected a JSON list of edits")
 
     backend_kwargs = {}
     if backend == "sampled":
@@ -504,21 +513,18 @@ def _cmd_eco(out, path: str, script_path: str, scenario: str, seed: int,
         if given:
             raise SystemExit(f"{', '.join(given)} requires --backend sampled")
 
-    network = load_blif(path)
+    network = _load("eco", path, load_blif)
     circuit = map_circuit(network)
     generator = ScenarioA(seed=seed) if scenario == "A" else ScenarioB(seed=seed)
     stats = generator.input_stats(circuit.inputs)
-    timing_mode = "incremental" if timing else "full"
     try:
         rows = run_eco(circuit, stats, script, backend=backend,
-                       timing=timing_mode, **backend_kwargs)
+                       **backend_kwargs)
     except ValueError as error:
         # A malformed script entry, or e.g. the sampled backend's frozen
         # dt becoming too coarse for an input-stats edit; surface the
         # message (and, for the latter, the remedy) instead of a
-        # traceback.  Other ValueErrors — like input-arrival without
-        # --timing — carry their own remedy; don't steer those users
-        # toward --dt.
+        # traceback.
         remedy = (
             "\n(for --backend sampled, pass an explicit --dt small enough "
             "for every input-stats edit in the script)"
@@ -526,22 +532,18 @@ def _cmd_eco(out, path: str, script_path: str, scenario: str, seed: int,
         )
         raise SystemExit(f"eco failed: {error}{remedy}")
 
-    headers = ["#", "edit", "cone", "dP", "P after", "dD%"]
     table = [
-        [row.index, row.label, row.cone,
+        (row.index, row.label, row.cone,
          format_si(row.delta_power, "W"), format_si(row.power_after, "W"),
          format_percent((row.delta_delay / row.delay_before)
-                        if row.delay_before else 0.0)]
+                        if row.delay_before else 0.0),
+         row.retimed)
         for row in rows
     ]
-    if timing:
-        headers.append("retimed")
-        for line, row in zip(table, rows):
-            line.append(row.retimed)
     out.write(format_table(
-        tuple(headers), [tuple(line) for line in table],
+        ("#", "edit", "cone", "dP", "P after", "dD%", "retimed"), table,
         title=f"eco - {network.name} ({len(circuit)} gates, "
-              f"backend={backend}, timing={timing_mode})",
+              f"backend={backend})",
     ))
     out.write("\n")
     if rows:
@@ -550,14 +552,12 @@ def _cmd_eco(out, path: str, script_path: str, scenario: str, seed: int,
                   f"{format_si(total, 'W')}; re-propagated "
                   f"{sum(r.cone for r in rows)} gate cones "
                   f"vs {len(rows) * len(circuit)} from scratch\n")
-        if timing:
-            out.write(f"re-timed {sum(r.retimed for r in rows)} gate "
-                      f"arrivals vs {len(rows) * len(circuit)} for a full "
-                      f"STA per edit\n")
+        out.write(f"re-timed {sum(r.retimed for r in rows)} gate "
+                  f"arrivals vs {len(rows) * len(circuit)} for a full "
+                  f"STA per edit\n")
     if out_path:
-        results = []
-        for row in rows:
-            entry = {
+        results = [
+            {
                 "index": row.index,
                 "edit": row.label,
                 "cone": row.cone,
@@ -567,10 +567,10 @@ def _cmd_eco(out, path: str, script_path: str, scenario: str, seed: int,
                 "delay_before": row.delay_before,
                 "delay_after": row.delay_after,
                 "delta_delay": row.delta_delay,
+                "retimed": row.retimed,
             }
-            if timing:
-                entry["retimed"] = row.retimed
-            results.append(entry)
+            for row in rows
+        ]
         artifact = {
             "schema": SCHEMA_VERSION,
             "eco": {
@@ -579,7 +579,6 @@ def _cmd_eco(out, path: str, script_path: str, scenario: str, seed: int,
                 "scenario": scenario,
                 "seed": seed,
                 "backend": backend,
-                "timing": timing_mode,
                 "script": script,
             },
             "results": results,
@@ -608,7 +607,7 @@ def _cmd_search(out, args) -> int:
     except SpecError as error:
         raise SystemExit(render(error.template, flag))
 
-    network = load_blif(args.blif)
+    network = _load("search", args.blif, load_blif)
     circuit = map_circuit(network)
     generator = (ScenarioA(seed=args.seed) if args.scenario == "A"
                  else ScenarioB(seed=args.seed))
@@ -786,7 +785,7 @@ def _dispatch(args, out) -> int:
     if args.command == "eco":
         return _cmd_eco(out, args.blif, args.script, args.scenario, args.seed,
                         args.backend, args.lanes, args.steps, args.dt,
-                        args.timing, args.out)
+                        args.out)
     if args.command == "search":
         return _cmd_search(out, args)
     if args.command == "trace":

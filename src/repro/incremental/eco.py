@@ -24,8 +24,9 @@ The module also defines the JSON edit-script vocabulary of the
 (-1 = the template default); on ``"retemplate"`` and ``"add-gate"`` it
 is optional (omitted = the template default).  Unknown keys in an
 entry are rejected, not ignored — a typo must not silently change what
-a script replays.  ``"input-arrival"`` is timing-side only: replaying
-it needs an incremental timing cache (``repro eco --timing``).
+a script replays.  ``"input-arrival"`` is timing-side only: statistics
+never see arrival times, so only the timing cache that ``repro eco``
+keeps next to the statistics cache reacts to it.
 
 The last three ops are the **structural** vocabulary (serialised forms
 of :class:`~repro.circuit.netlist.AddGate` /
@@ -318,6 +319,9 @@ def _check_entry(circuit: Circuit, entry, where: str) -> None:
             )
     if "gate" in entry and op != "add-gate" and entry["gate"] not in circuit:
         raise ValueError(f"{where}: unknown gate {entry['gate']!r}")
+    if op.startswith("input-") and entry["net"] not in circuit.inputs:
+        raise ValueError(
+            f"{where}: {op} net {entry['net']!r} is not a primary input")
 
 
 def resolve_edit(circuit: Circuit, entry: Mapping,
@@ -325,7 +329,8 @@ def resolve_edit(circuit: Circuit, entry: Mapping,
     """Turn one JSON script entry into an :data:`EcoEdit`.
 
     Malformed entries — not a JSON object, an unknown op, unknown or
-    missing keys, a non-string name field, an unknown gate — raise
+    missing keys, a non-string name field, an unknown gate, an
+    ``input-*`` net that is not a primary input — raise
     :class:`ValueError` naming the entry (``index``, its position in
     the script, when given) before anything is resolved.
     """

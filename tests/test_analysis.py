@@ -11,6 +11,7 @@ from repro.analysis.experiments import (
 from repro.analysis.report import format_percent, format_si, format_table
 from repro.analysis.stats import geomean, mean, relative_increase, relative_reduction
 from repro.bench.suite import get_case
+from repro.synth.mapper import map_circuit
 
 
 class TestFormatting:
@@ -77,9 +78,15 @@ class TestTable2Driver:
         assert len(table) == 17
 
 
+def mapped(name):
+    case = get_case(name)
+    return case, map_circuit(case.network())
+
+
 class TestTable3Driver:
     def test_single_case_scenario_a(self):
-        row = run_table3_case(get_case("fa1"), "A", seed=1,
+        case, circuit = mapped("fa1")
+        row = run_table3_case(case, "A", circuit=circuit, seed=1,
                               target_transitions=60.0)
         assert row.scenario == "A"
         assert row.gates > 0
@@ -89,13 +96,15 @@ class TestTable3Driver:
         assert row.sim_power_best > 0.0
 
     def test_single_case_scenario_b(self):
-        row = run_table3_case(get_case("c17"), "B", seed=1, cycles=100)
+        case, circuit = mapped("c17")
+        row = run_table3_case(case, "B", circuit=circuit, seed=1, cycles=100)
         assert row.scenario == "B"
         assert row.model_reduction >= 0.0
 
     def test_bad_scenario(self):
+        case, circuit = mapped("c17")
         with pytest.raises(ValueError):
-            run_table3_case(get_case("c17"), "C")
+            run_table3_case(case, "C", circuit=circuit)
 
 
 class TestAdderActivityDriver:

@@ -145,6 +145,56 @@ class TestCommands:
         assert len(circuit_b) == len(circuit_v)
 
 
+#: sha256 of `repro table3 --subset quick --scenario S --seed N` stdout,
+#: recorded while the command still had its own per-scenario driver:
+#: rendering the bench runner's rows must not change a byte.
+TABLE3_QUICK_SHA256 = {
+    ("A", "0"): "e83f61a993202fe862a16f4ee3e3d946"
+                "fb97ab64da2fd00ceb976609d841fea8",
+    ("A", "1"): "cf9c9b1107f2e18cd7b4c7233456905c"
+                "4c50c6dbe2207c7132df2271bb028a4e",
+    ("B", "0"): "b7a5e8f50884e1aa8a585b53f48be029"
+                "60dd1498cbe3377bf20e8abc82d4c69d",
+    ("B", "1"): "68e62f52d74131bfa30abba9e12a5b16"
+                "9ec0cde3259aa13ca7834d2dd50eed73",
+    ("both", "0"): "9ec9ae34fabd8475029bd65cab91862e"
+                   "78d8c703968960b56d1cc0158f6af836",
+    ("both", "1"): "bee04fd77e43dc936c26eea5bdc31aac"
+                   "091cc98ed590edafe966f1ed51a9b6a9",
+}
+
+
+class TestTable3Command:
+    @pytest.mark.parametrize("scenario, seed", sorted(TABLE3_QUICK_SHA256))
+    def test_quick_stdout_is_pinned(self, scenario, seed):
+        import hashlib
+
+        code, text = run_cli("table3", "--subset", "quick",
+                             "--scenario", scenario, "--seed", seed)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() \
+            == TABLE3_QUICK_SHA256[scenario, seed]
+
+    def test_maps_each_case_once(self, monkeypatch):
+        import repro.analysis.experiments as experiments
+        import repro.bench.runner as runner
+        from repro.bench.suite import benchmark_suite
+
+        mapped = []
+        real_map = runner.map_circuit
+
+        def counting_map(network, *args, **kwargs):
+            mapped.append(network.name)
+            return real_map(network, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "map_circuit", counting_map)
+        monkeypatch.setattr(experiments, "map_circuit", counting_map)
+        code, _ = run_cli("table3", "--subset", "quick")
+        assert code == 0
+        assert sorted(mapped) == sorted(
+            case.network().name for case in benchmark_suite("quick"))
+
+
 FA_BLIF = (
     ".model fa\n.inputs a b cin\n.outputs s cout\n"
     ".names a b cin s\n100 1\n010 1\n001 1\n111 1\n"
@@ -229,32 +279,51 @@ class TestEco:
     def test_eco_timing_prices_delay_incrementally(self, tmp_path):
         import json
 
+        from repro.circuit.blif import parse_blif
+        from repro.incremental.eco import (
+            InputArrivalEdit,
+            InputStatsEdit,
+            resolve_edit,
+        )
+        from repro.synth.mapper import map_circuit
+        from repro.timing.sta import analyze_timing
+
+        circuit = map_circuit(parse_blif(FA_BLIF))
+        last = circuit.gates[-1]
         script = [
             {"op": "reorder", "gate": "g0", "config": 1},
             {"op": "input-stats", "net": "a", "probability": 0.3,
              "density": 2.0e5},
+            {"op": "add-gate", "gate": "b0", "template": "inv",
+             "pins": {"a": "a"}, "output": "a_n"},
+            {"op": "rewire", "gate": last.name, "pin": last.template.pins[0],
+             "net": "a_n"},
+            {"op": "input-arrival", "net": "b", "arrival": 2.0e-10},
             {"op": "reorder", "gate": "g0", "config": -1},
         ]
         blif, script_path = self.write_inputs(tmp_path, script)
-        full_out = tmp_path / "full.json"
-        timing_out = tmp_path / "timing.json"
-        code, _ = run_cli("eco", blif, script_path, "--out", str(full_out))
+        out_path = tmp_path / "eco.json"
+        code, text = run_cli("eco", blif, script_path, "--out", str(out_path))
         assert code == 0
-        code, text = run_cli("eco", blif, script_path, "--timing",
-                             "--out", str(timing_out))
-        assert code == 0
-        assert "timing=incremental" in text
-        assert "re-timed" in text
-        full = json.loads(full_out.read_text())
-        incr = json.loads(timing_out.read_text())
-        assert incr["eco"]["timing"] == "incremental"
-        assert full["eco"]["timing"] == "full"
-        # bit-identical delays, cone-sized work
-        for a, b in zip(full["results"], incr["results"]):
-            assert a["delay_after"] == b["delay_after"]
-            assert a["delta_delay"] == b["delta_delay"]
-            assert "retimed" not in a
-            assert 0 <= b["retimed"] <= incr["eco"]["gates"]
+        assert "retimed" in text and "re-timed" in text
+        artifact = json.loads(out_path.read_text())
+        assert "timing" not in artifact["eco"]
+        # Each delay equals the reference STA of the script replayed up
+        # to that edit; the work is cone-sized.
+        for stop, row in enumerate(artifact["results"]):
+            work = circuit.copy()
+            arrivals = {net: 0.0 for net in work.inputs}
+            for index, entry in enumerate(script[:stop + 1]):
+                edit = resolve_edit(work, entry, index)
+                if isinstance(edit, InputArrivalEdit):
+                    arrivals[edit.net] = edit.arrival
+                elif not isinstance(edit, InputStatsEdit):
+                    work.apply_edit(edit)
+            assert row["delay_after"] == analyze_timing(
+                work, input_arrivals=arrivals, compiled=False).delay
+            assert row["delta_delay"] \
+                == row["delay_after"] - row["delay_before"]
+            assert 0 <= row["retimed"] <= artifact["eco"]["gates"]
 
     def test_eco_rejects_non_list_script(self, tmp_path):
         import json
@@ -270,6 +339,69 @@ class TestEco:
         blif, script = self.write_inputs(tmp_path, [])
         with pytest.raises(SystemExit):
             run_cli("eco", blif, script, "--lanes", "64")
+
+
+class TestInputErrors:
+    """A bad input ends the run with one line naming it, no traceback."""
+
+    FILES = {
+        "fa.blif": FA_BLIF,
+        "edits.json": "[]",
+        "syntax.blif": ".model m\n.inputs a\n.outputs y\n.names\n",
+        "undriven.blif": ".model m\n.inputs a\n.outputs y\n.end\n",
+        "bad.json": "[{\"op\": ",
+        "stats_net.json": '[{"op": "input-stats", "net": "s", '
+                          '"probability": 0.5, "density": 1e5}]',
+        "arrival_net.json": '[{"op": "reorder", "gate": "g0", "config": 0}, '
+                            '{"op": "input-arrival", "net": "nope", '
+                            '"arrival": 1e-10}]',
+    }
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bench", "--cases", "nonexistent"],
+         "bench: no benchmark named 'nonexistent'"),
+        (["optimize", "<missing.blif>"],
+         "optimize: <missing.blif>: No such file or directory"),
+        (["search", "<missing.blif>"],
+         "search: <missing.blif>: No such file or directory"),
+        (["eco", "<missing.blif>", "<edits.json>"],
+         "eco: <missing.blif>: No such file or directory"),
+        (["eco", "<fa.blif>", "<missing.json>"],
+         "eco: <missing.json>: No such file or directory"),
+        (["optimize", "<syntax.blif>"],
+         "optimize: <syntax.blif>: line 4: .names needs at least an "
+         "output"),
+        (["eco", "<undriven.blif>", "<edits.json>"],
+         "eco: <undriven.blif>: primary output 'y' has no driver"),
+        (["eco", "<fa.blif>", "<bad.json>"],
+         "eco: <bad.json>: Expecting value"),
+        (["eco", "<fa.blif>", "<stats_net.json>"],
+         "eco failed: script entry 0: input-stats net 's' is not a "
+         "primary input"),
+        (["eco", "<fa.blif>", "<arrival_net.json>"],
+         "eco failed: script entry 1: input-arrival net 'nope' is not a "
+         "primary input"),
+    ], ids=["unknown-case", "optimize-missing-blif", "search-missing-blif",
+            "eco-missing-blif", "eco-missing-script", "blif-syntax",
+            "blif-undriven-output", "script-not-json", "input-stats-net",
+            "input-arrival-net"])
+    def test_one_line_error(self, tmp_path, argv, message):
+        paths = {"missing.blif": str(tmp_path / "missing.blif"),
+                 "missing.json": str(tmp_path / "missing.json")}
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text)
+            paths[name] = str(tmp_path / name)
+
+        def fill(text):
+            for name, path in paths.items():
+                text = text.replace(f"<{name}>", path)
+            return text
+
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*map(fill, argv))
+        text = str(exit_info.value.code)
+        assert text.startswith(fill(message))
+        assert "\n" not in text
 
 
 class TestSearchCommand:

@@ -71,15 +71,15 @@ class TestSimulatorSeeds:
 class TestExperimentDeterminism:
     def test_table3_case_reproducible(self):
         case = get_case("maj3")
-        first = run_table3_case(case, "B", seed=0)
-        second = run_table3_case(case, "B", seed=0)
+        circuit = map_circuit(case.network())
+        first = run_table3_case(case, "B", circuit=circuit, seed=0)
+        second = run_table3_case(case, "B", circuit=circuit, seed=0)
         assert first == second
 
-    def test_premapped_circuit_matches_internal_mapping(self):
+    def test_premapped_circuit_is_not_mutated(self):
         case = get_case("maj3")
         circuit = map_circuit(case.network())
-        internal = run_table3_case(case, "A", seed=0)
-        premapped = run_table3_case(case, "A", seed=0, circuit=circuit)
-        assert internal == premapped
-        # And the supplied netlist was not mutated by the optimisation.
+        run_table3_case(case, "A", circuit=circuit, seed=0)
+        # The optimiser works on copies: the runner reuses one netlist
+        # for every scenario of a case.
         assert all(g.config is None for g in circuit.gates)

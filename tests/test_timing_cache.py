@@ -4,8 +4,8 @@ Covers the :class:`repro.incremental.timing.TimingCache` contract
 (bit-identity with batch STA, edit-only dirty seeds, early cut-off,
 input arrivals, lazy required times/slacks), the shared
 :func:`repro.timing.sta.gate_arrival`/:func:`~repro.timing.sta.timing_context`
-helpers, the `WhatIf` timing integration and the ``run_eco``
-incremental timing mode.  The randomized bit-identity sweeps live in
+helpers, the `WhatIf` timing integration and ``run_eco``'s delays
+against a replayed reference STA.  The randomized bit-identity sweeps live in
 ``test_timing_equivalence.py``.
 """
 
@@ -16,7 +16,11 @@ from repro.bench.suite import get_case
 from repro.circuit.netlist import SetConfig
 from repro.gates.capacitance import TechParams
 from repro.incremental import StatsCache, TimingCache, WhatIf
-from repro.incremental.eco import InputArrivalEdit
+from repro.incremental.eco import (
+    InputArrivalEdit,
+    InputStatsEdit,
+    resolve_edit,
+)
 from repro.sim.stimulus import ScenarioA
 from repro.synth.mapper import map_circuit
 from repro.timing.sta import (
@@ -265,30 +269,47 @@ class TestWhatIfTiming:
                 WhatIf(cache, timing=tcache)
 
 
+def sta_delay_after_each_edit(circuit, script):
+    """The oracle of ``run_eco``'s delays: for every entry, replay the
+    script up to it on a fresh copy and run the per-gate reference STA."""
+    delays = []
+    for stop in range(len(script)):
+        work = circuit.copy()
+        arrivals = {net: 0.0 for net in work.inputs}
+        for index, entry in enumerate(script[:stop + 1]):
+            edit = resolve_edit(work, entry, index)
+            if isinstance(edit, InputArrivalEdit):
+                arrivals[edit.net] = edit.arrival
+            elif not isinstance(edit, InputStatsEdit):
+                work.apply_edit(edit)
+        delays.append(analyze_timing(work, input_arrivals=arrivals,
+                                     compiled=False).delay)
+    return delays
+
+
 class TestRunEcoIncrementalTiming:
     SCRIPT = [
         {"op": "reorder", "gate": "g1", "config": 1},
         {"op": "input-stats", "net": "a0", "probability": 0.25,
          "density": 3.0e5},
+        {"op": "add-gate", "gate": "b0", "template": "inv",
+         "pins": {"a": "a0"}, "output": "a0_n"},
         {"op": "reorder", "gate": "g1", "config": -1},
     ]
 
     def test_incremental_matches_full(self, rca4):
         circuit, stats = rca4
-        full = run_eco(circuit.copy(), dict(stats), self.SCRIPT)
-        incr = run_eco(circuit.copy(), dict(stats), self.SCRIPT,
-                       timing="incremental")
-        assert [r.delay_after for r in incr] == [r.delay_after for r in full]
-        assert [r.power_after for r in incr] == [r.power_after for r in full]
-        assert all(r.retimed == -1 for r in full)
-        assert all(r.retimed >= 0 for r in incr)
+        last = circuit.gates[-1]
+        script = self.SCRIPT + [
+            {"op": "rewire", "gate": last.name, "pin": last.template.pins[0],
+             "net": "a0_n"},
+        ]
+        rows = run_eco(circuit.copy(), dict(stats), script)
+        assert [r.delay_after for r in rows] \
+            == sta_delay_after_each_edit(circuit, script)
+        assert all(r.retimed >= 0 for r in rows)
         # the input-stats edit never timing-dirties anything
-        assert incr[1].retimed == 0
-
-    def test_unknown_timing_mode_raises(self, rca4):
-        circuit, stats = rca4
-        with pytest.raises(ValueError):
-            run_eco(circuit.copy(), dict(stats), [], timing="nope")
+        assert rows[1].retimed == 0
 
     ARRIVAL_SCRIPT = [
         {"op": "reorder", "gate": "g1", "config": 1},
@@ -298,8 +319,7 @@ class TestRunEcoIncrementalTiming:
     def test_input_arrival_script_op(self, rca4):
         circuit, stats = rca4
         work = circuit.copy()
-        rows = run_eco(work, dict(stats), self.ARRIVAL_SCRIPT,
-                       timing="incremental")
+        rows = run_eco(work, dict(stats), self.ARRIVAL_SCRIPT)
         assert rows[1].label == "input-arrival a0 -> 2e-10"
         assert rows[1].delta_power == 0.0  # statistics never see arrivals
         assert rows[1].cone == 0
@@ -308,8 +328,3 @@ class TestRunEcoIncrementalTiming:
         assert rows[1].delay_after == analyze_timing(
             work, input_arrivals=arrivals, compiled=False
         ).delay
-
-    def test_input_arrival_op_needs_incremental_timing(self, rca4):
-        circuit, stats = rca4
-        with pytest.raises(ValueError, match="--timing"):
-            run_eco(circuit.copy(), dict(stats), self.ARRIVAL_SCRIPT)
