@@ -11,7 +11,8 @@ and batch move pricing in the greedy search
 **5x faster** than per-move ``WhatIf`` trials (the reference run makes
 the pricer decline every batch; each side is the median of 5
 alternating passes).  Both stay exact: the refreshed
-statistics equal a from-scratch backend run, and the search artifact
+statistics equal a from-scratch backend run and the last big-int run
+(one draw order), and the search artifact
 is byte-identical modulo run timing and the cone-work counter the
 batch path exists to shrink.
 
@@ -84,12 +85,15 @@ def test_sampled_refresh_speedup():
         cache.stats()
         refresh_s += time.perf_counter() - start
         start = time.perf_counter()
-        sampled_stats(work, input_stats, lanes=LANES, steps=STEPS, seed=4)
+        scratch = sampled_stats(work, input_stats, lanes=LANES, steps=STEPS,
+                                seed=4)
         scratch_s += time.perf_counter() - start
     fresh = SampledBackend(lanes=LANES, steps=STEPS, dt=cache.backend.dt,
                            seed=4)
     assert cache.stats() == fresh.full(work, input_stats), \
         "sampled cone refresh drifted from a from-scratch run"
+    assert cache.stats() == scratch, \
+        "sampled cone refresh drifted from the big-int oracle"
     cache.close()
     refresh_s /= EDITS
     scratch_s /= EDITS

@@ -60,22 +60,25 @@ def _logical_lines(text: str) -> Iterable[Tuple[int, List[str]]]:
 def parse_blif(text: str, default_name: str = "circuit") -> LogicNetwork:
     """Parse BLIF text into a :class:`LogicNetwork` (first model only)."""
     network: Optional[LogicNetwork] = None
-    current_cover: Optional[Tuple[str, Tuple[str, ...]]] = None
-    patterns: List[str] = []
+    # (output, inputs, line of the .names directive)
+    current_cover: Optional[Tuple[str, Tuple[str, ...], int]] = None
+    cubes: List[Cube] = []
     phases: List[bool] = []
     ended = False
 
     def flush_cover() -> None:
-        nonlocal current_cover, patterns, phases
+        nonlocal current_cover, cubes, phases
         if current_cover is None:
             return
-        name, inputs = current_cover
+        name, inputs, names_line = current_cover
         if phases and not all(phases) and any(phases):
-            raise BlifError(f"node {name}: mixed ON-set/OFF-set cover")
+            raise BlifError(
+                f"line {names_line}: node {name}: mixed ON-set/OFF-set cover"
+            )
         phase = phases[0] if phases else True
-        network.add_node(LogicNode(name, inputs, tuple(Cube(p) for p in patterns), phase))
+        network.add_node(LogicNode(name, inputs, tuple(cubes), phase))
         current_cover = None
-        patterns = []
+        cubes = []
         phases = []
 
     for lineno, tokens in _logical_lines(text):
@@ -106,7 +109,7 @@ def parse_blif(text: str, default_name: str = "circuit") -> LogicNetwork:
                 flush_cover()
                 if len(tokens) < 2:
                     raise BlifError(f"line {lineno}: .names needs at least an output")
-                current_cover = (tokens[-1], tuple(tokens[1:-1]))
+                current_cover = (tokens[-1], tuple(tokens[1:-1]), lineno)
             elif head == ".end":
                 flush_cover()
                 ended = True
@@ -120,17 +123,13 @@ def parse_blif(text: str, default_name: str = "circuit") -> LogicNetwork:
         else:
             if current_cover is None:
                 raise BlifError(f"line {lineno}: cover row outside .names: {tokens}")
-            name, inputs = current_cover
+            inputs = current_cover[1]
             if len(inputs) == 0:
                 if len(tokens) != 1 or tokens[0] not in ("0", "1"):
                     raise BlifError(f"line {lineno}: bad constant row {tokens}")
                 # Constant node: a single '1' row makes it constant one.
-                if tokens[0] == "1":
-                    patterns.append("")
-                    phases.append(True)
-                else:
-                    patterns.append("")
-                    phases.append(False)
+                cubes.append(Cube(""))
+                phases.append(tokens[0] == "1")
             else:
                 if len(tokens) != 2:
                     raise BlifError(f"line {lineno}: bad cover row {tokens}")
@@ -141,7 +140,10 @@ def parse_blif(text: str, default_name: str = "circuit") -> LogicNetwork:
                     )
                 if out not in ("0", "1"):
                     raise BlifError(f"line {lineno}: bad output value {out!r}")
-                patterns.append(pattern)
+                try:
+                    cubes.append(Cube(pattern))
+                except LogicError as error:
+                    raise BlifError(f"line {lineno}: {error}") from None
                 phases.append(out == "1")
     if network is None:
         raise BlifError("no BLIF content found")

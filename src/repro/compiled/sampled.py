@@ -1,9 +1,10 @@
 """Vectorized bit-parallel sampling on uint64 lane blocks.
 
-The sampled estimator of :mod:`repro.sim.bitsim` packs ``W`` Monte
-Carlo lanes into one Python big int per (net, step) and settles gates
-one at a time in pure Python.  This module re-lays those streams into
-a ``(steps, lanes/64)`` uint64-blocked numpy layout — bit ``k`` of a
+The production Monte Carlo (P, D) estimator.  The readable oracle,
+:class:`repro.sim.bitsim.BitParallelSimulator`, packs ``W`` lanes into
+one Python big int per (net, step) and settles gates one at a time in
+pure Python.  This module re-lays those streams into a
+``(steps, lanes/64)`` uint64-blocked numpy layout — bit ``k`` of a
 stream is bit ``k % 64`` of little-endian word ``k // 64``, the exact
 byte layout of ``int.to_bytes(..., "little")`` — and evaluates each
 (level, class) gate batch of a :class:`~repro.compiled.circuit.CompiledCircuit`
@@ -12,42 +13,33 @@ with elementwise ``np.bitwise_*`` reductions.
 **Bit-identity.**  The Shannon word evaluators of
 :func:`repro.sim.bitsim._compile_word_function` use only ``&``, ``|``,
 ``~`` and the lane mask, so the very same memoised closures run here
-on uint64 ndarrays (the operators are elementwise and exact); the
-Markov input streams are drawn from the identical
-:func:`~repro.sim.bitsim.stream_rng` substreams with the identical
-``rng.random(lanes)`` call sequence, then packed with the same
-little-endian ``np.packbits`` convention as
+on uint64 ndarrays (the operators are elementwise and exact); each
+input's Markov stream is drawn from its own
+:func:`~repro.sim.bitsim.stream_rng` substream with the identical
+``rng.random(lanes)`` call sequence as
+:func:`~repro.sim.bitsim.markov_stream_words`, then packed with the
+same little-endian ``np.packbits`` convention as
 ``repro.sim.bitsim._word_from_bools``.  Ones/toggle counts are
 therefore integer-equal to the big-int path, and the derived
 :class:`~repro.sim.bitsim.BitSimReport` statistics are float-equal.
 
-Entry points:
-
-* :class:`SampledKernel` — the raw ``(nets, steps, blocks)`` history
-  with full settling and dirty-cone resettling, which
-  :class:`~repro.incremental.backends.SampledBackend` (the
-  :class:`StatsCache` ``"sampled"`` backend) runs on;
-* :func:`compiled_sampled_stats` — the
-  ``propagate_stats(method="sampled")`` engine, bit-identical to
-  :func:`repro.sim.bitsim.sampled_stats`.
+:class:`SampledKernel` holds the raw ``(nets, steps, blocks)`` history
+with full settling and dirty-cone resettling.  It runs under
+:class:`~repro.incremental.backends.SampledBackend`, which serves both
+the :class:`StatsCache` ``"sampled"`` backend and
+``propagate_stats(method="sampled")`` (a fresh backend's ``full``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Mapping
 
 import numpy as np
 
-from ..circuit.netlist import Circuit
-from ..sim.bitsim import (
-    DEFAULT_LANES,
-    BitSimReport,
-    _compile_word_function,
-    _resolve_rng,
-)
+from ..sim.bitsim import BitSimReport, _compile_word_function, resolve_dt
 from ..obs.metrics import REGISTRY as _METRICS
 from ..stochastic.signal import SignalStats
-from .circuit import CompiledCircuit, get_compiled
+from .circuit import CompiledCircuit
 
 __all__ = [
     "blocks_for_lanes",
@@ -57,7 +49,6 @@ __all__ = [
     "int_from_blocks",
     "markov_stream_blocks",
     "SampledKernel",
-    "compiled_sampled_stats",
 ]
 
 #: Process-global kernel metrics: sampled-settle invocation counts and
@@ -124,12 +115,8 @@ def markov_stream_blocks(stats: SignalStats, lanes: int, steps: int,
     ``int_from_blocks(result[k]) == markov_stream_words(...)[k]`` for
     every step, given the same ``rng`` state.
     """
+    resolve_dt((stats,), dt)
     high, low = stats.mean_high_dwell, stats.mean_low_dwell
-    if np.isfinite(high) and dt > min(high, low):
-        raise ValueError(
-            f"dt={dt:g} too coarse: per-step toggle probability exceeds 1 "
-            f"(mean dwells are {high:g}/{low:g})"
-        )
     blocks = blocks_for_lanes(lanes)
     mask = lane_mask_blocks(lanes)
     word = _bernoulli_blocks(rng, stats.probability, lanes, blocks)
@@ -243,72 +230,3 @@ class SampledKernel:
         """Fold the given nets' streams into a :class:`BitSimReport`."""
         ones, toggles = self.counts(net_ids)
         return BitSimReport(self.lanes, self.steps, dt, ones, toggles)
-
-
-# ----------------------------------------------------------------------
-# The propagate_stats(method="sampled") engine
-# ----------------------------------------------------------------------
-def compiled_sampled_stats(circuit: Circuit,
-                           input_stats: Mapping[str, SignalStats],
-                           lanes: int = DEFAULT_LANES, steps: int = 64,
-                           dt: Optional[float] = None,
-                           seed: Optional[int] = 0) -> Dict[str, SignalStats]:
-    """Drop-in for :func:`repro.sim.bitsim.sampled_stats`, vectorized.
-
-    Replays :meth:`BitParallelSimulator.run`'s shared-stream draw order
-    exactly — initial Bernoulli words for every input in declaration
-    order, then per step per input a fall and a rise word — so the
-    measured statistics are bit-identical to the big-int path.
-    """
-    circuit.validate()
-    missing = [n for n in circuit.inputs if n not in input_stats]
-    if missing:
-        raise KeyError(f"missing input statistics for {missing}")
-    if steps < 1:
-        raise ValueError("need at least one time step")
-    rng = _resolve_rng(seed)
-
-    dwells = {}
-    shortest = np.inf
-    for net in circuit.inputs:
-        stats = input_stats[net]
-        high, low = stats.mean_high_dwell, stats.mean_low_dwell
-        dwells[net] = (high, low)
-        shortest = min(shortest, high, low)
-    if dt is None:
-        dt = 0.5 * shortest if np.isfinite(shortest) else 1.0
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if dt > shortest:
-        raise ValueError(
-            f"dt={dt:g} too coarse: per-step toggle probability exceeds 1 "
-            f"(shortest mean dwell is {shortest:g})"
-        )
-
-    blocks = blocks_for_lanes(lanes)
-    mask = lane_mask_blocks(lanes)
-    streams = {
-        net: np.empty((steps, blocks), dtype=np.uint64)
-        for net in circuit.inputs
-    }
-    words = {
-        net: _bernoulli_blocks(rng, input_stats[net].probability, lanes,
-                               blocks)
-        for net in circuit.inputs
-    }
-    for net in circuit.inputs:
-        streams[net][0] = words[net]
-    for k in range(1, steps):
-        for net in circuit.inputs:
-            high, low = dwells[net]
-            if np.isfinite(high):
-                word = words[net]
-                fall = _bernoulli_blocks(rng, dt / high, lanes, blocks)
-                rise = _bernoulli_blocks(rng, dt / low, lanes, blocks)
-                words[net] = word ^ ((word & fall) | (~word & mask & rise))
-            streams[net][k] = words[net]
-
-    kernel = SampledKernel(get_compiled(circuit), lanes, steps)
-    kernel.settle_full(streams)
-    report = kernel.report(range(len(kernel.cc.nets)), dt)
-    return report.stats_map()

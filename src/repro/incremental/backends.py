@@ -37,7 +37,7 @@ import numpy as np
 from ..circuit.netlist import Circuit, GateInstance
 from ..compiled.circuit import CompiledCircuit, get_compiled
 from ..compiled.sampled import SampledKernel, markov_stream_blocks
-from ..sim.bitsim import DEFAULT_LANES, stream_rng
+from ..sim.bitsim import DEFAULT_LANES, resolve_dt, resolve_seed, stream_rng
 from ..stochastic.signal import SignalStats
 
 __all__ = ["StatsBackend", "AnalyticBackend", "SampledBackend", "make_backend"]
@@ -169,30 +169,32 @@ class SampledBackend(StatsBackend):
     and counts match the big-int :mod:`repro.sim.bitsim` path bit for
     bit.
 
-    Two consequences of the per-input substreams:
+    Per-input substreams are the only draw order of the repository,
+    so a fresh backend's ``full`` *is* the from-scratch sampled engine:
+    ``propagate_stats(method="sampled", **kw)`` returns
+    ``SampledBackend(**kw).full(...)``, and both equal the big-int
+    :func:`repro.sim.bitsim.sampled_stats` for equal ``(lanes, steps,
+    dt, seed)``.  Editing one input's :class:`SignalStats` regenerates
+    only that input's stream, so the dirty set stays the input's fanout
+    cone.
 
-    * editing one input's :class:`SignalStats` regenerates only that
-      input's stream, so the dirty set stays the input's fanout cone;
-    * the estimates differ from :func:`repro.sim.bitsim.sampled_stats`
-      (which interleaves all inputs on one shared stream) by RNG
-      stream only — same estimator, same distribution.
-
-    The step size ``dt`` is resolved once, at ``full`` time (half the
-    shortest mean input dwell when not given), and then **frozen** —
-    a statistics edit that re-derived ``dt`` would perturb every
-    stream and dirty the whole circuit.  Pass an explicit ``dt`` when
-    what-if edits may shorten dwell times below the initial ones.
+    The step size ``dt`` is resolved once, at ``full`` time, by
+    :func:`repro.sim.bitsim.resolve_dt`, and then **frozen** — a
+    statistics edit that re-derived ``dt`` would perturb every stream
+    and dirty the whole circuit.  Pass an explicit ``dt`` when what-if
+    edits may shorten dwell times below the initial ones.  ``seed=None``
+    warns and falls back to ``0``.
     """
 
     name = "sampled"
 
     def __init__(self, lanes: int = DEFAULT_LANES, steps: int = 64,
-                 dt: Optional[float] = None, seed: int = 0):
+                 dt: Optional[float] = None, seed: Optional[int] = 0):
         if steps < 1:
             raise ValueError("need at least one time step")
         self.lanes = lanes
         self.steps = steps
-        self.seed = seed
+        self.seed = resolve_seed(seed)
         self.dt = dt
         self._kernel: Optional[SampledKernel] = None
         #: Materialised input substreams, keyed by ``(net, P, D)`` and
@@ -204,17 +206,6 @@ class SampledBackend(StatsBackend):
         #: mutated (the kernel copies them into its history), so sharing
         #: them is safe.
         self._stream_cache: Dict[tuple, np.ndarray] = {}
-
-    def _resolve_dt(self, circuit, input_stats) -> float:
-        if self.dt is not None:
-            if self.dt <= 0.0:
-                raise ValueError("dt must be positive")
-            return self.dt
-        shortest = np.inf
-        for net in circuit.inputs:
-            stats = input_stats[net]
-            shortest = min(shortest, stats.mean_high_dwell, stats.mean_low_dwell)
-        return 0.5 * shortest if np.isfinite(shortest) else 1.0
 
     def _input_stream(self, net: str, stats) -> np.ndarray:
         """The net's packed stream, drawn once per distinct (P, D).
@@ -235,9 +226,10 @@ class SampledBackend(StatsBackend):
         return stream
 
     def full(self, circuit, input_stats):
-        self.dt = self._resolve_dt(circuit, input_stats)
-        self._stream_cache.clear()  # dt may have changed; old words are stale
         circuit.validate()
+        self.dt = resolve_dt((input_stats[net] for net in circuit.inputs),
+                             self.dt)
+        self._stream_cache.clear()  # dt may have changed; old words are stale
         self._kernel = SampledKernel(get_compiled(circuit), self.lanes,
                                      self.steps)
         streams = {

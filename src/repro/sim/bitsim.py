@@ -12,9 +12,14 @@ propagation engines in :mod:`repro.stochastic` and the event-driven
   evaluator (a memoised Shannon decomposition — at most ``2^n - 1``
   AND/OR/NOT word operations for an ``n``-input cell);
 * inputs evolve as discretised two-state Markov chains matching the
-  requested :class:`~repro.stochastic.signal.SignalStats`, so measured
-  per-net toggle counts estimate Najm's transition density and measured
+  requested :class:`~repro.stochastic.signal.SignalStats`, each drawn
+  from its own :func:`stream_rng` substream, so measured per-net
+  toggle counts estimate Najm's transition density and measured
   one-counts estimate the equilibrium probability.
+
+This big-int form is the readable oracle.  Production runs the uint64
+kernel of :mod:`repro.compiled.sampled` on the same substreams, and
+the two are ``==`` for equal ``(lanes, steps, dt, seed)``.
 
 The estimator is unbiased for the probability at any time step (the
 chains start in their stationary distribution) and for the *input*
@@ -32,7 +37,8 @@ from __future__ import annotations
 import warnings
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -49,6 +55,8 @@ __all__ = [
     "stimulus_step_vectors",
     "stream_rng",
     "markov_stream_words",
+    "resolve_dt",
+    "resolve_seed",
 ]
 
 #: Default number of sample lanes per word (vectors evaluated per sweep).
@@ -106,7 +114,8 @@ def _bernoulli_word(rng: np.random.Generator, p: float, lanes: int) -> int:
     return _word_from_bools(rng.random(lanes) < p)
 
 
-def _resolve_rng(seed: Optional[int]) -> np.random.Generator:
+def resolve_seed(seed: Optional[int]) -> int:
+    """``seed``, or ``0`` with a :class:`UserWarning` when it is ``None``."""
     if seed is None:
         warnings.warn(
             "no seed given; defaulting to seed=0 for a deterministic run "
@@ -115,7 +124,33 @@ def _resolve_rng(seed: Optional[int]) -> np.random.Generator:
             stacklevel=3,
         )
         seed = 0
-    return np.random.default_rng(seed)
+    return seed
+
+
+def resolve_dt(input_stats: Iterable[SignalStats],
+               dt: Optional[float] = None) -> float:
+    """The step size of a sampled run over inputs with ``input_stats``.
+
+    ``dt`` defaults to half the shortest finite mean dwell time (``1.0``
+    when every input is constant), keeping every per-step toggle
+    probability ``dt / mean_dwell`` at or below one half.  A
+    non-positive ``dt``, or one coarser than the shortest dwell (a
+    toggle probability above one), is rejected.
+    """
+    shortest = min(
+        (min(s.mean_high_dwell, s.mean_low_dwell) for s in input_stats),
+        default=np.inf,
+    )
+    if dt is None:
+        dt = 0.5 * shortest if np.isfinite(shortest) else 1.0
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    if dt > shortest:
+        raise ValueError(
+            f"dt={dt:g} too coarse: per-step toggle probability exceeds 1 "
+            f"(shortest mean dwell is {shortest:g})"
+        )
+    return dt
 
 
 def pack_vectors(vectors: Sequence[Mapping[str, bool]],
@@ -183,12 +218,10 @@ def stream_rng(seed: int, net: str) -> np.random.Generator:
 
     Seeded by ``(seed, crc32(net))`` so each input's sample path is
     independent of every other input's *and* of the set of inputs being
-    drawn — the property the incremental engine needs: regenerating one
-    input's stream after a statistics edit leaves all other streams
-    untouched, so a cone-local resettle is bit-identical to a
-    from-scratch run.  (The shared-stream :meth:`BitParallelSimulator.run`
-    interleaves draws across inputs, where any single-input change
-    perturbs every stream.)
+    drawn.  Every sampled run draws its inputs this way, which is what
+    the incremental engine needs: regenerating one input's stream after
+    a statistics edit leaves all other streams untouched, so a
+    cone-local resettle is bit-identical to a from-scratch run.
     """
     return np.random.default_rng([seed, zlib.crc32(net.encode("utf-8"))])
 
@@ -197,16 +230,12 @@ def markov_stream_words(stats: SignalStats, lanes: int, steps: int, dt: float,
                         rng: np.random.Generator) -> List[int]:
     """``steps`` packed words of one input's discretised Markov chain.
 
-    The same chain :meth:`BitParallelSimulator.run` drives — stationary
-    initial word, then per-step fall/rise flips with probabilities
-    ``dt / mean_dwell`` — drawn from a dedicated ``rng``.
+    A stationary initial word, then per-step fall/rise flips with
+    probabilities ``dt / mean_dwell``, drawn from a dedicated ``rng``
+    (:func:`stream_rng` in every sampled run).
     """
+    resolve_dt((stats,), dt)
     high, low = stats.mean_high_dwell, stats.mean_low_dwell
-    if np.isfinite(high) and dt > min(high, low):
-        raise ValueError(
-            f"dt={dt:g} too coarse: per-step toggle probability exceeds 1 "
-            f"(mean dwells are {high:g}/{low:g})"
-        )
     mask = (1 << lanes) - 1
     word = _bernoulli_word(rng, stats.probability, lanes)
     words = [word]
@@ -336,68 +365,35 @@ class BitParallelSimulator:
 
     # ------------------------------------------------------------------
     def run(self, input_stats: Mapping[str, SignalStats], steps: int = 64,
-            dt: Optional[float] = None, seed: Optional[int] = 0,
-            rng: Optional[np.random.Generator] = None) -> BitSimReport:
+            dt: Optional[float] = None, seed: Optional[int] = 0) -> BitSimReport:
         """Sample ``steps`` time steps of ``lanes`` independent input streams.
 
         Each input follows the discretised two-state Markov chain of its
-        :class:`SignalStats`: a high lane falls with probability
-        ``dt / mean_high_dwell`` per step and a low lane rises with
-        ``dt / mean_low_dwell``, which preserves the stationary
-        probability exactly and yields ``dt * D`` expected transitions
-        per step.  ``dt`` defaults to half the shortest mean dwell time
-        over the inputs, keeping every per-step toggle probability at or
-        below one half.
+        :class:`SignalStats` (:func:`markov_stream_words` on its own
+        :func:`stream_rng` substream): a high lane falls with
+        probability ``dt / mean_high_dwell`` per step and a low lane
+        rises with ``dt / mean_low_dwell``, which preserves the
+        stationary probability exactly and yields ``dt * D`` expected
+        transitions per step.  ``dt`` is resolved by :func:`resolve_dt`.
         """
-        missing = [n for n in self.circuit.inputs if n not in input_stats]
+        inputs = self.circuit.inputs
+        missing = [n for n in inputs if n not in input_stats]
         if missing:
             raise KeyError(f"missing input statistics for {missing}")
         if steps < 1:
             raise ValueError("need at least one time step")
-        if rng is None:
-            rng = _resolve_rng(seed)
-
-        dwells: Dict[str, Tuple[float, float]] = {}
-        shortest = np.inf
-        for net in self.circuit.inputs:
-            stats = input_stats[net]
-            high, low = stats.mean_high_dwell, stats.mean_low_dwell
-            dwells[net] = (high, low)
-            shortest = min(shortest, high, low)
-        if dt is None:
-            dt = 0.5 * shortest if np.isfinite(shortest) else 1.0
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if dt > shortest:
-            raise ValueError(
-                f"dt={dt:g} too coarse: per-step toggle probability exceeds 1 "
-                f"(shortest mean dwell is {shortest:g})"
-            )
-
-        words = {
-            net: _bernoulli_word(rng, input_stats[net].probability, self.lanes)
-            for net in self.circuit.inputs
+        seed = resolve_seed(seed)
+        dt = resolve_dt((input_stats[net] for net in inputs), dt)
+        streams = {
+            net: markov_stream_words(input_stats[net], self.lanes, steps, dt,
+                                     stream_rng(seed, net))
+            for net in inputs
         }
-        values = self.sweep(words)
-        ones = {net: word.bit_count() for net, word in values.items()}
-        toggles = {net: 0 for net in values}
-
-        for _ in range(steps - 1):
-            for net in self.circuit.inputs:
-                high, low = dwells[net]
-                if not np.isfinite(high):
-                    continue  # constant signal
-                word = words[net]
-                fall = _bernoulli_word(rng, dt / high, self.lanes)
-                rise = _bernoulli_word(rng, dt / low, self.lanes)
-                words[net] = word ^ ((word & fall) | (~word & self.mask & rise))
-            new_values = self.sweep(words)
-            for net, word in new_values.items():
-                ones[net] += word.bit_count()
-                toggles[net] += (word ^ values[net]).bit_count()
-            values = new_values
-
-        return BitSimReport(self.lanes, steps, dt, ones, toggles)
+        return self.run_vectors(
+            [{net: words[k] for net, words in streams.items()}
+             for k in range(steps)],
+            dt=dt,
+        )
 
     # ------------------------------------------------------------------
     def run_vectors(self, vector_words: Sequence[Mapping[str, int]],

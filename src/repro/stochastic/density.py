@@ -10,8 +10,10 @@ probability of the Boolean difference.  Two engines:
 * ``method="exact"`` — Boolean differences of the *global* functions
   with respect to the primary inputs, computed on ROBDDs; handles
   reconvergent correlation of the probabilities exactly.
-* ``method="sampled"`` — bit-parallel Monte Carlo measurement
-  (:func:`repro.sim.bitsim.sampled_stats`); unbiased under
+* ``method="sampled"`` — bit-parallel Monte Carlo measurement on
+  per-input RNG substreams (the uint64 kernel of
+  :mod:`repro.compiled.sampled`; :func:`repro.sim.bitsim.sampled_stats`
+  is its big-int oracle); unbiased under
   reconvergence at sampling-noise accuracy, and the only engine whose
   cost does not grow with BDD size.
 
@@ -97,20 +99,21 @@ def propagate_stats(circuit: Circuit,
 
     ``"local"`` runs the flat-array sweep of :mod:`repro.compiled`,
     bit-identical to the per-gate :func:`local_stats` oracle;
-    ``"exact"`` runs :func:`exact_stats`.  ``method="sampled"``
-    forwards ``sampling_kwargs`` (``lanes``, ``steps``, ``dt``,
-    ``seed``) to the uint64-block kernel
-    (:func:`repro.compiled.sampled.compiled_sampled_stats`),
-    bit-identical to the big-int :func:`repro.sim.bitsim.sampled_stats`;
-    the analytic engines accept no extra arguments.
+    ``"exact"`` runs :func:`exact_stats`.  ``method="sampled"`` runs
+    ``full`` on a fresh :class:`~repro.incremental.backends.SampledBackend`
+    built from ``sampling_kwargs`` (``lanes``, ``steps``, ``dt``,
+    ``seed``): the uint64-block kernel on per-input substreams, equal
+    to the big-int :func:`repro.sim.bitsim.sampled_stats` and to a
+    fresh ``StatsCache(backend="sampled")``; the analytic engines
+    accept no extra arguments.
     """
     missing = [n for n in circuit.inputs if n not in input_stats]
     if missing:
         raise KeyError(f"missing input statistics for {missing}")
     if method == "sampled":
-        from ..compiled.sampled import compiled_sampled_stats
+        from ..incremental.backends import SampledBackend
 
-        return compiled_sampled_stats(circuit, input_stats, **sampling_kwargs)
+        return SampledBackend(**sampling_kwargs).full(circuit, input_stats)
     if sampling_kwargs:
         raise TypeError(
             f"method {method!r} takes no sampling arguments: {sorted(sampling_kwargs)}"

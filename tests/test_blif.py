@@ -140,6 +140,16 @@ class TestBlifParser:
         with pytest.raises(BlifError):
             parse_blif(text)
 
+    def test_mixed_phase_error_names_the_names_line(self):
+        text = ".model m\n.inputs a b\n.outputs y\n.names a b y\n11 1\n00 0\n.end\n"
+        with pytest.raises(BlifError, match=r"^line 4: node y: mixed ON-set/OFF-set cover$"):
+            parse_blif(text)
+
+    def test_bad_cube_error_names_its_line(self):
+        text = ".model m\n.inputs a\n.outputs y\n.names a y\n1 1\n2 1\n.end\n"
+        with pytest.raises(BlifError, match=r"^line 6: invalid cube characters \['2'\] in '2'$"):
+            parse_blif(text)
+
     def test_constant_one_node(self):
         text = ".model m\n.inputs a\n.outputs y\n.names y\n1\n.end\n"
         network = parse_blif(text)

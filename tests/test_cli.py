@@ -349,6 +349,9 @@ class TestInputErrors:
         "edits.json": "[]",
         "syntax.blif": ".model m\n.inputs a\n.outputs y\n.names\n",
         "undriven.blif": ".model m\n.inputs a\n.outputs y\n.end\n",
+        "cube.blif": ".model m\n.inputs a\n.outputs y\n.names a y\n2 1\n",
+        "mixed.blif": ".model m\n.inputs a\n.outputs y\n.names a y\n"
+                      "1 1\n0 0\n",
         "bad.json": "[{\"op\": ",
         "stats_net.json": '[{"op": "input-stats", "net": "s", '
                           '"probability": 0.5, "density": 1e5}]',
@@ -373,6 +376,12 @@ class TestInputErrors:
          "output"),
         (["eco", "<undriven.blif>", "<edits.json>"],
          "eco: <undriven.blif>: primary output 'y' has no driver"),
+        (["optimize", "<cube.blif>"],
+         "optimize: <cube.blif>: line 5: invalid cube characters ['2'] "
+         "in '2'"),
+        (["optimize", "<mixed.blif>"],
+         "optimize: <mixed.blif>: line 4: node y: mixed ON-set/OFF-set "
+         "cover"),
         (["eco", "<fa.blif>", "<bad.json>"],
          "eco: <bad.json>: Expecting value"),
         (["eco", "<fa.blif>", "<stats_net.json>"],
@@ -383,7 +392,8 @@ class TestInputErrors:
          "primary input"),
     ], ids=["unknown-case", "optimize-missing-blif", "search-missing-blif",
             "eco-missing-blif", "eco-missing-script", "blif-syntax",
-            "blif-undriven-output", "script-not-json", "input-stats-net",
+            "blif-undriven-output", "blif-bad-cube", "blif-mixed-cover",
+            "script-not-json", "input-stats-net",
             "input-arrival-net"])
     def test_one_line_error(self, tmp_path, argv, message):
         paths = {"missing.blif": str(tmp_path / "missing.blif"),

@@ -3,11 +3,12 @@
 The contract under test: the uint64-blocked lane layout — packing,
 Markov substreams, Shannon word evaluation, ones/toggle counts —
 reproduces the big-int oracle of `repro.sim.bitsim`
-(`markov_stream_words`, `sampled_stats`) **bit for bit** as the
-from-scratch `propagate_stats(method="sampled")` engine, for lane
-counts on and off the 64-bit word boundary; the `StatsCache` sampled
-backend draws the oracle's substreams and stays equal to a
-from-scratch run under random edit sequences.  Plus the
+(`markov_stream_words`, `sampled_stats`) **bit for bit**, for lane
+counts on and off the 64-bit word boundary.  There is one draw order
+(per-input `stream_rng` substreams), so `propagate_stats(method=
+"sampled")`, `sampled_stats` and a fresh `StatsCache(backend=
+"sampled")` are `==`, and the cache stays equal to a from-scratch run
+under random edit sequences.  Plus the
 substream-cache regression: a rolled-back what-if trial must never
 redraw streams the run has already seen.
 """
@@ -21,7 +22,6 @@ import repro.incremental.backends as backends_mod
 from repro.bench.generators import random_logic
 from repro.compiled.sampled import (
     blocks_from_int,
-    compiled_sampled_stats,
     int_from_blocks,
     lane_mask_blocks,
     markov_stream_blocks,
@@ -127,31 +127,52 @@ class TestPacking:
 # ----------------------------------------------------------------------
 # The from-scratch engine
 # ----------------------------------------------------------------------
+def routed_stats(circuit, stats, **kwargs):
+    return propagate_stats(circuit, stats, "sampled", **kwargs)
+
+
 class TestSampledStats:
     @pytest.mark.parametrize("lanes", LANE_COUNTS)
     def test_bit_identical_to_bigint_path(self, wide, lanes):
+        """One estimator, three entry points: the routed kernel, the
+        big-int oracle and a fresh sampled cache, with the default
+        and with an explicit (finer) step size."""
         circuit, stats = wide
-        reference = sampled_stats(circuit, stats, lanes=lanes, steps=17,
-                                  seed=3)
-        compiled = compiled_sampled_stats(circuit, stats, lanes=lanes,
-                                          steps=17, seed=3)
-        assert compiled == reference
+        finer = 0.3 * min(min(s.mean_high_dwell, s.mean_low_dwell)
+                          for s in stats.values())
+        for dt in (None, finer):
+            kwargs = dict(lanes=lanes, steps=17, dt=dt, seed=3)
+            reference = sampled_stats(circuit, stats, **kwargs)
+            assert routed_stats(circuit, stats, **kwargs) == reference
+            with StatsCache(circuit.copy(), stats, backend="sampled",
+                            **kwargs) as cache:
+                assert cache.stats() == reference
 
     def test_propagate_stats_routes_through_the_kernel(self, wide):
         circuit, stats = wide
-        routed = propagate_stats(circuit, stats, "sampled", lanes=37,
-                                 steps=9, seed=5)
-        assert routed == sampled_stats(circuit, stats, lanes=37, steps=9,
-                                       seed=5)
+        routed = routed_stats(circuit, stats, lanes=37, steps=9, seed=5)
+        assert routed == SampledBackend(lanes=37, steps=9,
+                                        seed=5).full(circuit, stats)
 
     def test_validation_matches_bigint_path(self, wide):
         circuit, stats = wide
-        with pytest.raises(ValueError, match="too coarse"):
-            compiled_sampled_stats(circuit, stats, dt=1.0)
-        with pytest.raises(ValueError, match="time step"):
-            compiled_sampled_stats(circuit, stats, steps=0)
-        with pytest.raises(KeyError, match="missing input statistics"):
-            compiled_sampled_stats(circuit, {})
+        for engine in (routed_stats, sampled_stats):
+            with pytest.raises(ValueError, match="too coarse"):
+                engine(circuit, stats, dt=1.0)
+            with pytest.raises(ValueError, match="dt must be positive"):
+                engine(circuit, stats, dt=0.0)
+            with pytest.raises(ValueError, match="time step"):
+                engine(circuit, stats, steps=0)
+            with pytest.raises(ValueError, match="sample lane"):
+                engine(circuit, stats, lanes=0)
+            with pytest.raises(KeyError, match="missing input statistics"):
+                engine(circuit, {})
+            with pytest.warns(UserWarning, match="seed") as record:
+                unseeded = engine(circuit, stats, lanes=64, steps=4,
+                                  seed=None)
+            assert len(record) == 1
+            assert unseeded == engine(circuit, stats, lanes=64, steps=4,
+                                      seed=0)
 
 
 # ----------------------------------------------------------------------
