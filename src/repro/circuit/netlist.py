@@ -56,6 +56,24 @@ def lookup_template(library: GateLibrary, name: str) -> GateTemplate:
         ) from None
 
 
+def _check_config(gate_name: str, template: GateTemplate,
+                 config: Optional[GateConfig]) -> None:
+    """Refuse a configuration that is not an ordering of ``template``.
+
+    Every caller that binds a configuration to a gate (``add_gate``,
+    ``SetConfig``, ``SetTemplate``, ``AddGate``) checks here before it
+    mutates anything.  It is what makes a reordering function-preserving
+    by construction: the statistics cache relies on that to leave a
+    reordered gate's fanout cone clean.  ``None`` (the template's
+    default ordering) always passes.
+    """
+    if config is not None and template.config_index(config) is None:
+        raise CircuitError(
+            f"gate {gate_name}: configuration {config} is not an ordering "
+            f"of template {template.name!r}"
+        )
+
+
 # ----------------------------------------------------------------------
 # ECO edits
 # ----------------------------------------------------------------------
@@ -206,6 +224,15 @@ class GateInstance:
         """Input nets in pin order (duplicates preserved)."""
         return tuple(self.pin_nets[p] for p in self.template.pins)
 
+    def clone(self) -> "GateInstance":
+        """A copy with its own pin map.
+
+        Skips the pin checks of construction: this instance passed them.
+        """
+        twin = object.__new__(GateInstance)
+        twin.__dict__.update(self.__dict__, pin_nets=dict(self.pin_nets))
+        return twin
+
     def effective_config(self) -> GateConfig:
         return self.config if self.config is not None else self.template.default_config()
 
@@ -264,6 +291,7 @@ class Circuit:
         if output in self._input_set:
             raise CircuitError(f"net {output!r} is a primary input")
         template = lookup_template(self.library, template_name)
+        _check_config(name, template, config)
         gate = GateInstance(name, template, dict(pin_nets), output, config)
         self._gates[name] = gate
         self._driver[output] = gate
@@ -479,6 +507,7 @@ class Circuit:
         """
         if isinstance(edit, SetConfig):
             gate = self.gate(edit.gate)
+            _check_config(gate.name, gate.template, edit.config)
             inverse = SetConfig(gate.name, gate.config)
             object.__setattr__(gate, "config", edit.config)
             self._notify_edit(gate.name, "config")
@@ -492,6 +521,7 @@ class Circuit:
                     f"({len(gate.template.pins)} pins) for {template.name} "
                     f"({len(template.pins)} pins)"
                 )
+            _check_config(gate.name, template, edit.config)
             inverse = SetTemplate(gate.name, gate.template.name, gate.config)
             gate.pin_nets = {
                 new_pin: gate.pin_nets[old_pin]
@@ -673,14 +703,19 @@ class Circuit:
                     stack.pop()
 
     def copy(self, name: Optional[str] = None) -> "Circuit":
-        """Deep copy (gate configs included)."""
+        """Deep copy (gate configs included).
+
+        The gates are cloned directly: they were validated when they
+        were added or edited, so the copy skips the template lookups
+        and pin checks of :meth:`add_gate`.  Listeners and memoised
+        structure are not copied.
+        """
         clone = Circuit(name or self.name, self.library)
         clone.inputs = list(self.inputs)
         clone._input_set = set(self.inputs)
         clone.outputs = list(self.outputs)
-        for gate in self._gates.values():
-            clone.add_gate(gate.name, gate.template.name, dict(gate.pin_nets),
-                           gate.output, gate.config)
+        clone._gates = {key: gate.clone() for key, gate in self._gates.items()}
+        clone._driver = {gate.output: gate for gate in clone._gates.values()}
         return clone
 
     # ------------------------------------------------------------------

@@ -139,6 +139,19 @@ class GateTemplate:
             object.__setattr__(self, "_configurations", cached)
         return list(cached)
 
+    def config_index(self, config: GateConfig) -> Optional[int]:
+        """Position of ``config`` in :meth:`configurations`, or ``None``.
+
+        ``None`` means ``config`` is not an ordering of this template.
+        The key-to-position map is memoised (the template is frozen),
+        so the lookup is O(1) on the edit path.
+        """
+        positions = getattr(self, "_config_positions", None)
+        if positions is None:
+            positions = {c.key(): i for i, c in enumerate(self.configurations())}
+            object.__setattr__(self, "_config_positions", positions)
+        return positions.get(config.key())
+
     def compile_config(self, config: Optional[GateConfig] = None) -> CompiledGate:
         """Compile (with caching) a configuration of this gate."""
         if config is None:

@@ -3,9 +3,14 @@
 :class:`StatsCache` maintains the full net-to-(P, D) map of a circuit
 under ECO edits.  Invalidation rules (see README.md):
 
-* ``SetConfig`` / ``SetTemplate`` on gate *g* — through
-  :meth:`Circuit.apply_edit` or the convenience wrappers — dirties
-  exactly *g* plus its transitive fanout gates;
+* ``SetTemplate`` on gate *g* — through :meth:`Circuit.apply_edit` or
+  the ``set_template`` wrapper — dirties exactly *g* plus its
+  transitive fanout gates (a new cell generally has a new function);
+* ``SetConfig`` on gate *g* dirties nothing: a reordering keeps the
+  gate's logic function, so no net's (P, D) can move.  The circuit
+  guarantees this at the boundary — every configuration it accepts is
+  an ordering of the gate's template (see
+  :meth:`~repro.gates.library.GateTemplate.config_index`);
 * :meth:`set_input_stats` on input net *x* dirties exactly the gates in
   *x*'s transitive fanout;
 * the structural edits (``AddGate``/``RemoveGate``/``RewireNet``)
@@ -25,8 +30,8 @@ power-dirties only *seeds* and the refresh adds the rest with an
 * ``SetConfig`` and ``SetTemplate`` seed the gate alone — no
   reordering or template swap changes a pin's transistor count (every
   pin drives one N and one P device, which ``GateTemplate`` guarantees),
-  so no net's load moves, and a reordering does not change the logic
-  function (so no net's (P, D)) either;
+  so no net's load moves; a reordering changes only the gate's own
+  internal-node power, so it is the whole of a reorder's work;
 * a structural edit seeds the added or rewired gate and the drivers of
   the event's ``load_nets`` (whose external load changed);
 * :meth:`refresh` power-dirties the sinks of every net whose refreshed
@@ -162,20 +167,25 @@ class StatsCache:
     # Invalidation
     # ------------------------------------------------------------------
     def _on_edit(self, gate_name: str, kind: str) -> None:
-        """Dirty the edited gate's cone; power-dirty the seeds only.
+        """Power-dirty the edited gate; dirty a retemplate's cone.
 
-        Statistics go dirty on the whole fanout cone, because the
-        refresh is how the cache learns which nets moved.  Power is
-        seeded with the gate alone: neither a reordering (``"config"``)
-        nor a retemplate (``"template"``) changes a pin capacitance, so
-        no other gate's load moves.  Gates downstream are power-dirtied
-        by :meth:`refresh`, and only where a net's (P, D) actually
-        changed.
+        A reordering (``"config"``) keeps the gate's function, which
+        the circuit enforces by refusing any configuration that is not
+        an ordering of the gate's template, so it moves no net's
+        (P, D) and dirties no statistics.  A retemplate
+        (``"template"``) generally changes the function: its whole
+        fanout cone goes statistics-dirty, because the refresh is how
+        the cache learns which nets moved.  Power is seeded with the
+        gate alone in both cases: neither edit changes a pin
+        capacitance, so no other gate's load moves.  Gates downstream
+        are power-dirtied by :meth:`refresh`, and only where a net's
+        (P, D) actually changed.
         """
         if kind == "structure":
             self._on_structure(gate_name, self.circuit.structure_event)
             return
-        self._dirty |= self.index.cone_from_gates([gate_name])
+        if kind != "config":
+            self._dirty |= self.index.cone_from_gates([gate_name])
         self._power_dirty.add(gate_name)
 
     def _on_structure(self, gate_name: str, event: StructureEvent) -> None:

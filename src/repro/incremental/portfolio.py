@@ -77,15 +77,7 @@ def _config_index(gate) -> Optional[int]:
     """Position of the gate's configuration in the template enumeration."""
     if gate.config is None:
         return None
-    key = gate.config.key()
-    for index, config in enumerate(gate.template.configurations()):
-        if config.key() == key:
-            return index
-    raise ValueError(
-        f"gate {gate.name}: configuration is not in "
-        f"{gate.template.name}'s enumeration and cannot be shipped "
-        f"to a worker process"
-    )
+    return gate.template.config_index(gate.config)
 
 
 def circuit_spec(circuit: Circuit) -> Dict[str, object]:

@@ -5,10 +5,10 @@ search over local transformations; :func:`search_circuit` is that
 search, run on top of the incremental substrate instead of full
 recomputes.  Every candidate move is priced by trial-applying it to a
 live :class:`~repro.incremental.cache.StatsCache` through
-:class:`~repro.incremental.eco.WhatIf` — cone-sized re-propagation,
-then rollback — so scoring a move costs the edited gate's fanout cone,
-not the whole circuit (``benchmarks/bench_eco_search.py`` holds this
-to a >= 10x floor against naive full-circuit rescoring).
+:class:`~repro.incremental.eco.WhatIf`, then rolling it back.  A
+reorder keeps the gate's function, so scoring one re-propagates no
+statistics and reprices the gate alone; a retemplate re-propagates the
+edited gate's fanout cone, never the whole circuit.
 
 The greedy pure-power sweep goes one step further: all same-gate
 candidates of a pass are priced in one vectorised kernel invocation
@@ -16,16 +16,17 @@ candidates of a pass are priced in one vectorised kernel invocation
 only the gate's own power row, retemplate cones resettle on scratch
 copies of the analytic backend's arrays — with scores, accept
 decisions and the move trace bit-identical to the WhatIf path
-(``benchmarks/bench_compiled_sampler.py`` holds the pass-level
-speedup to a >= 5x floor and ``tests/test_batch_pricing.py`` the
-artifact equality).
+(``tests/test_batch_pricing.py`` holds the artifact equality;
+``benchmarks/bench_compiled_sampler.py`` times the pass against the
+WhatIf path).
 
 Two strategies, both deterministic for a given ``seed``:
 
 ``"greedy"``  steepest descent to a fixed point: per gate, trial every
               candidate move (batched in one :class:`WhatIf` so
-              same-gate candidates overwrite each other and the cone
-              is re-propagated once per candidate instead of twice),
+              same-gate candidates overwrite each other and a
+              retemplate cone is re-propagated once per candidate
+              instead of twice),
               accept the best improving one, and re-enqueue its
               neighbourhood: the accepted gate's fanin drivers (the
               paths through them changed delay; their load did not)
@@ -142,19 +143,17 @@ _TOL = 1e-12
 def _config_index(template, config, gate_name: str) -> int:
     """Position of ``config`` in the template's enumeration.
 
-    A hand-built :class:`GateConfig` can legally configure a gate
-    without appearing in :meth:`GateTemplate.configurations`; such a
-    configuration has no script form, and the error says so instead of
-    leaking a bare ``StopIteration``.
+    A :class:`Move` can be built around a configuration of another
+    template; such a configuration has no script form (and
+    :meth:`Circuit.apply_edit` would refuse it), and the error says so.
     """
-    key = config.key()
-    for index, candidate in enumerate(template.configurations()):
-        if candidate.key() == key:
-            return index
-    raise ValueError(
-        f"gate {gate_name}: accepted configuration is not in template "
-        f"{template.name!r}'s enumeration and cannot be scripted"
-    )
+    index = template.config_index(config)
+    if index is None:
+        raise ValueError(
+            f"gate {gate_name}: accepted configuration is not in template "
+            f"{template.name!r}'s enumeration and cannot be scripted"
+        )
+    return index
 
 
 def _structural_entry(circuit: Circuit,
@@ -302,7 +301,8 @@ class AcceptedMove:
     power_after: float
     delay_after: float
     cone: int
-    """Gates re-propagated to commit this move (dirty-cone work)."""
+    """Gates re-propagated to commit this move (dirty-cone work): 0 for
+    a reorder, unless it flushes a cone an earlier trial left pending."""
 
     temperature: float
     """Annealing temperature at acceptance (0.0 under greedy descent)."""
@@ -490,16 +490,21 @@ class _BatchPricer:
     substituted, folded in topological order via
     ``np.cumsum`` (a strictly sequential partial sum, and ``0.0 + x``
     is exact), so scores, accept decisions and the move trace are
-    bit-identical to the per-move WhatIf path.  Only the
-    re-propagation work — ``gates_repropagated`` — shrinks.
+    bit-identical to the per-move WhatIf path.  For reorders neither
+    path re-propagates any statistics; for retemplates the pricer
+    saves the WhatIf path's cone re-propagations, so
+    ``gates_repropagated`` shrinks.
 
     Bookkeeping parity with the rolled-back trials is explicit: every
     scored gate seeds the timing cache's dirty set through
     :meth:`TimingCache.mark_dirty` (a trial apply would have notified
     it, and rollback leaves the seeds in place), so ``retimed`` counts
     and accept-time delay readings match; pending rollback cones are
-    flushed exactly where opening the WhatIf would have flushed them,
-    so accept-time ``cone`` counts match too.
+    flushed exactly where opening the WhatIf would have flushed them.
+    Accept-time ``cone`` counts therefore match for reorder batches;
+    after a retemplate batch the WhatIf path can still carry its last
+    rollback cone into a reorder accept, which the pricer never
+    leaves.
 
     :meth:`score` returns ``None`` when it cannot price a batch this
     way — retemplate candidates on a backend without live (P, D)
@@ -540,8 +545,9 @@ class _BatchPricer:
         """Price one same-gate batch; ``None`` defers to the WhatIf loop."""
         state = self.state
         # Flush pending work exactly where opening the WhatIf would
-        # have (leftover rollback cones from annealing trials), so the
-        # accept-time cone sizes match the per-move path.
+        # have (leftover rollback cones from retemplate or structural
+        # trials), so the accept-time cone sizes match the per-move
+        # path.
         self.cache._refresh_power()
         if moves[0].kind == "reorder":
             totals = self._reorder_totals(moves)
@@ -872,8 +878,9 @@ class _Search:
 
         All moves target the same gate, so each apply overwrites the
         previous candidate and the circuit state always equals
-        "baseline plus exactly this candidate" — one cone
-        re-propagation per candidate instead of an apply/rollback pair.
+        "baseline plus exactly this candidate" — one retemplate cone
+        re-propagation per candidate instead of an apply/rollback pair
+        (a reorder re-propagates nothing).
         Returns ``(score, power, delay)`` per move.
 
         With a pure-power objective the whole batch is priced in one

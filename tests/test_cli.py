@@ -234,8 +234,10 @@ class TestEco:
         # consecutive rows chain: power_after of row k = power_before of k+1
         for before, after in zip(rows, rows[1:]):
             assert after["power_before"] == before["power_after"]
-        # the incremental engine must touch fewer gates than from-scratch
-        assert all(0 < r["cone"] <= artifact["eco"]["gates"] for r in rows)
+        # a reordering re-propagates nothing; the input edit re-propagates
+        # its cone, fewer gates than a from-scratch sweep
+        assert [r["cone"] for r in rows][::2] == [0, 0]
+        assert 0 < rows[1]["cone"] <= artifact["eco"]["gates"]
 
     def test_eco_sampled_backend(self, tmp_path):
         blif, script = self.write_inputs(tmp_path, [

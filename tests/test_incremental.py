@@ -161,9 +161,16 @@ class TestStatsCacheAnalytic:
         circuit, stats = adder
         index = FanoutIndex(circuit)
         with StatsCache(circuit, stats) as cache:
+            # A reordering keeps the function: no statistics go dirty.
             gate = circuit.gates[5]
             circuit.set_config(gate.name, gate.template.configurations()[-1])
-            assert cache.dirty_gates == index.cone_from_gates([gate.name])
+            assert cache.dirty_gates == frozenset()
+            # A retemplate dirties exactly its cone.
+            swap = two_pin_gate(circuit)
+            circuit.set_template(swap.name, other_two_pin_template(swap))
+            cone = index.cone_from_gates([swap.name])
+            assert len(cone) > 1
+            assert cache.dirty_gates == cone
             cache.refresh()
             assert cache.dirty_gates == frozenset()
 
@@ -228,8 +235,11 @@ class TestStatsCacheAnalytic:
             cache.refresh()
             gate = circuit.gates[5]
             circuit.set_config(gate.name, gate.template.configurations()[-1])
+            assert cache.refresh() == ()
+            swap = two_pin_gate(circuit)
+            circuit.set_template(swap.name, other_two_pin_template(swap))
             updated = cache.refresh()
-            cone = FanoutIndex(circuit).cone_from_gates([gate.name])
+            cone = FanoutIndex(circuit).cone_from_gates([swap.name])
             assert set(updated) == {circuit.gate(n).output for n in cone}
 
     def test_missing_input_stats_rejected(self, adder):
@@ -481,10 +491,20 @@ class TestWhatIf:
         with StatsCache(circuit, stats) as cache:
             cache.refresh()
             done = cache.gates_repropagated
+            # A reorder trial and its rollback re-propagate nothing ...
             gate = circuit.gates[-1]
-            cone = len(FanoutIndex(circuit).cone_from_gates([gate.name]))
             with WhatIf(cache) as trial:
-                trial.apply(SetConfig(gate.name, None))
+                trial.apply(SetConfig(gate.name,
+                                      gate.template.configurations()[-1]))
+                trial.power()
+            cache.refresh()
+            assert cache.gates_repropagated == done
+            # ... a retemplate trial costs its cone each way.
+            swap = two_pin_gate(circuit)
+            cone = len(FanoutIndex(circuit).cone_from_gates([swap.name]))
+            with WhatIf(cache) as trial:
+                trial.apply(SetTemplate(swap.name,
+                                        other_two_pin_template(swap)))
                 trial.power()
             cache.refresh()
             assert cache.gates_repropagated - done == 2 * cone

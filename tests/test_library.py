@@ -53,11 +53,17 @@ class TestTable2:
             assert len({c.key() for c in configs}) == len(configs)
 
     def test_all_configs_same_function(self, library):
+        # What lets a reordering leave every net's statistics alone:
+        # the configurations a circuit accepts (config_index is not
+        # None) all compute the template's function.
         for template in library:
             reference = template.function()
-            for config in template.configurations():
+            for index, config in enumerate(template.configurations()):
                 compiled = template.compile_config(config)
                 assert compiled.output_tt == reference, template.name
+                assert template.config_index(config) == index
+            assert template.config_index(template.default_config()) \
+                is not None
 
     def test_all_configs_same_area(self, library):
         """The paper: every instance of a gate has the same area."""

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.circuit.netlist import Circuit, CircuitError
+from repro.bench.suite import get_case
+from repro.circuit.netlist import (
+    AddGate,
+    Circuit,
+    CircuitError,
+    SetConfig,
+    SetTemplate,
+)
 from repro.circuit.topology import (
     levelize,
     reachable_from_outputs,
@@ -11,6 +18,10 @@ from repro.circuit.topology import (
 )
 from repro.gates.capacitance import TechParams
 from repro.gates.library import default_library
+from repro.incremental import StatsCache, TimingCache
+from repro.incremental.portfolio import circuit_spec
+from repro.sim.stimulus import ScenarioA
+from repro.synth.mapper import map_circuit
 
 LIB = default_library()
 
@@ -111,9 +122,14 @@ class TestQueries:
 
     def test_copy_independent(self):
         c = two_level_circuit()
+        spec = circuit_spec(c)
         clone = c.copy()
         clone.set_config("g0", LIB["nand2"].configurations()[1])
+        clone.set_template("g1", "nor2")
+        clone.apply_edit(AddGate("extra", "inv", (("a", "a"),), "extra_n"))
         assert c.gate("g0").config is None
+        assert circuit_spec(c) == spec
+        assert "extra" not in c and c.driver("extra_n") is None
 
     def test_evaluate(self):
         c = two_level_circuit()
@@ -160,3 +176,107 @@ class TestTopology:
         c.add_gate("dangling", "inv", {"a": "a"}, "unused")
         reachable = {g.name for g in reachable_from_outputs(c)}
         assert reachable == {"g0", "g1", "g2"}
+
+
+# ----------------------------------------------------------------------
+# Configurations are orderings of their gate's template
+# ----------------------------------------------------------------------
+class TestForeignConfigurations:
+    """A configuration of another template is refused before any
+    mutation: without the check a ``nand3`` gate holding a ``nor3``
+    ordering silently computes another function, and a cache that
+    trusts reorders to keep the function would go stale."""
+
+    @pytest.fixture
+    def fa1(self):
+        circuit = map_circuit(get_case("fa1").network())
+        stats = ScenarioA(seed=1).input_stats(circuit.inputs)
+        gate = next(g for g in circuit.gates if g.template.name == "nand3")
+        return circuit, stats, gate, LIB["nor3"].configurations()[1]
+
+    def test_foreign_config_function_differs(self, fa1):
+        _, _, gate, foreign = fa1
+        assert (gate.template.compile_config(foreign).output_tt
+                != gate.template.function())
+        assert gate.template.config_index(foreign) is None
+
+    def test_every_entry_point_refuses(self, fa1):
+        circuit, stats, gate, foreign = fa1
+        with StatsCache(circuit, stats) as cache, \
+                TimingCache(circuit, index=cache.index) as timing:
+            spec = circuit_spec(circuit)
+            net_stats = dict(cache.stats())
+            power = cache.total_power()
+            delay = timing.delay()
+            pins = tuple((pin, gate.pin_nets[pin])
+                         for pin in gate.template.pins)
+            attempts = [
+                lambda: circuit.apply_edit(SetConfig(gate.name, foreign)),
+                lambda: circuit.set_config(gate.name, foreign),
+                lambda: circuit.apply_edit(
+                    SetTemplate(gate.name, "nand3", foreign)),
+                lambda: circuit.apply_edit(
+                    AddGate("extra", "nand3", pins, "extra_n", foreign)),
+                lambda: circuit.add_gate("extra", "nand3", dict(pins),
+                                         "extra_n", foreign),
+            ]
+            for attempt in attempts:
+                with pytest.raises(
+                        CircuitError,
+                        match=rf"gate ({gate.name}|extra): .* template 'nand3'"):
+                    attempt()
+                assert circuit_spec(circuit) == spec
+                assert cache.dirty_gates == frozenset()
+                assert cache.stats() == net_stats
+                assert cache.total_power() == power
+                assert timing.delay() == delay
+            assert "extra" not in circuit
+
+    def test_message_names_gate_and_template(self, fa1):
+        circuit, _, gate, foreign = fa1
+        with pytest.raises(CircuitError,
+                           match=rf"gate {gate.name}: .* template 'nand3'"):
+            circuit.set_config(gate.name, foreign)
+
+    def test_own_orderings_and_default_accepted(self, fa1):
+        circuit, _, gate, _ = fa1
+        for config in gate.template.configurations():
+            circuit.set_config(gate.name, config)
+        circuit.set_config(gate.name, None)
+        circuit.set_template(gate.name, "nor3",
+                             LIB["nor3"].configurations()[1])
+        assert circuit.gate(gate.name).template.name == "nor3"
+
+
+# ----------------------------------------------------------------------
+# Circuit.copy clones gates directly
+# ----------------------------------------------------------------------
+class TestCopy:
+    @pytest.fixture
+    def mapped(self):
+        circuit = map_circuit(get_case("rca4").network())
+        gate = next(g for g in circuit.gates
+                    if g.template.num_configurations() > 1)
+        circuit.set_config(gate.name, gate.template.configurations()[-1])
+        return circuit
+
+    def test_spec_equal(self, mapped):
+        assert circuit_spec(mapped.copy()) == circuit_spec(mapped)
+        assert mapped.copy("other").name == "other"
+
+    def test_gates_are_new_objects_on_library_templates(self, mapped):
+        clone = mapped.copy()
+        for gate in clone.gates:
+            original = mapped.gate(gate.name)
+            assert gate is not original
+            assert gate.pin_nets is not original.pin_nets
+            assert gate.template is mapped.library[gate.template.name]
+            assert clone.driver(gate.output) is gate
+        clone.validate()
+
+    def test_edit_only_fields_stay_guarded(self, mapped):
+        gate = mapped.copy().gates[0]
+        with pytest.raises(AttributeError, match="read-only"):
+            gate.config = None
+        with pytest.raises(AttributeError, match="read-only"):
+            gate.template = LIB["inv"]

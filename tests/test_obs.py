@@ -59,6 +59,17 @@ def _reorderable_gates(circuit):
             if len(gate.template.configurations()) > 1]
 
 
+def _input_edit(circuit, position):
+    """An input-statistics edit of the ``position``-th primary input.
+
+    A reordering moves no statistics, so trials that must exercise the
+    statistics refresh apply one of these too.
+    """
+    return resolve_edit(circuit, {"op": "input-stats",
+                                  "net": circuit.inputs[position],
+                                  "probability": 0.3, "density": 2.0e5})
+
+
 # ----------------------------------------------------------------------
 # Metrics
 # ----------------------------------------------------------------------
@@ -118,10 +129,15 @@ class TestMetrics:
                                          {"op": "reorder", "gate": gate,
                                           "config": 1}))
                 trial.power()
+                # a reordering re-propagates nothing ...
+                assert cache.gates_repropagated == 0
+                trial.apply(_input_edit(cache.circuit, 0))
+                trial.power()
             assert cache.gates_repropagated == \
                 cache.metrics.counter("stats.gates_repropagated").value
             assert cache.refresh_count == \
                 cache.metrics.counter("stats.refresh_count").value
+            # ... an input-statistics edit re-propagates its cone
             assert cache.gates_repropagated > 0
 
 
@@ -195,6 +211,7 @@ class TestTracer:
                 with trace.span("trial"):
                     with WhatIf(cache) as trial:
                         trial.apply(edit)
+                        trial.apply(_input_edit(cache.circuit, 0))
                         trial.power()
                         raise RuntimeError("abort trial")
             trace.disable()
@@ -216,11 +233,13 @@ class TestTracer:
                 outer.apply(resolve_edit(cache.circuit,
                                          {"op": "reorder", "gate": gates[0],
                                           "config": 1}))
+                outer.apply(_input_edit(cache.circuit, 0))
                 outer.power()
                 with WhatIf(cache) as inner:
                     inner.apply(resolve_edit(cache.circuit,
                                              {"op": "reorder",
                                               "gate": gates[1], "config": 1}))
+                    inner.apply(_input_edit(cache.circuit, 1))
                     inner.power()
             trace.disable()
         records = _records(sink)
@@ -285,17 +304,28 @@ class TestArtifactIdentity:
 
     def test_search_trace_carries_metrics_snapshot(self, setting, tmp_path):
         circuit, input_stats = setting
-        path = tmp_path / "t.jsonl"
-        trace.enable(str(path))
-        search_circuit(circuit, input_stats, strategy="greedy")
-        trace.disable()
-        summary = summarize_file(str(path))
-        assert summary.metrics is not None
-        assert summary.metrics["stats.refresh_count"] > 0
-        assert summary.metrics["timing.refresh_count"] > 0
-        names = {entry.name for entry in summary.spans}
-        assert {"search", "search.round", "search.score_batch",
-                "stats.refresh"} <= names
+        summaries = {}
+        for retemplate in (False, True):
+            path = tmp_path / f"t{int(retemplate)}.jsonl"
+            trace.enable(str(path))
+            search_circuit(circuit, input_stats, strategy="greedy",
+                           retemplate=retemplate)
+            trace.disable()
+            summaries[retemplate] = summarize_file(str(path))
+        for summary in summaries.values():
+            assert summary.metrics is not None
+            assert summary.metrics["timing.refresh_count"] > 0
+            names = {entry.name for entry in summary.spans}
+            assert {"search", "search.round", "search.score_batch",
+                    "stats.power_refresh"} <= names
+        # A reorder-only search never refreshes statistics; accepted
+        # retemplates do.
+        reorder, retemplate = summaries[False], summaries[True]
+        assert reorder.metrics["stats.refresh_count"] == 0
+        assert reorder.metrics["stats.gates_repropagated"] == 0
+        assert "stats.refresh" not in {e.name for e in reorder.spans}
+        assert retemplate.metrics["stats.refresh_count"] > 0
+        assert "stats.refresh" in {e.name for e in retemplate.spans}
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,8 @@ edit changed rather than to the circuit:
   or retemplate seeds the gate alone, because loads follow
   connectivity — checked here against every edit the library allows)
   and lets :meth:`StatsCache.refresh` add the sinks of every net whose
-  (P, D) actually moved;
+  (P, D) actually moved; a reordering statistics-dirties nothing at
+  all, because it keeps the gate's function;
 * ``TimingCache`` re-lowers the circuit once, at the first refresh
   after a run of structural edits, instead of once per edit;
 * ``GateTemplate.configurations`` enumerates a template's orderings
@@ -168,24 +169,41 @@ def _direct(cache):
     return apply
 
 
-def _run_steps(cache, rng, names, steps, apply, depth=0):
-    """Random steps through ``apply``, checked after each.
+def _matches_fresh_cache(**backend):
+    """A step check against a fresh ``StatsCache(**backend)``."""
+    def check(cache, circuit):
+        input_stats = {net: cache.input_stats(net) for net in circuit.inputs}
+        with StatsCache(circuit, input_stats, **backend) as fresh:
+            assert cache.stats() == fresh.stats()
+            assert cache.total_power() == circuit_power(
+                circuit, input_stats, net_stats=fresh.stats()).total
+    return check
+
+
+def _run_steps(cache, rng, names, steps, apply, depth=0,
+               builders=BUILDERS, check=_assert_matches_scratch):
+    """Random steps through ``apply``, ``check``-ed after each.
 
     A step may instead open a WhatIf trial (nested up to two deep) whose
     own steps go through it and which commits or rolls back at random.
+    Every step starts on a refreshed cache, so a bare reorder must
+    leave the statistics dirty set empty.
     """
     circuit = cache.circuit
     for _ in range(steps):
         if depth < 2 and rng.random() < 0.3:
             with WhatIf(cache) as trial:
                 _run_steps(cache, rng, names, rng.randint(1, 3),
-                           trial.apply, depth + 1)
+                           trial.apply, depth + 1, builders, check)
                 if rng.random() < 0.5:
                     trial.commit()
         else:
-            for edit in rng.choice(BUILDERS)(circuit, rng, names):
+            builder = rng.choice(builders)
+            for edit in builder(circuit, rng, names):
                 apply(edit)
-        _assert_matches_scratch(cache, circuit)
+            if builder is _reorder:
+                assert cache.dirty_gates == frozenset()
+        check(cache, circuit)
 
 
 @pytest.fixture
@@ -224,14 +242,16 @@ class TestPowerCutoff:
                 key=lambda g: len(cache.index.cone_from_gates([g.name])))
             config = next(c for c in gate.template.configurations()
                           if c.key() != gate.effective_config().key())
+            assert len(cache.index.cone_from_gates([gate.name])) > 1
+            done = cache.gates_repropagated
             priced.clear()
             circuit.set_config(gate.name, config)
-            # The statistics cone is still the whole fanout cone ...
-            assert cache.dirty_gates == cache.index.cone_from_gates(
-                [gate.name])
-            assert len(cache.dirty_gates) > 1
+            # A reordering keeps the function: nothing goes
+            # statistics-dirty, however large the gate's cone ...
+            assert cache.dirty_gates == frozenset()
             cache.total_power()
-            # ... but the power refresh prices the gate alone.
+            assert cache.gates_repropagated == done
+            # ... and the power refresh prices the gate alone.
             assert priced == [[gate.name]]
 
     def test_retemplate_reprices_the_gate_and_sinks_of_changed_nets(
@@ -277,6 +297,37 @@ class TestPowerCutoff:
                  for gate, _pin in cache.index.sinks(n)},
                 key=cache.topo_index.__getitem__)]
             _assert_matches_scratch(cache, circuit)
+
+
+class TestReorderMovesNoStatistics:
+    """A reordering keeps the gate's function, so it statistics-dirties
+    nothing and power-dirties only its gate; every other edit keeps its
+    cone.  Reorders interleave with input-statistics edits on both
+    backends, and with retemplates and structural edits on the analytic
+    one, under nested WhatIf commits and rollbacks."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_analytic(self, master, seed):
+        circuit_master, stats = master
+        circuit = circuit_master.copy()
+        names = (f"rm{i}" for i in range(10_000))
+        with StatsCache(circuit, stats) as cache:
+            _run_steps(cache, random.Random(seed), names, 16,
+                       _direct(cache), builders=BUILDERS + (_reorder,) * 2,
+                       check=_matches_fresh_cache())
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_sampled(self, master, seed):
+        circuit_master, stats = master
+        circuit = circuit_master.copy()
+        names = (f"rm{i}" for i in range(10_000))
+        # dt below every dwell _input can produce (P >= 0.1, D <= 1e6).
+        backend = dict(backend="sampled", lanes=64, steps=12, dt=1.0e-8,
+                       seed=seed)
+        with StatsCache(circuit, stats, **backend) as cache:
+            _run_steps(cache, random.Random(seed), names, 12,
+                       _direct(cache), builders=(_reorder, _reorder, _input),
+                       check=_matches_fresh_cache(**backend))
 
 
 # ----------------------------------------------------------------------
