@@ -5,7 +5,7 @@ The claim under test: lowering a circuit once into
 the production from-scratch hot loops at least **5x faster** than the
 readable per-gate models they lower, on large generated circuits —
 
-* analytic (P, D) propagation (`propagate_stats(method="local")`
+* analytic (P, D) propagation (`propagate_stats(method="analytic")`
   against the `local_stats` oracle), and
 * the STA arrival sweep (`analyze_timing` against
   `analyze_timing(compiled=False)`) including its net-load
@@ -67,7 +67,7 @@ def test_stats_propagation_speedup(setting):
     object_s, reference = _timed(lambda: local_stats(circuit, input_stats),
                                  REPS)
     compiled_s, flat = _timed(
-        lambda: propagate_stats(circuit, input_stats, "local"), REPS)
+        lambda: propagate_stats(circuit, input_stats, "analytic"), REPS)
     assert flat == reference, "compiled propagation drifted bit-wise"
     speedup = object_s / compiled_s
     print(f"\n{circuit.name}: {len(circuit)} gates, "

@@ -471,7 +471,9 @@ class Circuit:
 
         ``kind`` is ``"config"``, ``"template"`` or ``"structure"``
         (the latter for :data:`StructuralEdit` kinds, with the details
-        published on :attr:`structure_event`).  Incremental caches
+        published on :attr:`structure_event`).  A ``SetTemplate`` to
+        the gate's own template is at most a reordering and notifies
+        ``"config"``.  Incremental caches
         (:class:`repro.incremental.StatsCache`) subscribe here so that
         edits through any code path invalidate them.
         """
@@ -523,13 +525,16 @@ class Circuit:
                 )
             _check_config(gate.name, template, edit.config)
             inverse = SetTemplate(gate.name, gate.template.name, gate.config)
+            # The gate's own template keeps its pins and function, so at
+            # most the ordering changes: notify a reorder.
+            kind = "config" if template is gate.template else "template"
             gate.pin_nets = {
                 new_pin: gate.pin_nets[old_pin]
                 for new_pin, old_pin in zip(template.pins, gate.template.pins)
             }
             object.__setattr__(gate, "template", template)
             object.__setattr__(gate, "config", edit.config)
-            self._notify_edit(gate.name, "template")
+            self._notify_edit(gate.name, kind)
             return inverse
         if isinstance(edit, AddGate):
             return self._apply_add_gate(edit)

@@ -48,6 +48,18 @@ from .core.optimizer import OBJECTIVES
 
 __all__ = ["main", "build_parser"]
 
+#: ``repro optimize --stats`` choices: the label the report prints and
+#: the :func:`~repro.stochastic.density.propagate_stats` engine.  The
+#: paper's flow (``model``) is the analytic sweep, also spelt
+#: ``analytic`` (printed as ``model``) and ``local``.
+_STATS_CHOICES = {
+    "model": ("model", "analytic"),
+    "analytic": ("model", "analytic"),
+    "local": ("local", "analytic"),
+    "exact": ("exact", "exact"),
+    "sampled": ("sampled", "sampled"),
+}
+
 
 def _positive_int(text: str) -> int:
     value = int(text)
@@ -196,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--scenario", choices=["A", "B"], default="A")
     po.add_argument("--seed", type=int, default=0)
     po.add_argument("--stats",
-                    choices=["model", "analytic", "local", "exact", "sampled"],
+                    choices=list(_STATS_CHOICES),
                     default="model",
                     help="(P, D) estimator driving the optimisation "
                          "('analytic' and 'local' name the default 'model' "
@@ -426,6 +438,23 @@ def _cmd_adder(out, width: int) -> int:
     return 0
 
 
+def _sampled_kwargs(sampled: bool, seed: int, engine_flag: str,
+                    **knobs) -> dict:
+    """The sampled engine's arguments: ``seed`` plus every given knob.
+
+    Without the sampled engine a given knob is refused, naming its flag
+    and the ``engine_flag`` (``--stats`` or ``--backend``) that selects
+    the sampled engine.
+    """
+    given = {name: value for name, value in knobs.items() if value is not None}
+    if sampled:
+        return {"seed": seed, **given}
+    if given:
+        flags = ", ".join(f"--{name}" for name in given)
+        raise SystemExit(f"{flags} requires {engine_flag} sampled")
+    return {}
+
+
 def _cmd_optimize(out, path: str, scenario: str, seed: int,
                   stats_source: str = "model",
                   lanes: Optional[int] = None,
@@ -436,35 +465,28 @@ def _cmd_optimize(out, path: str, scenario: str, seed: int,
     from .circuit.verilog import write_verilog
     from .core.optimizer import optimize_circuit
     from .sim.stimulus import ScenarioA, ScenarioB
+    from .stochastic.density import propagate_stats
     from .synth.mapper import map_circuit
     from .timing.sta import circuit_delay
 
-    if stats_source == "analytic":
-        stats_source = "model"  # alias: the paper's analytic model flow
-    # 'local' names the same sweep as 'model' and keeps its own label.
-    source = "model" if stats_source == "local" else stats_source
-    stats_kwargs = {}
-    if stats_source == "sampled":
-        stats_kwargs["seed"] = seed
-        if lanes is not None:
-            stats_kwargs["lanes"] = lanes
-    elif lanes is not None:
-        raise SystemExit("--lanes requires --stats sampled")
+    label, engine = _STATS_CHOICES[stats_source]
+    engine_kwargs = _sampled_kwargs(engine == "sampled", seed, "--stats",
+                                    lanes=lanes)
 
     network = _load("optimize", path, load_blif)
     circuit = map_circuit(network)
     generator = ScenarioA(seed=seed) if scenario == "A" else ScenarioB(seed=seed)
     stats = generator.input_stats(circuit.inputs)
+    # No reordering moves a net's (P, D): one propagation serves both runs.
+    net_stats = propagate_stats(circuit, stats, engine, **engine_kwargs)
     chosen = optimize_circuit(circuit, stats, objective=objective,
-                              stats=source, stats_kwargs=stats_kwargs)
+                              net_stats=net_stats)
     worst = chosen if objective == "worst" else optimize_circuit(
-        circuit, stats, objective="worst",
-        stats=source, stats_kwargs=stats_kwargs,
-    )
+        circuit, stats, objective="worst", net_stats=net_stats)
     out.write(f"circuit        : {network.name}\n")
     out.write(f"mapped gates   : {len(circuit)}\n")
     out.write(f"gate mix       : {circuit.gate_count_by_template()}\n")
-    out.write(f"objective      : {objective} (stats={stats_source}"
+    out.write(f"objective      : {objective} (stats={label}"
               + (f", lanes={lanes}" if lanes else "")
               + ")\n")
     out.write(f"model power    : {format_si(chosen.power_after, 'W')} (optimised), "
@@ -501,17 +523,8 @@ def _cmd_eco(out, path: str, script_path: str, scenario: str, seed: int,
     if not isinstance(script, list):
         raise SystemExit(f"eco: {script_path}: expected a JSON list of edits")
 
-    backend_kwargs = {}
-    if backend == "sampled":
-        backend_kwargs["seed"] = seed
-        for name, value in (("lanes", lanes), ("steps", steps), ("dt", dt)):
-            if value is not None:
-                backend_kwargs[name] = value
-    else:
-        given = [n for n, v in (("--lanes", lanes), ("--steps", steps),
-                                ("--dt", dt)) if v is not None]
-        if given:
-            raise SystemExit(f"{', '.join(given)} requires --backend sampled")
+    backend_kwargs = _sampled_kwargs(backend == "sampled", seed, "--backend",
+                                     lanes=lanes, steps=steps, dt=dt)
 
     network = _load("eco", path, load_blif)
     circuit = map_circuit(network)

@@ -6,8 +6,8 @@ fanin and fanout index arrays, per-gate template/configuration codes,
 pin-capacitance and load tables — and evaluates the hot loops of the
 reproduction on index ranges instead of object traversals:
 
-* from-scratch analytic (P, D) propagation (:meth:`stats_arrays` /
-  :meth:`local_stats`) and dirty-cone resettling (:meth:`resettle_stats`);
+* from-scratch analytic (P, D) propagation (:meth:`stats_arrays`) and
+  dirty-cone resettling (:meth:`resettle_stats`);
 * ``net_load`` summation for every net at once (:meth:`net_loads`);
 * arrival-time propagation, full (:meth:`arrivals_full`,
   :meth:`analyze_timing`) and per-level re-timing (:meth:`retime_gates`)
@@ -472,20 +472,6 @@ class CompiledCircuit:
             prob[out] = p_out
             dens[out] = d_out
         return prob, dens
-
-    def local_stats(
-        self, input_stats: Mapping[str, SignalStats]
-    ) -> Dict[str, SignalStats]:
-        """Drop-in for :func:`repro.stochastic.density.local_stats`."""
-        prob, dens = self.stats_arrays(input_stats)
-        stats: Dict[str, SignalStats] = {
-            net: input_stats[net] for net in self.circuit.inputs
-        }
-        for gid, name in enumerate(self.gate_names):
-            out = self.num_inputs + gid
-            stats[self.nets[out]] = SignalStats(float(prob[out]),
-                                                float(dens[out]))
-        return stats
 
     def resettle_stats(self, gate_ids: np.ndarray, prob: np.ndarray,
                        dens: np.ndarray) -> None:

@@ -15,9 +15,10 @@ monotonic-characteristic argument, §4.2).  A gate's load does not
 depend on any ordering either (every pin drives one N and one P
 device), so the traversal runs as one batch on the compiled kernels,
 with every float unchanged: the statistics of every net come from one
-(P, D) sweep before any decision, and every load from one sum.  One
-stacked table program per template prices every configuration of that
-template's gates in one kernel call
+(P, D) map before any decision (the caller's ``net_stats``, by default
+one analytic :func:`~repro.stochastic.density.propagate_stats` sweep),
+and every load from one sum.  One stacked table program per template
+prices every configuration of that template's gates in one kernel call
 (:func:`repro.compiled.power.stacked_class`), and the choice is an
 arg-min over lanes in configuration-key order.  The delay-aware
 objectives read per-pin delays from the compiled timing tables; no
@@ -65,7 +66,6 @@ from .reorder import ConfigEvaluation
 
 __all__ = [
     "OBJECTIVES",
-    "STATS_SOURCES",
     "GateDecision",
     "OptimizeResult",
     "optimize_circuit",
@@ -75,13 +75,6 @@ __all__ = [
 ]
 
 OBJECTIVES = ("best", "worst", "delay-constrained", "fastest")
-
-#: Sources of the per-net (P, D) statistics driving the optimisation.
-#: ``"model"`` is the paper's flow (propagation through the power model
-#: in topological order), which is exactly the compiled
-#: ``propagate_stats(method="local")`` sweep; every source is one full
-#: map from :func:`repro.stochastic.density.propagate_stats`.
-STATS_SOURCES = ("model", "exact", "sampled")
 
 _EPS = 1e-30
 
@@ -231,18 +224,17 @@ def optimize_circuit(
     model: Optional[GatePowerModel] = None,
     objective: str = "best",
     po_load: float = DEFAULT_PO_LOAD,
-    stats: str = "model",
-    stats_kwargs: Optional[Mapping] = None,
+    net_stats: Optional[Mapping[str, SignalStats]] = None,
 ) -> OptimizeResult:
     """Run the Figure 3 algorithm and return a reordered copy of ``circuit``.
 
-    ``stats`` selects where the per-net (P, D) statistics come from:
-    ``"model"`` (default) is the paper's incremental propagation
-    through the power model, which is the compiled local sweep bit for
-    bit; ``"exact"`` and ``"sampled"`` precompute the map with
-    :func:`repro.stochastic.density.propagate_stats` (the sampled
-    source runs the bit-parallel Monte Carlo engine; ``stats_kwargs``
-    forwards its ``lanes``/``steps``/``dt``/``seed`` options).
+    ``net_stats`` is the (P, D) map of every net driving the decisions,
+    as in :func:`circuit_power`; it defaults to the paper's analytic
+    propagation, :func:`repro.stochastic.density.propagate_stats`.
+    Pass a map from another engine (``method="exact"`` or
+    ``"sampled"``) to optimise under it, or one map to several
+    objectives: no reordering moves any net's statistics, so one
+    propagation serves every run on the same circuit and inputs.
 
     One pass decides every gate.  A gate's decision inputs are its
     fanin statistics and its output load, and no reordering changes
@@ -259,26 +251,20 @@ def optimize_circuit(
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; choose from {OBJECTIVES}")
-    if stats not in STATS_SOURCES:
-        raise ValueError(f"unknown stats source {stats!r}; choose from {STATS_SOURCES}")
-    if stats_kwargs and stats == "model":
-        # Silently dropping these would mislead a caller who configured
-        # a Monte-Carlo run but forgot stats="sampled".
-        raise TypeError(
-            f"stats_kwargs {sorted(stats_kwargs)} need a non-default stats source"
-        )
     model = model if model is not None else GatePowerModel()
     missing = [n for n in circuit.inputs if n not in input_stats]
     if missing:
         raise KeyError(f"missing input statistics for {missing}")
+    if net_stats is not None:
+        missing = [n for n in circuit.nets() if n not in net_stats]
+        if missing:
+            raise KeyError(f"net_stats lacks statistics for {missing}")
+        net_stats = dict(net_stats)
 
     result_circuit = circuit.copy()
     cc = get_compiled(result_circuit)
-    net_stats = propagate_stats(
-        result_circuit, input_stats,
-        method="local" if stats == "model" else stats,
-        **dict(stats_kwargs or {}),
-    )
+    if net_stats is None:
+        net_stats = propagate_stats(result_circuit, input_stats)
     tech = model.tech
     prob = np.fromiter((net_stats[n].probability for n in cc.nets),
                        dtype=np.float64, count=len(cc.nets))

@@ -262,7 +262,10 @@ def make_backend(backend, **kwargs) -> StatsBackend:
 
     ``"analytic"`` selects :class:`AnalyticBackend`;
     ``"sampled"`` selects :class:`SampledBackend` (forwarding
-    ``lanes``/``steps``/``dt``/``seed``).
+    ``lanes``/``steps``/``dt``/``seed``).  Every engine built from a
+    name is built here: the caches' (so the search's), and
+    :func:`~repro.stochastic.density.propagate_stats`'s analytic and
+    sampled maps, which are ``make_backend(method, **kwargs).full``.
     """
     if isinstance(backend, StatsBackend):
         if kwargs:

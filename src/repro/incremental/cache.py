@@ -6,6 +6,7 @@ under ECO edits.  Invalidation rules (see README.md):
 * ``SetTemplate`` on gate *g* — through :meth:`Circuit.apply_edit` or
   the ``set_template`` wrapper — dirties exactly *g* plus its
   transitive fanout gates (a new cell generally has a new function);
+  to *g*'s own template it is a reordering, notified as ``"config"``;
 * ``SetConfig`` on gate *g* dirties nothing: a reordering keeps the
   gate's logic function, so no net's (P, D) can move.  The circuit
   guarantees this at the boundary — every configuration it accepts is

@@ -2,11 +2,11 @@
 
 ``D(y) = Σ_i P(∂y/∂x_i) · D(x_i)`` — the transition density of a gate
 output is the sum over inputs of the input density weighted by the
-probability of the Boolean difference.  Two engines:
+probability of the Boolean difference.  Three engines:
 
-* :func:`propagate_stats` with ``method="local"`` — gate-local Boolean
-  differences with fanin-independence, one topological sweep; this is
-  what the paper's optimisation loop (CALCULATE_DENS) uses.
+* :func:`propagate_stats` with ``method="analytic"`` — gate-local
+  Boolean differences with fanin-independence, one topological sweep;
+  this is what the paper's optimisation loop (CALCULATE_DENS) uses.
 * ``method="exact"`` — Boolean differences of the *global* functions
   with respect to the primary inputs, computed on ROBDDs; handles
   reconvergent correlation of the probabilities exactly.
@@ -93,37 +93,25 @@ def exact_stats(circuit: Circuit,
 
 def propagate_stats(circuit: Circuit,
                     input_stats: Mapping[str, SignalStats],
-                    method: str = "local",
-                    **sampling_kwargs) -> Dict[str, SignalStats]:
-    """Dispatch to the analytic, exact or sampled engine.
+                    method: str = "analytic",
+                    **kwargs) -> Dict[str, SignalStats]:
+    """The full (P, D) map of ``circuit`` from one of three engines.
 
-    ``"local"`` runs the flat-array sweep of :mod:`repro.compiled`,
-    bit-identical to the per-gate :func:`local_stats` oracle;
-    ``"exact"`` runs :func:`exact_stats`.  ``method="sampled"`` runs
-    ``full`` on a fresh :class:`~repro.incremental.backends.SampledBackend`
-    built from ``sampling_kwargs`` (``lanes``, ``steps``, ``dt``,
-    ``seed``): the uint64-block kernel on per-input substreams, equal
-    to the big-int :func:`repro.sim.bitsim.sampled_stats` and to a
-    fresh ``StatsCache(backend="sampled")``; the analytic engines
-    accept no extra arguments.
+    ``"exact"`` runs :func:`exact_stats`.  ``"analytic"`` and
+    ``"sampled"`` run ``full`` on a fresh
+    :func:`~repro.incremental.backends.make_backend` engine, which owns
+    their names and knobs: the analytic one is the flat-array sweep of
+    :mod:`repro.compiled`, bit-identical to the per-gate
+    :func:`local_stats` oracle, and the sampled one takes ``lanes``,
+    ``steps``, ``dt`` and ``seed`` and equals the big-int
+    :func:`repro.sim.bitsim.sampled_stats` and a fresh
+    ``StatsCache(backend="sampled")``.
     """
     missing = [n for n in circuit.inputs if n not in input_stats]
     if missing:
         raise KeyError(f"missing input statistics for {missing}")
-    if method == "sampled":
-        from ..incremental.backends import SampledBackend
-
-        return SampledBackend(**sampling_kwargs).full(circuit, input_stats)
-    if sampling_kwargs:
-        raise TypeError(
-            f"method {method!r} takes no sampling arguments: {sorted(sampling_kwargs)}"
-        )
-    if method == "local":
-        from ..compiled import get_compiled
-
-        return get_compiled(circuit).local_stats(input_stats)
     if method == "exact":
-        return exact_stats(circuit, input_stats)
-    raise ValueError(
-        f"unknown method {method!r}; use 'local', 'exact' or 'sampled'"
-    )
+        return exact_stats(circuit, input_stats, **kwargs)
+    from ..incremental.backends import make_backend
+
+    return make_backend(method, **kwargs).full(circuit, input_stats)

@@ -101,6 +101,26 @@ class TestTable3Driver:
         assert row.scenario == "B"
         assert row.model_reduction >= 0.0
 
+    def test_one_propagation_per_scenario(self, monkeypatch):
+        # The best and the worst run share one (P, D) sweep: no
+        # reordering moves a statistic.
+        from repro.compiled.circuit import CompiledCircuit
+
+        calls = []
+        stats_arrays = CompiledCircuit.stats_arrays
+
+        def counted(self, input_stats):
+            calls.append(1)
+            return stats_arrays(self, input_stats)
+
+        monkeypatch.setattr(CompiledCircuit, "stats_arrays", counted)
+        case, circuit = mapped("c17")
+        for scenario in ("A", "B"):
+            calls.clear()
+            run_table3_case(case, scenario, circuit=circuit, seed=1,
+                            target_transitions=30.0, cycles=50)
+            assert len(calls) == 1
+
     def test_bad_scenario(self):
         case, circuit = mapped("c17")
         with pytest.raises(ValueError):

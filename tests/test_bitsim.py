@@ -227,27 +227,30 @@ class TestSampledStats:
         stats_in = {n: SignalStats(0.5, 1.0e6) for n in circuit.inputs}
         sampled = propagate_stats(circuit, stats_in, method="sampled",
                                   lanes=2048, steps=32, seed=8)
-        local = propagate_stats(circuit, stats_in, method="local")
+        analytic = propagate_stats(circuit, stats_in, method="analytic")
         for net in circuit.nets():
             assert sampled[net].probability == pytest.approx(
-                local[net].probability, abs=0.05
+                analytic[net].probability, abs=0.05
             )
-        with pytest.raises(TypeError):
-            propagate_stats(circuit, stats_in, method="local", lanes=64)
+        for method in ("analytic", "exact"):
+            with pytest.raises(TypeError):
+                propagate_stats(circuit, stats_in, method=method, lanes=64)
 
     def test_optimizer_accepts_sampled_source(self):
         from repro.core.optimizer import optimize_circuit
+        from repro.stochastic.density import propagate_stats
 
         circuit = map_circuit(get_case("maj3").network())
         stats_in = ScenarioA(seed=6).input_stats(circuit.inputs)
         modelled = optimize_circuit(circuit, stats_in, objective="best")
-        sampled = optimize_circuit(
-            circuit, stats_in, objective="best", stats="sampled",
-            stats_kwargs={"lanes": 4096, "steps": 64, "seed": 1},
-        )
+        net_stats = propagate_stats(circuit, stats_in, method="sampled",
+                                    lanes=4096, steps=64, seed=1)
+        sampled = optimize_circuit(circuit, stats_in, objective="best",
+                                   net_stats=net_stats)
+        assert sampled.net_stats == net_stats
         assert sampled.power_after == pytest.approx(modelled.power_after, rel=0.25)
-        with pytest.raises(ValueError, match="stats source"):
-            optimize_circuit(circuit, stats_in, stats="nope")
-        with pytest.raises(TypeError, match="stats source"):
-            # Forgot stats="sampled": the kwargs must not be dropped silently.
-            optimize_circuit(circuit, stats_in, stats_kwargs={"seed": 1})
+        with pytest.raises(ValueError, match="unknown backend"):
+            propagate_stats(circuit, stats_in, method="nope")
+        with pytest.raises(TypeError):
+            # The engine is chosen by the map: no source or knobs here.
+            optimize_circuit(circuit, stats_in, stats="sampled")

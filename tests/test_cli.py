@@ -109,6 +109,28 @@ class TestCommands:
         assert code == 0
         assert local == text.replace("stats=model", "stats=local")
 
+    def test_optimize_propagates_once(self, tmp_path, monkeypatch):
+        # No reordering moves a statistic, so the chosen and the worst
+        # run share one exact propagation.
+        from repro.stochastic import density
+
+        calls = []
+        exact_stats = density.exact_stats
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return exact_stats(*args, **kwargs)
+
+        monkeypatch.setattr(density, "exact_stats", counted)
+        blif = tmp_path / "fa.blif"
+        blif.write_text(FA_BLIF)
+        for objective in ("best", "worst"):
+            calls.clear()
+            code, text = run_cli("optimize", str(blif), "--stats", "exact",
+                                 "--objective", objective)
+            assert code == 0 and "stats=exact" in text
+            assert len(calls) == 1
+
     def test_optimize_has_no_passes_flag(self):
         # One pass is the whole algorithm (no reorder moves a load).
         with pytest.raises(SystemExit):
@@ -238,6 +260,27 @@ class TestEco:
         # its cone, fewer gates than a from-scratch sweep
         assert [r["cone"] for r in rows][::2] == [0, 0]
         assert 0 < rows[1]["cone"] <= artifact["eco"]["gates"]
+
+    def test_eco_same_template_retemplate_has_no_cone(self, tmp_path):
+        import json
+
+        from repro.circuit.blif import load_blif
+        from repro.synth.mapper import map_circuit
+
+        blif, _ = self.write_inputs(tmp_path, [])
+        own = map_circuit(load_blif(blif)).gate("g1").template.name
+        blif, script = self.write_inputs(tmp_path, [
+            {"op": "reorder", "gate": "g1", "config": 1},
+            {"op": "retemplate", "gate": "g1", "template": own},
+        ])
+        out_path = tmp_path / "eco.json"
+        code, _ = run_cli("eco", blif, script, "--out", str(out_path))
+        assert code == 0
+        rows = json.loads(out_path.read_text())["results"]
+        # Back to the own template's default ordering: a reorder, so it
+        # re-propagates nothing and undoes the first row's power change.
+        assert [r["cone"] for r in rows] == [0, 0]
+        assert rows[1]["power_after"] == rows[0]["power_before"]
 
     def test_eco_sampled_backend(self, tmp_path):
         blif, script = self.write_inputs(tmp_path, [

@@ -123,7 +123,7 @@ class TestFloatContract:
 class TestFromScratch:
     def test_stats_bit_identical(self, master, wide):
         for circuit, stats in (master, wide):
-            assert propagate_stats(circuit, stats, "local") \
+            assert propagate_stats(circuit, stats, "analytic") \
                 == local_stats(circuit, stats)
 
     def test_timing_bit_identical(self, master, wide):
@@ -168,7 +168,7 @@ class TestFromScratch:
                     if g.template.num_configurations() > 1)
         work.set_config(gate.name, gate.template.configurations()[-1])
         assert_timing_equal(work)
-        assert propagate_stats(work, stats, "local") \
+        assert propagate_stats(work, stats, "analytic") \
             == local_stats(work, stats)
 
 

@@ -174,6 +174,26 @@ class TestStatsCacheAnalytic:
             cache.refresh()
             assert cache.dirty_gates == frozenset()
 
+    def test_same_template_retemplate_is_a_reorder(self, adder):
+        # A SetTemplate to the gate's own template keeps its pins and
+        # function: it notifies "config", so no statistics go dirty and
+        # only the gate's power is repriced.
+        circuit, stats = adder
+        gate = two_pin_gate(circuit)
+        kinds = []
+        circuit.add_edit_listener(lambda name, kind: kinds.append(kind))
+        with StatsCache(circuit, stats) as cache:
+            last = gate.template.configurations()[-1]
+            circuit.apply_edit(SetTemplate(gate.name, gate.template.name, last))
+            inverse = circuit.apply_edit(
+                SetTemplate(gate.name, gate.template.name))
+            assert kinds == ["config", "config"]
+            assert cache.dirty_gates == frozenset()
+            assert cache.refresh() == ()
+            assert cache.stats() == local_stats(circuit, stats)
+            assert cache.total_power() == circuit_power(circuit, stats).total
+            assert inverse == SetTemplate(gate.name, gate.template.name, last)
+
     def test_input_edit_dirties_input_cone(self, adder):
         circuit, stats = adder
         index = FanoutIndex(circuit)

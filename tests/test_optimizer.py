@@ -90,11 +90,22 @@ class TestOptimizeCircuit:
             optimize_circuit(sample_circuit(), skewed_stats(), MODEL, objective="x")
 
     def test_one_name_per_stats_source(self):
-        # "model" is the compiled local sweep; "local" is not a second
-        # name for it.
-        with pytest.raises(ValueError):
+        # The optimiser takes a (P, D) map, not an engine name, and the
+        # analytic engine has one name: "analytic", not "local".
+        with pytest.raises(TypeError):
             optimize_circuit(sample_circuit(), skewed_stats(), MODEL,
-                             stats="local")
+                             stats="model")
+        with pytest.raises(ValueError, match="unknown backend 'local'"):
+            propagate_stats(sample_circuit(), skewed_stats(), method="local")
+
+    def test_net_stats_missing_nets(self, monkeypatch):
+        # Refused at the boundary, naming the nets, before any copy.
+        c = sample_circuit()
+        net_stats = propagate_stats(c, skewed_stats())
+        del net_stats["n0"], net_stats["y"]
+        monkeypatch.setattr(Circuit, "copy", None)
+        with pytest.raises(KeyError, match=r"\['n0', 'y'\]"):
+            optimize_circuit(c, skewed_stats(), MODEL, net_stats=net_stats)
 
     def test_missing_stats(self):
         with pytest.raises(KeyError):
@@ -290,17 +301,20 @@ class TestBatchEngineMatchesReference:
         generator = (ScenarioA if scenario == "A" else ScenarioB)(
             seed=case_seed(case))
         stats = generator.input_stats(circuit.inputs)
-        maps = {"local": propagate_stats(circuit, stats, method="local"),
-                "exact": propagate_stats(circuit, stats, method="exact")}
-        priced = {source: {} for source in maps}
+        maps = {method: propagate_stats(circuit, stats, method=method)
+                for method in ("analytic", "exact")}
+        priced = {method: {} for method in maps}
         for objective in OBJECTIVES:
-            for source, net_stats in maps.items():
+            for method, net_stats in maps.items():
                 reference = reference_optimize(circuit, net_stats, objective,
-                                               priced=priced[source])
-                result = optimize_circuit(
-                    circuit, stats, MODEL, objective=objective,
-                    stats="model" if source == "local" else source)
+                                               priced=priced[method])
+                result = optimize_circuit(circuit, stats, MODEL,
+                                          objective=objective,
+                                          net_stats=net_stats)
                 assert_matches_reference(result, reference)
+                if method == "analytic":  # the default map
+                    assert_matches_reference(optimize_circuit(
+                        circuit, stats, MODEL, objective=objective), reference)
 
     def test_exact_tie_breaks_on_configuration_key(self):
         # Both nand2 pins on one net: the two series orders are mirror

@@ -155,12 +155,12 @@ class TestDensityPropagation:
     def test_propagate_stats_dispatch(self):
         c = inverter_chain(1)
         stats = {"x": SignalStats(0.5, 10.0)}
-        assert propagate_stats(c, stats, "local")["n0"].density == pytest.approx(10.0)
+        assert propagate_stats(c, stats, "analytic")["n0"].density == pytest.approx(10.0)
         assert propagate_stats(c, stats, "exact")["n0"].density == pytest.approx(10.0)
         with pytest.raises(ValueError):
             propagate_stats(c, stats, "bogus")
         with pytest.raises(KeyError):
-            propagate_stats(c, {}, "local")
+            propagate_stats(c, {}, "analytic")
 
     def test_probability_clamped_for_switching_signal(self):
         """A switching net's probability is kept strictly inside (0, 1)."""
