@@ -1,4 +1,4 @@
-"""Command-line interface: ``repro-reorder`` (or ``python -m repro.cli``).
+"""Command-line interface: ``repro`` (or ``python -m repro``).
 
 Subcommands::
 
@@ -45,6 +45,7 @@ from .analysis.experiments import run_adder_activity, run_table1
 from .analysis.report import format_percent, format_si, format_table
 from .analysis.stats import mean
 from .core.optimizer import OBJECTIVES
+from .incremental.backends import DEFAULT_ENGINE, ENGINES
 
 __all__ = ["main", "build_parser"]
 
@@ -121,7 +122,7 @@ def _add_spec_args(subparser: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-reorder",
+        prog="repro",
         description=(
             "Reproduction of Musoll & Cortadella (DATE 1996): transistor "
             "reordering for low power."
@@ -238,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "--backend analytic)")
     pe.add_argument("--scenario", choices=["A", "B"], default="A")
     pe.add_argument("--seed", type=int, default=0)
-    pe.add_argument("--backend", choices=["analytic", "sampled"],
-                    default="analytic")
+    pe.add_argument("--backend", choices=list(ENGINES),
+                    default=DEFAULT_ENGINE)
     pe.add_argument("--lanes", type=_positive_int, default=None,
                     help="sample lanes for --backend sampled")
     pe.add_argument("--steps", type=_positive_int, default=None,
@@ -316,6 +317,33 @@ def _load(command: str, path: str, parse):
         raise SystemExit(f"{command}: {path}: {error}")
 
 
+def _load_circuit(command: str, path: str, scenario: str, seed: int):
+    """Load the BLIF at ``path``, map it and draw the scenario's input
+    statistics; returns ``(network, circuit, input_stats)``."""
+    from .circuit.blif import load_blif
+    from .sim.stimulus import ScenarioA, ScenarioB
+    from .synth.mapper import map_circuit
+
+    network = _load(command, path, load_blif)
+    circuit = map_circuit(network)
+    generator = ScenarioA(seed=seed) if scenario == "A" else ScenarioB(seed=seed)
+    return network, circuit, generator.input_stats(circuit.inputs)
+
+
+def _engine_kwargs(engine: str, seed: int, engine_flag: str, **knobs) -> dict:
+    """:func:`~repro.incremental.backends.engine_kwargs`; a refused knob
+    ends the run naming its flag and ``engine_flag`` (``--stats`` or
+    ``--backend``), the flag that selects the engine."""
+    from .incremental.backends import KnobError, engine_kwargs
+    from .incremental.spec import render
+
+    try:
+        return engine_kwargs(engine, seed, **knobs)
+    except KnobError as error:
+        raise SystemExit(render(str(error), lambda name: (
+            engine_flag if name == "backend" else f"--{name}")))
+
+
 def _load_json(path: str):
     import json
 
@@ -347,6 +375,11 @@ def _cmd_table2(out) -> int:
     ))
     out.write("\n")
     return 0
+
+
+def _scenarios(scenario: str) -> tuple:
+    """The Table 3 scenarios a ``--scenario`` choice names."""
+    return ("A", "B") if scenario == "both" else (scenario,)
 
 
 def _write_suite_tables(out, artifact, scenarios, title, timed=False) -> int:
@@ -390,7 +423,7 @@ def _write_suite_tables(out, artifact, scenarios, title, timed=False) -> int:
 def _cmd_table3(out, subset: str, scenario: str, seed: int) -> int:
     from .bench.runner import run_suite
 
-    scenarios = ("A", "B") if scenario == "both" else (scenario,)
+    scenarios = _scenarios(scenario)
     artifact = run_suite(subset=subset, scenarios=scenarios, seed=seed)
     failed = _write_suite_tables(out, artifact, scenarios,
                                  lambda sc: f"Table 3 - scenario {sc}")
@@ -405,7 +438,7 @@ def _cmd_bench(out, subset: str, scenario: str, jobs: int, seed: int,
                retries: int = 2) -> int:
     from .bench.runner import run_suite
 
-    scenarios = ("A", "B") if scenario == "both" else (scenario,)
+    scenarios = _scenarios(scenario)
     try:
         artifact = run_suite(subset=subset, scenarios=scenarios, jobs=jobs,
                              seed=seed, cases=cases, out_path=out_path,
@@ -438,45 +471,22 @@ def _cmd_adder(out, width: int) -> int:
     return 0
 
 
-def _sampled_kwargs(sampled: bool, seed: int, engine_flag: str,
-                    **knobs) -> dict:
-    """The sampled engine's arguments: ``seed`` plus every given knob.
-
-    Without the sampled engine a given knob is refused, naming its flag
-    and the ``engine_flag`` (``--stats`` or ``--backend``) that selects
-    the sampled engine.
-    """
-    given = {name: value for name, value in knobs.items() if value is not None}
-    if sampled:
-        return {"seed": seed, **given}
-    if given:
-        flags = ", ".join(f"--{name}" for name in given)
-        raise SystemExit(f"{flags} requires {engine_flag} sampled")
-    return {}
-
-
 def _cmd_optimize(out, path: str, scenario: str, seed: int,
                   stats_source: str = "model",
                   lanes: Optional[int] = None,
                   objective: str = "best",
                   save_blif: Optional[str] = None,
                   save_verilog: Optional[str] = None) -> int:
-    from .circuit.blif import load_blif, write_mapped_blif
+    from .circuit.blif import write_mapped_blif
     from .circuit.verilog import write_verilog
     from .core.optimizer import optimize_circuit
-    from .sim.stimulus import ScenarioA, ScenarioB
     from .stochastic.density import propagate_stats
-    from .synth.mapper import map_circuit
     from .timing.sta import circuit_delay
 
     label, engine = _STATS_CHOICES[stats_source]
-    engine_kwargs = _sampled_kwargs(engine == "sampled", seed, "--stats",
-                                    lanes=lanes)
+    engine_kwargs = _engine_kwargs(engine, seed, "--stats", lanes=lanes)
 
-    network = _load("optimize", path, load_blif)
-    circuit = map_circuit(network)
-    generator = ScenarioA(seed=seed) if scenario == "A" else ScenarioB(seed=seed)
-    stats = generator.input_stats(circuit.inputs)
+    network, circuit, stats = _load_circuit("optimize", path, scenario, seed)
     # No reordering moves a net's (P, D): one propagation serves both runs.
     net_stats = propagate_stats(circuit, stats, engine, **engine_kwargs)
     chosen = optimize_circuit(circuit, stats, objective=objective,
@@ -515,33 +525,27 @@ def _cmd_eco(out, path: str, script_path: str, scenario: str, seed: int,
              dt: Optional[float], out_path: Optional[str]) -> int:
     from .analysis.experiments import run_eco
     from .bench.runner import SCHEMA_VERSION, write_artifact
-    from .circuit.blif import load_blif
-    from .sim.stimulus import ScenarioA, ScenarioB
-    from .synth.mapper import map_circuit
 
     script = _load("eco", script_path, _load_json)
     if not isinstance(script, list):
         raise SystemExit(f"eco: {script_path}: expected a JSON list of edits")
 
-    backend_kwargs = _sampled_kwargs(backend == "sampled", seed, "--backend",
-                                     lanes=lanes, steps=steps, dt=dt)
+    backend_kwargs = _engine_kwargs(backend, seed, "--backend",
+                                    lanes=lanes, steps=steps, dt=dt)
 
-    network = _load("eco", path, load_blif)
-    circuit = map_circuit(network)
-    generator = ScenarioA(seed=seed) if scenario == "A" else ScenarioB(seed=seed)
-    stats = generator.input_stats(circuit.inputs)
+    network, circuit, stats = _load_circuit("eco", path, scenario, seed)
     try:
         rows = run_eco(circuit, stats, script, backend=backend,
                        **backend_kwargs)
     except ValueError as error:
         # A malformed script entry, or e.g. the sampled backend's frozen
-        # dt becoming too coarse for an input-stats edit; surface the
-        # message (and, for the latter, the remedy) instead of a
-        # traceback.
+        # dt becoming too coarse for an input-stats edit (no other engine
+        # has a dt); surface the message (and, for the latter, the
+        # remedy) instead of a traceback.
         remedy = (
             "\n(for --backend sampled, pass an explicit --dt small enough "
             "for every input-stats edit in the script)"
-            if backend == "sampled" and "too coarse" in str(error) else ""
+            if "too coarse" in str(error) else ""
         )
         raise SystemExit(f"eco failed: {error}{remedy}")
 
@@ -605,12 +609,10 @@ def _cmd_search(out, args) -> int:
     from dataclasses import fields
 
     from .bench.runner import write_artifact
-    from .circuit.blif import load_blif, write_mapped_blif
+    from .circuit.blif import write_mapped_blif
     from .incremental.search import search_circuit
     from .incremental.spec import SearchSpec, SpecError, flag, render
     from .robust import CheckpointError
-    from .sim.stimulus import ScenarioA, ScenarioB
-    from .synth.mapper import map_circuit
 
     # Each flag's dest is its option string minus the dashes.
     params = {f.name: getattr(args, flag(f.name)[2:].replace("-", "_"))
@@ -620,11 +622,8 @@ def _cmd_search(out, args) -> int:
     except SpecError as error:
         raise SystemExit(render(error.template, flag))
 
-    network = _load("search", args.blif, load_blif)
-    circuit = map_circuit(network)
-    generator = (ScenarioA(seed=args.seed) if args.scenario == "A"
-                 else ScenarioB(seed=args.seed))
-    stats = generator.input_stats(circuit.inputs)
+    network, circuit, stats = _load_circuit("search", args.blif,
+                                            args.scenario, args.seed)
     try:
         result = search_circuit(circuit, stats, **params)
     except CheckpointError as error:
@@ -759,9 +758,8 @@ def _cmd_bench_check(out, args) -> int:
             for path in args.artifacts:
                 current.update(headline_metrics(load_artifact(path)))
         else:
-            scenarios = (("A", "B") if args.scenario == "both"
-                         else (args.scenario,))
-            artifact = run_suite(subset=args.subset, scenarios=scenarios,
+            artifact = run_suite(subset=args.subset,
+                                 scenarios=_scenarios(args.scenario),
                                  jobs=args.jobs, seed=args.seed)
             current.update(headline_metrics(artifact))
     except (OSError, ValueError) as error:

@@ -26,34 +26,41 @@ way — the incremental path runs the very same batched kernels of
 as the from-scratch path — and both kernels are bit-identical to the
 readable per-gate models they lower (:func:`~repro.stochastic.density.local_stats`
 and the big-int :mod:`repro.sim.bitsim` streams).
+
+:data:`ENGINES` is the one table of engines by name; each class states
+its ``knobs``, whether it is ``seeded`` and whether it
+``supports_structure``, and every entry point reads them through
+:func:`engine_kwargs` and :func:`refuse_structure`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Mapping, Optional, Sequence
+from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from ..circuit.netlist import Circuit, GateInstance
+from ..circuit.netlist import Circuit, CircuitError, GateInstance
 from ..compiled.circuit import CompiledCircuit, get_compiled
 from ..compiled.sampled import SampledKernel, markov_stream_blocks
 from ..sim.bitsim import DEFAULT_LANES, resolve_dt, resolve_seed, stream_rng
 from ..stochastic.signal import SignalStats
 
-__all__ = ["StatsBackend", "AnalyticBackend", "SampledBackend", "make_backend"]
+__all__ = ["StatsBackend", "AnalyticBackend", "SampledBackend", "ENGINES",
+           "DEFAULT_ENGINE", "STRUCTURE_ENGINE", "KnobError", "engine_kwargs",
+           "refuse_structure", "make_backend"]
 
 
 class StatsBackend:
     """Abstract backend; see the module docstring for the contract."""
 
     name = "abstract"
-    #: Whether ``update`` stays correct across structural edits
-    #: (add/remove/rewire).  The analytic backend re-lowers the circuit
-    #: and reseeds its arrays from the cache's exact map, so it
-    #: qualifies; the sampled backend keeps per-net lane histories
-    #: keyed to the old structure and must refuse, and
-    #: :class:`~repro.incremental.cache.StatsCache` raises a clear
-    #: error before any state can go stale.
+    #: The constructor's keywords besides ``seed``.
+    knobs: Tuple[str, ...] = ()
+    #: Whether the constructor takes ``seed``, the run's seed.
+    seeded = False
+    #: Whether ``update`` stays correct across structural edits: the
+    #: analytic backend re-lowers and reseeds from the cache's map; the
+    #: sampled one's lane histories are keyed to the old structure.
     supports_structure = False
 
     def full(self, circuit: Circuit,
@@ -187,6 +194,8 @@ class SampledBackend(StatsBackend):
     """
 
     name = "sampled"
+    knobs = ("lanes", "steps", "dt")
+    seeded = True
 
     def __init__(self, lanes: int = DEFAULT_LANES, steps: int = 64,
                  dt: Optional[float] = None, seed: Optional[int] = 0):
@@ -257,13 +266,60 @@ class SampledBackend(StatsBackend):
         return {net: report.measured_stats(net) for net in report.ones}
 
 
-def make_backend(backend, **kwargs) -> StatsBackend:
-    """Resolve a backend name (or pass through an instance).
+#: Every (P, D) engine by name, in the order choices and texts list them.
+ENGINES: Dict[str, Type[StatsBackend]] = {
+    cls.name: cls for cls in (AnalyticBackend, SampledBackend)
+}
+#: The paper's engine, used where no engine is named.
+DEFAULT_ENGINE = AnalyticBackend.name
+#: The engine structural edits need.
+STRUCTURE_ENGINE = next(name for name, cls in ENGINES.items()
+                        if cls.supports_structure)
 
-    ``"analytic"`` selects :class:`AnalyticBackend`;
-    ``"sampled"`` selects :class:`SampledBackend` (forwarding
-    ``lanes``/``steps``/``dt``/``seed``).  Every engine built from a
-    name is built here: the caches' (so the search's), and
+
+class KnobError(ValueError):
+    """Knobs given without their engine; the message is a template
+    (``"`lanes` requires `backend=sampled`"``) for ``spec.render``."""
+
+
+def engine_kwargs(engine: str, seed: int, **knobs) -> Dict[str, object]:
+    """The knob rule: engine ``engine``'s constructor arguments.
+
+    A given (not ``None``) knob the engine does not take raises
+    :class:`KnobError` naming the engine that does; a seeded engine
+    gets ``seed``, so one seed drives the whole run.  Names outside the
+    table (``propagate_stats``'s ``"exact"``) take no knobs.
+    """
+    taken = ENGINES.get(engine, StatsBackend)
+    given = {name: value for name, value in knobs.items() if value is not None}
+    foreign = [name for name in given if name not in taken.knobs]
+    if foreign:
+        owner = next(name for name, cls in ENGINES.items()
+                     if foreign[0] in cls.knobs)
+        raise KnobError(", ".join(f"`{name}`" for name in foreign)
+                        + f" requires `backend={owner}`")
+    if taken.seeded:
+        given["seed"] = seed
+    return given
+
+
+def refuse_structure(backend: StatsBackend) -> None:
+    """The structure rule: refuse a structural edit ``backend`` cannot
+    follow, before any of its state goes stale."""
+    if not backend.supports_structure:
+        raise CircuitError(
+            f"the {backend.name!r} backend cannot maintain statistics "
+            f"across structural edits (add-gate/remove-gate/rewire); use "
+            f"the {STRUCTURE_ENGINE} backend"
+        )
+
+
+def make_backend(backend, **kwargs) -> StatsBackend:
+    """Resolve a backend name of :data:`ENGINES` (or pass through an instance).
+
+    ``kwargs`` go to the engine's constructor: its knobs and, for a
+    seeded engine, ``seed``.  Every engine built from a name is built
+    here: the caches' (so the search's), and
     :func:`~repro.stochastic.density.propagate_stats`'s analytic and
     sampled maps, which are ``make_backend(method, **kwargs).full``.
     """
@@ -273,14 +329,13 @@ def make_backend(backend, **kwargs) -> StatsBackend:
                 f"backend arguments {sorted(kwargs)} conflict with an instance"
             )
         return backend
-    if backend == "analytic":
-        if kwargs:
-            raise TypeError(
-                f"the analytic backend takes no arguments: {sorted(kwargs)}"
-            )
-        return AnalyticBackend()
-    if backend == "sampled":
-        return SampledBackend(**kwargs)
-    raise ValueError(
-        f"unknown backend {backend!r}; use 'analytic', 'sampled' or an instance"
-    )
+    engine = ENGINES.get(backend) if isinstance(backend, str) else None
+    if engine is None:
+        names = ", ".join(map(repr, ENGINES))
+        raise ValueError(
+            f"unknown backend {backend!r}; use {names} or an instance"
+        )
+    if kwargs and not (engine.knobs or engine.seeded):
+        raise TypeError(f"the {backend} backend takes no arguments: "
+                        f"{sorted(kwargs)}")
+    return engine(**kwargs)

@@ -55,7 +55,7 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Mapping, Optional, Tuple
 
-from ..circuit.netlist import Circuit, CircuitError, StructureEvent
+from ..circuit.netlist import Circuit, StructureEvent
 from ..compiled.circuit import get_compiled
 from ..compiled.power import CompiledPowerKernel
 from ..core.optimizer import CircuitPowerReport, fold_power
@@ -65,7 +65,7 @@ from ..obs import trace as _trace
 from ..obs.metrics import MetricsRegistry
 from ..stochastic.signal import SignalStats
 from ..timing.sta import DEFAULT_PO_LOAD, timing_context
-from .backends import make_backend
+from .backends import DEFAULT_ENGINE, make_backend, refuse_structure
 
 __all__ = ["StatsCache"]
 
@@ -84,7 +84,7 @@ class StatsCache:
 
     def __init__(self, circuit: Circuit,
                  input_stats: Mapping[str, SignalStats],
-                 backend="analytic",
+                 backend=DEFAULT_ENGINE,
                  model: Optional[GatePowerModel] = None,
                  po_load: float = DEFAULT_PO_LOAD,
                  **backend_kwargs):
@@ -202,12 +202,7 @@ class StatsCache:
         fanin (P, D) the edit moves are power-dirtied by
         :meth:`refresh`.
         """
-        if not getattr(self.backend, "supports_structure", False):
-            raise CircuitError(
-                f"the {self.backend.name!r} backend cannot maintain "
-                f"statistics across structural edits "
-                f"(add-gate/remove-gate/rewire); use the analytic backend"
-            )
+        refuse_structure(self.backend)
         if self._slots is not None:
             self._retired = (self._topo_index, self._slots)
             self._slots = None

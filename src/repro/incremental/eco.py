@@ -52,7 +52,6 @@ from typing import List, Mapping, Optional, Sequence, Union
 from ..circuit.netlist import (
     AddGate,
     Circuit,
-    CircuitError,
     RemoveGate,
     RewireNet,
     SetConfig,
@@ -61,6 +60,7 @@ from ..circuit.netlist import (
     lookup_template,
 )
 from ..stochastic.signal import SignalStats
+from .backends import refuse_structure
 from .cache import StatsCache
 from .timing import TimingCache
 
@@ -165,17 +165,11 @@ class WhatIf:
             old = self.timing.set_input_arrival(edit.net, edit.arrival)
             self._undo.append(InputArrivalEdit(edit.net, old))
         else:
-            if (isinstance(edit, StructuralEdit)
-                    and not getattr(self.cache.backend,
-                                    "supports_structure", False)):
+            if isinstance(edit, StructuralEdit):
                 # Refuse BEFORE the circuit mutates: the cache listener
                 # would raise too, but only after apply_edit changed the
                 # netlist, leaving circuit and cache out of sync.
-                raise CircuitError(
-                    f"cannot trial {script_edit_label(edit)!r}: the "
-                    f"{self.cache.backend.name!r} backend does not support "
-                    f"structural edits (use the analytic backend)"
-                )
+                refuse_structure(self.cache.backend)
             self._undo.append(self.cache.circuit.apply_edit(edit))
 
     def power(self) -> float:

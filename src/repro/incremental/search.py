@@ -105,6 +105,7 @@ from ..robust.checkpoint import (
 from ..sim.bitsim import stream_rng
 from ..stochastic.signal import SignalStats
 from ..timing.sta import DEFAULT_PO_LOAD
+from .backends import DEFAULT_ENGINE, engine_kwargs, refuse_structure
 from .cache import StatsCache
 from .eco import WhatIf, script_edit_label
 from .spec import STRUCTURAL_FAMILIES, Objective, SearchSpec, make_objective
@@ -874,32 +875,23 @@ class _Search:
         return self.timing.delay()
 
     def score_batch(self, moves: Sequence[Move]) -> List[Tuple[float, float, float]]:
-        """Trial every move of one gate in a single rolled-back WhatIf.
+        """Price one gate's candidates, or one structural move.
 
-        All moves target the same gate, so each apply overwrites the
-        previous candidate and the circuit state always equals
-        "baseline plus exactly this candidate" — one retemplate cone
-        re-propagation per candidate instead of an apply/rollback pair
-        (a reorder re-propagates nothing).
-        Returns ``(score, power, delay)`` per move.
-
-        With a pure-power objective the whole batch is priced in one
-        vectorised kernel pass instead
-        (:class:`_BatchPricer`; bit-identical results, no trial
-        applies), falling back to the WhatIf loop for the batches the
-        pricer declines.
-        """
+        Returns ``(score, power, delay)`` per move.  A pure-power
+        objective's same-gate batch is one vectorised kernel pass
+        (:class:`_BatchPricer`: bit-identical, no trial applies); the
+        rest go through :meth:`trial_scores`."""
         tracer = _trace.ACTIVE
         span = (tracer.span("search.score_batch", gate=moves[0].gate,
                             kind=moves[0].kind, moves=len(moves))
                 if tracer is not None else _trace.NULL_SPAN)
         with span:
-            if self._pricer is not None and self._pricer.cc.stale:
-                # A structural trial or accept closed the compiled
-                # lowering the pricer captured; rebuild against the
-                # fresh one before pricing anything through it.
-                self._pricer = _BatchPricer(self)
-            if self._pricer is not None:
+            if self._pricer is not None and not moves[0].structural:
+                if self._pricer.cc.stale:
+                    # A structural trial or accept closed the compiled
+                    # lowering the pricer captured; rebuild against the
+                    # fresh one before pricing anything through it.
+                    self._pricer = _BatchPricer(self)
                 scored = self._pricer.score(moves)
                 if scored is not None:
                     if tracer is not None:
@@ -907,44 +899,28 @@ class _Search:
                     return scored
             if tracer is not None:
                 span.note(route="whatif")
-            scored = []
-            with WhatIf(self.cache) as trial:
-                for move in moves:
-                    trial.apply(move.edit)
-                    power = trial.power()
-                    delay = self.trial_delay()
-                    self.trials += 1
-                    scored.append(
-                        (self.objective.score(power, delay, self.power0,
-                                              self.delay0),
-                         power, delay)
-                    )
-        return scored
+            return self.trial_scores(moves)
 
-    def score_structural(self, move: Move) -> Tuple[float, float, float]:
-        """Price one multi-edit structural move in a rolled-back WhatIf.
-
-        The whole edit sequence applies inside a single trial — the
-        move is one unit, never partially visible — and the rollback
-        unwinds it edit by edit in reverse.  Returns
-        ``(score, power, delay)``.
-        """
-        tracer = _trace.ACTIVE
-        span = (tracer.span("search.score_batch", gate=move.gate,
-                            kind=move.kind, moves=1)
-                if tracer is not None else _trace.NULL_SPAN)
-        with span:
-            if tracer is not None:
-                span.note(route="whatif")
-            with WhatIf(self.cache) as trial:
+    def trial_scores(self, moves: Sequence[Move]
+                     ) -> List[Tuple[float, float, float]]:
+        """One trial per move, each with all its edits, in one rolled-back
+        WhatIf.  Several moves must share one gate, so each apply
+        overwrites the last: the state is always "baseline plus exactly
+        this candidate", one cone per retemplate and none per reorder."""
+        scored = []
+        with WhatIf(self.cache) as trial:
+            for move in moves:
                 for edit in move.edits:
                     trial.apply(edit)
                 power = trial.power()
                 delay = self.trial_delay()
                 self.trials += 1
-            score = self.objective.score(power, delay, self.power0,
-                                         self.delay0)
-        return score, power, delay
+                scored.append(
+                    (self.objective.score(power, delay, self.power0,
+                                          self.delay0),
+                     power, delay)
+                )
+        return scored
 
     # -- acceptance ---------------------------------------------------
     def accept(self, move: Move, temperature: float = 0.0) -> None:
@@ -1156,21 +1132,11 @@ def _anneal(state: _Search, checkpointer: Optional[_Checkpointer] = None,
                                 step=steps)
                     if tracer is not None else _trace.NULL_SPAN)
             with span:
-                with WhatIf(state.cache) as trial:
-                    trial.apply(move.edit)
-                    power = trial.power()
-                    delay = state.trial_delay()
-                    state.trials += 1
-                    score = state.objective.score(power, delay, state.power0,
-                                                  state.delay0)
-                    delta = score - state.score
-                    if delta <= 0.0 or (
-                        temperature > 0.0
-                        and rng.random() < math.exp(-delta / temperature)
-                    ):
-                        accept = True
-                    else:
-                        accept = False
+                score, _, _ = state.trial_scores([move])[0]
+                delta = score - state.score
+                accept = delta <= 0.0 or (
+                    temperature > 0.0
+                    and rng.random() < math.exp(-delta / temperature))
                 if tracer is not None:
                     span.note(accept=accept, delta_score=delta,
                               temperature=temperature)
@@ -1333,7 +1299,7 @@ def _structural(state: _Search) -> int:
                 for move in moves:
                     if state.out_of_budget():
                         break
-                    score, _, _ = state.score_structural(move)
+                    score, _, _ = state.score_batch([move])[0]
                     if score < state.score - _TOL:
                         state.accept(move)
         except KeyboardInterrupt:
@@ -1494,7 +1460,7 @@ def search_circuit(
     searched; the input circuit is never mutated) or a live ``cache``
     (its circuit is searched **in place** and the cache is left open —
     the caller owns it; ``backend``/``model``/``po_load`` and the
-    sampled backend's knobs must then be left at their defaults).
+    backend's knobs must then be left at their defaults).
     Hitting any budget sets ``budget_exhausted`` on the result.
 
     ``restarts``/``jobs`` switch to **portfolio annealing**
@@ -1542,18 +1508,13 @@ def search_circuit(
         if spec.checkpoint_path is not None or spec.resume_path is not None:
             raise TypeError("checkpoint/resume need an owned circuit "
                             "(circuit/input_stats), not a live cache=")
-        if (model is not None or spec.backend != "analytic"
+        if (model is not None or spec.backend != DEFAULT_ENGINE
                 or spec.backend_kwargs() or spec.po_load != DEFAULT_PO_LOAD):
             raise TypeError(
                 "backend/model/po_load arguments conflict with a live cache="
             )
-        if spec.structural and not cache.backend.supports_structure:
-            raise ValueError(
-                f"structural move families need a backend that can maintain "
-                f"statistics across structural edits; the "
-                f"{cache.backend.name!r} backend cannot (use the analytic "
-                f"backend)"
-            )
+        if spec.structural:
+            refuse_structure(cache.backend)
     if spec.restarts is not None:
         return _portfolio(circuit, input_stats, spec, model)
     return _single(circuit, input_stats, spec, cache, model)
@@ -1586,14 +1547,10 @@ def _single(circuit: Optional[Circuit],
                            phase=resume_payload["phase"],
                            accepted=len(resume_accepted),
                            trials=resume_payload["trials"])
-        backend_kwargs = spec.backend_kwargs()
-        if spec.backend == "sampled":
-            # One seed drives the whole search: the annealing RNG and
-            # the backend's per-input sample substreams.
-            backend_kwargs["seed"] = spec.seed
         cache = StatsCache(work, input_stats, backend=spec.backend,
                            model=model, po_load=spec.po_load,
-                           **backend_kwargs)
+                           **engine_kwargs(spec.backend, spec.seed,
+                                           **spec.backend_kwargs()))
 
     start = time.perf_counter()
     # The search's live timing side: shares the stats cache's fanout

@@ -22,7 +22,13 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, Optional, Sequence, Union
 
 from ..timing.sta import DEFAULT_PO_LOAD
-from .backends import StatsBackend
+from .backends import (
+    DEFAULT_ENGINE,
+    ENGINES,
+    STRUCTURE_ENGINE,
+    KnobError,
+    engine_kwargs,
+)
 from .portfolio import DEFAULT_RESTARTS, restart_seed
 
 __all__ = ["STRATEGIES", "SEARCH_OBJECTIVES", "STRUCTURAL_FAMILIES",
@@ -157,9 +163,8 @@ class SearchSpec:
     delay_weight: Optional[float] = _param(
         None, "delay weight for `objective=power-delay` (power gets 1 - w; "
               "default 0.5)", within="objective")
-    backend: Union[str, StatsBackend] = _param(
-        "analytic", "statistics backend; the library also takes a "
-                    "StatsBackend instance", choices=("analytic", "sampled"))
+    backend: str = _param(
+        DEFAULT_ENGINE, "statistics backend", choices=tuple(ENGINES))
     lanes: Optional[int] = _param(
         None, "sample lanes for `backend=sampled`", at_least=1,
         within="backend_kwargs")
@@ -240,16 +245,15 @@ class SearchSpec:
     def __post_init__(self):
         for spec_field in fields(self):
             _check(spec_field, getattr(self, spec_field.name))
-        sampled = [f"`{name}`" for name in self.backend_kwargs()]
-        if sampled and self.backend != "sampled":
-            raise SpecError(f"{', '.join(sampled)} requires `backend=sampled`")
-        backend = self.backend
-        if self.structural and not (backend == "analytic"
-                                    if isinstance(backend, str)
-                                    else backend.supports_structure):
-            raise SpecError("`structural` requires `backend=analytic` "
-                            "(sampled backends cannot maintain statistics "
-                            "across structural edits)")
+        try:
+            engine_kwargs(self.backend, self.seed, **self.backend_kwargs())
+        except KnobError as error:
+            raise SpecError(str(error)) from None
+        if self.structural and not ENGINES[self.backend].supports_structure:
+            raise SpecError(
+                f"`structural` requires `backend={STRUCTURE_ENGINE}` "
+                f"({self.backend} backends cannot maintain statistics "
+                f"across structural edits)")
         # A fixed count, never derived from jobs: changing the worker
         # count never changes the work.
         restarts = (DEFAULT_RESTARTS if self.restarts is None
@@ -275,7 +279,7 @@ class SearchSpec:
             object.__setattr__(self, name, value)
 
     def backend_kwargs(self) -> Dict[str, object]:
-        """The sampled backend's knobs that were given."""
+        """The backend knobs that were given."""
         return {f.name: getattr(self, f.name) for f in fields(self)
                 if f.metadata.get("within") == "backend_kwargs"
                 and getattr(self, f.name) is not None}
@@ -284,18 +288,16 @@ class SearchSpec:
         """The result-affecting fields, for a checkpoint to match.
 
         The objective enters as ``[name, power_weight, delay_weight]``,
-        the backend by name and the sampled knobs under
-        ``backend_kwargs``.
+        the backend by name and its knobs under ``backend_kwargs``.
         """
         params: Dict[str, object] = {
             f.name: getattr(self, f.name) for f in fields(self)
             if f.metadata.get("result", True) and "within" not in f.metadata
         }
-        objective, backend = self.objective, self.backend
+        objective = self.objective
         params.update(
             objective=[objective.name, objective.power_weight,
                        objective.delay_weight],
-            backend=backend if isinstance(backend, str) else backend.name,
             structural=list(self.structural),
             backend_kwargs=self.backend_kwargs(),
         )
@@ -325,8 +327,6 @@ def _check(spec_field, value) -> None:
             raise SpecError(f"unknown `{name}` names {unknown}; "
                             f"choose from {choices}")
     elif choices is not None:
-        if isinstance(value, StatsBackend):
-            return
         if not isinstance(value, str) or value not in choices:
             raise SpecError(f"unknown `{name}` {value!r}; "
                             f"choose from {choices}")

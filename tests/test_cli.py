@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import build_parser, main
+from repro.incremental.backends import ENGINES
 
 
 def run_cli(*argv):
@@ -17,6 +18,9 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_usage_names_the_installed_script(self):
+        assert build_parser().format_usage().startswith("usage: repro ")
 
     def test_table3_defaults(self):
         args = build_parser().parse_args(["table3"])
@@ -141,7 +145,8 @@ class TestCommands:
         blif.write_text(
             ".model g\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.end\n"
         )
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit,
+                           match="^--lanes requires --stats sampled$"):
             run_cli("optimize", str(blif), "--lanes", "64")
 
     def test_optimize_saves_netlists(self, tmp_path):
@@ -382,8 +387,18 @@ class TestEco:
 
     def test_eco_lanes_requires_sampled(self, tmp_path):
         blif, script = self.write_inputs(tmp_path, [])
-        with pytest.raises(SystemExit):
-            run_cli("eco", blif, script, "--lanes", "64")
+        refusal = "^--lanes, --steps requires --backend sampled$"
+        with pytest.raises(SystemExit, match=refusal):
+            run_cli("eco", blif, script, "--lanes", "64", "--steps", "8")
+
+    @pytest.mark.parametrize("backend", list(ENGINES))
+    def test_eco_takes_every_engine(self, tmp_path, backend):
+        blif, script = self.write_inputs(tmp_path, [
+            {"op": "reorder", "gate": "g1", "config": 0},
+        ])
+        code, text = run_cli("eco", blif, script, "--backend", backend)
+        assert code == 0
+        assert f"backend={backend}" in text
 
 
 class TestInputErrors:
@@ -555,7 +570,8 @@ class TestSearchCommand:
 
     def test_search_lanes_requires_sampled(self, tmp_path):
         blif = self.write_blif(tmp_path)
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit,
+                           match="^--lanes requires --backend sampled$"):
             run_cli("search", blif, "--lanes", "64")
 
     def test_search_delay_weight_validation(self, tmp_path):

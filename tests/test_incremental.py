@@ -17,9 +17,11 @@ from repro.incremental import (
     WhatIf,
     make_backend,
 )
+from repro.incremental.backends import ENGINES, KnobError, engine_kwargs
 from repro.incremental.eco import InputStatsEdit, resolve_edit, script_edit_label
+from repro.incremental.spec import SearchSpec
 from repro.sim.stimulus import ScenarioA
-from repro.stochastic.density import local_stats
+from repro.stochastic.density import local_stats, propagate_stats
 from repro.stochastic.signal import SignalStats
 from repro.synth.mapper import map_circuit
 
@@ -381,6 +383,38 @@ class TestMakeBackend:
             make_backend("local")
         with pytest.raises(TypeError):
             make_backend("analytic", lanes=8)
+
+
+class TestEngineTable:
+    """Every entry point reads its engine names from one table."""
+
+    @pytest.mark.parametrize("name", list(ENGINES))
+    def test_every_entry_point_takes_every_engine(self, adder, name):
+        circuit, stats = adder
+        kwargs = engine_kwargs(name, 3)
+        backend = make_backend(name, **kwargs)
+        assert type(backend) is ENGINES[name] and backend.name == name
+        cache = StatsCache(circuit, stats, backend=name, **kwargs)
+        assert cache.backend.name == name
+        assert propagate_stats(circuit, stats, name, **kwargs) == cache.stats()
+        cache.close()
+        assert SearchSpec(backend=name).fingerprint()["backend"] == name
+
+    def test_knob_rule(self):
+        assert engine_kwargs("analytic", 5) == {}
+        assert engine_kwargs("sampled", 5, lanes=8, steps=None) == \
+            {"lanes": 8, "seed": 5}
+        assert engine_kwargs("exact", 5) == {}  # outside the table
+        for engine in ("analytic", "exact"):
+            with pytest.raises(KnobError) as info:
+                engine_kwargs(engine, 5, lanes=8, steps=None, dt=1e-10)
+            assert str(info.value) == \
+                "`lanes`, `dt` requires `backend=sampled`"
+
+    def test_structure_support_is_declared(self):
+        assert {name: cls.supports_structure
+                for name, cls in ENGINES.items()} == \
+            {"analytic": True, "sampled": False}
 
 
 # ----------------------------------------------------------------------

@@ -207,6 +207,13 @@ def test_rejected_before_any_cache_is_built(adder, no_cache_builds, params,
         search_circuit(circuit, stats, **params)
 
 
+def test_backend_takes_engine_names_only():
+    from repro.incremental import SampledBackend
+
+    with pytest.raises(SpecError, match="unknown backend"):
+        SearchSpec(backend=SampledBackend(lanes=8))
+
+
 def test_errors_render_as_flags_on_the_cli():
     with pytest.raises(SpecError) as info:
         SearchSpec(strategy="greedy", jobs=2)

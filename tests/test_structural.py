@@ -310,6 +310,28 @@ class TestWhatIfStructural:
         assert "g" not in c  # refused before touching the netlist
         cache.close()
 
+    def test_sampled_structure_refusals_share_one_text(self):
+        c = fanout_circuit()
+        cache = StatsCache(c, FANOUT_STATS, backend="sampled",
+                           lanes=16, steps=4, seed=1)
+        edit = AddGate("g", "inv", (("a", "a"),), "g_n")
+
+        def refusal(action):
+            with pytest.raises(CircuitError,
+                               match="sampled.*structural") as info:
+                action()
+            return str(info.value)
+
+        with WhatIf(cache) as trial:
+            texts = {refusal(lambda: trial.apply(edit))}
+        texts.add(refusal(lambda: search_circuit(cache=cache,
+                                                 structural=["sweep"])))
+        # Last: the bare edit reaches the netlist before its listener
+        # refuses it.
+        texts.add(refusal(lambda: c.apply_edit(edit)))
+        cache.close()
+        assert len(texts) == 1
+
 
 # ----------------------------------------------------------------------
 # Property: interleaved edits keep both caches bit-identical to scratch
