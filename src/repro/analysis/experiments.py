@@ -272,12 +272,12 @@ def run_eco(circuit: Circuit,
     and delay by a :class:`repro.incremental.TimingCache` sharing its
     fanout index: every edit costs cone-sized work, which the ``cone``
     and ``retimed`` columns record, and each delay is bit-identical to
-    a from-scratch STA of the edited netlist.
+    a from-scratch STA of the edited netlist.  An edit the engine
+    cannot follow is refused before the circuit changes.
     """
     from ..incremental import StatsCache, TimingCache
     from ..incremental.eco import (
-        InputArrivalEdit,
-        InputStatsEdit,
+        apply_eco_edit,
         resolve_edit,
         script_edit_label,
     )
@@ -300,12 +300,7 @@ def run_eco(circuit: Circuit,
                                 label=script_edit_label(edit))
                     if tracer is not None else _trace.NULL_SPAN)
             with span:
-                if isinstance(edit, InputStatsEdit):
-                    cache.set_input_stats(edit.net, edit.stats)
-                elif isinstance(edit, InputArrivalEdit):
-                    tcache.set_input_arrival(edit.net, edit.arrival)
-                else:
-                    circuit.apply_edit(edit)
+                apply_eco_edit(cache, tcache, edit)
                 power_after = cache.total_power()  # refreshes the dirty cone
                 delay_after = tcache.delay()  # refreshes the timing cone
                 retimed = tcache.gates_retimed - retimed_before

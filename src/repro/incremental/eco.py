@@ -1,4 +1,5 @@
-"""What-if trials and the scripted ECO edit vocabulary.
+"""The ECO edit path: what-if trials, the one apply rule, and the
+scripted edit vocabulary in both directions.
 
 :class:`WhatIf` wraps a :class:`~repro.incremental.cache.StatsCache`:
 edits applied through it are trial edits — read the delta power, then
@@ -7,8 +8,13 @@ back.  Rollback replays the recorded inverse edits in reverse order
 through the same dirty-cone machinery, so the cache lands back on
 bit-identical statistics and power (cone-sized work both ways).
 
-The module also defines the JSON edit-script vocabulary of the
-``repro eco`` CLI subcommand::
+:func:`apply_eco_edit` is the one place an edit meets the caches;
+trial apply, rollback and the ``repro eco`` replay all call it.
+
+The module also reads (:func:`resolve_edit`) and writes
+(:func:`edit_entry`) the JSON edit-script vocabulary of the
+``repro eco`` CLI subcommand, in which search artifacts and
+checkpoints record their moves::
 
     [{"op": "reorder",       "gate": "g3", "config": 2},
      {"op": "retemplate",    "gate": "g7", "template": "nor2", "config": 0},
@@ -23,8 +29,9 @@ The module also defines the JSON edit-script vocabulary of the
 :meth:`~repro.gates.library.GateTemplate.configurations` enumeration
 (-1 = the template default); on ``"retemplate"`` and ``"add-gate"`` it
 is optional (omitted = the template default).  Unknown keys in an
-entry are rejected, not ignored — a typo must not silently change what
-a script replays.  ``"input-arrival"`` is timing-side only: statistics
+entry are rejected, not ignored, and values are type-checked — a typo,
+a ``"config": 2.5`` or a ``null`` quantity must not silently change
+what a script replays.  ``"input-arrival"`` is timing-side only: statistics
 never see arrival times, so only the timing cache that ``repro eco``
 keeps next to the statistics cache reacts to it.
 
@@ -39,15 +46,16 @@ rewired pin's old and new net) go power- and timing-dirty.  Structural
 edits rebuild the circuit's memoised fanout index / topological order,
 and both caches re-read them; only backends with
 ``supports_structure`` (the analytic backend) accept them, and
-:meth:`WhatIf.apply` refuses up front for the rest (the sampled
+:func:`apply_eco_edit` refuses up front for the rest (the sampled
 backend keeps per-net lane histories keyed to the old structure),
 before anything mutates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from ..circuit.netlist import (
     AddGate,
@@ -69,6 +77,8 @@ __all__ = [
     "InputArrivalEdit",
     "EcoEdit",
     "WhatIf",
+    "apply_eco_edit",
+    "edit_entry",
     "resolve_edit",
     "resolve_edit_script",
     "script_edit_label",
@@ -99,6 +109,29 @@ class InputArrivalEdit:
 #: Everything :meth:`WhatIf.apply` and the eco CLI accept.
 EcoEdit = Union[SetConfig, SetTemplate, AddGate, RemoveGate, RewireNet,
                 InputStatsEdit, InputArrivalEdit]
+
+
+def apply_eco_edit(cache: StatsCache, timing: Optional[TimingCache],
+                   edit: EcoEdit) -> EcoEdit:
+    """Apply one edit to ``cache``'s circuit and caches; return its inverse.
+
+    A structural edit on an engine that cannot follow it is refused
+    BEFORE the circuit mutates: the cache listener would raise too, but
+    only after the netlist changed, leaving circuit and cache out of sync.
+    """
+    if isinstance(edit, InputStatsEdit):
+        return InputStatsEdit(edit.net,
+                              cache.set_input_stats(edit.net, edit.stats))
+    if isinstance(edit, InputArrivalEdit):
+        if timing is None:
+            raise TypeError(
+                "InputArrivalEdit needs a WhatIf constructed with timing="
+            )
+        return InputArrivalEdit(
+            edit.net, timing.set_input_arrival(edit.net, edit.arrival))
+    if isinstance(edit, StructuralEdit):
+        refuse_structure(cache.backend)
+    return cache.circuit.apply_edit(edit)
 
 
 class WhatIf:
@@ -154,23 +187,7 @@ class WhatIf:
     # ------------------------------------------------------------------
     def apply(self, edit: EcoEdit) -> None:
         """Apply one edit, recording its inverse for rollback."""
-        if isinstance(edit, InputStatsEdit):
-            old = self.cache.set_input_stats(edit.net, edit.stats)
-            self._undo.append(InputStatsEdit(edit.net, old))
-        elif isinstance(edit, InputArrivalEdit):
-            if self.timing is None:
-                raise TypeError(
-                    "InputArrivalEdit needs a WhatIf constructed with timing="
-                )
-            old = self.timing.set_input_arrival(edit.net, edit.arrival)
-            self._undo.append(InputArrivalEdit(edit.net, old))
-        else:
-            if isinstance(edit, StructuralEdit):
-                # Refuse BEFORE the circuit mutates: the cache listener
-                # would raise too, but only after apply_edit changed the
-                # netlist, leaving circuit and cache out of sync.
-                refuse_structure(self.cache.backend)
-            self._undo.append(self.cache.circuit.apply_edit(edit))
+        self._undo.append(apply_eco_edit(self.cache, self.timing, edit))
 
     def power(self) -> float:
         """Current total modelled power (incrementally recomputed)."""
@@ -197,13 +214,7 @@ class WhatIf:
     def rollback(self) -> None:
         """Undo all applied edits now (most recent first)."""
         while self._undo:
-            edit = self._undo.pop()
-            if isinstance(edit, InputStatsEdit):
-                self.cache.set_input_stats(edit.net, edit.stats)
-            elif isinstance(edit, InputArrivalEdit):
-                self.timing.set_input_arrival(edit.net, edit.arrival)
-            else:
-                self.cache.circuit.apply_edit(edit)
+            apply_eco_edit(self.cache, self.timing, self._undo.pop())
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "WhatIf":
@@ -267,7 +278,6 @@ _ENTRY_KEYS = {
 
 def _config_from_index(template, index, label):
     """``template.configurations()[index]`` with -1 = default (None)."""
-    index = int(index)
     if index == -1:
         return None
     configurations = template.configurations()
@@ -279,8 +289,30 @@ def _config_from_index(template, index, label):
     return configurations[index]
 
 
-#: Entry fields that name a gate, net, cell or pin: JSON strings only.
-_NAME_KEYS = ("gate", "net", "template", "pin", "output")
+def _is_number(value) -> bool:
+    """A finite JSON number (``true``/``false`` are not numbers)."""
+    try:
+        return (isinstance(value, (int, float))
+                and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+#: The JSON type each entry field must carry, as (description, check):
+#: names are strings, quantities finite numbers, ``config`` an integer
+#: (``2.5`` or ``true`` must not replay as a truncated index).
+_FIELD_TYPES = {
+    **dict.fromkeys(("gate", "net", "template", "pin", "output"),
+                    ("a string", lambda value: isinstance(value, str))),
+    **dict.fromkeys(("probability", "density", "arrival"),
+                    ("a finite number", _is_number)),
+    "config": ("an integer", lambda value: isinstance(value, int)
+               and not isinstance(value, bool)),
+    "pins": ("an object mapping pin names to net names",
+             lambda value: isinstance(value, Mapping) and all(
+                 isinstance(pin, str) and isinstance(net, str)
+                 for pin, net in value.items())),
+}
 
 
 def _check_entry(circuit: Circuit, entry, where: str) -> None:
@@ -288,7 +320,7 @@ def _check_entry(circuit: Circuit, entry, where: str) -> None:
     if not isinstance(entry, Mapping):
         raise ValueError(f"{where}: expected a JSON object, got {entry!r}")
     op = entry.get("op")
-    allowed = _ENTRY_KEYS.get(op)
+    allowed = _ENTRY_KEYS.get(op) if isinstance(op, str) else None
     if allowed is None:
         raise ValueError(
             f"{where}: unknown edit op {op!r}; use one of "
@@ -305,10 +337,10 @@ def _check_entry(circuit: Circuit, entry, where: str) -> None:
     missing = sorted(required - set(entry))
     if missing:
         raise ValueError(f"{where}: {op} entry is missing keys {missing}")
-    for key in _NAME_KEYS:
-        if key in entry and not isinstance(entry[key], str):
+    for key, (kind, valid) in _FIELD_TYPES.items():
+        if key in entry and not valid(entry[key]):
             raise ValueError(
-                f"{where}: {op} entry field {key!r} must be a string, "
+                f"{where}: {op} entry field {key!r} must be {kind}, "
                 f"got {entry[key]!r}"
             )
     if "gate" in entry and op != "add-gate" and entry["gate"] not in circuit:
@@ -323,7 +355,7 @@ def resolve_edit(circuit: Circuit, entry: Mapping,
     """Turn one JSON script entry into an :data:`EcoEdit`.
 
     Malformed entries — not a JSON object, an unknown op, unknown or
-    missing keys, a non-string name field, an unknown gate, an
+    missing keys, a field of the wrong JSON type, an unknown gate, an
     ``input-*`` net that is not a primary input — raise
     :class:`ValueError` naming the entry (``index``, its position in
     the script, when given) before anything is resolved.
@@ -343,13 +375,10 @@ def resolve_edit(circuit: Circuit, entry: Mapping,
     if op == "retemplate":
         gate = circuit.gate(entry["gate"])
         template = lookup_template(circuit.library, entry["template"])
-        config = None
-        if "config" in entry:
-            config = _config_from_index(
-                template, entry["config"],
-                f"gate {gate.name} (-> {template.name})",
-            )
-        return SetTemplate(gate.name, template.name, config)
+        return SetTemplate(gate.name, template.name, _config_from_index(
+            template, entry.get("config", -1),
+            f"gate {gate.name} (-> {template.name})",
+        ))
     if op == "input-stats":
         return InputStatsEdit(
             entry["net"],
@@ -366,21 +395,57 @@ def resolve_edit(circuit: Circuit, entry: Mapping,
                 f"match template {template.name!r} pins "
                 f"{sorted(template.pins)}"
             )
-        config = None
-        if "config" in entry:
-            config = _config_from_index(
-                template, entry["config"],
-                f"add-gate {entry['gate']} ({template.name})",
-            )
         return AddGate(
             entry["gate"], template.name,
-            tuple((pin, str(pins[pin])) for pin in template.pins),
-            entry["output"], config,
+            tuple((pin, pins[pin]) for pin in template.pins),
+            entry["output"],
+            _config_from_index(template, entry.get("config", -1),
+                               f"add-gate {entry['gate']} ({template.name})"),
         )
     if op == "remove-gate":
         return RemoveGate(entry["gate"])
     # op == "rewire"
     return RewireNet(entry["gate"], entry["pin"], entry["net"])
+
+
+def edit_entry(circuit: Circuit, edit: EcoEdit) -> Dict[str, object]:
+    """One circuit edit as a script entry (:func:`resolve_edit`'s inverse).
+
+    ``circuit`` is the state the edit applies to.  A default ``reorder``
+    writes ``"config": -1``; a default ``retemplate`` or ``add-gate``
+    leaves ``"config"`` out.
+    """
+    if isinstance(edit, RemoveGate):
+        return {"op": "remove-gate", "gate": edit.gate}
+    if isinstance(edit, RewireNet):
+        return {"op": "rewire", "gate": edit.gate, "pin": edit.pin,
+                "net": edit.net}
+    if isinstance(edit, SetConfig):
+        entry: Dict[str, object] = {"op": "reorder", "gate": edit.gate,
+                                    "config": -1}
+    elif isinstance(edit, SetTemplate):
+        entry = {"op": "retemplate", "gate": edit.gate,
+                 "template": edit.template}
+    elif isinstance(edit, AddGate):
+        entry = {"op": "add-gate", "gate": edit.gate,
+                 "template": edit.template, "pins": dict(edit.pin_nets),
+                 "output": edit.output}
+    else:
+        raise TypeError(f"not a circuit edit: {edit!r}")
+    if edit.config is not None:
+        # A configuration of another template has no script form (and
+        # Circuit.apply_edit would refuse it), and the error says so.
+        template = (circuit.gate(edit.gate).template
+                    if isinstance(edit, SetConfig)
+                    else lookup_template(circuit.library, edit.template))
+        entry["config"] = template.config_index(edit.config)
+        if entry["config"] is None:
+            raise ValueError(
+                f"gate {edit.gate}: accepted configuration is not in "
+                f"template {template.name!r}'s enumeration and cannot be "
+                f"scripted"
+            )
+    return entry
 
 
 def resolve_edit_script(circuit: Circuit,

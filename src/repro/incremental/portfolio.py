@@ -73,13 +73,6 @@ def restart_seed(seed: int, index: int) -> int:
 # ----------------------------------------------------------------------
 # Picklable circuit round-trip
 # ----------------------------------------------------------------------
-def _config_index(gate) -> Optional[int]:
-    """Position of the gate's configuration in the template enumeration."""
-    if gate.config is None:
-        return None
-    return gate.template.config_index(gate.config)
-
-
 def circuit_spec(circuit: Circuit) -> Dict[str, object]:
     """A plain-data description a worker can rebuild the circuit from.
 
@@ -103,7 +96,8 @@ def circuit_spec(circuit: Circuit) -> Dict[str, object]:
                 gate.template.name,
                 [(pin, gate.pin_nets[pin]) for pin in gate.template.pins],
                 gate.output,
-                _config_index(gate),
+                None if gate.config is None
+                else gate.template.config_index(gate.config),
             )
             for gate in circuit.gates
         ],

@@ -88,7 +88,6 @@ from ..circuit.netlist import (
     RewireNet,
     SetConfig,
     SetTemplate,
-    lookup_template,
 )
 from ..compiled.circuit import stats_class
 from ..compiled.power import power_class, stacked_class
@@ -107,7 +106,7 @@ from ..stochastic.signal import SignalStats
 from ..timing.sta import DEFAULT_PO_LOAD
 from .backends import DEFAULT_ENGINE, engine_kwargs, refuse_structure
 from .cache import StatsCache
-from .eco import WhatIf, script_edit_label
+from .eco import WhatIf, edit_entry, resolve_edit, script_edit_label
 from .spec import STRUCTURAL_FAMILIES, Objective, SearchSpec, make_objective
 from .timing import TimingCache
 
@@ -141,51 +140,11 @@ _TOL = 1e-12
 # ----------------------------------------------------------------------
 # Move enumeration
 # ----------------------------------------------------------------------
-def _config_index(template, config, gate_name: str) -> int:
-    """Position of ``config`` in the template's enumeration.
-
-    A :class:`Move` can be built around a configuration of another
-    template; such a configuration has no script form (and
-    :meth:`Circuit.apply_edit` would refuse it), and the error says so.
-    """
-    index = template.config_index(config)
-    if index is None:
-        raise ValueError(
-            f"gate {gate_name}: accepted configuration is not in template "
-            f"{template.name!r}'s enumeration and cannot be scripted"
-        )
-    return index
-
-
-def _structural_entry(circuit: Circuit,
-                      edit: Union[AddGate, RemoveGate, RewireNet]
-                      ) -> Dict[str, object]:
-    """One structural edit in the ``repro eco`` JSON vocabulary."""
-    if isinstance(edit, AddGate):
-        entry: Dict[str, object] = {
-            "op": "add-gate",
-            "gate": edit.gate,
-            "template": edit.template,
-            "pins": dict(edit.pin_nets),
-            "output": edit.output,
-        }
-        if edit.config is not None:
-            template = lookup_template(circuit.library, edit.template)
-            entry["config"] = _config_index(template, edit.config, edit.gate)
-        return entry
-    if isinstance(edit, RemoveGate):
-        return {"op": "remove-gate", "gate": edit.gate}
-    if isinstance(edit, RewireNet):
-        return {"op": "rewire", "gate": edit.gate, "pin": edit.pin,
-                "net": edit.net}
-    raise TypeError(f"not a structural edit: {edit!r}")
-
-
 @dataclass(frozen=True)
 class Move:
     """One candidate local transformation of one gate.
 
-    Legacy moves (``reorder``/``retemplate``) carry a single edit; the
+    ``reorder`` and ``retemplate`` moves carry a single edit; the
     structural families (``buffer``/``dup``/``sweep``) carry a tuple of
     structural edits applied as one unit — ``gate`` then names the
     structural anchor (the driver being shielded, the gate duplicated
@@ -203,33 +162,20 @@ class Move:
 
     @property
     def edits(self) -> Tuple[object, ...]:
-        """The move's edit sequence (a 1-tuple for legacy moves)."""
+        """The move's edit sequence (a 1-tuple for a single-edit move)."""
         return self.edit if isinstance(self.edit, tuple) else (self.edit,)
 
     def script_entry(self, circuit: Circuit
                      ) -> Union[Dict[str, object], List[Dict[str, object]]]:
         """The ``repro eco`` JSON vocabulary form of this move.
 
-        Legacy single-edit moves return one entry dict; structural
-        moves return the list of entries their edit sequence replays
-        as (flattened into scripts by :meth:`SearchResult.eco_script`).
+        A single-edit move returns one entry dict; a structural move
+        returns the list of entries its edit sequence replays as
+        (flattened into scripts by :attr:`AcceptedMove.entries`).
         """
         if isinstance(self.edit, tuple):
-            return [_structural_entry(circuit, edit) for edit in self.edit]
-        if isinstance(self.edit, SetConfig):
-            if self.edit.config is None:
-                index = -1
-            else:
-                template = circuit.gate(self.gate).template
-                index = _config_index(template, self.edit.config, self.gate)
-            return {"op": "reorder", "gate": self.gate, "config": index}
-        entry = {"op": "retemplate", "gate": self.gate,
-                 "template": self.edit.template}
-        if self.edit.config is not None:
-            template = lookup_template(circuit.library, self.edit.template)
-            entry["config"] = _config_index(template, self.edit.config,
-                                            self.gate)
-        return entry
+            return [edit_entry(circuit, edit) for edit in self.edit]
+        return edit_entry(circuit, self.edit)
 
 
 def swap_groups(circuit: Circuit) -> Dict[Tuple[str, ...], List[str]]:
@@ -313,6 +259,12 @@ class AcceptedMove:
     incremental-timing mirror of ``cone``; covers everything retimed
     since the previous accepted move's reading)."""
 
+    @property
+    def entries(self) -> List[Dict[str, object]]:
+        """The move's script entries, edit by edit: the one place a
+        structural move's list-valued ``entry`` is flattened."""
+        return self.entry if isinstance(self.entry, list) else [self.entry]
+
 
 @dataclass
 class SearchResult:
@@ -385,16 +337,12 @@ class SearchResult:
         """The accepted moves as a replayable ``repro eco`` JSON script.
 
         Structural moves carry list-valued entries (one edit sequence);
-        they flatten here, so the script replays edit by edit in the
-        exact order the search committed them.
+        they flatten (:attr:`AcceptedMove.entries`), so the script
+        replays edit by edit in the exact order the search committed
+        them.
         """
-        script: List[Dict[str, object]] = []
-        for move in self.accepted:
-            if isinstance(move.entry, list):
-                script.extend(dict(entry) for entry in move.entry)
-            else:
-                script.append(dict(move.entry))
-        return script
+        return [dict(entry) for move in self.accepted
+                for entry in move.entries]
 
     def to_artifact(self, meta: Optional[Mapping[str, object]] = None
                     ) -> Dict[str, object]:
@@ -727,11 +675,8 @@ def _open_checkpoints(circuit: Circuit,
 
 def _replay(circuit: Circuit, moves: Sequence[AcceptedMove]) -> None:
     """Re-apply accepted moves, edit by edit, through their script form."""
-    from .eco import resolve_edit
-
     for move in moves:
-        entries = move.entry if isinstance(move.entry, list) else [move.entry]
-        for entry in entries:
+        for entry in move.entries:
             circuit.apply_edit(resolve_edit(circuit, entry))
 
 

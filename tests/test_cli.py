@@ -315,6 +315,22 @@ class TestEco:
         (["x"], "script entry 0: expected a JSON object"),
         ([{"op": "reorder", "gate": 5, "config": 0}],
          "script entry 0: reorder entry field 'gate' must be a string"),
+        # Values of the wrong JSON type: no silent truncation to an
+        # index, and no TypeError traceback from deep inside.
+        ([{"op": "reorder", "gate": "g0", "config": 2.5}],
+         "script entry 0: reorder entry field 'config' must be an integer"),
+        ([{"op": "reorder", "gate": "g0", "config": True}],
+         "script entry 0: reorder entry field 'config' must be an integer"),
+        ([{"op": "input-stats", "net": "a", "probability": None,
+           "density": 1.0e5}],
+         "script entry 0: input-stats entry field 'probability' must be a "
+         "finite number"),
+        ([{"op": "add-gate", "gate": "b0", "template": "inv", "pins": ["a"],
+           "output": "b0_n"}],
+         "script entry 0: add-gate entry field 'pins' must be an object"),
+        ([{"op": "input-arrival", "net": "a", "arrival": [1]}],
+         "script entry 0: input-arrival entry field 'arrival' must be a "
+         "finite number"),
     ])
     def test_eco_malformed_entry_is_a_one_line_error(self, tmp_path, script,
                                                      message):

@@ -13,13 +13,16 @@ parity).
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.experiments import run_eco
 from repro.bench.runner import dumps_artifact, strip_timing
 from repro.bench.suite import get_case
+from repro.circuit.blif import load_blif
 from repro.circuit.netlist import (
     AddGate,
     Circuit,
@@ -33,7 +36,12 @@ from repro.core.optimizer import circuit_power
 from repro.gates.capacitance import TechParams
 from repro.gates.library import default_library
 from repro.incremental.cache import StatsCache
-from repro.incremental.eco import WhatIf, resolve_edit, resolve_edit_script
+from repro.incremental.eco import (
+    WhatIf,
+    edit_entry,
+    resolve_edit,
+    resolve_edit_script,
+)
 from repro.incremental.search import Move, search_circuit
 from repro.incremental.timing import TimingCache
 from repro.obs import trace
@@ -207,6 +215,7 @@ class TestEditVocabulary:
          "field 'template' must be a string"),
         ({"op": "reorder", "gate": "src"}, r"missing keys \['config'\]"),
         ({"op": "remove-gate", "gate": "nope"}, "unknown gate 'nope'"),
+        ({"op": ["reorder"]}, r"unknown edit op \['reorder'\]"),
     ])
     def test_malformed_entries_name_their_index(self, entry, message):
         c = fanout_circuit()
@@ -239,6 +248,30 @@ class TestEditVocabulary:
         assert isinstance(entries, list) and len(entries) == 3
         json.dumps(entries)
         assert tuple(resolve_edit(c, e) for e in entries) == edits
+
+    @pytest.mark.parametrize("given", [True, False])
+    def test_edit_entry_inverts_resolve_edit(self, given):
+        c = fanout_circuit()
+        templates = [c.library[name] for name in ("nand2", "nor2", "inv")]
+        configs = [t.configurations()[-1] if given else None
+                   for t in templates]
+        edits = [
+            SetConfig("src", configs[0]),
+            SetTemplate("src", "nor2", configs[1]),
+            AddGate("b0", "inv", (("a", "x"),), "x_buf", configs[2]),
+            RemoveGate("d2"),
+            RewireNet("s0", "a", "c"),
+        ]
+        entries = [edit_entry(c, edit) for edit in edits]
+        json.dumps(entries)
+        assert [resolve_edit(c, entry) for entry in entries] == edits
+        if given:
+            assert [entry["config"] for entry in entries[:3]] == [
+                len(t.configurations()) - 1 for t in templates]
+        else:
+            # A default reorder writes -1; retemplate and add-gate omit it.
+            assert entries[0]["config"] == -1
+            assert all("config" not in entry for entry in entries[1:3])
 
     def test_unenumerated_config_reports_gate_and_template(self):
         c = fanout_circuit()
@@ -331,6 +364,18 @@ class TestWhatIfStructural:
         texts.add(refusal(lambda: c.apply_edit(edit)))
         cache.close()
         assert len(texts) == 1
+
+    def test_run_eco_refuses_structure_before_mutating(self):
+        blif = Path(__file__).parent / "data" / "ci_fa.blif"
+        c = map_circuit(load_blif(str(blif)))
+        gates = len(c.gates)
+        stats = {net: SignalStats(0.5, 1.0e5) for net in c.inputs}
+        script = [{"op": "add-gate", "gate": "b0", "template": "inv",
+                   "pins": {"a": c.inputs[0]}, "output": "b0_n"}]
+        with pytest.raises(CircuitError, match="sampled.*structural"):
+            run_eco(c, stats, script, backend="sampled", lanes=64)
+        assert len(c.gates) == gates
+        assert "b0" not in c
 
 
 # ----------------------------------------------------------------------
