@@ -4,10 +4,12 @@ The third engine-level subsystem (after the analytic propagation in
 :mod:`repro.stochastic` and the bit-parallel sampler in
 :mod:`repro.sim.bitsim`): instead of recomputing a whole circuit after
 every change, a :class:`StatsCache` watches a :class:`~repro.circuit.netlist.Circuit`
-for ECO edits, marks exactly the edited gates' transitive fanout cones
-dirty, and re-propagates only those gates — through a pluggable
-backend (analytic or sampled) whose incremental results are
-bit-identical to a from-scratch run.
+for ECO edits and re-propagates only the gates an edit can change —
+through a pluggable backend (analytic or sampled) whose incremental
+results are bit-identical to a from-scratch run.  A retemplate or a
+structural edit dirties the edited gates' transitive fanout cones; a
+reordering keeps the gate's function, so it dirties no statistics and
+reprices its own gate alone.
 
 :class:`TimingCache` is the delay-side twin: it maintains per-net
 arrival times (and lazily required times, slacks and the critical

@@ -356,12 +356,12 @@ def resolve_edit(circuit: Circuit, entry: Mapping,
 
     Malformed entries — not a JSON object, an unknown op, unknown or
     missing keys, a field of the wrong JSON type, an unknown gate, an
-    ``input-*`` net that is not a primary input — raise
-    :class:`ValueError` naming the entry (``index``, its position in
-    the script, when given) before anything is resolved.
+    ``input-*`` net that is not a primary input, input statistics out
+    of range — raise :class:`ValueError` naming the entry (``index``,
+    its position in the script, when given).
     """
-    _check_entry(circuit, entry,
-                 "script entry" if index is None else f"script entry {index}")
+    where = "script entry" if index is None else f"script entry {index}"
+    _check_entry(circuit, entry, where)
     op = entry["op"]
     if op == "reorder":
         gate = circuit.gate(entry["gate"])
@@ -380,10 +380,12 @@ def resolve_edit(circuit: Circuit, entry: Mapping,
             f"gate {gate.name} (-> {template.name})",
         ))
     if op == "input-stats":
-        return InputStatsEdit(
-            entry["net"],
-            SignalStats(float(entry["probability"]), float(entry["density"])),
-        )
+        try:
+            stats = SignalStats(float(entry["probability"]),
+                                float(entry["density"]))
+        except ValueError as error:  # out of range, e.g. probability 1.5
+            raise ValueError(f"{where}: {error}") from None
+        return InputStatsEdit(entry["net"], stats)
     if op == "input-arrival":
         return InputArrivalEdit(entry["net"], float(entry["arrival"]))
     if op == "add-gate":

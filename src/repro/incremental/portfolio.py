@@ -171,8 +171,7 @@ def _run_restart_body(payload: Mapping[str, object]) -> Dict[str, object]:
         net: SignalStats(probability, density)
         for net, probability, density in payload["input_stats"]
     }
-    result = _single(circuit, input_stats, payload["search"],
-                     model=payload["model"])
+    result = _single(circuit, input_stats, payload["search"])
     score = result.objective.score(result.power_after, result.delay_after,
                                    result.power_before, result.delay_before)
     return {
@@ -219,7 +218,6 @@ class PortfolioRun:
 def run_restarts(circuit: Circuit,
                  input_stats: Mapping[str, SignalStats],
                  spec: "SearchSpec",
-                 model=None,
                  *,
                  cached: Optional[Mapping[int, Dict[str, object]]] = None,
                  on_outcome: Optional[Callable[[Dict[int, Dict[str, object]]],
@@ -229,9 +227,8 @@ def run_restarts(circuit: Circuit,
 
     Each worker runs :meth:`SearchSpec.restart` of ``spec`` — the
     restart's seed, no portfolio or run-descriptor fields — on a
-    rebuilt circuit, with ``model`` as its power model.  Returns a
-    :class:`PortfolioRun` with the per-restart outcome dicts in restart
-    order.  Every ``jobs`` value fans out through
+    rebuilt circuit.  Returns a :class:`PortfolioRun` with the
+    per-restart outcome dicts in restart order.  Every ``jobs`` value fans out through
     :func:`repro.robust.supervise.fan_out`, with up to
     ``worker_retries`` retries per restart: ``jobs=1`` (without a
     ``deadline_s``) runs in this process — no fork, no pickling of
@@ -269,7 +266,6 @@ def run_restarts(circuit: Circuit,
             "input_stats": stats_rows,
             "index": index,
             "search": spec.restart(index),
-            "model": model,
             "trace": trace_ref,
         }
         for index in range(restarts)

@@ -91,7 +91,6 @@ from ..circuit.netlist import (
 )
 from ..compiled.circuit import stats_class
 from ..compiled.power import power_class, stacked_class
-from ..core.power_model import GatePowerModel
 from ..obs import trace as _trace
 from ..obs.metrics import REGISTRY as _GLOBAL_METRICS
 from ..robust import faults as _faults
@@ -103,10 +102,15 @@ from ..robust.checkpoint import (
 )
 from ..sim.bitsim import stream_rng
 from ..stochastic.signal import SignalStats
-from ..timing.sta import DEFAULT_PO_LOAD
-from .backends import DEFAULT_ENGINE, engine_kwargs, refuse_structure
+from .backends import engine_kwargs
 from .cache import StatsCache
-from .eco import WhatIf, edit_entry, resolve_edit, script_edit_label
+from .eco import (
+    WhatIf,
+    apply_eco_edit,
+    edit_entry,
+    resolve_edit,
+    script_edit_label,
+)
 from .spec import STRUCTURAL_FAMILIES, Objective, SearchSpec, make_objective
 from .timing import TimingCache
 
@@ -689,23 +693,18 @@ class _Checkpointer:
     ``total_power()`` + ``delay()`` read, which settles every pending
     dirty cone, rejected-trial leftovers included) — so a snapshot
     never needs to capture dirty-set state and a resumed run replays
-    onto byte-identical cache contents.  Counter fields are stored
-    search-relative (offsets supplied by the caller), which is what
+    onto byte-identical cache contents.  The work counters are the
+    search's own (:attr:`_Search.gates_repropagated`), which is what
     makes the resumed artifact's ``gates_repropagated``/``gates_retimed``
     equal the uninterrupted run's.
     """
 
-    def __init__(self, spec: SearchSpec, state: "_Search",
-                 timing: TimingCache, fingerprint: int,
-                 repropagated_before: int, retimed_before: int):
+    def __init__(self, spec: SearchSpec, state: "_Search", fingerprint: int):
         self.path = spec.checkpoint_path
         self.every = (spec.checkpoint_every if spec.checkpoint_every
                       is not None else DEFAULT_CHECKPOINT_EVERY)
         self.state = state
-        self.timing = timing
         self.fingerprint = fingerprint
-        self.repropagated_before = repropagated_before
-        self.retimed_before = retimed_before
         #: Rounds contributed by phases that already completed (the
         #: annealing step count once polish starts).
         self.rounds_prior = 0
@@ -728,10 +727,8 @@ class _Checkpointer:
             "power0": state.power0,
             "delay0": state.delay0,
             "budget_exhausted": state.budget_exhausted,
-            "gates_repropagated": (state.cache.gates_repropagated
-                                   - self.repropagated_before),
-            "gates_retimed": (self.timing.gates_retimed
-                              - self.retimed_before),
+            "gates_repropagated": state.gates_repropagated,
+            "gates_retimed": state.gates_retimed,
         }
 
     def maybe_save(self, phase: str, phase_state_fn) -> None:
@@ -784,6 +781,10 @@ class _Search:
         #: Set when a phase caught SIGTERM/Ctrl-C: the caller returns a
         #: best-so-far result flagged ``partial`` instead of raising.
         self.interrupted = False
+        #: Work counted before a resumed run's snapshot; the caches
+        #: count from zero (see :attr:`gates_repropagated`).
+        self.repropagated_prior = 0
+        self.retimed_prior = 0
         self.power = cache.total_power()
         self.delay = timing.delay()
         self.power0 = self.power
@@ -797,6 +798,18 @@ class _Search:
         self._pricer: Optional[_BatchPricer] = None
         if not objective.needs_delay:
             self._pricer = _BatchPricer(self)
+
+    # -- work counters ------------------------------------------------
+    @property
+    def gates_repropagated(self) -> int:
+        """The search's stat re-propagations: its cache's counter (which
+        skips the initial propagation) plus a resumed snapshot's."""
+        return self.cache.gates_repropagated + self.repropagated_prior
+
+    @property
+    def gates_retimed(self) -> int:
+        """The search's arrival recomputations, counted the same way."""
+        return self.timing.gates_retimed + self.retimed_prior
 
     # -- budget -------------------------------------------------------
     def out_of_budget(self) -> bool:
@@ -874,7 +887,7 @@ class _Search:
         before = self.cache.gates_repropagated
         retimed_before = self.timing.gates_retimed
         for edit in move.edits:
-            self.circuit.apply_edit(edit)
+            apply_eco_edit(self.cache, self.timing, edit)
         if move.structural:
             _MOVES_STRUCTURAL.inc()
         power_after = self.cache.total_power()
@@ -1254,8 +1267,7 @@ def _structural(state: _Search) -> int:
 
 
 def _portfolio(circuit: Circuit, input_stats: Mapping[str, SignalStats],
-               spec: SearchSpec, model: Optional[GatePowerModel]
-               ) -> SearchResult:
+               spec: SearchSpec) -> SearchResult:
     """Fan out CRC-seeded annealing restarts and merge them deterministically.
 
     Every field of the merged result is a pure function of the restart
@@ -1306,7 +1318,7 @@ def _portfolio(circuit: Circuit, input_stats: Mapping[str, SignalStats],
                 })
             _CHECKPOINTS_SAVED.inc()
 
-    run = run_restarts(circuit, input_stats, spec, model,
+    run = run_restarts(circuit, input_stats, spec,
                        cached=cached, on_outcome=on_outcome)
     outcomes = [entry for entry in run.outcomes if entry is not None]
     if not outcomes:
@@ -1385,33 +1397,26 @@ def _portfolio(circuit: Circuit, input_stats: Mapping[str, SignalStats],
     )
 
 
-def search_circuit(
-    circuit: Optional[Circuit] = None,
-    input_stats: Optional[Mapping[str, SignalStats]] = None,
-    *,
-    cache: Optional[StatsCache] = None,
-    model: Optional[GatePowerModel] = None,
-    **params,
-) -> SearchResult:
+def search_circuit(circuit: Circuit,
+                   input_stats: Mapping[str, SignalStats],
+                   **params) -> SearchResult:
     """Run the delta-driven local search and return the searched circuit.
 
-    ``params`` are the fields of :class:`~repro.incremental.spec.SearchSpec`;
-    its field reference gives each one's meaning, default and bound.
-    The whole set is validated up front, before any circuit copy or
-    cache is built; a rejected set raises
-    :class:`~repro.incremental.spec.SpecError` (a ``ValueError``).
-
-    Either pass ``circuit`` + ``input_stats`` (a private copy is
-    searched; the input circuit is never mutated) or a live ``cache``
-    (its circuit is searched **in place** and the cache is left open —
-    the caller owns it; ``backend``/``model``/``po_load`` and the
-    backend's knobs must then be left at their defaults).
-    Hitting any budget sets ``budget_exhausted`` on the result.
+    ``params`` are exactly the fields of
+    :class:`~repro.incremental.spec.SearchSpec`, the complete parameter
+    set; its field reference gives each one's meaning, default and
+    bound.  The whole set is validated up front, before any circuit
+    copy or cache is built; a rejected set raises
+    :class:`~repro.incremental.spec.SpecError` (a ``ValueError``), and
+    a keyword that is not a field raises ``TypeError``.  The search
+    runs on a private copy of ``circuit`` (never mutated) with caches
+    it builds and closes itself.  Hitting any budget sets
+    ``budget_exhausted`` on the result.
 
     ``restarts``/``jobs`` switch to **portfolio annealing**
     (:func:`_portfolio`): CRC-seeded restarts on worker processes,
     merged deterministically, with an artifact byte-identical for any
-    ``jobs`` value; it needs an owned circuit (not a live ``cache=``).
+    ``jobs`` value.
 
     Greedy pure-power candidate batches are priced in one vectorised
     kernel pass instead of per-move trials (:class:`_BatchPricer`);
@@ -1436,72 +1441,49 @@ def search_circuit(
     granularity instead, retry crashed/hung workers and merge whatever
     completed into a ``partial`` result rather than raising.  SIGTERM
     or Ctrl-C mid-search returns the best-so-far result flagged
-    ``partial=True`` instead of raising.  Checkpoint/resume need an
-    owned circuit (not a live ``cache=``).
+    ``partial=True`` instead of raising.
     """
     spec = SearchSpec(**params)
-    if cache is None:
-        if circuit is None or input_stats is None:
-            raise TypeError("search_circuit needs circuit and input_stats "
-                            "(or a live cache=)")
-    else:
-        if circuit is not None or input_stats is not None:
-            raise TypeError("pass either circuit/input_stats or cache=, not both")
-        if spec.restarts is not None:
-            raise TypeError("portfolio restarts need circuit/input_stats, "
-                            "not a live cache=")
-        if spec.checkpoint_path is not None or spec.resume_path is not None:
-            raise TypeError("checkpoint/resume need an owned circuit "
-                            "(circuit/input_stats), not a live cache=")
-        if (model is not None or spec.backend != DEFAULT_ENGINE
-                or spec.backend_kwargs() or spec.po_load != DEFAULT_PO_LOAD):
-            raise TypeError(
-                "backend/model/po_load arguments conflict with a live cache="
-            )
-        if spec.structural:
-            refuse_structure(cache.backend)
     if spec.restarts is not None:
-        return _portfolio(circuit, input_stats, spec, model)
-    return _single(circuit, input_stats, spec, cache, model)
+        return _portfolio(circuit, input_stats, spec)
+    return _single(circuit, input_stats, spec)
 
 
-def _single(circuit: Optional[Circuit],
-            input_stats: Optional[Mapping[str, SignalStats]],
-            spec: SearchSpec, cache: Optional[StatsCache] = None,
-            model: Optional[GatePowerModel] = None) -> SearchResult:
-    """One search of a validated spec: on a copy, or on a live ``cache``."""
-    owns_cache = cache is None
-    fingerprint, resume_payload = None, None
+def _single(circuit: Circuit, input_stats: Mapping[str, SignalStats],
+            spec: SearchSpec) -> SearchResult:
+    """One search of a validated spec, on a copy of ``circuit``.
+
+    Both caches are built here and closed on the way out, so their
+    counters start at zero: the search's counts are those counters plus,
+    on a resumed run, the snapshot's.
+    """
+    fingerprint, resume_payload = _open_checkpoints(
+        circuit, input_stats, spec, "search")
+    work = circuit.copy()
     resume_accepted: List[AcceptedMove] = []
-    if owns_cache:
-        fingerprint, resume_payload = _open_checkpoints(
-            circuit, input_stats, spec, "search")
-        work = circuit.copy()
-        if resume_payload is not None:
-            # Replay the checkpointed trace onto the fresh copy: the
-            # incremental == from-scratch identity guarantees the
-            # rebuilt caches match the snapshot's flushed state
-            # bit-for-bit.
-            resume_accepted = [AcceptedMove(**move)
-                               for move in resume_payload["accepted"]]
-            with _trace.span("robust.resume.replay",
-                             accepted=len(resume_accepted),
-                             phase=resume_payload["phase"]):
-                _replay(work, resume_accepted)
-            _trace.instant("robust.resume", kind="search",
-                           phase=resume_payload["phase"],
-                           accepted=len(resume_accepted),
-                           trials=resume_payload["trials"])
-        cache = StatsCache(work, input_stats, backend=spec.backend,
-                           model=model, po_load=spec.po_load,
-                           **engine_kwargs(spec.backend, spec.seed,
-                                           **spec.backend_kwargs()))
+    if resume_payload is not None:
+        # Replay the checkpointed trace onto the fresh copy: the
+        # incremental == from-scratch identity guarantees the rebuilt
+        # caches match the snapshot's flushed state bit-for-bit.
+        resume_accepted = [AcceptedMove(**move)
+                           for move in resume_payload["accepted"]]
+        with _trace.span("robust.resume.replay",
+                         accepted=len(resume_accepted),
+                         phase=resume_payload["phase"]):
+            _replay(work, resume_accepted)
+        _trace.instant("robust.resume", kind="search",
+                       phase=resume_payload["phase"],
+                       accepted=len(resume_accepted),
+                       trials=resume_payload["trials"])
+    cache = StatsCache(work, input_stats, backend=spec.backend,
+                       po_load=spec.po_load,
+                       **engine_kwargs(spec.backend, spec.seed,
+                                       **spec.backend_kwargs()))
 
     start = time.perf_counter()
     # The search's live timing side: shares the stats cache's fanout
-    # index and prices every delay read cone-locally (full STA per
-    # candidate was the pre-TimingCache behaviour).
-    timing = TimingCache(cache.circuit, tech=cache.model.tech,
+    # index and prices every delay read cone-locally.
+    timing = TimingCache(work, tech=cache.model.tech,
                          po_load=cache.po_load, index=cache.index)
     try:
         state = _Search(cache, timing, spec)
@@ -1513,6 +1495,8 @@ def _single(circuit: Optional[Circuit],
             state.accepted = resume_accepted
             state.trials = int(resume_payload["trials"])
             state._fresh = int(resume_payload["fresh"])
+            state.repropagated_prior = int(resume_payload["gates_repropagated"])
+            state.retimed_prior = int(resume_payload["gates_retimed"])
             state.power0 = resume_payload["power0"]
             state.delay0 = resume_payload["delay0"]
             state.power = resume_payload["power"]
@@ -1520,28 +1504,17 @@ def _single(circuit: Optional[Circuit],
             state.score = spec.objective.score(state.power, state.delay,
                                                state.power0, state.delay0)
             state.budget_exhausted = bool(resume_payload["budget_exhausted"])
-        # Counter offsets.  Fresh runs keep the historical semantics:
-        # stat re-propagations exclude the cache's initial propagation,
-        # arrival counts include the first full STA.  A resumed run
-        # backdates the offsets against the snapshot's search-relative
-        # counts, so the final values equal an uninterrupted run's.
         resume = resume_payload or {}
-        repropagated_before = (cache.gates_repropagated
-                               - int(resume.get("gates_repropagated", 0)))
-        retimed_before = (timing.gates_retimed
-                          - int(resume.get("gates_retimed",
-                                           timing.gates_retimed)))
         checkpointer = None
         if spec.checkpoint_path is not None:
-            checkpointer = _Checkpointer(spec, state, timing, fingerprint,
-                                         repropagated_before, retimed_before)
+            checkpointer = _Checkpointer(spec, state, fingerprint)
         resume_phase, phase_state = resume.get("phase"), resume.get("phase_state")
         rounds_prior = int(resume.get("rounds_prior", 0))
         if checkpointer is not None:
             checkpointer.rounds_prior = rounds_prior
         rounds = 0
-        with _trace.span("search", circuit=cache.circuit.name,
-                         gates=len(cache.circuit), strategy=spec.strategy,
+        with _trace.span("search", circuit=work.name, gates=len(work),
+                         strategy=spec.strategy,
                          objective=spec.objective.name,
                          backend=cache.backend.name, seed=spec.seed) as span:
             if spec.strategy == "greedy":
@@ -1583,7 +1556,7 @@ def _single(circuit: Optional[Circuit],
         power_after = cache.total_power()
         delay_after = timing.delay()
         result = SearchResult(
-            circuit=cache.circuit,
+            circuit=work,
             accepted=state.accepted,
             net_stats=dict(cache.stats()),
             power_before=state.power0,
@@ -1592,8 +1565,8 @@ def _single(circuit: Optional[Circuit],
             delay_after=delay_after,
             trials=state.trials,
             rounds=rounds,
-            gates_repropagated=cache.gates_repropagated - repropagated_before,
-            gates_retimed=timing.gates_retimed - retimed_before,
+            gates_repropagated=state.gates_repropagated,
+            gates_retimed=state.gates_retimed,
             strategy=spec.strategy,
             objective=spec.objective,
             seed=spec.seed,
@@ -1605,6 +1578,5 @@ def _single(circuit: Optional[Circuit],
         )
     finally:
         timing.close()
-        if owns_cache:
-            cache.close()
+        cache.close()
     return result

@@ -331,6 +331,10 @@ class TestEco:
         ([{"op": "input-arrival", "net": "a", "arrival": [1]}],
          "script entry 0: input-arrival entry field 'arrival' must be a "
          "finite number"),
+        # Well-typed but out of range.
+        ([{"op": "input-stats", "net": "a", "probability": 1.5,
+           "density": 1.0e5}],
+         "script entry 0: probability 1.5 outside [0, 1]"),
     ])
     def test_eco_malformed_entry_is_a_one_line_error(self, tmp_path, script,
                                                      message):

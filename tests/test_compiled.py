@@ -288,29 +288,33 @@ def oracle_refresh(circuit, arrivals, seeds, tcache):
 
 
 # ----------------------------------------------------------------------
-# Integration: the search engine on a caller-owned live cache
+# Integration: the search engine against from-scratch caches
 # ----------------------------------------------------------------------
-def assert_in_place_search_identical(circuit, stats, **options):
-    """A search on its own copy and the same search run in place on a
-    caller's `StatsCache` write byte-identical artifacts."""
-    fresh = search_circuit(circuit, stats, **options)
-    with StatsCache(circuit.copy(), stats) as live:
-        in_place = search_circuit(cache=live, **options)
-        assert live.total_power() == in_place.power_after
-    assert dumps_artifact(strip_timing(fresh.to_artifact())) \
-        == dumps_artifact(strip_timing(in_place.to_artifact()))
+def assert_search_matches_fresh_caches(circuit, stats, **options):
+    """A search's final power and delay equal fresh caches built on its
+    searched circuit, and a repeat run writes a byte-identical
+    artifact."""
+    result = search_circuit(circuit, stats, **options)
+    with StatsCache(result.circuit.copy(), stats) as fresh:
+        assert fresh.total_power() == result.power_after
+        with TimingCache(fresh.circuit, tech=fresh.model.tech,
+                         po_load=fresh.po_load, index=fresh.index) as timing:
+            assert timing.delay() == result.delay_after
+    again = search_circuit(circuit, stats, **options)
+    assert dumps_artifact(strip_timing(result.to_artifact())) \
+        == dumps_artifact(strip_timing(again.to_artifact()))
 
 
 class TestSearchIntegration:
     def test_greedy_search_artifact_identical(self, master):
         circuit, stats = master
-        assert_in_place_search_identical(circuit, stats,
-                                         objective="power-delay", seed=3)
+        assert_search_matches_fresh_caches(circuit, stats,
+                                           objective="power-delay", seed=3)
 
     def test_anneal_search_artifact_identical(self, master):
         circuit, stats = master
-        assert_in_place_search_identical(circuit, stats, strategy="anneal",
-                                         seed=11, anneal_trials=60)
+        assert_search_matches_fresh_caches(circuit, stats, strategy="anneal",
+                                           seed=11, anneal_trials=60)
 
 
 # ----------------------------------------------------------------------

@@ -120,9 +120,6 @@ class TestPortfolio:
         with pytest.raises(ValueError):
             search_circuit(circuit, stats, strategy="anneal", restarts=2,
                            jobs=0)
-        with StatsCache(circuit.copy(), stats) as cache:
-            with pytest.raises(TypeError):
-                search_circuit(cache=cache, strategy="anneal", restarts=2)
 
 
 class TestPortfolioCli:

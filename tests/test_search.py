@@ -1,7 +1,9 @@
 """Tests for the delta-driven ECO search engine (`repro.incremental.search`)."""
 
+import inspect
 import json
 import zlib
+from dataclasses import fields
 
 import pytest
 
@@ -9,6 +11,7 @@ from repro.bench.runner import dumps_artifact, strip_timing
 from repro.bench.suite import get_case
 from repro.circuit.netlist import SetConfig, SetTemplate
 from repro.core.optimizer import circuit_power, optimize_circuit
+from repro.core.power_model import GatePowerModel
 from repro.incremental import (
     Objective,
     StatsCache,
@@ -19,6 +22,7 @@ from repro.incremental import (
 from repro.incremental.backends import SampledBackend
 from repro.incremental.eco import resolve_edit
 from repro.incremental.search import swap_groups
+from repro.incremental.spec import SearchSpec
 from repro.sim.stimulus import ScenarioA
 from repro.stochastic.density import local_stats
 from repro.synth.mapper import map_circuit
@@ -27,8 +31,7 @@ from repro.synth.mapper import map_circuit
 @pytest.fixture(scope="module")
 def adder():
     # search_circuit never mutates its input circuit, so the mapped
-    # master is shared module-wide; tests that edit in place (via a
-    # live cache) copy it themselves.
+    # master is shared module-wide.
     circuit = map_circuit(get_case("rca4").network())
     stats = ScenarioA(seed=3).input_stats(circuit.inputs)
     return circuit, stats
@@ -288,7 +291,7 @@ GOLDEN_TRACE_CRC = 658387588
 
 
 # ----------------------------------------------------------------------
-# Argument validation and live-cache mode
+# Argument validation
 # ----------------------------------------------------------------------
 class TestSearchArguments:
     def test_unknown_strategy_and_objective(self, adder):
@@ -298,29 +301,24 @@ class TestSearchArguments:
         with pytest.raises(ValueError):
             search_circuit(circuit, stats, objective="area")
 
-    def test_circuit_and_cache_are_exclusive(self, adder):
+    def test_takes_only_circuit_stats_and_spec_fields(self, adder):
         circuit, stats = adder
+        signature = inspect.signature(search_circuit)
+        assert list(signature.parameters) == ["circuit", "input_stats",
+                                              "params"]
+        assert (signature.parameters["params"].kind
+                is inspect.Parameter.VAR_KEYWORD)
         with pytest.raises(TypeError):
             search_circuit()
         with StatsCache(circuit.copy(), stats) as cache:
-            with pytest.raises(TypeError):
+            with pytest.raises(TypeError, match="cache"):
                 search_circuit(circuit, stats, cache=cache)
-            with pytest.raises(TypeError):
-                search_circuit(cache=cache, backend="sampled")
-            with pytest.raises(TypeError):
-                search_circuit(cache=cache, po_load=5.0e-14)
-
-    def test_live_cache_searches_in_place(self, adder):
-        circuit, stats = adder
-        work = circuit.copy()
-        with StatsCache(work, stats) as cache:
-            result = search_circuit(cache=cache, max_moves=3)
-            assert result.circuit is work
-            # the cache stays open and consistent for the caller
-            assert cache.stats() == local_stats(work, stats)
-            assert [g.effective_config().key() for g in work.gates] != [
-                g.effective_config().key() for g in circuit.gates
-            ]
+        with pytest.raises(TypeError, match="model"):
+            search_circuit(circuit, stats, model=GatePowerModel())
+        # every SearchSpec field is a keyword (given its default here)
+        defaults = {f.name: f.default for f in fields(SearchSpec)}
+        assert canonical(search_circuit(circuit, stats, **defaults)) \
+            == canonical(search_circuit(circuit, stats))
 
 
 # ----------------------------------------------------------------------

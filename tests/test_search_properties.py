@@ -6,8 +6,8 @@ same-gate overwrites, committed winners — so these properties pin the
 load-bearing invariants under exactly that traffic:
 
 * any accepted-move sequence (any strategy, seed, budget, move
-  vocabulary) leaves the live :class:`StatsCache` **bit-identical** to
-  a from-scratch recompute of the edited circuit, for both backends;
+  vocabulary) leaves the search's statistics **bit-identical** to a
+  from-scratch recompute of the searched circuit, for both backends;
 * the connectivity structures the engine trusts for its whole lifetime
   (:class:`FanoutIndex`, levelisation, topological order) still agree
   with the ground-truth netlist after long edit sequences.
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.bench.suite import get_case
 from repro.circuit.topology import FanoutIndex, levelize, topological_gates
-from repro.incremental import SampledBackend, StatsCache, search_circuit
+from repro.incremental import SampledBackend, search_circuit
 from repro.sim.stimulus import ScenarioA
 from repro.stochastic.density import local_stats
 from repro.synth.mapper import map_circuit
@@ -42,9 +42,9 @@ def search_params():
     )
 
 
-def assert_structures_consistent(cache, circuit, reference_circuit):
+def assert_structures_consistent(circuit, reference_circuit):
     """FanoutIndex / levelize / topo-order ground truth after edits."""
-    index = cache.index
+    index = circuit.fanout_index()
     for net in circuit.nets():
         assert {(g.name, pin) for g, pin in index.sinks(net)} == {
             (g.name, pin) for g, pin in circuit.fanout(net)
@@ -68,40 +68,33 @@ class TestAnalyticSearchEquivalence:
     def test_search_leaves_cache_bitidentical(self, master, params):
         strategy, seed, max_moves, retemplate = params
         circuit_master, stats = master
-        work = circuit_master.copy()
-        with StatsCache(work, stats) as cache:
-            result = search_circuit(
-                cache=cache, strategy=strategy, seed=seed,
-                max_moves=max_moves, retemplate=retemplate,
-                anneal_trials=60,
-            )
-            assert cache.stats() == local_stats(work, stats)
-            assert result.net_stats == cache.stats()
-            assert_structures_consistent(cache, work, circuit_master)
+        result = search_circuit(
+            circuit_master, stats, strategy=strategy, seed=seed,
+            max_moves=max_moves, retemplate=retemplate, anneal_trials=60,
+        )
+        assert result.net_stats == local_stats(result.circuit, stats)
+        assert_structures_consistent(result.circuit, circuit_master)
 
 
 class TestSampledSearchEquivalence:
-    LANES, STEPS, SEED = 32, 8, 9
+    LANES, STEPS = 32, 8
 
     @settings(max_examples=6, deadline=None)
     @given(search_params())
     def test_search_leaves_cache_bitidentical(self, master, params):
         strategy, seed, max_moves, retemplate = params
         circuit_master, stats = master
-        work = circuit_master.copy()
         dwells = [
             d for s in stats.values()
             for d in (s.mean_high_dwell, s.mean_low_dwell)
         ]
         dt = 0.25 * min(dwells)
-        with StatsCache(work, stats, backend="sampled", lanes=self.LANES,
-                        steps=self.STEPS, dt=dt, seed=self.SEED) as cache:
-            search_circuit(
-                cache=cache, strategy=strategy, seed=seed,
-                max_moves=max_moves, retemplate=retemplate,
-                anneal_trials=30,
-            )
-            fresh = SampledBackend(lanes=self.LANES, steps=self.STEPS,
-                                   dt=dt, seed=self.SEED).full(work, stats)
-            assert cache.stats() == fresh
-            assert_structures_consistent(cache, work, circuit_master)
+        result = search_circuit(
+            circuit_master, stats, backend="sampled", lanes=self.LANES,
+            steps=self.STEPS, dt=dt, strategy=strategy, seed=seed,
+            max_moves=max_moves, retemplate=retemplate, anneal_trials=30,
+        )
+        fresh = SampledBackend(lanes=self.LANES, steps=self.STEPS,
+                               dt=dt, seed=seed).full(result.circuit, stats)
+        assert result.net_stats == fresh
+        assert_structures_consistent(result.circuit, circuit_master)

@@ -216,6 +216,11 @@ class TestEditVocabulary:
         ({"op": "reorder", "gate": "src"}, r"missing keys \['config'\]"),
         ({"op": "remove-gate", "gate": "nope"}, "unknown gate 'nope'"),
         ({"op": ["reorder"]}, r"unknown edit op \['reorder'\]"),
+        # Well-typed but out of range: refused by SignalStats itself.
+        ({"op": "input-stats", "net": "a", "probability": 1.5,
+          "density": 1.0e5}, r"probability 1.5 outside \[0, 1\]"),
+        ({"op": "input-stats", "net": "a", "probability": 0.5,
+          "density": -1}, "density -1.0 must be non-negative"),
     ])
     def test_malformed_entries_name_their_index(self, entry, message):
         c = fanout_circuit()
@@ -357,8 +362,6 @@ class TestWhatIfStructural:
 
         with WhatIf(cache) as trial:
             texts = {refusal(lambda: trial.apply(edit))}
-        texts.add(refusal(lambda: search_circuit(cache=cache,
-                                                 structural=["sweep"])))
         # Last: the bare edit reaches the netlist before its listener
         # refuses it.
         texts.add(refusal(lambda: c.apply_edit(edit)))
@@ -543,15 +546,9 @@ def _portable_artifact(result):
 
 
 class TestStructuralSearch:
-    @pytest.mark.parametrize("in_place", [False, True])
-    def test_script_replays_bit_identically(self, in_place):
-        """The ECO script replays onto the original netlist, whether the
-        search ran on its own copy or in place on a caller's cache."""
-        if in_place:
-            with StatsCache(fanout_circuit(), FANOUT_STATS) as live:
-                result = search_circuit(cache=live, **STRUCTURAL_SEARCH)
-        else:
-            result = _run_structural_search()
+    def test_script_replays_bit_identically(self):
+        """The ECO script replays onto the original netlist."""
+        result = _run_structural_search()
         kinds = {m.kind for m in result.accepted}
         assert "sweep" in kinds  # the dead pair must be swept
         assert kinds & {"buffer", "dup"}  # fanout relief must fire
@@ -568,14 +565,10 @@ class TestStructuralSearch:
         timing.close()
         cache.close()
 
-    def test_artifact_byte_stable_across_runs_and_routes(self):
+    def test_artifact_byte_stable_across_runs(self):
         first = _portable_artifact(_run_structural_search())
         again = _portable_artifact(_run_structural_search())
-        # the same search in place on a caller-owned live cache
-        with StatsCache(fanout_circuit(), FANOUT_STATS) as cache:
-            in_place = _portable_artifact(
-                search_circuit(cache=cache, **STRUCTURAL_SEARCH))
-        assert first == again == in_place
+        assert first == again
 
     def test_traced_run_is_byte_identical_and_emits_spans(self):
         baseline = _portable_artifact(_run_structural_search())
