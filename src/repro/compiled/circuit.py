@@ -64,7 +64,8 @@ from ..stochastic.signal import SignalStats
 from ..timing.elmore import LN2, gate_pin_delay_terms
 from ..timing.sta import TimingReport, build_timing_report
 
-__all__ = ["CompiledCircuit", "get_compiled", "stats_class", "timing_class"]
+__all__ = ["CompiledCircuit", "get_compiled", "relowered", "stats_class",
+           "timing_class"]
 
 
 def _tt_selection(tt: TruthTable) -> np.ndarray:
@@ -457,6 +458,12 @@ class CompiledCircuit:
             self._stats_plan = plan
         return plan
 
+    def stats_map(self, prob: np.ndarray,
+                  dens: np.ndarray) -> Dict[str, SignalStats]:
+        """The name-keyed view of per-net ``(prob, dens)`` arrays."""
+        return {net: SignalStats(p, d) for net, p, d
+                in zip(self.nets, prob.tolist(), dens.tolist())}
+
     def stats_arrays(self, input_stats: Mapping[str, SignalStats]):
         """From-scratch (P, D) of every net as ``(prob, dens)`` arrays."""
         self._check_fresh()
@@ -546,9 +553,10 @@ class CompiledCircuit:
                      loads: np.ndarray, tech: TechParams):
         """Recompute arrivals of one same-level batch.
 
-        Returns ``(gids, out_net_ids, arrivals, pred_net_ids)`` with
-        rows concatenated over the internal class grouping (order
-        within the level is immaterial — no intra-level dependencies).
+        Returns ``(gids, out_net_ids, arrivals, pins)`` with rows
+        concatenated over the internal class grouping (order within the
+        level is immaterial — no intra-level dependencies); ``pins`` is
+        each gate's latest-arriving template-pin position.
         """
         self._check_fresh()
         parts_g, parts_o, parts_a, parts_p = [], [], [], []
@@ -565,46 +573,50 @@ class CompiledCircuit:
             parts_g.append(sub)
             parts_o.append(out_ids)
             parts_a.append(best)
-            parts_p.append(fanin[np.arange(len(sub)), best_pin])
+            parts_p.append(best_pin)
         return (np.concatenate(parts_g), np.concatenate(parts_o),
                 np.concatenate(parts_a), np.concatenate(parts_p))
 
     def arrivals_full(self, tech: TechParams, po_load: float,
                       input_arrivals: Optional[Mapping[str, float]] = None):
-        """From-scratch arrival sweep: ``(arrivals, pred_net)`` arrays.
+        """From-scratch arrival sweep: per-net ``(arrivals, pins)`` arrays.
 
-        ``pred_net[gid]`` is the net id of the gate's latest-arriving
-        fanin (first pin on exact ties, like
-        :func:`~repro.timing.sta.gate_arrival`).
+        ``pins[n]`` is the template-pin position of the latest-arriving
+        fanin of net ``n``'s driver (first pin on exact ties, like
+        :func:`~repro.timing.sta.gate_arrival`), -1 for a primary input;
+        :meth:`pred_net` turns it into the predecessor net.
         """
         self._check_fresh()
         arr = np.zeros(len(self.nets))
         if input_arrivals is not None:
             for i, net in enumerate(self.circuit.inputs):
                 arr[i] = float(input_arrivals[net])
-        pred_net = np.full(len(self.gate_names), -1, dtype=np.int64)
+        pins = np.full(len(self.nets), -1, dtype=np.int64)
         loads = self.net_loads(tech, po_load)
         for ids in self._levels:
-            gids, out_ids, arrivals, preds = self.retime_gates(
+            _, out_ids, arrivals, best = self.retime_gates(
                 ids, arr, loads, tech)
             arr[out_ids] = arrivals
-            pred_net[gids] = preds
-        return arr, pred_net
+            pins[out_ids] = best
+        return arr, pins
+
+    def pred_net(self, net: int, pins: np.ndarray) -> int:
+        """The net id feeding gate output ``net`` at pin ``pins[net]``."""
+        return int(self.fanin_net[self.fanin_ptr[net - self.num_inputs]
+                                  + pins[net]])
 
     def analyze_timing(self, tech: TechParams, po_load: float,
                        input_arrivals: Optional[Mapping[str, float]] = None
                        ) -> TimingReport:
         """Drop-in for :func:`repro.timing.sta.analyze_timing`."""
-        arr, pred_net = self.arrivals_full(tech, po_load, input_arrivals)
-        arrivals = {net: float(arr[i]) for i, net in enumerate(self.nets)}
+        arr, pins = self.arrivals_full(tech, po_load, input_arrivals)
         predecessor: Dict[str, Optional[str]] = {
             net: None for net in self.circuit.inputs
         }
-        for gid, name in enumerate(self.gate_names):
-            predecessor[self.nets[self.num_inputs + gid]] = \
-                self.nets[pred_net[gid]]
-        return build_timing_report(arrivals, predecessor,
-                                   self.circuit.outputs)
+        for out in self.out_net.tolist():
+            predecessor[self.nets[out]] = self.nets[self.pred_net(out, pins)]
+        return build_timing_report(dict(zip(self.nets, arr.tolist())),
+                                   predecessor, self.circuit.outputs)
 
     def __repr__(self) -> str:
         return (
@@ -612,6 +624,31 @@ class CompiledCircuit:
             f"gates={len(self.gate_names)}, nets={len(self.nets)}, "
             f"levels={len(self._levels)})"
         )
+
+
+def relowered(cc: CompiledCircuit, *columns: np.ndarray) -> tuple:
+    """``(cc, *columns)``, re-indexed onto a new lowering if ``cc`` is stale.
+
+    The one rule by which per-net arrays cross a structural edit: the
+    circuit's current lowering, with each column carried over from
+    ``cc``'s net ids by net name (the stale lowering's ``net_id`` is
+    still the map of the old numbering).  A net both lowerings share
+    keeps its value; a net new to the circuit reads NaN in a float
+    column and -1 in an integer one, until the refresh that follows
+    (its driver is dirty) writes it.
+    """
+    if not cc.stale:
+        return (cc, *columns)
+    fresh = get_compiled(cc.circuit)
+    src = np.fromiter((cc.net_id.get(net, -1) for net in fresh.nets),
+                      dtype=np.int64, count=len(fresh.nets))
+    new = src < 0
+    carried = []
+    for column in columns:
+        column = column[src]
+        column[new] = np.nan if column.dtype.kind == "f" else -1
+        carried.append(column)
+    return (fresh, *carried)
 
 
 def get_compiled(circuit: Circuit) -> CompiledCircuit:

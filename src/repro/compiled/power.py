@@ -61,7 +61,7 @@ outlive any lowering.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -300,27 +300,16 @@ class CompiledPowerKernel:
         return power_class(self.cc._timing_classes[code]._compiled)
 
     # ------------------------------------------------------------------
-    def _gather(self, gids: Sequence[int], arity: int,
-                stats: Mapping) -> tuple:
-        """Pin (P, D) matrices of same-arity gates from a stats map."""
-        cc = self.cc
-        nets = cc.nets
-        fanin = cc._fanin_matrix(np.asarray(gids, dtype=np.int64), arity)
-        pins = [stats[nets[i]] for i in fanin.ravel().tolist()]
-        p_in = np.fromiter((s.probability for s in pins), dtype=np.float64,
-                           count=len(pins)).reshape(fanin.shape)
-        d_in = np.fromiter((s.density for s in pins), dtype=np.float64,
-                           count=len(pins)).reshape(fanin.shape)
-        return p_in, d_in
-
-    def reports(self, names: Sequence[str], stats: Mapping,
+    def reports(self, names: Sequence[str], prob: np.ndarray,
+                dens: np.ndarray,
                 po_load: float) -> Dict[str, GatePowerReport]:
         """Fresh :class:`GatePowerReport` per gate, one kernel call per class.
 
-        ``stats`` maps net name to :class:`SignalStats` (the cache's
-        current map); ``po_load`` is the resolved primary-output load.
-        Bit-identical to calling :meth:`GatePowerModel.gate_power` per
-        gate with loads from :func:`~repro.gates.capacitance.net_load`.
+        ``prob``/``dens`` are per-net (P, D) arrays over :attr:`cc`'s
+        net ids (the cache's store); ``po_load`` is the resolved
+        primary-output load.  Bit-identical to calling
+        :meth:`GatePowerModel.gate_power` per gate with loads from
+        :func:`~repro.gates.capacitance.net_load`.
         """
         cc = self.cc
         model = self.model
@@ -334,19 +323,20 @@ class CompiledPowerKernel:
         for code in np.unique(codes):
             sub = gids[codes == code]
             cls = self.class_for_code(int(code))
-            p_in, d_in = self._gather(sub, cls.arity, stats)
+            fanin = cc._fanin_matrix(sub, cls.arity)
             caps, probs, trans, powers, _ = cls.evaluate(
-                model, p_in, d_in, loads[cc.out_net[sub]])
+                model, prob[fanin], dens[fanin], loads[cc.out_net[sub]])
             columns = zip(caps[:, 0].tolist(), probs[:, 0].tolist(),
                           trans[:, 0].tolist(), powers[:, 0].tolist())
-            for gid, (cap, prob, tran, power) in zip(sub.tolist(), columns):
-                entries = tuple(map(NodePowerEntry, cls.nodes, cap, prob,
+            for gid, (cap, p_node, tran, power) in zip(sub.tolist(),
+                                                       columns):
+                entries = tuple(map(NodePowerEntry, cls.nodes, cap, p_node,
                                     tran, power))
                 out[cc.gate_names[gid]] = GatePowerReport(entries, model.tech)
         return out
 
-    def gate_totals(self, names: Sequence[str], stats: Mapping,
-                    po_load: float) -> np.ndarray:
+    def gate_totals(self, names: Sequence[str], prob: np.ndarray,
+                    dens: np.ndarray, po_load: float) -> np.ndarray:
         """Total power per gate (no report objects), batched by class."""
         cc = self.cc
         model = self.model
@@ -362,8 +352,8 @@ class CompiledPowerKernel:
             where = codes == code
             sub = gids[where]
             cls = self.class_for_code(int(code))
-            p_in, d_in = self._gather(sub, cls.arity, stats)
-            *_, batch_totals = cls.evaluate(model, p_in, d_in,
+            fanin = cc._fanin_matrix(sub, cls.arity)
+            *_, batch_totals = cls.evaluate(model, prob[fanin], dens[fanin],
                                             loads[cc.out_net[sub]])
             totals[positions[where]] = batch_totals[:, 0]
         return totals

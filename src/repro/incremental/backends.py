@@ -2,23 +2,28 @@
 
 A backend owns the arithmetic of signal-statistics propagation; the
 :class:`~repro.incremental.cache.StatsCache` owns the dirty-set
-bookkeeping and calls the backend through two methods:
+bookkeeping and the per-net ``(prob, dens)`` arrays, indexed by the
+net ids of the circuit's current
+:class:`~repro.compiled.circuit.CompiledCircuit`, and calls the
+backend through two methods:
 
-``full(circuit, input_stats)``
-    Propagate everything from scratch and return the complete
-    net-to-:class:`SignalStats` map.  Called once, at cache
-    construction.  A backend may keep internal state (both backends
-    here keep their per-net arrays across updates).
+``settle(cc, input_stats)``
+    Propagate everything from scratch and return fresh ``(prob,
+    dens)`` arrays over ``cc``'s nets.  Called once, at cache
+    construction.
 
-``update(circuit, dirty_gates, input_stats, changed_inputs, net_stats)``
-    Re-propagate exactly ``dirty_gates`` — already sorted in
-    topological order — plus the ``changed_inputs``, reading clean
-    fanin values from ``net_stats`` (the cache's current map, which the
-    backend must not mutate).  Returns the new statistics for the
-    recomputed nets only.
+``update(cc, gate_ids, input_ids, input_stats, prob, dens)``
+    Recompute, in place, the nets ``input_ids`` (primary inputs whose
+    :class:`SignalStats` changed) and the outputs of ``gate_ids``,
+    reading clean fanin values from the arrays.
+
+``full(circuit, input_stats)`` is the name-keyed spelling every
+backend shares: ``settle`` on the circuit's lowering, as a
+net-to-:class:`SignalStats` map
+(:meth:`~repro.compiled.circuit.CompiledCircuit.stats_map`).
 
 The contract that makes the whole subsystem trustworthy: after any
-supported edit sequence, ``full`` on the edited circuit and the
+supported edit sequence, ``settle`` on the edited circuit and the
 accumulated ``update`` results must be **bit-identical** (exact float
 equality, not approximate).  Both backends here achieve it the same
 way — the incremental path runs the very same batched kernels of
@@ -35,11 +40,11 @@ its ``knobs``, whether it is ``seeded`` and whether it
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple, Type
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from ..circuit.netlist import Circuit, CircuitError, GateInstance
+from ..circuit.netlist import Circuit, CircuitError
 from ..compiled.circuit import CompiledCircuit, get_compiled
 from ..compiled.sampled import SampledKernel, markov_stream_blocks
 from ..sim.bitsim import DEFAULT_LANES, resolve_dt, resolve_seed, stream_rng
@@ -59,120 +64,68 @@ class StatsBackend:
     #: Whether the constructor takes ``seed``, the run's seed.
     seeded = False
     #: Whether ``update`` stays correct across structural edits: the
-    #: analytic backend re-lowers and reseeds from the cache's map; the
-    #: sampled one's lane histories are keyed to the old structure.
+    #: analytic backend keeps no state, so it follows the cache's
+    #: re-lowered arrays; the sampled one's lane histories are keyed to
+    #: the old structure.
     supports_structure = False
+
+    def settle(self, cc: CompiledCircuit,
+               input_stats: Mapping[str, SignalStats]
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def update(self, cc: CompiledCircuit, gate_ids: np.ndarray,
+               input_ids: Sequence[int],
+               input_stats: Mapping[str, SignalStats],
+               prob: np.ndarray, dens: np.ndarray) -> None:
+        raise NotImplementedError
 
     def full(self, circuit: Circuit,
              input_stats: Mapping[str, SignalStats]) -> Dict[str, SignalStats]:
-        raise NotImplementedError
-
-    def update(self, circuit: Circuit,
-               dirty_gates: Sequence[GateInstance],
-               input_stats: Mapping[str, SignalStats],
-               changed_inputs: FrozenSet[str],
-               net_stats: Mapping[str, SignalStats]) -> Dict[str, SignalStats]:
-        raise NotImplementedError
-
-
-def _gate_ids(cc: CompiledCircuit,
-              dirty_gates: Sequence[GateInstance]) -> np.ndarray:
-    return np.fromiter((cc.gate_id[g.name] for g in dirty_gates),
-                       dtype=np.int64, count=len(dirty_gates))
+        """Every net's statistics, from scratch, as a name-keyed map."""
+        cc = get_compiled(circuit)
+        return cc.stats_map(*self.settle(cc, input_stats))
 
 
 class AnalyticBackend(StatsBackend):
     """Gate-local analytic density propagation (the paper's engine).
 
-    Runs on the circuit's :class:`~repro.compiled.circuit.CompiledCircuit`
-    arrays: ``full`` is one level-batched sweep, and the live
-    ``(prob, dens)`` arrays then persist across updates — every
-    mutation of the cache's statistics flows through :meth:`update`,
-    so they never drift from the cache's map.  Each gate's output
-    (P, D) is a pure function of its fanin statistics, so resettling a
-    dirty cone level by level reproduces a from-scratch sweep exactly;
-    both are bit-identical to the per-gate
+    Stateless: ``settle`` is one level-batched sweep of the circuit's
+    :class:`~repro.compiled.circuit.CompiledCircuit` arrays
+    (:meth:`~repro.compiled.circuit.CompiledCircuit.stats_arrays`) and
+    ``update`` resettles the dirty gates on the cache's arrays
+    (:meth:`~repro.compiled.circuit.CompiledCircuit.resettle_stats`).
+    Each gate's output (P, D) is a pure function of its fanin
+    statistics, so resettling a dirty cone level by level reproduces a
+    from-scratch sweep exactly; both are bit-identical to the per-gate
     :func:`~repro.stochastic.density.local_stats` oracle.
     """
 
     name = "analytic"
     supports_structure = True
 
-    def __init__(self):
-        self._cc: Optional[CompiledCircuit] = None
-        self._prob: Optional[np.ndarray] = None
-        self._dens: Optional[np.ndarray] = None
+    def settle(self, cc, input_stats):
+        return cc.stats_arrays(input_stats)
 
-    def full(self, circuit, input_stats):
-        self._cc = get_compiled(circuit)
-        self._prob, self._dens = self._cc.stats_arrays(input_stats)
-        stats: Dict[str, SignalStats] = {
-            net: input_stats[net] for net in circuit.inputs
-        }
-        for gid in range(len(self._cc.gate_names)):
-            out = self._cc.num_inputs + gid
-            stats[self._cc.nets[out]] = SignalStats(
-                float(self._prob[out]), float(self._dens[out])
-            )
-        return stats
-
-    def _rebuild(self, circuit, input_stats, net_stats) -> CompiledCircuit:
-        """Re-lower after a structural edit, seeding from ``net_stats``.
-
-        The previous lowering went stale (gate/net ids changed), but the
-        cache's statistics map is still exact for every surviving net:
-        the floats it holds were read out of these very arrays, so
-        writing them back is lossless.  Nets new to the circuit start at
-        zero — they belong to the dirty cone of this update and are
-        resettled (in level order, before any sink reads them) below.
-        """
-        cc = self._cc = get_compiled(circuit)
-        prob = np.zeros(len(cc.nets))
-        dens = np.zeros(len(cc.nets))
-        for i, net in enumerate(cc.nets):
-            stats = net_stats.get(net)
-            if stats is None and net in input_stats:
-                stats = input_stats[net]
-            if stats is not None:
-                prob[i] = stats.probability
-                dens[i] = stats.density
-        self._prob, self._dens = prob, dens
-        return cc
-
-    def update(self, circuit, dirty_gates, input_stats, changed_inputs,
-               net_stats):
-        cc = self._cc
-        if cc is None:
-            raise RuntimeError("update() before full()")
-        if cc.stale:
-            cc = self._rebuild(circuit, input_stats, net_stats)
-        updates: Dict[str, SignalStats] = {}
-        for net in changed_inputs:
-            stats = input_stats[net]
-            updates[net] = stats
-            net_index = cc.net_id[net]
-            self._prob[net_index] = stats.probability
-            self._dens[net_index] = stats.density
-        cc.resettle_stats(_gate_ids(cc, dirty_gates), self._prob, self._dens)
-        for gate in dirty_gates:
-            out = cc.net_id[gate.output]
-            updates[gate.output] = SignalStats(
-                float(self._prob[out]), float(self._dens[out])
-            )
-        return updates
+    def update(self, cc, gate_ids, input_ids, input_stats, prob, dens):
+        for i in input_ids:
+            stats = input_stats[cc.nets[i]]
+            prob[i] = stats.probability
+            dens[i] = stats.density
+        cc.resettle_stats(gate_ids, prob, dens)
 
 
 class SampledBackend(StatsBackend):
     """Bit-parallel Monte Carlo measurement with lane-history re-settling.
 
-    ``full`` draws every input's Markov-chain stream from its own RNG
+    ``settle`` draws every input's Markov-chain stream from its own RNG
     substream (:func:`repro.sim.bitsim.stream_rng`) as ``(steps,
     lanes/64)`` uint64 blocks (:func:`repro.compiled.sampled.markov_stream_blocks`),
     settles the whole circuit once on a
     :class:`~repro.compiled.sampled.SampledKernel`, and keeps the
     per-net, per-step history.  ``update`` then re-settles only the
     dirty gates' streams against the stored history — cone-sized work
-    per edit — and re-counts only the updated nets.  Streams, packing
+    per edit — and re-measures only the updated nets.  Streams, packing
     and counts match the big-int :mod:`repro.sim.bitsim` path bit for
     bit.
 
@@ -185,7 +138,7 @@ class SampledBackend(StatsBackend):
     only that input's stream, so the dirty set stays the input's fanout
     cone.
 
-    The step size ``dt`` is resolved once, at ``full`` time, by
+    The step size ``dt`` is resolved once, at ``settle`` time, by
     :func:`repro.sim.bitsim.resolve_dt`, and then **frozen** — a
     statistics edit that re-derived ``dt`` would perturb every stream
     and dirty the whole circuit.  Pass an explicit ``dt`` when what-if
@@ -208,12 +161,13 @@ class SampledBackend(StatsBackend):
         self._kernel: Optional[SampledKernel] = None
         #: Materialised input substreams, keyed by ``(net, P, D)`` and
         #: kept for the lifetime of the run (``seed``/``lanes``/``steps``
-        #: are fixed per backend, and ``dt`` is frozen at ``full`` time).
-        #: The rollback leg of every :class:`~repro.incremental.eco.WhatIf`
-        #: trial restores statistics the run has already drawn a stream
-        #: for, so it must not redraw it.  The cached arrays are never
-        #: mutated (the kernel copies them into its history), so sharing
-        #: them is safe.
+        #: are fixed per backend, and ``dt`` is frozen at ``settle``
+        #: time).  The rollback leg of every
+        #: :class:`~repro.incremental.eco.WhatIf` trial restores
+        #: statistics the run has already drawn a stream for, so it
+        #: must not redraw it.  The cached arrays are never mutated (the
+        #: kernel copies them into its history), so sharing them is
+        #: safe.
         self._stream_cache: Dict[tuple, np.ndarray] = {}
 
     def _input_stream(self, net: str, stats) -> np.ndarray:
@@ -234,36 +188,41 @@ class SampledBackend(StatsBackend):
             self._stream_cache[key] = stream
         return stream
 
-    def full(self, circuit, input_stats):
-        circuit.validate()
-        self.dt = resolve_dt((input_stats[net] for net in circuit.inputs),
-                             self.dt)
-        self._stream_cache.clear()  # dt may have changed; old words are stale
-        self._kernel = SampledKernel(get_compiled(circuit), self.lanes,
-                                     self.steps)
-        streams = {
-            net: self._input_stream(net, input_stats[net])
-            for net in circuit.inputs
-        }
-        self._kernel.settle_full(streams)
-        report = self._kernel.report(range(len(self._kernel.cc.nets)), self.dt)
-        return report.stats_map()
+    def _measure(self, net_ids: Sequence[int], prob: np.ndarray,
+                 dens: np.ndarray) -> None:
+        """Write the measured (P, D) of ``net_ids`` into the arrays."""
+        report = self._kernel.report(net_ids, self.dt)
+        nets = self._kernel.cc.nets
+        for i in net_ids:
+            stats = report.measured_stats(nets[i])
+            prob[i] = stats.probability
+            dens[i] = stats.density
 
-    def update(self, circuit, dirty_gates, input_stats, changed_inputs,
-               net_stats):
+    def settle(self, cc, input_stats):
+        cc.circuit.validate()
+        inputs = cc.circuit.inputs
+        self.dt = resolve_dt((input_stats[net] for net in inputs), self.dt)
+        self._stream_cache.clear()  # dt may have changed; old words are stale
+        self._kernel = SampledKernel(cc, self.lanes, self.steps)
+        self._kernel.settle_full({
+            net: self._input_stream(net, input_stats[net]) for net in inputs
+        })
+        prob = np.empty(len(cc.nets))
+        dens = np.empty(len(cc.nets))
+        self._measure(range(len(cc.nets)), prob, dens)
+        return prob, dens
+
+    def update(self, cc, gate_ids, input_ids, input_stats, prob, dens):
         kernel = self._kernel
         if kernel is None:
-            raise RuntimeError("update() before full()")
-        cc = kernel.cc
-        for net in changed_inputs:
+            raise RuntimeError("update() before settle()")
+        for i in input_ids:
+            net = cc.nets[i]
             kernel.set_input_stream(net, self._input_stream(net,
                                                             input_stats[net]))
-        gate_ids = _gate_ids(cc, dirty_gates)
         kernel.resettle(gate_ids)
-        updated = [cc.net_id[net] for net in changed_inputs]
-        updated.extend(int(cc.out_net[gid]) for gid in gate_ids)
-        report = kernel.report(updated, self.dt)
-        return {net: report.measured_stats(net) for net in report.ones}
+        self._measure([*input_ids, *cc.out_net[gate_ids].tolist()],
+                      prob, dens)
 
 
 #: Every (P, D) engine by name, in the order choices and texts list them.

@@ -23,6 +23,15 @@ under ECO edits.  Invalidation rules (see README.md):
 :meth:`refresh` re-propagates the dirty set in topological order via
 the configured backend and is called lazily by every read accessor.
 
+The statistics live in one place: the :attr:`StatsCache.prob` and
+:attr:`StatsCache.dens` arrays, indexed by the net ids of the
+circuit's current :class:`~repro.compiled.circuit.CompiledCircuit`.
+The backend computes into them and the power kernel gathers from them;
+the name-keyed reads (:meth:`StatsCache.stats`, ``cache[net]``,
+:meth:`StatsCache.power`) build :class:`SignalStats` views on demand.
+After a structural edit the first read carries the arrays onto the new
+lowering by net name (:func:`~repro.compiled.circuit.relowered`).
+
 Gate power is cached too.  A gate's power reads its fanin and output
 (P, D), its own compiled form and its output net's load, so an edit
 power-dirties only *seeds* and the refresh adds the rest with an
@@ -55,8 +64,10 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Mapping, Optional, Tuple
 
+import numpy as np
+
 from ..circuit.netlist import Circuit, StructureEvent
-from ..compiled.circuit import get_compiled
+from ..compiled.circuit import CompiledCircuit, get_compiled, relowered
 from ..compiled.power import CompiledPowerKernel
 from ..core.optimizer import CircuitPowerReport, fold_power
 from ..core.power_model import GatePowerModel, GatePowerReport
@@ -108,9 +119,12 @@ class StatsCache:
         self._input_stats: Dict[str, SignalStats] = {
             n: input_stats[n] for n in circuit.inputs
         }
-        self._stats: Dict[str, SignalStats] = dict(
-            self.backend.full(circuit, self._input_stats)
-        )
+        #: The circuit's lowering whose net ids index ``prob``/``dens``;
+        #: stale after a structural edit until the next read re-lowers.
+        self._cc = get_compiled(circuit)
+        #: Every net's (P, D) (treat as read-only).
+        self.prob, self.dens = self.backend.settle(self._cc,
+                                                   self._input_stats)
         self._dirty: set = set()
         self._changed_inputs: set = set()
         self._power_dirty: set = {g.name for g in circuit.gates}
@@ -196,7 +210,9 @@ class StatsCache:
         order) is re-read from the circuit's (freshly invalidated)
         memo.  Statistics for an added or rewired gate's cone go dirty
         and the gate itself is a power seed; a removed gate's cached
-        entries are purged instead.  Drivers of every net in
+        entries are purged instead (its output's (P, D) reads NaN, so
+        a gate re-added under that name before the next read starts
+        from no value, like a new one).  Drivers of every net in
         ``event.load_nets`` are power seeds too — their own (P, D) are
         untouched, but the external load they see changed.  Gates whose
         fanin (P, D) the edit moves are power-dirtied by
@@ -217,7 +233,9 @@ class StatsCache:
         if event.op == "remove":
             self._dirty.discard(gate_name)
             self._power_dirty.discard(gate_name)
-            self._stats.pop(event.output, None)
+            i = self._cc.net_id.get(event.output)
+            if i is not None:
+                self.prob[i] = self.dens[i] = np.nan
             self._power.pop(gate_name, None)
             self._stale_reports.discard(gate_name)
         else:
@@ -251,6 +269,12 @@ class StatsCache:
     # ------------------------------------------------------------------
     # Reads (lazily refreshing)
     # ------------------------------------------------------------------
+    def _lowering(self) -> CompiledCircuit:
+        """The current lowering, the arrays carried onto it if it is new."""
+        self._cc, self.prob, self.dens = relowered(self._cc, self.prob,
+                                                   self.dens)
+        return self._cc
+
     def refresh(self) -> Tuple[str, ...]:
         """Re-propagate the dirty set; returns the recomputed nets.
 
@@ -258,44 +282,46 @@ class StatsCache:
         cached value go power-dirty (the power rule's cut-off: a cone
         the edit left unchanged is never repriced).
         """
+        cc = self._lowering()
         if not self._dirty and not self._changed_inputs:
             return ()
         order = self._topo_index
-        dirty_gates = [
-            self.circuit.gate(name)
-            for name in sorted(self._dirty, key=order.__getitem__)
-        ]
+        names = sorted(self._dirty, key=order.__getitem__)
+        gate_ids = np.fromiter((cc.gate_id[name] for name in names),
+                               dtype=np.int64, count=len(names))
+        input_ids = sorted(cc.net_id[net] for net in self._changed_inputs)
+        net_ids = np.concatenate([np.asarray(input_ids, dtype=np.int64),
+                                  cc.out_net[gate_ids]])
+        prob, dens = self.prob, self.dens
+        old_prob, old_dens = prob[net_ids], dens[net_ids]
         tracer = _trace.ACTIVE
-        span = (tracer.span("stats.refresh", gates=len(dirty_gates),
+        span = (tracer.span("stats.refresh", gates=len(names),
                             backend=self.backend.name)
                 if tracer is not None else _trace.NULL_SPAN)
         with span:
-            updates = self.backend.update(
-                self.circuit, dirty_gates, self._input_stats,
-                frozenset(self._changed_inputs), self._stats,
-            )
-        stats = self._stats
+            self.backend.update(cc, gate_ids, input_ids, self._input_stats,
+                                prob, dens)
+        moved = (prob[net_ids] != old_prob) | (dens[net_ids] != old_dens)
         sinks = self.index.sinks
         power_dirty = self._power_dirty
-        for net, new in updates.items():
-            if stats.get(net) != new:
-                for gate, _pin in sinks(net):
-                    power_dirty.add(gate.name)
-        stats.update(updates)
-        self._repropagated.inc(len(dirty_gates))
+        for i in net_ids[moved].tolist():
+            for gate, _pin in sinks(cc.nets[i]):
+                power_dirty.add(gate.name)
+        self._repropagated.inc(len(names))
         self._refreshes.inc()
         self._dirty.clear()
         self._changed_inputs.clear()
-        return tuple(updates)
+        return tuple(cc.nets[i] for i in net_ids.tolist())
 
     def stats(self) -> Dict[str, SignalStats]:
-        """The full, up-to-date net-statistics map (treat as read-only)."""
+        """A snapshot of every net's up-to-date statistics."""
         self.refresh()
-        return self._stats
+        return self._cc.stats_map(self.prob, self.dens)
 
     def __getitem__(self, net: str) -> SignalStats:
         self.refresh()
-        return self._stats[net]
+        i = self._cc.net_id[net]
+        return SignalStats(float(self.prob[i]), float(self.dens[i]))
 
     # ------------------------------------------------------------------
     # Power
@@ -306,7 +332,7 @@ class StatsCache:
 
     def power_kernel(self) -> CompiledPowerKernel:
         """The memoised :class:`CompiledPowerKernel` of the current lowering."""
-        cc = get_compiled(self.circuit)
+        cc = self._lowering()
         kernel = self._power_kernel_obj
         if kernel is None or kernel.cc is not cc:
             kernel = CompiledPowerKernel(cc, self.model)
@@ -336,7 +362,7 @@ class StatsCache:
                 if tracer is not None else _trace.NULL_SPAN)
         with span:
             totals = self.power_kernel().gate_totals(
-                names, self._stats, self.po_load)
+                names, self.prob, self.dens, self.po_load)
         slots = self._slots
         order = self._topo_index
         for name, total in zip(names, totals.tolist()):
@@ -375,10 +401,10 @@ class StatsCache:
             names = sorted(self._stale_reports,
                            key=self._topo_index.__getitem__)
             self._power.update(self.power_kernel().reports(
-                names, self._stats, self.po_load))
+                names, self.prob, self.dens, self.po_load))
             self._stale_reports.clear()
         return CircuitPowerReport(fold_power(self._slots), dict(self._power),
-                                  dict(self._stats))
+                                  self._cc.stats_map(self.prob, self.dens))
 
     # ------------------------------------------------------------------
     def close(self) -> None:

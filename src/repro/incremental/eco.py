@@ -357,11 +357,22 @@ def resolve_edit(circuit: Circuit, entry: Mapping,
     Malformed entries — not a JSON object, an unknown op, unknown or
     missing keys, a field of the wrong JSON type, an unknown gate, an
     ``input-*`` net that is not a primary input, input statistics out
-    of range — raise :class:`ValueError` naming the entry (``index``,
-    its position in the script, when given).
+    of range, a config index out of range, ``add-gate`` pins that miss
+    the template's — raise :class:`ValueError` naming the entry
+    (``index``, its position in the script, when given); an unknown
+    template raises :class:`CircuitError` with the same prefix.
     """
     where = "script entry" if index is None else f"script entry {index}"
     _check_entry(circuit, entry, where)
+    try:
+        return _resolve(circuit, entry)
+    except ValueError as error:  # CircuitError included; keep its type
+        error.args = (f"{where}: {error}",)
+        raise
+
+
+def _resolve(circuit: Circuit, entry: Mapping) -> EcoEdit:
+    """:func:`resolve_edit` of an entry :func:`_check_entry` passed."""
     op = entry["op"]
     if op == "reorder":
         gate = circuit.gate(entry["gate"])
@@ -380,12 +391,8 @@ def resolve_edit(circuit: Circuit, entry: Mapping,
             f"gate {gate.name} (-> {template.name})",
         ))
     if op == "input-stats":
-        try:
-            stats = SignalStats(float(entry["probability"]),
-                                float(entry["density"]))
-        except ValueError as error:  # out of range, e.g. probability 1.5
-            raise ValueError(f"{where}: {error}") from None
-        return InputStatsEdit(entry["net"], stats)
+        return InputStatsEdit(entry["net"], SignalStats(
+            float(entry["probability"]), float(entry["density"])))
     if op == "input-arrival":
         return InputArrivalEdit(entry["net"], float(entry["arrival"]))
     if op == "add-gate":

@@ -14,7 +14,7 @@ The greedy pure-power sweep goes one step further: all same-gate
 candidates of a pass are priced in one vectorised kernel invocation
 (:class:`_BatchPricer`) instead of per-move trials — reorders touch
 only the gate's own power row, retemplate cones resettle on scratch
-copies of the analytic backend's arrays — with scores, accept
+copies of the statistics cache's arrays — with scores, accept
 decisions and the move trace bit-identical to the WhatIf path
 (``tests/test_batch_pricing.py`` holds the artifact equality;
 ``benchmarks/bench_compiled_sampler.py`` times the pass against the
@@ -436,8 +436,8 @@ class _BatchPricer:
     net statistics, pin terminal counts and hence every net load are
     untouched, so only the gate's own power row moves — and a
     ``retemplate`` cone can be resettled on scratch copies of the
-    analytic backend's (P, D) arrays without ever editing the
-    circuit.  Candidate totals rebuild the exact left fold
+    cache's (P, D) arrays without ever editing the circuit.  Candidate
+    totals rebuild the exact left fold
     :meth:`StatsCache.total_power` runs: the baseline per-gate totals
     (the cache's topological slot array) with the repriced rows
     substituted, folded in topological order via
@@ -460,9 +460,9 @@ class _BatchPricer:
     leaves.
 
     :meth:`score` returns ``None`` when it cannot price a batch this
-    way — retemplate candidates on a backend without live (P, D)
-    arrays (the sampled backends' lane histories cannot be trial-run
-    from here) — and the caller falls back to the WhatIf loop.
+    way — retemplate candidates on the sampled backend (its lane
+    histories cannot be trial-run from here) — and the caller falls
+    back to the WhatIf loop.
     """
 
     def __init__(self, state: "_Search"):
@@ -536,11 +536,13 @@ class _BatchPricer:
         template = gate.template
         gid = cc.gate_id[gate.name]
         load = cc.net_loads(kernel.model.tech, cache.po_load)[cc.out_net[gid]]
-        p_in, d_in = kernel._gather([gid], len(template.pins), cache._stats)
+        fanin = cc._fanin_matrix(np.asarray([gid], dtype=np.int64),
+                                 len(template.pins))
         configs = [template.default_config() if move.edit.config is None
                    else move.edit.config for move in moves]
         *_, totals = stacked_class(template, configs).evaluate(
-            kernel.model, p_in, d_in, np.asarray([load]))
+            kernel.model, cache.prob[fanin], cache.dens[fanin],
+            np.asarray([load]))
         pos = cache.topo_index[gate.name]
         return self._fold([{pos: total} for total in totals[0].tolist()])
 
@@ -601,8 +603,8 @@ class _BatchPricer:
             # strictly the lowest level of its cone), then the rest of
             # the cone level-batched on scratch copies — the exact
             # group sequence a trial resettle of the cone runs.
-            prob = backend._prob.copy()
-            dens = backend._dens.copy()
+            prob = cache.prob.copy()
+            dens = cache.dens.copy()
             p_out, d_out = cc._stats_group(stats_class(compiled), fanin,
                                            prob, dens)
             prob[out] = p_out[0]
@@ -1558,7 +1560,7 @@ def _single(circuit: Circuit, input_stats: Mapping[str, SignalStats],
         result = SearchResult(
             circuit=work,
             accepted=state.accepted,
-            net_stats=dict(cache.stats()),
+            net_stats=cache.stats(),
             power_before=state.power0,
             power_after=power_after,
             delay_before=state.delay0,

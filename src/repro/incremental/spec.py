@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, Optional, Sequence, Union
 
-from ..timing.sta import DEFAULT_PO_LOAD
+from ..timing.sta import DEFAULT_PO_LOAD, timing_context
 from .backends import (
     DEFAULT_ENGINE,
     ENGINES,
@@ -249,6 +249,11 @@ class SearchSpec:
             engine_kwargs(self.backend, self.seed, **self.backend_kwargs())
         except KnobError as error:
             raise SpecError(str(error)) from None
+        try:
+            timing_context(po_load=self.po_load)
+        except ValueError:
+            raise SpecError(f"`po_load` must be a finite non-negative "
+                            f"capacitance, got {self.po_load!r}") from None
         if self.structural and not ENGINES[self.backend].supports_structure:
             raise SpecError(
                 f"`structural` requires `backend={STRUCTURE_ENGINE}` "

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..circuit.netlist import Circuit
 from ..circuit.topology import FanoutIndex
-from ..compiled.circuit import get_compiled
+from ..compiled.circuit import CompiledCircuit, get_compiled, relowered
 from ..obs import trace as _trace
 from ..obs.metrics import MetricsRegistry
 from ..timing.sta import TimingReport, net_load, timing_context
@@ -48,11 +48,13 @@ class TimingCache:
     structural edit both re-read the circuit's freshly rebuilt memoised
     index, so they keep sharing).
 
-    Arrivals live in a persistent flat array over the circuit's
-    :class:`~repro.compiled.circuit.CompiledCircuit` lowering, with a
-    dict view kept in sync for reads.  A structural edit drops the
-    array and the lowering; the next refresh rebuilds both from the
-    dict.
+    Arrivals live in one flat array over the net ids of the circuit's
+    :class:`~repro.compiled.circuit.CompiledCircuit` lowering, next to
+    a per-net array of each driver's latest-arriving pin position; the
+    name-keyed reads (:meth:`arrivals`, :meth:`critical_path`,
+    :meth:`required_times`) are built from them on demand.  After a
+    structural edit the first read carries both arrays onto the new
+    lowering by net name (:func:`~repro.compiled.circuit.relowered`).
     """
 
     def __init__(self, circuit: Circuit,
@@ -73,17 +75,12 @@ class TimingCache:
             net: (float(input_arrivals[net]) if input_arrivals else 0.0)
             for net in circuit.inputs
         }
-        self._arrivals: Dict[str, float] = dict(self._input_arrivals)
-        self._pred: Dict[str, Optional[str]] = {
-            net: None for net in circuit.inputs
-        }
-        cc = self._cc = get_compiled(circuit)
-        self._arr, pred_net = cc.arrivals_full(
+        #: The lowering whose net ids index ``_arr`` and ``_pin``.
+        self._cc = get_compiled(circuit)
+        #: Per-net arrival, and the template-pin position of the
+        #: latest-arriving fanin of the net's driver (-1: an input).
+        self._arr, self._pin = self._cc.arrivals_full(
             self.tech, self.po_load, self._input_arrivals)
-        for gid in range(len(cc.gate_names)):
-            out = cc.num_inputs + gid
-            self._arrivals[cc.nets[out]] = float(self._arr[out])
-            self._pred[cc.nets[out]] = cc.nets[pred_net[gid]]
         #: Seed gates awaiting re-propagation (the refresh descends
         #: their cones itself, pruning with early cut-off, so the full
         #: dirty cone is never materialised eagerly).
@@ -127,15 +124,14 @@ class TimingCache:
         """Handle a structural edit: rebuild structure, widen dirty seeds.
 
         Mirrors :meth:`StatsCache._on_structure`.  An added gate's
-        output is seeded NaN so the early cut-off always treats its
-        first recompute as changed (``x != nan`` for every ``x``); the
-        NaN never escapes because the gate is in the dirty seeds of the
-        very next refresh.  Drivers of the event's ``load_nets`` are
-        seeded too — the external load they see changed, and load
-        enters the Elmore delay.  The stale lowering and its arrival
-        array are dropped, not rebuilt: the arrival dict stays exact,
-        and the next :meth:`refresh` re-lowers once from it
-        (:meth:`_relower`), so a run of structural edits — a
+        output reads NaN (a new net, or one a removal forgot) so the
+        early cut-off always treats its first recompute as changed
+        (``x != nan`` for every ``x``); the NaN never escapes because
+        the gate is in the dirty seeds of the very next refresh.
+        Drivers of the event's ``load_nets`` are seeded too — the
+        external load they see changed, and load enters the Elmore
+        delay.  The arrays stay on the stale lowering until the next
+        read re-lowers once, so a run of structural edits — a
         multi-edit move and its rollback — lowers once per read, not
         once per edit.
         """
@@ -144,35 +140,23 @@ class TimingCache:
         self._topo_index = {g.name: i for i, g in enumerate(self._topo)}
         if event.op == "remove":
             self._dirty.discard(gate_name)
-            self._arrivals.pop(event.output, None)
-            self._pred.pop(event.output, None)
+            i = self._cc.net_id.get(event.output)
+            if i is not None:
+                self._arr[i] = np.nan
         else:
-            if event.op == "add":
-                self._arrivals[event.output] = float("nan")
-                self._pred[event.output] = None
             self._dirty.add(gate_name)
         for net in event.load_nets:
             pred = self.circuit.driver(net)
             if pred is not None:
                 self._dirty.add(pred.name)
-        self._cc = None
-        self._arr = None
         self._required = None
         self._required_clock = None
 
-    def _relower(self) -> None:
-        """Re-acquire the lowering and rebuild the arrival array.
-
-        Called by :meth:`refresh` after structural edits dropped the
-        old pair; the circuit's memoised lowering
-        (:func:`~repro.compiled.circuit.get_compiled`) is shared with
-        the statistics backend and the power kernel.
-        """
-        cc = self._cc = get_compiled(self.circuit)
-        arrivals = self._arrivals
-        self._arr = np.fromiter(
-            (arrivals.get(net, np.nan) for net in cc.nets),
-            dtype=float, count=len(cc.nets))
+    def _lowering(self) -> CompiledCircuit:
+        """The current lowering, the arrays carried onto it if it is new."""
+        self._cc, self._arr, self._pin = relowered(self._cc, self._arr,
+                                                   self._pin)
+        return self._cc
 
     def mark_dirty(self, gate_name: str) -> None:
         """Seed the dirty set as if ``gate_name`` had just been edited.
@@ -197,9 +181,7 @@ class TimingCache:
         if arrival == old:
             return old
         self._input_arrivals[net] = arrival
-        self._arrivals[net] = arrival
-        if self._cc is not None:  # else the next refresh re-lowers
-            self._arr[self._cc.net_id[net]] = arrival
+        self._arr[self._cc.net_id[net]] = arrival
         self._required = None  # the net may have no sinks to refresh through
         for gate, _pin in self.index.sinks(net):
             self._dirty.add(gate.name)
@@ -243,11 +225,9 @@ class TimingCache:
         in :attr:`gates_retimed`.  The changed nets come back in
         topological order.
         """
+        cc = self._lowering()
         if not self._dirty:
             return ()
-        if self._cc is None:
-            self._relower()
-        cc = self._cc
         arr = self._arr
         tracer = _trace.ACTIVE
         span = (tracer.span("timing.refresh", seeds=len(self._dirty))
@@ -266,26 +246,21 @@ class TimingCache:
             while frontier:
                 level = min(frontier)
                 ids = np.fromiter(frontier.pop(level), dtype=np.int64)
-                gids, out_ids, arrivals, pred_nets = cc.retime_gates(
+                gids, out_ids, arrivals, pins = cc.retime_gates(
                     ids, arr, loads, self.tech)
                 recomputed += len(gids)
-                old = arr[out_ids]
+                moved = arrivals != arr[out_ids]
                 arr[out_ids] = arrivals
-                moved = arrivals != old
-                for k in range(len(gids)):
-                    out_name = cc.nets[int(out_ids[k])]
-                    # The latest-arriving pin can shift on an exact tie, so
-                    # the predecessor updates even when the arrival did not.
-                    self._pred[out_name] = cc.nets[int(pred_nets[k])]
-                    if moved[k]:
-                        self._arrivals[out_name] = float(arrivals[k])
-                        changed_gids.append(int(gids[k]))
-                        for sink in cc.gate_sinks(int(gids[k])):
-                            sink = int(sink)
-                            if sink not in queued:
-                                queued.add(sink)
-                                frontier.setdefault(
-                                    int(cc.level[sink]), set()).add(sink)
+                # The latest-arriving pin can shift on an exact tie, so
+                # the predecessor updates even when the arrival did not.
+                self._pin[out_ids] = pins
+                for gid in gids[moved].tolist():
+                    changed_gids.append(gid)
+                    for sink in cc.gate_sinks(gid).tolist():
+                        if sink not in queued:
+                            queued.add(sink)
+                            frontier.setdefault(
+                                int(cc.level[sink]), set()).add(sink)
             if tracer is not None:
                 span.note(recomputed=recomputed, changed=len(changed_gids))
         self._retimed.inc(recomputed)
@@ -300,13 +275,13 @@ class TimingCache:
     # Reads (lazily refreshing)
     # ------------------------------------------------------------------
     def arrivals(self) -> Dict[str, float]:
-        """The full, up-to-date arrival-time map (treat as read-only)."""
+        """A snapshot of every net's up-to-date arrival time."""
         self.refresh()
-        return self._arrivals
+        return dict(zip(self._cc.nets, self._arr.tolist()))
 
     def arrival(self, net: str) -> float:
         self.refresh()
-        return self._arrivals[net]
+        return float(self._arr[self._cc.net_id[net]])
 
     def __getitem__(self, net: str) -> float:
         return self.arrival(net)
@@ -316,25 +291,26 @@ class TimingCache:
         self.refresh()
         if not self.circuit.outputs:
             return 0.0
-        return max(self._arrivals[n] for n in self.circuit.outputs)
+        return float(self._arr[self._cc.is_output].max())
 
     def critical_path(self) -> Tuple[str, ...]:
         """Net names from a primary input to the latest primary output."""
         self.refresh()
         if not self.circuit.outputs:
             return ()
-        worst = max(self.circuit.outputs, key=lambda n: self._arrivals[n])
-        path: List[str] = []
-        net: Optional[str] = worst
-        while net is not None:
-            path.append(net)
-            net = self._pred[net]
+        cc = self._cc
+        net = max((cc.net_id[n] for n in self.circuit.outputs),
+                  key=self._arr.__getitem__)
+        path = [cc.nets[net]]
+        while net >= cc.num_inputs:
+            net = cc.pred_net(net, self._pin)
+            path.append(cc.nets[net])
         path.reverse()
         return tuple(path)
 
     def report(self) -> TimingReport:
         """A :class:`~repro.timing.sta.TimingReport` of the current state."""
-        return TimingReport(dict(self.arrivals()), self.delay(),
+        return TimingReport(self.arrivals(), self.delay(),
                             self.critical_path())
 
     # ------------------------------------------------------------------
@@ -358,7 +334,7 @@ class TimingCache:
 
         required: Dict[str, float] = {
             net: (clock if net in self._outputs else float("inf"))
-            for net in self._arrivals
+            for net in self._cc.nets
         }
         for gate in reversed(self._topo):
             compiled = gate.compiled()
@@ -377,11 +353,12 @@ class TimingCache:
 
     def slack(self, net: str, clock: Optional[float] = None) -> float:
         """``required - arrival`` of one net (0.0 on the critical path)."""
-        return self.required_times(clock)[net] - self._arrivals[net]
+        return self.required_times(clock)[net] - self.arrival(net)
 
     def slacks(self, clock: Optional[float] = None) -> Dict[str, float]:
         required = self.required_times(clock)
-        return {net: required[net] - self._arrivals[net] for net in required}
+        arrivals = self.arrivals()
+        return {net: required[net] - arrivals[net] for net in required}
 
     # ------------------------------------------------------------------
     def close(self) -> None:

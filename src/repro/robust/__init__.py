@@ -1,10 +1,11 @@
 """Fault tolerance for long searches: crash-safe artifacts, checkpoints,
 worker supervision and fault injection.
 
-The ROADMAP's north star is searches over 10^5-10^6-gate circuits and
-an always-on optimization service; at that scale a killed process, a
-dead pool worker or a torn artifact write must never cost the run.
-This package is the substrate the rest of the system builds on:
+Among the ROADMAP's aims is correctness under faults: identity
+contracts such as resume == uninterrupted and ``--jobs 1`` ==
+``--jobs N`` hold even when a process is killed, a pool worker dies or
+an artifact write is torn, and none of these may cost the run.  This
+package is the substrate the rest of the system builds on:
 
 :mod:`~repro.robust.atomic`
     :func:`~repro.robust.atomic.atomic_write_text` — temp file in the

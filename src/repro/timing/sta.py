@@ -16,7 +16,9 @@ for the dirty-set protocol the cache layers on top.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..circuit.netlist import Circuit, GateInstance
@@ -46,10 +48,17 @@ def timing_context(tech: Optional[TechParams] = None,
     :func:`circuit_delay`, :class:`repro.incremental.cache.StatsCache`
     and :class:`repro.incremental.timing.TimingCache` — applies the
     same defaulting rule; keeping it here stops each of them growing
-    its own copy.
+    its own copy.  A given ``po_load`` must be a finite, non-negative
+    real number (a capacitance in F); anything else raises
+    :class:`ValueError`.
     """
-    return (tech if tech is not None else TechParams(),
-            DEFAULT_PO_LOAD if po_load is None else float(po_load))
+    if po_load is None:
+        po_load = DEFAULT_PO_LOAD
+    elif (isinstance(po_load, bool) or not isinstance(po_load, Real)
+          or not math.isfinite(po_load) or po_load < 0):
+        raise ValueError(f"po_load must be a finite non-negative "
+                         f"capacitance, got {po_load!r}")
+    return (tech if tech is not None else TechParams(), float(po_load))
 
 
 def gate_arrival(gate: GateInstance, arrivals: Mapping[str, float],

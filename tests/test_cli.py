@@ -335,6 +335,14 @@ class TestEco:
         ([{"op": "input-stats", "net": "a", "probability": 1.5,
            "density": 1.0e5}],
          "script entry 0: probability 1.5 outside [0, 1]"),
+        ([{"op": "reorder", "gate": "g0", "config": 99}],
+         "script entry 0: gate g0 (nand3): config index 99 outside 0..5"),
+        ([{"op": "add-gate", "gate": "b0", "template": "inv",
+           "pins": {"b": "a"}, "output": "b0_n"}],
+         "script entry 0: add-gate b0: pins ['b'] do not match template "
+         "'inv' pins ['a']"),
+        ([{"op": "retemplate", "gate": "g0", "template": "nope"}],
+         "script entry 0: unknown template 'nope'; available: "),
     ])
     def test_eco_malformed_entry_is_a_one_line_error(self, tmp_path, script,
                                                      message):

@@ -50,6 +50,12 @@ def wide():
     return circuit, stats
 
 
+def net_arrays(cc, stats):
+    """A (P, D) map as the per-net arrays the kernel reads."""
+    return (np.array([stats[net].probability for net in cc.nets]),
+            np.array([stats[net].density for net in cc.nets]))
+
+
 def object_reports(circuit, model, stats, po_load):
     index = circuit.fanout_index()
     outputs = frozenset(circuit.outputs)
@@ -127,7 +133,7 @@ class TestKernelEquivalence:
         stats = local_stats(work, input_stats)
         kernel = CompiledPowerKernel(get_compiled(work), model)
         names = [g.name for g in work.gates]
-        assert_reports_equal(kernel.reports(names, stats, PO_LOAD),
+        assert_reports_equal(kernel.reports(names, *net_arrays(kernel.cc, stats), PO_LOAD),
                              object_reports(work, model, stats, PO_LOAD))
 
     def test_gate_totals_match_reports(self, wide):
@@ -139,8 +145,8 @@ class TestKernelEquivalence:
         stats = local_stats(work, input_stats)
         kernel = CompiledPowerKernel(get_compiled(work), model)
         names = [g.name for g in work.gates]
-        reports = kernel.reports(names, stats, PO_LOAD)
-        totals = kernel.gate_totals(names, stats, PO_LOAD)
+        reports = kernel.reports(names, *net_arrays(kernel.cc, stats), PO_LOAD)
+        totals = kernel.gate_totals(names, *net_arrays(kernel.cc, stats), PO_LOAD)
         assert totals.shape == (len(names),)
         for name, total in zip(names, totals):
             assert float(total) == reports[name].total
@@ -160,7 +166,7 @@ class TestKernelEquivalence:
             apply_spec(circuit, input_stats, spec)
             stats = local_stats(circuit, input_stats)
             assert_reports_equal(
-                kernel.reports(names, stats, PO_LOAD),
+                kernel.reports(names, *net_arrays(kernel.cc, stats), PO_LOAD),
                 object_reports(circuit, model, stats, PO_LOAD))
 
 

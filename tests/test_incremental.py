@@ -1,19 +1,28 @@
 """Tests for the incremental (P, D) engine (`repro.incremental`)."""
 
+import numpy as np
 import pytest
 
 from repro.bench.suite import get_case
-from repro.circuit.netlist import CircuitError, SetConfig, SetTemplate
+from repro.circuit.netlist import (
+    AddGate,
+    CircuitError,
+    RemoveGate,
+    SetConfig,
+    SetTemplate,
+)
 from repro.circuit.topology import (
     FanoutIndex,
     topological_gates,
     transitive_fanout,
 )
+from repro.compiled.circuit import get_compiled
 from repro.core.optimizer import circuit_power
 from repro.incremental import (
     AnalyticBackend,
     SampledBackend,
     StatsCache,
+    TimingCache,
     WhatIf,
     make_backend,
 )
@@ -158,6 +167,48 @@ class TestStatsCacheAnalytic:
         circuit, stats = adder
         with StatsCache(circuit, stats) as cache:
             assert cache.stats() == local_stats(circuit, stats)
+
+    def test_stats_returns_a_snapshot(self, adder):
+        circuit, stats = adder
+        with StatsCache(circuit, stats) as cache:
+            snapshot = cache.stats()
+            gate = next(g for g in circuit.gates
+                        if g.template.num_configurations() > 1)
+            net = gate.pin_nets[gate.template.pins[0]]
+            before = cache[net]
+            snapshot[net] = SignalStats(0.5, before.density * 3.0 + 1.0)
+            # The reorder reprices the gate, reading its pin statistics.
+            circuit.set_config(gate.name, gate.template.configurations()[-1])
+            assert cache[net] == before
+            assert cache.total_power() == circuit_power(circuit, stats).total
+            assert cache.stats() == local_stats(circuit, stats)
+
+    def test_dead_gate_removal_after_reorders_reads_like_fresh_caches(
+            self, adder):
+        """A reordering dirties no statistics and removing a dead gate
+        fed by primary inputs seeds nothing either, so the first read
+        after the removal finds both caches clean yet re-lowered."""
+        circuit, stats = adder
+        work = circuit.copy()
+        a, b = work.inputs[:2]
+        work.apply_edit(AddGate("dead", "nand2", (("a", a), ("b", b)),
+                                "dead_n"))
+        with StatsCache(work, stats) as cache, \
+                TimingCache(work, index=cache.index) as timing:
+            for gate in [g for g in work.gates
+                         if g.template.num_configurations() > 1][:4]:
+                work.set_config(gate.name, gate.template.configurations()[-1])
+                cache.total_power()
+                timing.delay()
+            work.apply_edit(RemoveGate("dead"))
+            assert cache.dirty_gates == timing.dirty_gates == frozenset()
+            with StatsCache(work, stats) as fresh:
+                assert cache.total_power() == fresh.total_power()
+            with TimingCache(work) as fresh:
+                assert timing.delay() == fresh.delay()
+                assert timing.arrivals() == fresh.arrivals()
+                assert timing.critical_path() == fresh.critical_path()
+            assert cache.stats() == local_stats(work, stats)
 
     def test_dirty_set_is_exactly_the_cone(self, adder):
         circuit, stats = adder
@@ -313,8 +364,11 @@ class TestStatsCacheSampled:
     def test_update_before_full_rejected(self, adder):
         circuit, stats = adder
         backend = SampledBackend(lanes=8, steps=4, dt=1.0)
+        cc = get_compiled(circuit)
+        prob, dens = np.zeros(len(cc.nets)), np.zeros(len(cc.nets))
         with pytest.raises(RuntimeError):
-            backend.update(circuit, [], stats, frozenset(), {})
+            backend.update(cc, np.zeros(0, dtype=np.int64), [], stats,
+                           prob, dens)
 
     def test_dt_too_coarse_rejected(self, adder):
         circuit, stats = adder
@@ -596,6 +650,24 @@ class TestEditScripts:
             "density": 1.5e5,
         })
         assert stats_edit == InputStatsEdit("a0", SignalStats(0.25, 1.5e5))
+
+    @pytest.mark.parametrize("entry, error, message", [
+        ({"op": "reorder", "config": 10_000}, ValueError,
+         r"gate \w+ \(\w+\): config index 10000 outside"),
+        ({"op": "add-gate", "gate": "x", "template": "inv",
+          "pins": {"b": "a0"}, "output": "x_n"}, ValueError,
+         "add-gate x: pins \\['b'\\] do not match template 'inv'"),
+        ({"op": "retemplate", "template": "nope"}, CircuitError,
+         "unknown template 'nope'"),
+    ])
+    def test_resolution_errors_name_their_entry(self, adder, entry, error,
+                                                message):
+        circuit, _ = adder
+        if entry["op"] != "add-gate":
+            entry = dict(entry, gate=circuit.gates[0].name)
+        with pytest.raises(error, match=f"^script entry 4: {message}") as info:
+            resolve_edit(circuit, entry, 4)
+        assert type(info.value) is error
 
     def test_unknown_op_rejected(self, adder):
         circuit, _ = adder

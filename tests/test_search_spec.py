@@ -199,6 +199,11 @@ def no_cache_builds(monkeypatch):
     (dict(strategy="greedy", restarts=2), r"strategy='anneal'"),
     (dict(deadline_s=10.0), r"deadline_s budgets portfolio"),
     (dict(backend="local"), r"unknown backend 'local'"),
+    # nan < 0 is False and "x" < 0 raises TypeError: no bare bound
+    # check would refuse these.
+    (dict(po_load=-1e-12), r"po_load must be a finite non-negative"),
+    (dict(po_load=float("nan")), r"po_load must be a finite non-negative"),
+    (dict(po_load="x"), r"po_load must be a finite non-negative"),
 ])
 def test_rejected_before_any_cache_is_built(adder, no_cache_builds, params,
                                             message):

@@ -53,8 +53,27 @@ class TestTimingContext:
         assert tech is custom
         assert po_load == 5.0e-15
 
+    @pytest.mark.parametrize("po_load", [-1e-12, float("nan"), "x"])
+    def test_rejects_a_bad_po_load(self, po_load):
+        with pytest.raises(ValueError,
+                           match="po_load must be a finite non-negative"):
+            timing_context(po_load=po_load)
+
 
 class TestTimingCacheBasics:
+    def test_arrivals_returns_a_snapshot(self, rca4):
+        circuit, _ = rca4
+        work = circuit.copy()
+        with TimingCache(work) as tcache:
+            delay = tcache.delay()
+            path = tcache.critical_path()
+            snapshot = tcache.arrivals()
+            for net in snapshot:
+                snapshot[net] = 1.0
+            assert tcache.delay() == delay
+            assert tcache.critical_path() == path
+            assert tcache.arrivals() == analyze_timing(work).arrivals
+
     def test_initial_state_matches_batch_sta(self, rca4):
         circuit, _ = rca4
         with TimingCache(circuit) as tcache:
