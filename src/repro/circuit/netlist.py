@@ -256,9 +256,10 @@ class Circuit:
         self._driver: Dict[str, GateInstance] = {}
         self._edit_listeners: List[Callable[[str, str], None]] = []
         #: Memoised derived structure (the integer structure record,
-        #: fanout index, topological order, levels, compiled form);
-        #: cleared by structural mutation.  See :meth:`structure` /
-        #: :meth:`fanout_index` / :meth:`topo_gates` / :meth:`gate_levels`.
+        #: fanout index, topological order and positions, levels,
+        #: compiled form); cleared by structural mutation.  See
+        #: :meth:`structure` / :meth:`fanout_index` / :meth:`topo_gates` /
+        #: :meth:`topo_positions` / :meth:`gate_levels`.
         self._structure: Dict[str, object] = {}
         self._structure_event: Optional[StructureEvent] = None
 
@@ -361,6 +362,14 @@ class Circuit:
             order = tuple([gates[gid] for gid in record.topo.tolist()])
             self._structure["topo"] = order
         return order
+
+    def topo_positions(self) -> Mapping[str, int]:
+        """Memoised gate name -> position in :meth:`topo_gates` (read-only)."""
+        positions = self._structure.get("positions")
+        if positions is None:
+            positions = {g.name: i for i, g in enumerate(self.topo_gates())}
+            self._structure["positions"] = positions
+        return positions
 
     def gate_levels(self) -> Mapping[str, int]:
         """Memoised logic level per gate, in topological order (read-only).

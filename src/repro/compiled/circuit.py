@@ -293,6 +293,8 @@ class CompiledCircuit:
         # gate-creation-then-template-pin order net_load sums in.
         self.fanin_ptr = record.fanin_ptr
         self.fanin_net = record.fanin_net
+        #: Gate ids in topological order, and each gate id's position.
+        self.topo = record.topo
         self.topo_index = record.topo_index
         self.level = record.level
         order = np.argsort(self.level, kind="stable")

@@ -344,8 +344,8 @@ def circuit_power(
 def fold_power(totals) -> float:
     """Per-gate power totals summed as a strict left fold, in the order given.
 
-    ``totals`` is any buffer of doubles (an ``array("d")`` or a float64
-    ndarray), read without a copy.  ``np.cumsum`` is a sequential
+    ``totals`` is any buffer of doubles (a float64 ndarray, say), read
+    without a copy.  ``np.cumsum`` is a sequential
     partial sum on every Python version, unlike ``sum`` over floats
     (compensated from Python 3.12), so the incremental cache, the
     search's batch pricer and :func:`circuit_power` agree bit for bit.

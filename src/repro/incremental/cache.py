@@ -15,9 +15,8 @@ under ECO edits.  Invalidation rules (see README.md):
 * :meth:`set_input_stats` on input net *x* dirties exactly the gates in
   *x*'s transitive fanout;
 * the structural edits (``AddGate``/``RemoveGate``/``RewireNet``)
-  rebuild the fanout index and topological order, then dirty the
-  edited gate's new cone (add/rewire) — a removed gate's entries are
-  purged instead;
+  re-read the circuit's fanout index, then dirty the edited gate's new
+  cone (add/rewire) — a removed gate's entries are purged instead;
 * nothing else dirties anything.
 
 :meth:`refresh` re-propagates the dirty set in topological order via
@@ -29,7 +28,9 @@ circuit's current :class:`~repro.compiled.circuit.CompiledCircuit`.
 The backend computes into them and the power kernel gathers from them;
 the name-keyed reads (:meth:`StatsCache.stats`, ``cache[net]``,
 :meth:`StatsCache.power`) build :class:`SignalStats` views on demand.
-After a structural edit the first read carries the arrays onto the new
+Each gate's power total sits next to them, in
+:attr:`StatsCache.gate_power` at the gate's output net id.  After a
+structural edit the first read carries all three arrays onto the new
 lowering by net name (:func:`~repro.compiled.circuit.relowered`).
 
 Gate power is cached too.  A gate's power reads its fanin and output
@@ -48,20 +49,19 @@ power-dirties only *seeds* and the refresh adds the rest with an
   (P, D) differs from the cached value, primary inputs included — the
   only way a gate outside the seeds can change power.
 
-Each gate's total sits in a flat array indexed by topological slot; a
-power refresh rewrites only the dirty slots with the kernel's per-gate
-totals (no report objects), and the circuit total is
-:func:`~repro.core.optimizer.fold_power` of that array — the
-topological left fold :func:`~repro.core.optimizer.circuit_power` runs
-too, so incremental and from-scratch totals are equal, not merely
-close.  Per-node reports (:class:`~repro.core.power_model.GatePowerReport`)
-are built only when :meth:`StatsCache.power` asks for them, and then
-only for gates whose report is stale.
+A power refresh writes the kernel's per-gate totals of the dirty gates
+into ``gate_power`` in one indexed store (no report objects), and the
+circuit total is :func:`~repro.core.optimizer.fold_power` of the
+column gathered in topological order — the topological left fold
+:func:`~repro.core.optimizer.circuit_power` runs too, so incremental
+and from-scratch totals are equal, not merely close.  Per-node reports
+(:class:`~repro.core.power_model.GatePowerReport`) are built only when
+:meth:`StatsCache.power` asks for them, and then only for gates whose
+report is stale.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -71,7 +71,6 @@ from ..compiled.circuit import CompiledCircuit, get_compiled, relowered
 from ..compiled.power import CompiledPowerKernel
 from ..core.optimizer import CircuitPowerReport, fold_power
 from ..core.power_model import GatePowerModel, GatePowerReport
-from ..gates.capacitance import net_load
 from ..obs import trace as _trace
 from ..obs.metrics import MetricsRegistry
 from ..stochastic.signal import SignalStats
@@ -90,7 +89,10 @@ class StatsCache:
     flat-array kernels of :mod:`repro.compiled`; every cached float is
     bit-identical to the per-gate oracles
     (:func:`~repro.stochastic.density.local_stats`,
-    :func:`~repro.core.optimizer.circuit_power`).
+    :func:`~repro.core.optimizer.circuit_power`).  Every cached value is
+    a column over the current lowering (``prob``, ``dens``,
+    ``gate_power``); order and loads are read from the circuit's memos
+    and the lowering, never copied.
     """
 
     def __init__(self, circuit: Circuit,
@@ -109,32 +111,25 @@ class StatsCache:
         self.model = model if model is not None else GatePowerModel()
         _, self.po_load = timing_context(self.model.tech, po_load)
         # Memoised on the circuit: a second cache (or a search run)
-        # reuses the same index and topological order instead of
-        # redoing the O(V+E) construction.
+        # reuses the same index instead of redoing the O(V+E) inversion.
         self.index = circuit.fanout_index()
-        self._topo_index = {
-            g.name: i for i, g in enumerate(circuit.topo_gates())
-        }
-        self._outputs = frozenset(circuit.outputs)
         self._input_stats: Dict[str, SignalStats] = {
             n: input_stats[n] for n in circuit.inputs
         }
-        #: The circuit's lowering whose net ids index ``prob``/``dens``;
-        #: stale after a structural edit until the next read re-lowers.
+        #: The circuit's lowering whose net ids index ``prob``, ``dens``
+        #: and ``gate_power``; stale after a structural edit until the
+        #: next read re-lowers.
         self._cc = get_compiled(circuit)
         #: Every net's (P, D) (treat as read-only).
         self.prob, self.dens = self.backend.settle(self._cc,
                                                    self._input_stats)
+        #: Each gate's power total at its output net id (treat as
+        #: read-only); NaN at primary inputs and until a gate is priced.
+        #: No fold reads a NaN: every unpriced gate is power-dirty.
+        self.gate_power = np.full(len(self._cc.nets), np.nan)
         self._dirty: set = set()
         self._changed_inputs: set = set()
         self._power_dirty: set = {g.name for g in circuit.gates}
-        #: Per-gate power totals by topological slot (``_topo_index``),
-        #: unboxed doubles; ``None`` until the first power refresh and
-        #: after a structural edit renumbers the slots.
-        self._slots: Optional[array] = None
-        #: ``(topo index, slots)`` of the numbering a structural edit
-        #: retired, until the next power refresh renumbers the slots.
-        self._retired: Optional[Tuple[Mapping[str, int], array]] = None
         #: Per-gate reports, built on demand by :meth:`power`; the
         #: names in ``_stale_reports`` are missing or out of date.
         self._power: Dict[str, GatePowerReport] = {}
@@ -170,13 +165,14 @@ class StatsCache:
     def topo_index(self) -> Mapping[str, int]:
         """Gate name -> topological position (treat as read-only).
 
-        The local edits never change connectivity, so this map stays
-        valid across them; a structural edit replaces it (re-read the
-        property — the old mapping object is discarded, not patched).
-        The search engine sorts its worklists with it instead of
-        re-levelising the circuit.
+        The circuit's :meth:`~repro.circuit.netlist.Circuit.topo_positions`
+        memo.  The local edits never change connectivity, so this map
+        stays valid across them; a structural edit replaces it (re-read
+        the property — the old mapping object is discarded, not
+        patched).  The search engine sorts its worklists with it
+        instead of re-levelising the circuit.
         """
-        return self._topo_index
+        return self.circuit.topo_positions()
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -204,28 +200,21 @@ class StatsCache:
         self._power_dirty.add(gate_name)
 
     def _on_structure(self, gate_name: str, event: StructureEvent) -> None:
-        """Handle a structural edit: rebuild structure, seed dirty sets.
+        """Handle a structural edit: re-read the index, seed dirty sets.
 
-        The connectivity-derived state (fanout index, topological
-        order) is re-read from the circuit's (freshly invalidated)
-        memo.  Statistics for an added or rewired gate's cone go dirty
-        and the gate itself is a power seed; a removed gate's cached
-        entries are purged instead (its output's (P, D) reads NaN, so
-        a gate re-added under that name before the next read starts
-        from no value, like a new one).  Drivers of every net in
-        ``event.load_nets`` are power seeds too — their own (P, D) are
-        untouched, but the external load they see changed.  Gates whose
-        fanin (P, D) the edit moves are power-dirtied by
-        :meth:`refresh`.
+        The fanout index is re-read from the circuit's (freshly
+        invalidated) memo.  Statistics for an added or rewired gate's
+        cone go dirty and the gate itself is a power seed; a removed
+        gate's cached entries are purged instead (its output's (P, D)
+        and power read NaN, so a gate re-added under that name before
+        the next read starts from no value, like a new one).  Drivers
+        of every net in ``event.load_nets`` are power seeds too — their
+        own (P, D) are untouched, but the external load they see
+        changed.  Gates whose fanin (P, D) the edit moves are
+        power-dirtied by :meth:`refresh`.
         """
         refuse_structure(self.backend)
-        if self._slots is not None:
-            self._retired = (self._topo_index, self._slots)
-            self._slots = None
         self.index = self.circuit.fanout_index()
-        self._topo_index = {
-            g.name: i for i, g in enumerate(self.circuit.topo_gates())
-        }
         self._structural.inc()
         tracer = _trace.ACTIVE
         if tracer is not None:
@@ -235,7 +224,7 @@ class StatsCache:
             self._power_dirty.discard(gate_name)
             i = self._cc.net_id.get(event.output)
             if i is not None:
-                self.prob[i] = self.dens[i] = np.nan
+                self.prob[i] = self.dens[i] = self.gate_power[i] = np.nan
             self._power.pop(gate_name, None)
             self._stale_reports.discard(gate_name)
         else:
@@ -271,8 +260,8 @@ class StatsCache:
     # ------------------------------------------------------------------
     def _lowering(self) -> CompiledCircuit:
         """The current lowering, the arrays carried onto it if it is new."""
-        self._cc, self.prob, self.dens = relowered(self._cc, self.prob,
-                                                   self.dens)
+        self._cc, self.prob, self.dens, self.gate_power = relowered(
+            self._cc, self.prob, self.dens, self.gate_power)
         return self._cc
 
     def refresh(self) -> Tuple[str, ...]:
@@ -285,8 +274,7 @@ class StatsCache:
         cc = self._lowering()
         if not self._dirty and not self._changed_inputs:
             return ()
-        order = self._topo_index
-        names = sorted(self._dirty, key=order.__getitem__)
+        names = sorted(self._dirty, key=self.topo_index.__getitem__)
         gate_ids = np.fromiter((cc.gate_id[name] for name in names),
                                dtype=np.int64, count=len(names))
         input_ids = sorted(cc.net_id[net] for net in self._changed_inputs)
@@ -326,10 +314,6 @@ class StatsCache:
     # ------------------------------------------------------------------
     # Power
     # ------------------------------------------------------------------
-    def _output_load(self, net: str) -> float:
-        return net_load(self.index.sinks(net), net in self._outputs,
-                        self.model.tech, self.po_load)
-
     def power_kernel(self) -> CompiledPowerKernel:
         """The memoised :class:`CompiledPowerKernel` of the current lowering."""
         cc = self._lowering()
@@ -341,69 +325,58 @@ class StatsCache:
 
     def _refresh_power(self) -> None:
         self.refresh()
-        if self._slots is None:
-            # (Re)number the slots (first use, or a structural edit):
-            # every gate already priced keeps its total; the rest are
-            # power-dirty and get rewritten below.
-            old_index, old_slots = self._retired or ({}, ())
-            self._retired = None
-            self._slots = array("d", (
-                old_slots[old_index[name]] if name in old_index else 0.0
-                for name in self._topo_index
-            ))
         if not self._power_dirty:
             return
         # Sorted iteration: string-set order varies with per-process
         # hash randomisation, and a run-varying float summation order
         # would make repeated runs differ in the last ulp.
-        names = sorted(self._power_dirty, key=self._topo_index.__getitem__)
+        names = sorted(self._power_dirty, key=self.topo_index.__getitem__)
         tracer = _trace.ACTIVE
         span = (tracer.span("stats.power_refresh", gates=len(names))
                 if tracer is not None else _trace.NULL_SPAN)
         with span:
-            totals = self.power_kernel().gate_totals(
-                names, self.prob, self.dens, self.po_load)
-        slots = self._slots
-        order = self._topo_index
-        for name, total in zip(names, totals.tolist()):
-            slots[order[name]] = total
+            kernel = self.power_kernel()
+            totals = kernel.gate_totals(names, self.prob, self.dens,
+                                        self.po_load)
+        cc = kernel.cc
+        self.gate_power[cc.out_net[[cc.gate_id[n] for n in names]]] = totals
         self._stale_reports.update(names)
         self._power_dirty.clear()
 
-    def power_totals(self) -> array:
-        """Per-gate power totals in topological order (treat as read-only).
+    def power_totals(self) -> np.ndarray:
+        """Per-gate power totals in topological order, as a new array.
 
-        The array :meth:`total_power` sums; slot ``i`` belongs to the
+        The array :meth:`total_power` sums; entry ``i`` belongs to the
         gate at :attr:`topo_index` position ``i``.
         """
         self._refresh_power()
-        return self._slots
+        cc = self._cc
+        return self.gate_power[cc.out_net[cc.topo]]
 
     def total_power(self) -> float:
         """Total modelled power, recomputing only power-dirty gates.
 
-        One vectorised left fold over the slot array in topological
-        order (:func:`~repro.core.optimizer.fold_power`), bit-identical
-        for any edit history.
+        One vectorised left fold over :meth:`power_totals`
+        (:func:`~repro.core.optimizer.fold_power`), bit-identical for
+        any edit history.
         """
-        self._refresh_power()
-        return fold_power(self._slots)
+        return fold_power(self.power_totals())
 
     def power(self) -> CircuitPowerReport:
         """A full :class:`CircuitPowerReport`, incrementally maintained.
 
         Reports are rebuilt only for gates repriced since the last
-        call; their totals equal the slot array's (both are the
+        call; their totals equal ``gate_power``'s (both are the
         kernel's left fold over the gate's nodes).
         """
-        self._refresh_power()
+        total = self.total_power()
         if self._stale_reports:
             names = sorted(self._stale_reports,
-                           key=self._topo_index.__getitem__)
+                           key=self.topo_index.__getitem__)
             self._power.update(self.power_kernel().reports(
                 names, self.prob, self.dens, self.po_load))
             self._stale_reports.clear()
-        return CircuitPowerReport(fold_power(self._slots), dict(self._power),
+        return CircuitPowerReport(total, dict(self._power),
                                   self._cc.stats_map(self.prob, self.dens))
 
     # ------------------------------------------------------------------

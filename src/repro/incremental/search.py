@@ -77,7 +77,9 @@ import math
 import time
 import zlib
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -89,7 +91,7 @@ from ..circuit.netlist import (
     SetConfig,
     SetTemplate,
 )
-from ..compiled.circuit import stats_class
+from ..compiled.circuit import CompiledCircuit, stats_class
 from ..compiled.power import power_class, stacked_class
 from ..obs import trace as _trace
 from ..obs.metrics import REGISTRY as _GLOBAL_METRICS
@@ -270,13 +272,38 @@ class AcceptedMove:
         return self.entry if isinstance(self.entry, list) else [self.entry]
 
 
+class NetStats(Mapping[str, SignalStats]):
+    """Every net's final (P, D), made :class:`SignalStats` on first read.
+
+    Built from ``(net, P, D)`` rows, consumed once; a search ends
+    without building the per-net objects, which nothing on its own
+    path reads.
+    """
+
+    def __init__(self, rows: Iterable[Tuple[str, float, float]]):
+        self._rows = rows
+
+    @cached_property
+    def _map(self) -> Dict[str, SignalStats]:
+        return {net: SignalStats(p, d) for net, p, d in self._rows}
+
+    def __getitem__(self, net: str) -> SignalStats:
+        return self._map[net]
+
+    def __iter__(self):
+        return iter(self._map)
+
+    def __len__(self) -> int:
+        return len(self._map)
+
+
 @dataclass
 class SearchResult:
     """The searched circuit plus the full bookkeeping of how it got there."""
 
     circuit: Circuit
     accepted: List[AcceptedMove]
-    net_stats: Dict[str, SignalStats]
+    net_stats: Mapping[str, SignalStats]
     power_before: float
     power_after: float
     delay_before: float
@@ -439,7 +466,7 @@ class _BatchPricer:
     cache's (P, D) arrays without ever editing the circuit.  Candidate
     totals rebuild the exact left fold
     :meth:`StatsCache.total_power` runs: the baseline per-gate totals
-    (the cache's topological slot array) with the repriced rows
+    (:meth:`StatsCache.power_totals`) with the repriced rows
     substituted, folded in topological order via
     ``np.cumsum`` (a strictly sequential partial sum, and ``0.0 + x``
     is exact), so scores, accept decisions and the move trace are
@@ -447,6 +474,12 @@ class _BatchPricer:
     path re-propagates any statistics; for retemplates the pricer
     saves the WhatIf path's cone re-propagations, so
     ``gates_repropagated`` shrinks.
+
+    The pricer keeps no copy of the cache's structure: each batch reads
+    the cache's current power kernel (and through it the lowering, its
+    loads and fanin), and the baseline totals are dropped on an accept
+    and whenever the lowering they were read from is no longer the
+    current one.
 
     Bookkeeping parity with the rolled-back trials is explicit: every
     scored gate seeds the timing cache's dirty set through
@@ -468,26 +501,20 @@ class _BatchPricer:
     def __init__(self, state: "_Search"):
         self.state = state
         self.cache = state.cache
-        self.kernel = self.cache.power_kernel()
-        self.cc = self.kernel.cc
         self._templates = {t.name: t for t in state.circuit.library}
-        self._totals: Optional[np.ndarray] = None
+        #: ``(lowering, per-gate totals in topological order)``.
+        self._baseline: Optional[Tuple[CompiledCircuit, np.ndarray]] = None
 
     def invalidate(self) -> None:
         """Drop the cached baseline totals (an accept changed rows)."""
-        self._totals = None
+        self._baseline = None
 
-    def _baseline_totals(self) -> np.ndarray:
-        totals = self._totals
-        if totals is None:
-            totals = np.array(self.cache.power_totals(), dtype=float)
-            self._totals = totals
-        return totals
-
-    def _fold(self, replacements: List[Dict[int, float]]) -> np.ndarray:
+    def _fold(self, cc: CompiledCircuit,
+              replacements: List[Dict[int, float]]) -> np.ndarray:
         """Candidate totals: baseline rows with replacements, refolded."""
-        baseline = self._baseline_totals()
-        rows = np.tile(baseline, (len(replacements), 1))
+        if self._baseline is None or self._baseline[0] is not cc:
+            self._baseline = (cc, self.cache.power_totals())
+        rows = np.tile(self._baseline[1], (len(replacements), 1))
         for k, repl in enumerate(replacements):
             for pos, value in repl.items():
                 rows[k, pos] = value
@@ -502,10 +529,11 @@ class _BatchPricer:
         # trials), so the accept-time cone sizes match the per-move
         # path.
         self.cache._refresh_power()
+        kernel = self.cache.power_kernel()
         if moves[0].kind == "reorder":
-            totals = self._reorder_totals(moves)
+            totals = self._reorder_totals(kernel, moves)
         else:
-            totals = self._retemplate_totals(moves)
+            totals = self._retemplate_totals(kernel, moves)
             if totals is None:
                 return None
         state.timing.mark_dirty(moves[0].gate)
@@ -521,7 +549,7 @@ class _BatchPricer:
             ))
         return scored
 
-    def _reorder_totals(self, moves: Sequence["Move"]) -> np.ndarray:
+    def _reorder_totals(self, kernel, moves: Sequence["Move"]) -> np.ndarray:
         """One kernel call prices every candidate ordering of the gate.
 
         A reorder changes nothing but the gate's own power row, and
@@ -530,8 +558,7 @@ class _BatchPricer:
         single evaluation (:func:`~repro.compiled.power.stacked_class`).
         """
         cache = self.cache
-        cc = self.cc
-        kernel = self.kernel
+        cc = kernel.cc
         gate = self.state.circuit.gate(moves[0].gate)
         template = gate.template
         gid = cc.gate_id[gate.name]
@@ -544,9 +571,9 @@ class _BatchPricer:
             kernel.model, cache.prob[fanin], cache.dens[fanin],
             np.asarray([load]))
         pos = cache.topo_index[gate.name]
-        return self._fold([{pos: total} for total in totals[0].tolist()])
+        return self._fold(cc, [{pos: total} for total in totals[0].tolist()])
 
-    def _retemplate_totals(self, moves: Sequence["Move"]
+    def _retemplate_totals(self, kernel, moves: Sequence["Move"]
                            ) -> Optional[np.ndarray]:
         from .backends import AnalyticBackend
 
@@ -554,8 +581,7 @@ class _BatchPricer:
         backend = cache.backend
         if not isinstance(backend, AnalyticBackend):
             return None
-        cc = self.cc
-        kernel = self.kernel
+        cc = kernel.cc
         model = kernel.model
         tech = model.tech
         circuit = self.state.circuit
@@ -618,7 +644,7 @@ class _BatchPricer:
                                           loads)
                 repl.update(zip(positions, totals[:, 0].tolist()))
             replacements.append(repl)
-        return self._fold(replacements)
+        return self._fold(cc, replacements)
 
 
 # ----------------------------------------------------------------------
@@ -847,11 +873,6 @@ class _Search:
                 if tracer is not None else _trace.NULL_SPAN)
         with span:
             if self._pricer is not None and not moves[0].structural:
-                if self._pricer.cc.stale:
-                    # A structural trial or accept closed the compiled
-                    # lowering the pricer captured; rebuild against the
-                    # fresh one before pricing anything through it.
-                    self._pricer = _BatchPricer(self)
                 scored = self._pricer.score(moves)
                 if scored is not None:
                     if tracer is not None:
@@ -1126,8 +1147,11 @@ def _ranked_drivers(state: _Search, k: int) -> List[str]:
     descending, gate creation order breaking ties — so the candidate
     order is deterministic and independent of hash randomisation.
     """
+    kernel = state.cache.power_kernel()
+    cc = kernel.cc
+    loads = cc.net_loads(kernel.model.tech, state.cache.po_load).tolist()
     ranked = sorted(
-        (-state.cache._output_load(gate.output), position, gate.name)
+        (-loads[cc.net_id[gate.output]], position, gate.name)
         for position, gate in enumerate(state.circuit.gates)
         if len(state.cache.index.sinks(gate.output)) >= 2
     )
@@ -1367,10 +1391,7 @@ def _portfolio(circuit: Circuit, input_stats: Mapping[str, SignalStats],
     return SearchResult(
         circuit=work,
         accepted=accepted,
-        net_stats={
-            net: SignalStats(probability, density)
-            for net, probability, density in best["net_stats"]
-        },
+        net_stats=NetStats(best["net_stats"]),
         power_before=best["power_before"],
         power_after=best["power_after"],
         delay_before=best["delay_before"],
@@ -1560,7 +1581,8 @@ def _single(circuit: Circuit, input_stats: Mapping[str, SignalStats],
         result = SearchResult(
             circuit=work,
             accepted=state.accepted,
-            net_stats=cache.stats(),
+            net_stats=NetStats(zip(cache.power_kernel().cc.nets,
+                                   cache.prob.tolist(), cache.dens.tolist())),
             power_before=state.power0,
             power_after=power_after,
             delay_before=state.delay0,

@@ -17,8 +17,10 @@ the library (``jobs``, ``strategy='anneal'``) or as flags for the CLI
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, fields, replace
+from numbers import Integral, Real
 from typing import Callable, Dict, Optional, Sequence, Union
 
 from ..timing.sta import DEFAULT_PO_LOAD, timing_context
@@ -126,13 +128,18 @@ def make_objective(objective: Union[str, Objective],
     return Objective("power-delay", 1.0 - weight, weight)
 
 
+#: ``kind`` values: an integer (never a bool), or a finite real number.
+INTEGER, FINITE = "an integer", "a finite number"
+
+
 def _param(default, help: str, **meta):
     """One declared field.  ``meta`` keys, all optional:
 
     ``result`` (default true) — the value can change the result, so it
     enters the fingerprint; ``cli`` (default true), ``flag``,
     ``metavar`` — its ``repro search`` flag (``--field-name`` unless
-    renamed); ``choices`` (per element with ``many``) and
+    renamed); ``choices`` (per element with ``many``), ``kind``
+    (:data:`INTEGER` or :data:`FINITE`) and
     ``at_least``/``above``/``at_most`` — what a given value may be;
     ``within`` — the fingerprint entry that carries it.
     """
@@ -152,7 +159,8 @@ class SearchSpec:
 
     seed: int = _param(
         0, "RNG seed of the annealing schedule and the sampled backend's "
-           "substreams (repro search draws its stimulus from it too)")
+           "substreams (repro search draws its stimulus from it too)",
+        kind=INTEGER)
     strategy: str = _param(
         "greedy", "greedy steepest descent or simulated annealing",
         choices=STRATEGIES)
@@ -167,14 +175,14 @@ class SearchSpec:
         DEFAULT_ENGINE, "statistics backend", choices=tuple(ENGINES))
     lanes: Optional[int] = _param(
         None, "sample lanes for `backend=sampled`", at_least=1,
-        within="backend_kwargs")
+        within="backend_kwargs", kind=INTEGER)
     steps: Optional[int] = _param(
         None, "time steps for `backend=sampled`", at_least=1,
-        within="backend_kwargs")
+        within="backend_kwargs", kind=INTEGER)
     dt: Optional[float] = _param(
         None, "explicit step size for `backend=sampled` (default: half the "
               "shortest mean input dwell, frozen for the run)",
-        cli=False, above=0, within="backend_kwargs")
+        cli=False, above=0, within="backend_kwargs", kind=FINITE)
     po_load: Optional[float] = _param(
         DEFAULT_PO_LOAD, "external load on every primary output (F)",
         cli=False)
@@ -182,22 +190,24 @@ class SearchSpec:
         False, "also search same-pin-tuple cell swaps (changes the logic "
                "function)")
     max_trials: Optional[int] = _param(
-        None, "cap on candidate-move evaluations", at_least=0)
+        None, "cap on candidate-move evaluations", at_least=0, kind=INTEGER)
     max_moves: Optional[int] = _param(
-        None, "cap on accepted moves", at_least=0)
+        None, "cap on accepted moves", at_least=0, kind=INTEGER)
     max_rounds: Optional[int] = _param(
-        None, "cap on greedy sweeps", cli=False, at_least=0)
+        None, "cap on greedy sweeps", cli=False, at_least=0, kind=INTEGER)
     initial_temp: float = _param(
         0.02, "annealing start temperature, in baseline-normalised score "
-              "units", cli=False, at_least=0)
+              "units", cli=False, at_least=0, kind=FINITE)
     cooling: float = _param(
         0.9, "geometric cooling factor, applied every `moves_per_temp` "
-             "annealing steps", cli=False, above=0, at_most=1)
+             "annealing steps", cli=False, above=0, at_most=1, kind=FINITE)
     moves_per_temp: int = _param(
-        8, "annealing steps per temperature", cli=False, at_least=1)
+        8, "annealing steps per temperature", cli=False, at_least=1,
+        kind=INTEGER)
     anneal_trials: Optional[int] = _param(
         None, "annealing schedule length (default: 32 x movable gates); "
-              "does not consume the `max_trials` cap", at_least=0)
+              "does not consume the `max_trials` cap", at_least=0,
+        kind=INTEGER)
     polish: bool = _param(False, "greedy descent after annealing")
     structural: Optional[Sequence[str]] = _param(
         None, "opt-in structural move families run after the main "
@@ -207,17 +217,17 @@ class SearchSpec:
         metavar="FAMILY", choices=STRUCTURAL_FAMILIES, many=True)
     structural_nets: int = _param(
         4, "top-K loaded nets the buffer/dup families consider "
-           "(default 4)", at_least=1)
+           "(default 4)", at_least=1, kind=INTEGER)
     restarts: Optional[int] = _param(
         None, "portfolio mode: run this many CRC-seeded annealing "
               f"restarts and keep the best (default {DEFAULT_RESTARTS} "
               "when `jobs` is given; requires `strategy=anneal`)",
-        at_least=1)
+        at_least=1, kind=INTEGER)
     jobs: Optional[int] = _param(
         None, "worker processes for the restart portfolio; results are "
               "identical across `jobs` values (artifacts byte-identical "
               "once the run-timing fields are stripped; requires "
-              "`strategy=anneal`)", result=False, at_least=1)
+              "`strategy=anneal`)", result=False, at_least=1, kind=INTEGER)
     checkpoint_path: Optional[str] = _param(
         None, "periodically snapshot the search state here (atomic, "
               "checksummed); resuming a killed run from it with "
@@ -226,7 +236,7 @@ class SearchSpec:
     checkpoint_every: Optional[int] = _param(
         None, "accepted moves between checkpoint snapshots (default 32; "
               "needs `checkpoint_path`)", result=False, metavar="N",
-        at_least=1)
+        at_least=1, kind=INTEGER)
     resume_path: Optional[str] = _param(
         None, "resume from a checkpoint written by `checkpoint_path` (the "
               "run must use the same circuit, stats and search "
@@ -235,12 +245,12 @@ class SearchSpec:
         None, "per-restart wall-time budget for portfolio workers; a "
               "restart that exceeds it is killed and retried (requires "
               "`restarts`/`jobs`)", result=False, flag="--deadline",
-        metavar="SECONDS", above=0)
+        metavar="SECONDS", above=0, kind=FINITE)
     worker_retries: int = _param(
         2, "extra attempts for a portfolio restart whose worker crashes, "
            "raises or times out before it is recorded as failed "
            "(default 2)", result=False, flag="--retries", metavar="N",
-        at_least=0)
+        at_least=0, kind=INTEGER)
 
     def __post_init__(self):
         for spec_field in fields(self):
@@ -318,11 +328,18 @@ class SearchSpec:
 
 
 def _check(spec_field, value) -> None:
-    """One field's own checks: allowed names and numeric bounds."""
+    """One field's own checks: allowed names, numeric kinds and bounds."""
     name, meta = spec_field.name, spec_field.metadata
     choices = meta.get("choices")
     if value is None or name == "objective":
         return  # make_objective resolves objective names and instances
+    kind = meta.get("kind")
+    # A bool is an Integral, and NaN fails every bound comparison.
+    if kind is not None and (
+            isinstance(value, bool)
+            or not isinstance(value, Integral if kind == INTEGER else Real)
+            or (kind == FINITE and not math.isfinite(value))):
+        raise SpecError(f"`{name}` must be {kind}, got {value!r}")
     if meta.get("many"):
         if isinstance(value, str):
             raise SpecError(f"`{name}` takes a sequence of names, not the "

@@ -33,7 +33,7 @@ from ..circuit.topology import FanoutIndex
 from ..compiled.circuit import CompiledCircuit, get_compiled, relowered
 from ..obs import trace as _trace
 from ..obs.metrics import MetricsRegistry
-from ..timing.sta import TimingReport, net_load, timing_context
+from ..timing.sta import TimingReport, timing_context
 
 __all__ = ["TimingCache"]
 
@@ -55,6 +55,9 @@ class TimingCache:
     :meth:`required_times`) are built from them on demand.  After a
     structural edit the first read carries both arrays onto the new
     lowering by net name (:func:`~repro.compiled.circuit.relowered`).
+    The cache keeps no order or loads of its own: gate order comes from
+    ``circuit.topo_gates()``, loads and the output mask from the
+    lowering (``net_loads``, ``is_output``).
     """
 
     def __init__(self, circuit: Circuit,
@@ -68,9 +71,6 @@ class TimingCache:
         self.circuit = circuit
         self.tech, self.po_load = timing_context(tech, po_load)
         self.index = index
-        self._topo = circuit.topo_gates()
-        self._topo_index = {g.name: i for i, g in enumerate(self._topo)}
-        self._outputs = frozenset(circuit.outputs)
         self._input_arrivals: Dict[str, float] = {
             net: (float(input_arrivals[net]) if input_arrivals else 0.0)
             for net in circuit.inputs
@@ -121,7 +121,7 @@ class TimingCache:
         self._dirty.add(gate_name)
 
     def _on_structure(self, gate_name: str, event) -> None:
-        """Handle a structural edit: rebuild structure, widen dirty seeds.
+        """Handle a structural edit: re-read the index, widen dirty seeds.
 
         Mirrors :meth:`StatsCache._on_structure`.  An added gate's
         output reads NaN (a new net, or one a removal forgot) so the
@@ -136,8 +136,6 @@ class TimingCache:
         once per edit.
         """
         self.index = self.circuit.fanout_index()
-        self._topo = self.circuit.topo_gates()
-        self._topo_index = {g.name: i for i, g in enumerate(self._topo)}
         if event.op == "remove":
             self._dirty.discard(gate_name)
             i = self._cc.net_id.get(event.output)
@@ -168,7 +166,7 @@ class TimingCache:
         refresh work and the :attr:`gates_retimed` counter bit-identical
         to the per-move :class:`~repro.incremental.eco.WhatIf` path.
         """
-        if gate_name not in self._topo_index:
+        if gate_name not in self.circuit:
             raise KeyError(f"unknown gate {gate_name!r}")
         self._dirty.add(gate_name)
 
@@ -208,10 +206,6 @@ class TimingCache:
     # ------------------------------------------------------------------
     # Re-propagation
     # ------------------------------------------------------------------
-    def _load(self, net: str) -> float:
-        return net_load(self.index.sinks(net), net in self._outputs,
-                        self.tech, self.po_load)
-
     def refresh(self) -> Tuple[str, ...]:
         """Re-propagate dirty cones; returns the nets whose arrival moved.
 
@@ -332,14 +326,16 @@ class TimingCache:
             return self._required
         from ..timing.elmore import gate_pin_delay
 
+        cc = self._cc
+        loads = cc.net_loads(self.tech, self.po_load).tolist()
         required: Dict[str, float] = {
-            net: (clock if net in self._outputs else float("inf"))
-            for net in self._cc.nets
+            net: (clock if is_output else float("inf"))
+            for net, is_output in zip(cc.nets, cc.is_output.tolist())
         }
-        for gate in reversed(self._topo):
+        for gate in reversed(self.circuit.topo_gates()):
             compiled = gate.compiled()
             config = gate.effective_config()
-            load = self._load(gate.output)
+            load = loads[cc.net_id[gate.output]]
             req_out = required[gate.output]
             for pin in gate.template.pins:
                 net = gate.pin_nets[pin]

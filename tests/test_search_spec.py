@@ -204,6 +204,18 @@ def no_cache_builds(monkeypatch):
     (dict(po_load=-1e-12), r"po_load must be a finite non-negative"),
     (dict(po_load=float("nan")), r"po_load must be a finite non-negative"),
     (dict(po_load="x"), r"po_load must be a finite non-negative"),
+    # Each numeric field declares its kind; before that, the first
+    # eight constructed and the last raised TypeError.
+    (dict(cooling=float("nan")), r"cooling must be a finite number"),
+    (dict(initial_temp=float("nan")), r"initial_temp must be a finite"),
+    (dict(PORTFOLIO, deadline_s=float("nan")),
+     r"deadline_s must be a finite number"),
+    (dict(anneal_trials=float("inf")), r"anneal_trials must be an integer"),
+    (dict(max_trials=2.5), r"max_trials must be an integer, got 2.5"),
+    (dict(seed=1.5), r"seed must be an integer, got 1.5"),
+    (dict(seed="7"), r"seed must be an integer, got '7'"),
+    (dict(structural_nets=True), r"structural_nets must be an integer"),
+    (dict(max_trials="x"), r"max_trials must be an integer, got 'x'"),
 ])
 def test_rejected_before_any_cache_is_built(adder, no_cache_builds, params,
                                             message):

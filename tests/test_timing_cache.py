@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis.experiments import run_eco
 from repro.bench.suite import get_case
-from repro.circuit.netlist import SetConfig
+from repro.circuit.netlist import AddGate, RemoveGate, RewireNet, SetConfig
 from repro.gates.capacitance import TechParams
 from repro.incremental import StatsCache, TimingCache, WhatIf
 from repro.incremental.eco import (
@@ -203,6 +203,36 @@ class TestRequiredTimesAndSlacks:
             # recomputed, not served stale
             after = tcache.slacks()
             assert set(after) == set(before)
+
+    def test_buffer_edits_read_like_a_fresh_cache(self, rca4):
+        # Required times walk the current topological order and the
+        # current lowering's loads, so each structural step must move
+        # both: an inverter pair inserted on a multi-sink net, every
+        # sink rewired onto it, the sinks rewired back and the now
+        # dead second inverter removed (its fanin net keeps a dead
+        # sink, whose required time is inf).
+        circuit, _ = rca4
+        work = circuit.copy()
+        index = work.fanout_index()
+        net = next(g.output for g in work.gates
+                   if len(index.sinks(g.output)) >= 2)
+        sinks = [(sink.name, pin) for sink, pin in index.sinks(net)]
+        steps = [
+            [AddGate("buf_a", "inv", (("a", net),), "buf_a_n"),
+             AddGate("buf_b", "inv", (("a", "buf_a_n"),), "buf_b_n")],
+            [RewireNet(name, pin, "buf_b_n") for name, pin in sinks],
+            [RewireNet(name, pin, net) for name, pin in sinks]
+            + [RemoveGate("buf_b")],
+        ]
+        with TimingCache(work) as tcache:
+            tcache.required_times()
+            for edits in steps:
+                for edit in edits:
+                    work.apply_edit(edit)
+                with TimingCache(work) as fresh:
+                    assert tcache.required_times() == fresh.required_times()
+                    assert tcache.slacks() == fresh.slacks()
+            assert tcache.required_times()["buf_a_n"] == float("inf")
 
 
 class TestWhatIfTiming:
