@@ -269,10 +269,10 @@ def run_eco(circuit: Circuit,
     e.g. a ``reorder`` after a ``retemplate`` indexes the new
     template's configurations.  Statistics and power are maintained by
     a :class:`repro.incremental.StatsCache` with the chosen backend,
-    and delay by a :class:`repro.incremental.TimingCache` sharing its
-    fanout index: every edit costs cone-sized work, which the ``cone``
-    and ``retimed`` columns record, and each delay is bit-identical to
-    a from-scratch STA of the edited netlist.  An edit the engine
+    and delay by a :class:`repro.incremental.TimingCache`: every edit
+    costs cone-sized work, which the ``cone`` and ``retimed`` columns
+    record, and each delay is bit-identical to a from-scratch STA of
+    the edited netlist.  An edit the engine
     cannot follow is refused before the circuit changes.
     """
     from ..incremental import StatsCache, TimingCache
@@ -285,8 +285,7 @@ def run_eco(circuit: Circuit,
     model = model if model is not None else GatePowerModel()
     cache = StatsCache(circuit, input_stats, backend=backend, model=model,
                        po_load=po_load, **backend_kwargs)
-    tcache = TimingCache(circuit, tech=model.tech, po_load=po_load,
-                         index=cache.index)
+    tcache = TimingCache(circuit, tech=model.tech, po_load=po_load)
     rows: List[EcoRow] = []
     try:
         power = cache.total_power()

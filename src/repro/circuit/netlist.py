@@ -159,7 +159,7 @@ class StructureEvent:
     """What the last structural edit did, for ``"structure"`` listeners.
 
     Published on :attr:`Circuit.structure_event` immediately before the
-    listeners fire, so caches can widen their dirty sets precisely:
+    listeners fire, so caches can seed their dirty sets precisely:
     ``load_nets`` are the nets whose external load changed (the edited
     gate's fanin nets for add/remove, the old and new net for rewire) —
     their drivers must be power- and timing-dirtied even though their
@@ -492,10 +492,9 @@ class Circuit:
         self._edit_listeners.remove(callback)
 
     def _notify_edit(self, gate_name: str, kind: str) -> None:
-        # Snapshot: a structure listener may rebuild derived state that
-        # registers its own listener (e.g. TimingCache re-acquiring the
-        # compiled lowering) — the newcomer must not also receive the
-        # in-flight event it was just rebuilt for.
+        # Snapshot: a listener may detach itself mid-event (a directly
+        # built CompiledCircuit closes on a structural edit).  No
+        # listener derives structure; caches record seeds.
         for callback in list(self._edit_listeners):
             callback(gate_name, kind)
 
@@ -579,7 +578,7 @@ class Circuit:
 
     def _apply_remove_gate(self, edit: RemoveGate) -> AddGate:
         gate = self.gate(edit.gate)
-        sinks = self.fanout_index().sinks(gate.output)
+        sinks = self.fanout(gate.output)
         if sinks:
             names = sorted({g.name for g, _ in sinks})
             raise CircuitError(

@@ -228,10 +228,11 @@ class FanoutIndex:
     answers sink and cone queries in output-proportional time; the
     ``(gate, pin)`` tuples of :meth:`sinks` are materialised per net on
     first request, in gate-creation-then-template-pin order.  The
-    supported circuit edits (:meth:`Circuit.apply_edit`: reorderings,
+    local circuit edits (:meth:`Circuit.apply_edit`: reorderings,
     same-arity template swaps, input statistics) never change
-    connectivity, so an index stays valid across them; rebuild it after
-    structural surgery.
+    connectivity, so an index stays valid across them; read the
+    circuit's memo, :meth:`Circuit.fanout_index`, which structural
+    surgery drops and the next read rebuilds.
     """
 
     def __init__(self, circuit: Circuit):

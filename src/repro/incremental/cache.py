@@ -1,26 +1,28 @@
 """The dirty-cone statistics cache.
 
 :class:`StatsCache` maintains the full net-to-(P, D) map of a circuit
-under ECO edits.  Invalidation rules (see README.md):
+under ECO edits.  Invalidation rules (see README.md): an edit records
+seeds, and the read expands them (:class:`SeededCache`):
 
 * ``SetTemplate`` on gate *g* — through :meth:`Circuit.apply_edit` or
-  the ``set_template`` wrapper — dirties exactly *g* plus its
+  the ``set_template`` wrapper — seeds *g*, whose cone is *g* plus its
   transitive fanout gates (a new cell generally has a new function);
   to *g*'s own template it is a reordering, notified as ``"config"``;
-* ``SetConfig`` on gate *g* dirties nothing: a reordering keeps the
+* ``SetConfig`` on gate *g* seeds nothing: a reordering keeps the
   gate's logic function, so no net's (P, D) can move.  The circuit
   guarantees this at the boundary — every configuration it accepts is
   an ordering of the gate's template (see
   :meth:`~repro.gates.library.GateTemplate.config_index`);
-* :meth:`set_input_stats` on input net *x* dirties exactly the gates in
-  *x*'s transitive fanout;
-* the structural edits (``AddGate``/``RemoveGate``/``RewireNet``)
-  re-read the circuit's fanout index, then dirty the edited gate's new
-  cone (add/rewire) — a removed gate's entries are purged instead;
+* :meth:`set_input_stats` on input net *x* records *x*, whose cone is
+  the gates in *x*'s transitive fanout;
+* the structural edits (``AddGate``/``RemoveGate``/``RewireNet``) seed
+  the edited gate (add/rewire) — a removed gate's entries are purged
+  instead;
 * nothing else dirties anything.
 
-:meth:`refresh` re-propagates the dirty set in topological order via
-the configured backend and is called lazily by every read accessor.
+:meth:`refresh` re-propagates the cone of the seeds in topological
+order via the configured backend and is called lazily by every read
+accessor.
 
 The statistics live in one place: the :attr:`StatsCache.prob` and
 :attr:`StatsCache.dens` arrays, indexed by the net ids of the
@@ -67,6 +69,7 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from ..circuit.netlist import Circuit, StructureEvent
+from ..circuit.topology import FanoutIndex
 from ..compiled.circuit import CompiledCircuit, get_compiled, relowered
 from ..compiled.power import CompiledPowerKernel
 from ..core.optimizer import CircuitPowerReport, fold_power
@@ -77,10 +80,49 @@ from ..stochastic.signal import SignalStats
 from ..timing.sta import DEFAULT_PO_LOAD, timing_context
 from .backends import DEFAULT_ENGINE, make_backend, refuse_structure
 
-__all__ = ["StatsCache"]
+__all__ = ["SeededCache", "StatsCache"]
 
 
-class StatsCache:
+class SeededCache:
+    """The edit subscription and invalidation rule both caches share.
+
+    An edit records seeds (gates in ``_dirty``, inputs in
+    ``_changed_inputs``) and reads no connectivity; a read expands them
+    on the structure current then, so a run of structural edits builds
+    the structure record once.  :attr:`index` is the circuit's memo.
+    Subclasses set ``circuit`` and both seed sets, then :meth:`_subscribe`.
+    """
+
+    def _subscribe(self) -> None:
+        self.circuit.add_edit_listener(self._on_edit)
+        self._subscribed = True
+
+    @property
+    def index(self) -> FanoutIndex:
+        return self.circuit.fanout_index()
+
+    @property
+    def dirty_gates(self) -> frozenset:
+        """Names of the gates in the cone of the seeds (for timing, the
+        potential cone that its early cut-off prunes)."""
+        index = self.index
+        return (index.cone_from_gates(self._dirty)
+                | index.cone_from_nets(self._changed_inputs))
+
+    def close(self) -> None:
+        """Detach from the circuit's edit notifications."""
+        if self._subscribed:
+            self.circuit.remove_edit_listener(self._on_edit)
+            self._subscribed = False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class StatsCache(SeededCache):
     """Circuit-wide (P, D) and power, re-propagated only where dirty.
 
     The statistics backend (:mod:`repro.incremental.backends`) and the
@@ -91,8 +133,8 @@ class StatsCache:
     (:func:`~repro.stochastic.density.local_stats`,
     :func:`~repro.core.optimizer.circuit_power`).  Every cached value is
     a column over the current lowering (``prob``, ``dens``,
-    ``gate_power``); order and loads are read from the circuit's memos
-    and the lowering, never copied.
+    ``gate_power``); order, loads and the fanout index are read from
+    the circuit's memos and the lowering, never copied.
     """
 
     def __init__(self, circuit: Circuit,
@@ -110,9 +152,6 @@ class StatsCache:
         self._power_kernel_obj: Optional[CompiledPowerKernel] = None
         self.model = model if model is not None else GatePowerModel()
         _, self.po_load = timing_context(self.model.tech, po_load)
-        # Memoised on the circuit: a second cache (or a search run)
-        # reuses the same index instead of redoing the O(V+E) inversion.
-        self.index = circuit.fanout_index()
         self._input_stats: Dict[str, SignalStats] = {
             n: input_stats[n] for n in circuit.inputs
         }
@@ -146,8 +185,7 @@ class StatsCache:
         #: cache, innermost last; WhatIf uses it to enforce LIFO
         #: unwinding and to hand committed inner undo logs outward.
         self.trial_stack: list = []
-        circuit.add_edit_listener(self._on_edit)
-        self._subscribed = True
+        self._subscribe()
 
     @property
     def gates_repropagated(self) -> int:
@@ -167,8 +205,8 @@ class StatsCache:
 
         The circuit's :meth:`~repro.circuit.netlist.Circuit.topo_positions`
         memo.  The local edits never change connectivity, so this map
-        stays valid across them; a structural edit replaces it (re-read
-        the property — the old mapping object is discarded, not
+        stays valid across them; a structural edit replaces it (read
+        the property again — the old mapping object is discarded, not
         patched).  The search engine sorts its worklists with it
         instead of re-levelising the circuit.
         """
@@ -178,43 +216,41 @@ class StatsCache:
     # Invalidation
     # ------------------------------------------------------------------
     def _on_edit(self, gate_name: str, kind: str) -> None:
-        """Power-dirty the edited gate; dirty a retemplate's cone.
+        """Power-seed the edited gate; statistics-seed a retemplate.
 
         A reordering (``"config"``) keeps the gate's function, which
         the circuit enforces by refusing any configuration that is not
         an ordering of the gate's template, so it moves no net's
-        (P, D) and dirties no statistics.  A retemplate
-        (``"template"``) generally changes the function: its whole
-        fanout cone goes statistics-dirty, because the refresh is how
-        the cache learns which nets moved.  Power is seeded with the
-        gate alone in both cases: neither edit changes a pin
-        capacitance, so no other gate's load moves.  Gates downstream
-        are power-dirtied by :meth:`refresh`, and only where a net's
-        (P, D) actually changed.
+        (P, D) and seeds no statistics.  A retemplate (``"template"``)
+        generally changes the function: the gate is a statistics seed,
+        and its whole fanout cone is re-propagated at the next read,
+        because the refresh is how the cache learns which nets moved.
+        Power is seeded with the gate alone in both cases: neither edit
+        changes a pin capacitance, so no other gate's load moves.
+        Gates downstream are power-dirtied by :meth:`refresh`, and only
+        where a net's (P, D) actually changed.
         """
         if kind == "structure":
             self._on_structure(gate_name, self.circuit.structure_event)
             return
         if kind != "config":
-            self._dirty |= self.index.cone_from_gates([gate_name])
+            self._dirty.add(gate_name)
         self._power_dirty.add(gate_name)
 
     def _on_structure(self, gate_name: str, event: StructureEvent) -> None:
-        """Handle a structural edit: re-read the index, seed dirty sets.
+        """Handle a structural edit: seed the dirty sets, read nothing.
 
-        The fanout index is re-read from the circuit's (freshly
-        invalidated) memo.  Statistics for an added or rewired gate's
-        cone go dirty and the gate itself is a power seed; a removed
-        gate's cached entries are purged instead (its output's (P, D)
-        and power read NaN, so a gate re-added under that name before
-        the next read starts from no value, like a new one).  Drivers
-        of every net in ``event.load_nets`` are power seeds too — their
-        own (P, D) are untouched, but the external load they see
-        changed.  Gates whose fanin (P, D) the edit moves are
-        power-dirtied by :meth:`refresh`.
+        An added or rewired gate is a statistics and a power seed; its
+        cone is derived at the next read, on the structure current
+        then.  A removed gate's cached entries are purged instead (its
+        output's (P, D) and power read NaN, so a gate re-added under
+        that name before the next read starts from no value, like a new
+        one).  Drivers of every net in ``event.load_nets`` are power
+        seeds too — their own (P, D) are untouched, but the external
+        load they see changed.  Gates whose fanin (P, D) the edit moves
+        are power-dirtied by :meth:`refresh`.
         """
         refuse_structure(self.backend)
-        self.index = self.circuit.fanout_index()
         self._structural.inc()
         tracer = _trace.ACTIVE
         if tracer is not None:
@@ -228,7 +264,7 @@ class StatsCache:
             self._power.pop(gate_name, None)
             self._stale_reports.discard(gate_name)
         else:
-            self._dirty |= self.index.cone_from_gates([gate_name])
+            self._dirty.add(gate_name)
             self._power_dirty.add(gate_name)
         for net in event.load_nets:
             pred = self.circuit.driver(net)
@@ -244,16 +280,10 @@ class StatsCache:
             return old
         self._input_stats[net] = stats
         self._changed_inputs.add(net)
-        self._dirty |= self.index.cone_from_nets([net])
         return old
 
     def input_stats(self, net: str) -> SignalStats:
         return self._input_stats[net]
-
-    @property
-    def dirty_gates(self) -> frozenset:
-        """Names of gates awaiting re-propagation (for tests/inspection)."""
-        return frozenset(self._dirty)
 
     # ------------------------------------------------------------------
     # Reads (lazily refreshing)
@@ -274,7 +304,7 @@ class StatsCache:
         cc = self._lowering()
         if not self._dirty and not self._changed_inputs:
             return ()
-        names = sorted(self._dirty, key=self.topo_index.__getitem__)
+        names = sorted(self.dirty_gates, key=self.topo_index.__getitem__)
         gate_ids = np.fromiter((cc.gate_id[name] for name in names),
                                dtype=np.int64, count=len(names))
         input_ids = sorted(cc.net_id[net] for net in self._changed_inputs)
@@ -380,18 +410,6 @@ class StatsCache:
                                   self._cc.stats_map(self.prob, self.dens))
 
     # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Detach from the circuit's edit notifications."""
-        if self._subscribed:
-            self.circuit.remove_edit_listener(self._on_edit)
-            self._subscribed = False
-
-    def __enter__(self) -> "StatsCache":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def __repr__(self) -> str:
         return (
             f"StatsCache({self.circuit.name!r}, backend={self.backend.name!r}, "

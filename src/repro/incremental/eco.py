@@ -39,12 +39,13 @@ The last three ops are the **structural** vocabulary (serialised forms
 of :class:`~repro.circuit.netlist.AddGate` /
 :class:`~repro.circuit.netlist.RemoveGate` /
 :class:`~repro.circuit.netlist.RewireNet`).  Their invalidation rules:
-an added or rewired gate dirties its (new) transitive fanout cone, a
-removed gate's cached entries are purged, and the drivers of every net
-whose external load changed (the added/removed gate's fanin nets; a
-rewired pin's old and new net) go power- and timing-dirty.  Structural
-edits rebuild the circuit's memoised fanout index / topological order,
-and both caches re-read them; only backends with
+an added or rewired gate is a seed whose transitive fanout cone the
+next read re-propagates, a removed gate's cached entries are purged,
+and the drivers of every net whose external load changed (the
+added/removed gate's fanin nets; a rewired pin's old and new net) go
+power- and timing-dirty.  Structural edits drop the circuit's memoised
+fanout index / topological order, and the next read of either cache
+rebuilds them once; only backends with
 ``supports_structure`` (the analytic backend) accept them, and
 :func:`apply_eco_edit` refuses up front for the rest (the sampled
 backend keeps per-net lane histories keyed to the old structure),

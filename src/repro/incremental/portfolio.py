@@ -194,10 +194,7 @@ def _run_restart_body(payload: Mapping[str, object]) -> Dict[str, object]:
         # never perturbs byte-stability across jobs settings.
         "elapsed_s": result.elapsed_s,
         "moves": [asdict(move) for move in result.accepted],
-        "net_stats": [
-            (net, stats.probability, stats.density)
-            for net, stats in result.net_stats.items()
-        ],
+        "net_stats": result.net_stats.rows,
     }
 
 

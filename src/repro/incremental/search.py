@@ -62,8 +62,8 @@ refuse).
 
 Objectives are weighted, baseline-normalised power/delay scores.  All
 delay reads go through a live
-:class:`~repro.incremental.timing.TimingCache` sharing the stats
-cache's fanout index: delay-bearing objectives price every candidate
+:class:`~repro.incremental.timing.TimingCache` on the searched
+circuit: delay-bearing objectives price every candidate
 move cone-locally (arrival re-propagation with early cut-off instead
 of a full STA per candidate — ``benchmarks/bench_incremental_timing.py``
 holds this to a >= 10x floor), and the pure power objective still only
@@ -78,8 +78,7 @@ import time
 import zlib
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
-                    Union)
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -275,17 +274,23 @@ class AcceptedMove:
 class NetStats(Mapping[str, SignalStats]):
     """Every net's final (P, D), made :class:`SignalStats` on first read.
 
-    Built from ``(net, P, D)`` rows, consumed once; a search ends
-    without building the per-net objects, which nothing on its own
-    path reads.
+    Kept as the columns it was built from (net names, P, D): a search
+    ends without building per-net objects, not even row tuples, whose
+    allocation alone shifts the garbage collector's cadence at 10k nets.
     """
 
-    def __init__(self, rows: Iterable[Tuple[str, float, float]]):
-        self._rows = rows
+    def __init__(self, nets: Sequence[str], prob: Sequence[float],
+                 dens: Sequence[float]):
+        self.columns = (nets, prob, dens)
+
+    @property
+    def rows(self) -> List[Tuple[str, float, float]]:
+        """``(net, P, D)`` rows, as a portfolio outcome ships them."""
+        return list(zip(*self.columns))
 
     @cached_property
     def _map(self) -> Dict[str, SignalStats]:
-        return {net: SignalStats(p, d) for net, p, d in self._rows}
+        return {net: SignalStats(p, d) for net, p, d in zip(*self.columns)}
 
     def __getitem__(self, net: str) -> SignalStats:
         return self._map[net]
@@ -1391,7 +1396,7 @@ def _portfolio(circuit: Circuit, input_stats: Mapping[str, SignalStats],
     return SearchResult(
         circuit=work,
         accepted=accepted,
-        net_stats=NetStats(best["net_stats"]),
+        net_stats=NetStats(*zip(*best["net_stats"])),
         power_before=best["power_before"],
         power_after=best["power_after"],
         delay_before=best["delay_before"],
@@ -1504,10 +1509,9 @@ def _single(circuit: Circuit, input_stats: Mapping[str, SignalStats],
                                        **spec.backend_kwargs()))
 
     start = time.perf_counter()
-    # The search's live timing side: shares the stats cache's fanout
-    # index and prices every delay read cone-locally.
-    timing = TimingCache(work, tech=cache.model.tech,
-                         po_load=cache.po_load, index=cache.index)
+    # The search's live timing side: prices every delay read
+    # cone-locally.
+    timing = TimingCache(work, tech=cache.model.tech, po_load=cache.po_load)
     try:
         state = _Search(cache, timing, spec)
         if resume_payload is not None:
@@ -1581,8 +1585,8 @@ def _single(circuit: Circuit, input_stats: Mapping[str, SignalStats],
         result = SearchResult(
             circuit=work,
             accepted=state.accepted,
-            net_stats=NetStats(zip(cache.power_kernel().cc.nets,
-                                   cache.prob.tolist(), cache.dens.tolist())),
+            net_stats=NetStats(cache.power_kernel().cc.nets,
+                               cache.prob.tolist(), cache.dens.tolist()),
             power_before=state.power0,
             power_after=power_after,
             delay_before=state.delay0,

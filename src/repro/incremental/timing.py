@@ -5,13 +5,14 @@ required times, slacks and the critical path — of a circuit under ECO
 edits, mirroring :class:`~repro.incremental.cache.StatsCache` on the
 delay axis of the paper's (P, D) co-metric (Table 3 column D).
 
-Invalidation mirrors the statistics rule (see README.md, "Timing
-invalidation rules"): a reorder or retemplate of gate *g* seeds *g*
-alone — its new compiled form changes its own pin-to-output delays,
-but no pin capacitance, so no driver's load — and the refresh descends
-*g*'s fanout cone with **early cut-off**, stopping as soon as a
-recomputed arrival is bit-identical to the cached one.  A structural
-edit also seeds the drivers of the nets whose load it changed.
+Invalidation follows the statistics rule (see README.md, "Timing
+invalidation rules", and :class:`~repro.incremental.cache.SeededCache`):
+a reorder or retemplate of gate *g* seeds *g* alone — its new compiled
+form changes its own pin-to-output delays, but no pin capacitance, so
+no driver's load — and the refresh descends *g*'s fanout cone with
+**early cut-off**, stopping as soon as a recomputed arrival is
+bit-identical to the cached one.  A structural edit also seeds the
+drivers of the nets whose load it changed.
 
 Both the full initial sweep and the incremental re-propagation run
 on the flat-array timing kernels of
@@ -34,19 +35,18 @@ from ..compiled.circuit import CompiledCircuit, get_compiled, relowered
 from ..obs import trace as _trace
 from ..obs.metrics import MetricsRegistry
 from ..timing.sta import TimingReport, timing_context
+from .cache import SeededCache
 
 __all__ = ["TimingCache"]
 
 
-class TimingCache:
+class TimingCache(SeededCache):
     """Circuit-wide arrival times, re-propagated only where dirty.
 
     Subscribes to :meth:`Circuit.apply_edit` notifications exactly like
-    :class:`~repro.incremental.cache.StatsCache`; pass ``index=`` to
-    share an existing :class:`FanoutIndex` (the local edits never
-    change connectivity, so one index can serve both caches; after a
-    structural edit both re-read the circuit's freshly rebuilt memoised
-    index, so they keep sharing).
+    :class:`~repro.incremental.cache.StatsCache`.  Passing ``index=``
+    (any value) says only that the caller already validated the
+    circuit: the constructor then skips :meth:`Circuit.validate`.
 
     Arrivals live in one flat array over the net ids of the circuit's
     :class:`~repro.compiled.circuit.CompiledCircuit` lowering, next to
@@ -67,10 +67,8 @@ class TimingCache:
                  index: Optional[FanoutIndex] = None):
         if index is None:
             circuit.validate()
-            index = circuit.fanout_index()
         self.circuit = circuit
         self.tech, self.po_load = timing_context(tech, po_load)
-        self.index = index
         self._input_arrivals: Dict[str, float] = {
             net: (float(input_arrivals[net]) if input_arrivals else 0.0)
             for net in circuit.inputs
@@ -81,10 +79,11 @@ class TimingCache:
         #: latest-arriving fanin of the net's driver (-1: an input).
         self._arr, self._pin = self._cc.arrivals_full(
             self.tech, self.po_load, self._input_arrivals)
-        #: Seed gates awaiting re-propagation (the refresh descends
-        #: their cones itself, pruning with early cut-off, so the full
-        #: dirty cone is never materialised eagerly).
+        #: Seed gates, and inputs whose sinks the refresh seeds (it
+        #: descends their cones itself, pruning with early cut-off, so
+        #: the full dirty cone is never materialised).
         self._dirty: set = set()
+        self._changed_inputs: set = set()
         self._required: Optional[Dict[str, float]] = None
         self._required_clock: Optional[float] = None
         #: Per-cache work counters (:mod:`repro.obs.metrics`); the
@@ -93,8 +92,7 @@ class TimingCache:
         self.metrics = MetricsRegistry()
         self._retimed = self.metrics.counter("timing.gates_retimed")
         self._refreshes = self.metrics.counter("timing.refresh_count")
-        circuit.add_edit_listener(self._on_edit)
-        self._subscribed = True
+        self._subscribe()
 
     @property
     def gates_retimed(self) -> int:
@@ -121,7 +119,7 @@ class TimingCache:
         self._dirty.add(gate_name)
 
     def _on_structure(self, gate_name: str, event) -> None:
-        """Handle a structural edit: re-read the index, widen dirty seeds.
+        """Handle a structural edit: widen the seeds, read nothing.
 
         Mirrors :meth:`StatsCache._on_structure`.  An added gate's
         output reads NaN (a new net, or one a removal forgot) so the
@@ -135,7 +133,6 @@ class TimingCache:
         multi-edit move and its rollback — lowers once per read, not
         once per edit.
         """
-        self.index = self.circuit.fanout_index()
         if event.op == "remove":
             self._dirty.discard(gate_name)
             i = self._cc.net_id.get(event.output)
@@ -181,8 +178,7 @@ class TimingCache:
         self._input_arrivals[net] = arrival
         self._arr[self._cc.net_id[net]] = arrival
         self._required = None  # the net may have no sinks to refresh through
-        for gate, _pin in self.index.sinks(net):
-            self._dirty.add(gate.name)
+        self._changed_inputs.add(net)
         return old
 
     def input_arrival(self, net: str) -> float:
@@ -192,16 +188,6 @@ class TimingCache:
     def input_arrivals(self) -> Mapping[str, float]:
         """Primary-input arrival times (treat as read-only)."""
         return self._input_arrivals
-
-    @property
-    def dirty_gates(self) -> frozenset:
-        """Names of gates whose arrival *may* be re-propagated.
-
-        The potential dirty cone (seeds plus transitive fanout); the
-        actual refresh usually touches far fewer gates thanks to early
-        cut-off.
-        """
-        return self.index.cone_from_gates(self._dirty)
 
     # ------------------------------------------------------------------
     # Re-propagation
@@ -220,6 +206,11 @@ class TimingCache:
         topological order.
         """
         cc = self._lowering()
+        if self._changed_inputs:
+            sinks = self.index.sinks
+            self._dirty.update(gate.name for net in self._changed_inputs
+                               for gate, _pin in sinks(net))
+            self._changed_inputs.clear()
         if not self._dirty:
             return ()
         arr = self._arr
@@ -357,18 +348,6 @@ class TimingCache:
         return {net: required[net] - arrivals[net] for net in required}
 
     # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Detach from the circuit's edit notifications."""
-        if self._subscribed:
-            self.circuit.remove_edit_listener(self._on_edit)
-            self._subscribed = False
-
-    def __enter__(self) -> "TimingCache":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def __repr__(self) -> str:
         return (
             f"TimingCache({self.circuit.name!r}, "

@@ -249,7 +249,11 @@ class TestEditEquivalence:
         try:
             for spec in specs:
                 apply_spec(circuit, cache, tcache, current, spec)
-                seeds = set(tcache._dirty)
+                # An input arrival edit records the input; the refresh
+                # seeds its sinks.
+                seeds = set(tcache._dirty) | {
+                    gate.name for net in tcache._changed_inputs
+                    for gate, _pin in tcache.index.sinks(net)}
                 arrivals.update(tcache.input_arrivals)
                 retimed = tcache.gates_retimed
                 changed = tcache.refresh()

@@ -10,7 +10,10 @@ from repro.incremental import (
     restart_seed,
     search_circuit,
 )
+from repro.incremental import portfolio
+from repro.incremental import search as search_module
 from repro.incremental.portfolio import circuit_from_spec, circuit_spec
+from repro.incremental.spec import SearchSpec
 from repro.sim.stimulus import ScenarioA
 from repro.synth.mapper import map_circuit
 from repro.timing.sta import analyze_timing
@@ -110,6 +113,32 @@ class TestPortfolio:
                                 anneal_trials=10, seed=0)
         assert result.restarts is None
         assert "portfolio" not in result.to_artifact()
+
+    def test_worker_ships_rows_without_building_the_view(self, adder,
+                                                         monkeypatch):
+        circuit, stats = adder
+        results = []
+        original = search_module._single
+
+        def spy(*args):
+            results.append(original(*args))
+            return results[-1]
+
+        monkeypatch.setattr(search_module, "_single", spy)
+        spec = SearchSpec(strategy="anneal", restarts=1, anneal_trials=10,
+                          seed=2)
+        outcome = portfolio._run_restart({
+            "circuit": circuit_spec(circuit),
+            "input_stats": [(net, stats[net].probability,
+                             stats[net].density) for net in circuit.inputs],
+            "index": 0,
+            "search": spec.restart(0),
+        })
+        view = results[0].net_stats
+        assert "_map" not in vars(view)
+        assert outcome["net_stats"] == [
+            (net, value.probability, value.density)
+            for net, value in view.items()]
 
     def test_rejections(self, adder):
         circuit, stats = adder

@@ -25,6 +25,7 @@ import random
 import pytest
 
 from repro.bench.generators import random_logic
+from repro.circuit import topology
 from repro.circuit.netlist import (
     AddGate,
     RemoveGate,
@@ -40,7 +41,11 @@ from repro.core.power_model import GatePowerModel
 from repro.gates.capacitance import pin_terminal_counts
 from repro.gates.library import default_library
 from repro.incremental import StatsCache, TimingCache, WhatIf
-from repro.incremental.eco import InputStatsEdit
+from repro.incremental.eco import (
+    InputArrivalEdit,
+    InputStatsEdit,
+    apply_eco_edit,
+)
 from repro.sim.stimulus import ScenarioA
 from repro.stochastic.density import local_stats
 from repro.stochastic.signal import SignalStats
@@ -439,6 +444,20 @@ def lowerings(monkeypatch):
     return count
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """Count ``build_structure`` calls (structure-record derivations)."""
+    count = [0]
+    original = topology.build_structure
+
+    def counted(circuit):
+        count[0] += 1
+        return original(circuit)
+
+    monkeypatch.setattr(topology, "build_structure", counted)
+    return count
+
+
 def _caches(circuit, stats):
     cache = StatsCache(circuit, stats)
     timing = TimingCache(circuit, tech=cache.model.tech,
@@ -456,7 +475,10 @@ def _assert_timing_matches_scratch(timing, circuit):
 
 
 class TestDeferredRelowering:
-    def test_structural_move_lowers_once_per_read(self, master, lowerings):
+    def test_structural_move_lowers_once_per_read(self, master, lowerings,
+                                                  builds):
+        # No edit derives structure either: the trial's read builds the
+        # record once, and so does the read after the rollback.
         circuit_master, stats = master
         circuit = circuit_master.copy()
         cache, timing = _caches(circuit, stats)
@@ -466,16 +488,16 @@ class TestDeferredRelowering:
             names = (f"rl{i}" for i in range(100))
             edits = _buffer(circuit, random.Random(3), names)
             assert len(edits) >= 4
-            lowerings[0] = 0
+            lowerings[0] = builds[0] = 0
             with WhatIf(cache, timing=timing) as trial:
                 for edit in edits:
                     trial.apply(edit)
                 trial.power()
                 trial.delay()
-            assert lowerings[0] == 1
+            assert (lowerings[0], builds[0]) == (1, 1)
             cache.total_power()
             timing.delay()
-            assert lowerings[0] == 2
+            assert (lowerings[0], builds[0]) == (2, 2)
             _assert_matches_scratch(cache, circuit)
             _assert_timing_matches_scratch(timing, circuit)
         finally:
@@ -518,6 +540,49 @@ class TestDeferredRelowering:
             assert lowerings[0] == 1
             timing.set_input_arrival(circuit.inputs[1], 1.0e-10)
             _assert_timing_matches_scratch(timing, circuit)
+        finally:
+            timing.close()
+            cache.close()
+
+
+# ----------------------------------------------------------------------
+# Deferred cones: edits record seeds, the read expands them
+# ----------------------------------------------------------------------
+def _arrival(circuit, rng, names):
+    return [InputArrivalEdit(rng.choice(circuit.inputs),
+                             rng.uniform(0.0, 2.0e-10))]
+
+
+DEFERRED_BUILDERS = (_buffer, _dup, _rewire, _sweep, _retemplate, _input,
+                     _arrival)
+
+
+class TestDeferredCones:
+    """A batch of edits with no read in between leaves only seeds; the
+    read that follows expands them on the structure current then."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batch_without_reads_matches_scratch(self, master, seed):
+        circuit_master, stats = master
+        circuit = circuit_master.copy()
+        rng = random.Random(seed)
+        names = (f"dc{i}" for i in range(10_000))
+        cache, timing = _caches(circuit, stats)
+        try:
+            for _ in range(4):
+                before = cache.stats()
+                timing.delay()
+                for _ in range(rng.randint(2, 6)):
+                    builder = rng.choice(DEFERRED_BUILDERS)
+                    for edit in builder(circuit, rng, names):
+                        apply_eco_edit(cache, timing, edit)
+                dirty = cache.dirty_gates
+                after = cache.stats()
+                moved = {gate.name for gate in circuit.gates
+                         if after[gate.output] != before.get(gate.output)}
+                assert moved <= dirty
+                _assert_matches_scratch(cache, circuit)
+                _assert_timing_matches_scratch(timing, circuit)
         finally:
             timing.close()
             cache.close()
